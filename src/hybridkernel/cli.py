@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, hybrid_static, koopman, thermo_vle
+from . import __version__, experiments, koopman, thermo_vle
 from .errors import ConfigError, HybridKernelError
-from .kernels import KernelSpec
 
 EXPERIMENTS = ("vle-data", "setting1", "setting2", "setting3", "koopman", "control")
 CONFIG_KEYS = ("experiment", "seed", "lambda", "m", "n", "out")
@@ -150,6 +149,16 @@ def _write_manifest(out: Path, config: ExperimentConfig, seeds: dict,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _write_vle_data(out: Path, config: ExperimentConfig) -> list[str]:
+    """train.csv and val.csv from the VLE points the sweep fits."""
+    files = []
+    for name, seed in (("train", config.seed), ("val", config.seed + 1)):
+        thermo_vle.save_vle_csv(experiments.vle_points(config.n, seed),
+                                out / f"{name}.csv", seed=seed)
+        files += [f"{name}.csv", f"{name}.csv.meta.json"]
+    return files
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     out = config.output_dir
@@ -163,20 +172,14 @@ def run(config: ExperimentConfig) -> int:
         files += ["data.csv", "data.csv.meta.json"]
 
     elif config.experiment == "setting1":
-        for name, seed in (("train", config.seed), ("val", config.seed + 1)):
-            thermo_vle.save_vle_csv(thermo_vle.generate_vle_dataset(config.n, seed=seed),
-                                    out / f"{name}.csv", seed=seed)
-            files += [f"{name}.csv", f"{name}.csv.meta.json"]
+        files += _write_vle_data(out, config)
         rows = experiments.run_setting1(n=config.n, seed=config.seed,
                                         lambda_grid=config.lambda_grid)
         _write_csv(out / "summary.csv", rows, ["lambda", "train_rmse", "val_rmse"])
         files.append("summary.csv")
 
     elif config.experiment == "setting2":
-        for name, seed in (("train", config.seed), ("val", config.seed + 1)):
-            thermo_vle.save_vle_csv(thermo_vle.generate_vle_dataset(config.n, seed=seed),
-                                    out / f"{name}.csv", seed=seed)
-            files += [f"{name}.csv", f"{name}.csv.meta.json"]
+        files += _write_vle_data(out, config)
         result = experiments.run_setting2(n=config.n, seed=config.seed,
                                           lambda_grid=config.lambda_grid)
         _write_csv(out / "reference.csv", result["reference"],
@@ -185,12 +188,9 @@ def run(config: ExperimentConfig) -> int:
                    ["lambda", "train_rmse", "val_rmse", "theta_star"])
         files += ["reference.csv", "margules.csv"]
         # model JSON at the last grid lambda, for downstream inspection
-        train = experiments.gex_dataset(config.n, config.seed)
-        model = hybrid_static.fit_subspace(train, thermo_vle.margules_features,
-                                           KernelSpec(gamma=experiments.DEFAULT_GAMMA_X),
-                                           lambda_theta=experiments.DEFAULT_LAMBDA_THETA,
-                                           lambda_r=config.lambda_grid[-1])
-        (out / "margules_model.json").write_text(model.to_json() + "\n")
+        last = result["margules"][-1]
+        (out / "margules_model.json").write_text(last["model"].to_json(
+            lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=last["lambda"]) + "\n")
         files.append("margules_model.json")
 
     elif config.experiment == "setting3":
@@ -203,17 +203,12 @@ def run(config: ExperimentConfig) -> int:
                    ["lambda", "train_rmse", "val_rmse", "theta_star"])
         files.append("summary.csv")
         for i, row in enumerate(rows):
-            doc = {
-                "lambda_r": row["lambda"],
-                "lambda_omega": 0.0,
-                "weights": row["weights"].tolist(),
-                "theta_samples": row["theta_samples"].tolist(),
-                "theta_star": row["theta_star"],
-                "seed": config.seed,
-                "theta_seed": theta_seed,
-            }
+            doc = row["model"].to_json(lambda_r=row["lambda"], lambda_omega=0.0,
+                                       theta_samples=row["theta_samples"].tolist(),
+                                       theta_star=row["theta_star"], seed=config.seed,
+                                       theta_seed=theta_seed)
             name = f"mixture_model_{i:02d}.json"
-            (out / name).write_text(json.dumps(doc, indent=2) + "\n")
+            (out / name).write_text(doc + "\n")
             files.append(name)
 
     elif config.experiment == "koopman":
@@ -225,11 +220,9 @@ def run(config: ExperimentConfig) -> int:
         _write_csv(out / "sweep.csv", rows,
                    ["lambda_R", "train_rmse", "val_rmse", "frob_R"])
         files.append("sweep.csv")
-        basis = koopman.MonomialBasis(q=3)
-        thetas = experiments.sample_thetas(config.m, theta_seed)
         for i, row in enumerate(rows):
-            model = experiments.build_hybrid_model(row["b"], row["R"], thetas, basis)
-            doc = koopman.model_to_json_dict(model, lambda_b=experiments.DEFAULT_LAMBDA_B,
+            doc = koopman.model_to_json_dict(row["model"],
+                                             lambda_b=experiments.DEFAULT_LAMBDA_B,
                                              lambda_R=row["lambda_R"], seeds=seeds)
             name = f"koopman_model_{i:02d}.json"
             (out / name).write_text(json.dumps(doc, indent=2) + "\n")

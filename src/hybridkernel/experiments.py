@@ -13,7 +13,7 @@ import numpy as np
 
 from . import control, hybrid_static, koopman, thermo_vle
 from .hybrid_static import Dataset
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 2, 13))
 DEFAULT_LAMBDA_R_GRID = tuple(np.logspace(-4, 2, 7))
@@ -44,16 +44,23 @@ def _bubble_T(x: float) -> float:
     return thermo_vle.bubble_point(x)[0]
 
 
+@lru_cache(maxsize=None)
+def vle_points(n: int, seed: int) -> tuple:
+    """The VLE points of one dataset; cached, so the CLI writes the points a
+    sweep fitted without solving their bubble points again."""
+    return tuple(thermo_vle.generate_vle_dataset(n, seed=seed))
+
+
 def xy_dataset(n: int, seed: int) -> Dataset:
     """(x, y) pairs from the VLE ground truth."""
-    pts = thermo_vle.generate_vle_dataset(n, seed=seed)
+    pts = vle_points(n, seed)
     return Dataset(inputs=np.array([p.x for p in pts]),
                    targets=np.array([p.y for p in pts]))
 
 
 def gex_dataset(n: int, seed: int) -> Dataset:
     """(x, Gibbs-energy target) pairs converted from simulated T-x-y data."""
-    pts = thermo_vle.generate_vle_dataset(n, seed=seed)
+    pts = vle_points(n, seed)
     return Dataset(inputs=np.array([p.x for p in pts]),
                    targets=np.array([thermo_vle.excess_gibbs_from_txy(p) for p in pts]))
 
@@ -96,13 +103,12 @@ def sample_thetas(m: int, seed: int, dim: int = 2) -> np.ndarray:
 def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
                  gamma: float = DEFAULT_GAMMA_X) -> list[dict]:
     """KRR around the relative-volatility reference on (x, y) data."""
-    train = xy_dataset(n, seed)
-    val = xy_dataset(n, seed + 1)
-    kernel = KernelSpec(gamma=gamma)
+    train = hybrid_static.design(xy_dataset(n, seed), relative_volatility_reference,
+                                 KernelSpec(gamma=gamma))
+    val = train.at(xy_dataset(n, seed + 1))
 
     def one(lam):
-        model = hybrid_static.fit_reference_krr(train, relative_volatility_reference,
-                                                kernel, lam)
+        model = hybrid_static.fit_reference_krr(train, lam)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
                 "val_rmse": hybrid_static.rmse(model, val)}
@@ -113,23 +119,28 @@ def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
 def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
                  gamma: float = DEFAULT_GAMMA_X,
                  lambda_theta: float = DEFAULT_LAMBDA_THETA) -> dict:
-    """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data."""
-    train = gex_dataset(n, seed)
-    val = gex_dataset(n, seed + 1)
-    kernel = KernelSpec(gamma=gamma)
+    """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data.
+
+    Each "margules" row carries its fitted model under "model".
+    """
+    ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
+                                     KernelSpec(gamma=gamma))
+    ref_val = ref_train.at(gex_dataset(n, seed + 1))
+    sub_train = ref_train.with_features(thermo_vle.margules_features, joint=True)
+    sub_val = ref_val.with_features(thermo_vle.margules_features)
 
     def one(lam):
-        ref = hybrid_static.fit_reference_krr(train, gex_reference, kernel, lam)
-        sub = hybrid_static.fit_subspace(train, thermo_vle.margules_features, kernel,
-                                         lambda_theta=lambda_theta, lambda_r=lam)
+        ref = hybrid_static.fit_reference_krr(ref_train, lam)
+        sub = hybrid_static.fit_subspace(sub_train, lambda_theta=lambda_theta, lambda_r=lam)
         return (
             {"lambda": float(lam),
-             "train_rmse": hybrid_static.rmse(ref, train),
-             "val_rmse": hybrid_static.rmse(ref, val)},
+             "train_rmse": hybrid_static.rmse(ref, ref_train),
+             "val_rmse": hybrid_static.rmse(ref, ref_val)},
             {"lambda": float(lam),
-             "train_rmse": hybrid_static.rmse(sub, train),
-             "val_rmse": hybrid_static.rmse(sub, val),
-             "theta_star": ";".join(repr(float(t)) for t in sub.theta)},
+             "train_rmse": hybrid_static.rmse(sub, sub_train),
+             "val_rmse": hybrid_static.rmse(sub, sub_val),
+             "theta_star": ";".join(repr(float(t)) for t in sub.weights),
+             "model": sub},
         )
 
     rows = _map_grid(one, list(lambda_grid))
@@ -143,22 +154,24 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     """Wilson-manifold mixture fit on Gibbs-energy data."""
     if theta_seed is None:
         theta_seed = seed + 1000
-    train = gex_dataset(n, seed)
-    val = gex_dataset(n, seed + 1)
     thetas = sample_thetas(m, theta_seed)
-    kx = KernelSpec(gamma=gamma_x)
-    kt = KernelSpec(gamma=gamma_theta)
+    train = hybrid_static.design(gex_dataset(n, seed),
+                                 hybrid_static.family_features(wilson_family, thetas),
+                                 KernelSpec(gamma=gamma_x), joint=True)
+    val = train.at(gex_dataset(n, seed + 1))
+    theta_gram = gram(KernelSpec(gamma=gamma_theta), thetas)
 
     def one(lam):
-        model = hybrid_static.fit_mixture(train, wilson_family, thetas, kx, kt,
-                                          lambda_omega=lambda_omega, lambda_r=lam)
-        theta_star = model.effective_parameter()
+        model, _ = hybrid_static.fit_mixture(train, theta_gram, lambda_omega=lambda_omega,
+                                             lambda_r=lam)
+        theta_star = hybrid_static.effective_parameter(model.weights, thetas)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
                 "val_rmse": hybrid_static.rmse(model, val),
                 "theta_star": ";".join(repr(float(t)) for t in theta_star),
                 "weights": model.weights,
-                "theta_samples": thetas}
+                "theta_samples": thetas,
+                "model": model}
 
     return _map_grid(one, list(lambda_grid))
 
@@ -175,11 +188,28 @@ def koopman_setup(n: int = 200, seed: int = 0, m: int = 25, theta_seed: int = No
     return basis, f0_true, f1, family, train, val, thetas
 
 
+def fit_closures(thetas, basis: koopman.MonomialBasis, family, f1) -> tuple:
+    """The lambda-independent closures: Gamma_j of each family member f0(. | theta_j),
+    and the affine (beta, Gamma) of the input channel f1."""
+    drift = [koopman.closure_fit(lambda x, th=th: family(x, th), basis)[1]
+             for th in np.asarray(thetas)]
+    return drift, [koopman.closure_fit(f1, basis, affine=True)]
+
+
+def build_hybrid_model(b, R, thetas, basis: koopman.MonomialBasis,
+                       closures: tuple) -> koopman.KoopmanHybridModel:
+    """Assemble the bilinear lifted model from fitted (b, R) and fit_closures output."""
+    drift, inputs = closures
+    return koopman.assemble_bilinear(b, R, drift, inputs, basis, theta_samples=thetas)
+
+
 def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID, lambda_b: float = DEFAULT_LAMBDA_B,
                 q: int = 3, theta_seed: int = None) -> list[dict]:
-    """Hybrid generator identification sweep over lambda_R."""
-    basis, _, _, family, train, val, thetas = koopman_setup(n, seed, m, theta_seed, q)
+    """Hybrid generator identification sweep over lambda_R; each row carries
+    its bilinear model under "model"."""
+    basis, _, f1, family, train, val, thetas = koopman_setup(n, seed, m, theta_seed, q)
+    closures = fit_closures(thetas, basis, family, f1)
 
     def one(lam):
         b, R, _ = koopman.fit_hybrid_generator(train, family, thetas, basis,
@@ -190,23 +220,9 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 "val_rmse": koopman.hybrid_prediction_rmse(val, family, thetas,
                                                            basis, b, R),
                 "frob_R": float(np.linalg.norm(R, "fro")),
-                "b": b, "R": R}
+                "model": build_hybrid_model(b, R, thetas, basis, closures)}
 
     return _map_grid(one, list(lambda_grid))
-
-
-def build_hybrid_model(b, R, thetas, basis: koopman.MonomialBasis,
-                       family=None, f1=None) -> koopman.KoopmanHybridModel:
-    """Assemble the bilinear lifted model from fitted (b, R) and closures."""
-    if family is None or f1 is None:
-        _, f1_def, fam_def = koopman.cstr_fields()
-        family = family or fam_def
-        f1 = f1 or f1_def
-    closure_As = [koopman.closure_fit(lambda x, th=th: family(x, th), basis)[1]
-                  for th in np.asarray(thetas)]
-    beta1, gamma1 = koopman.closure_fit(f1, basis, affine=True)
-    return koopman.assemble_bilinear(b, R, closure_As, [(beta1, gamma1)], basis,
-                                     theta_samples=thetas)
 
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,
@@ -224,30 +240,33 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         state_seed = seed + 2000
     basis, f0_true, f1, family, train, _, thetas = koopman_setup(n, seed, m, q=q)
     x0s = koopman.sample_states(n_states, state_seed)
+    closures = fit_closures(thetas, basis, family, f1)
 
     def plant(x, u):
         return f0_true(x) + u * f1(x)
-
-    truth_ctrl = control.make_truth_controller(basis, f0_true, f1)
 
     def v_monotone(traj):
         vals = np.array([control.clf_value(basis, x) for x in traj.states])
         return bool(np.all(np.diff(vals) <= 1e-6))
 
+    # the ground-truth loop does not depend on lambda_R
+    truth_ctrl = control.make_truth_controller(basis, f0_true, f1)
+    truths = [control.simulate(plant, truth_ctrl, x0, dt, horizon) for x0 in x0s]
+    truth_monotone = [v_monotone(t) for t in truths]
+
     rows = []
     for lam in lambda_grid:
         b, R, _ = koopman.fit_hybrid_generator(train, family, thetas, basis,
                                                lambda_b=lambda_b, lambda_R=lam)
-        model = build_hybrid_model(b, R, thetas, basis, family, f1)
-        model_ctrl = control.make_model_controller(model)
-        for i, x0 in enumerate(x0s):
-            t_truth = control.simulate(plant, truth_ctrl, x0, dt, horizon)
+        model_ctrl = control.make_model_controller(
+            build_hybrid_model(b, R, thetas, basis, closures))
+        for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
             t_model = control.simulate(plant, model_ctrl, x0, dt, horizon)
             row = {
                 "lambda_R": float(lam),
                 "x0_index": i,
                 "max_deviation": control.compare_trajectories(t_truth, t_model),
-                "v_monotone_truth": v_monotone(t_truth),
+                "v_monotone_truth": truth_monotone[i],
                 "v_monotone_model": v_monotone(t_model),
             }
             if keep_trajectories:

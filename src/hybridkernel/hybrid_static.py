@@ -1,12 +1,24 @@
-"""Static hybrid models: KRR around a reference, joint subspace fit, and
-simplex-constrained mixtures over a nonlinearly parameterized family.
+"""Static hybrid models h(x) = Phi(x)' w + sum_i c_i k(x_i, x).
+
+The three static settings are one model family and differ only in the
+feature map Phi and in how the weights w are fit:
+
+  (i)   reference KRR: Phi = h_ref, one column with fixed weight 1;
+  (ii)  subspace: Phi = interpretable features, w = theta by ridge;
+  (iii) mixture: Phi = (h(x | theta_1), ..., h(x | theta_m)), w = b on the
+        simplex.
+
+A ``Design`` holds the lambda-independent blocks of one dataset. Drivers
+build it once per sweep; each fit then does only the lambda-dependent solve,
+and ``rmse`` evaluates the design. ``HybridModel.predict`` is the only place
+that evaluates the features at new points.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -47,229 +59,191 @@ class Dataset:
         return self.inputs.shape[0]
 
 
-def _residual_term(anchors: np.ndarray, coeffs: np.ndarray, kernel: KernelSpec, x) -> np.ndarray:
-    X = np.asarray(x, dtype=float)
-    squeeze = X.ndim == 0
-    pts = np.atleast_1d(X)
-    K = cross_gram(kernel, pts if pts.ndim > 1 else pts[:, None], anchors)
-    out = K @ coeffs
-    return float(out[0]) if squeeze else out
+def feature_columns(features: Callable, X: np.ndarray) -> np.ndarray:
+    """Phi at the rows of an (n, d) input array, as an (n, p) array.
+
+    One-dimensional inputs reach Phi as a flat vector of n points.
+    """
+    xs = X[:, 0] if X.shape[1] == 1 else X
+    return np.asarray(features(xs), dtype=float).reshape(X.shape[0], -1)
+
+
+def family_features(family: Callable, theta_samples) -> Callable:
+    """Phi(x) = (h(x | theta_1), ..., h(x | theta_m)) for a family h(x, theta)."""
+    thetas = np.asarray(theta_samples, dtype=float)
+    thetas = thetas.reshape(thetas.shape[0], -1)
+
+    def features(x):
+        return np.column_stack([np.asarray(family(x, th), dtype=float).ravel()
+                                for th in thetas])
+
+    return features
+
+
+def effective_parameter(weights, theta_samples) -> np.ndarray:
+    """Weighted average of the sampled parameters; lies in their convex hull."""
+    return np.asarray(weights, dtype=float) @ np.asarray(theta_samples, dtype=float)
 
 
 @dataclass(frozen=True)
-class ReferenceKrrModel:
-    """h(x) = h_ref(x) + sum_i c_i k(x_i, x)."""
+class HybridModel:
+    """h(x) = Phi(x)' w + sum_i c_i k(x_i, x)."""
 
-    reference: Callable
-    anchors: np.ndarray
-    coeffs: np.ndarray
-    kernel: KernelSpec
-    lam: float
-
-    def predict(self, x):
-        base = np.asarray(self.reference(np.asarray(x, dtype=float)), dtype=float)
-        return base + _residual_term(self.anchors, self.coeffs, self.kernel, x)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "model": "reference_krr",
-            "kernel": self.kernel.to_dict(),
-            "anchors": self.anchors.tolist(),
-            "coeffs": self.coeffs.tolist(),
-            "lambda": self.lam,
-        })
-
-
-@dataclass(frozen=True)
-class SubspaceModel:
-    """h(x) = phi(x)' theta + sum_i c_i k(x_i, x)."""
-
-    theta: np.ndarray
-    feature_map: Callable
-    anchors: np.ndarray
-    coeffs: np.ndarray
-    kernel: KernelSpec
-    lambda_theta: float
-    lambda_r: float
-
-    def predict(self, x):
-        feats = np.asarray(self.feature_map(np.asarray(x, dtype=float)), dtype=float)
-        base = feats @ self.theta
-        return base + _residual_term(self.anchors, self.coeffs, self.kernel, x)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "model": "subspace",
-            "kernel": self.kernel.to_dict(),
-            "anchors": self.anchors.tolist(),
-            "coeffs": self.coeffs.tolist(),
-            "theta": self.theta.tolist(),
-            "lambda_theta": self.lambda_theta,
-            "lambda_r": self.lambda_r,
-        })
-
-
-@dataclass(frozen=True)
-class MixtureModel:
-    """h(x) = sum_j b_j h(x | theta_j) + sum_i c_i k(x_i, x), b on the simplex."""
-
-    family: Callable  # (x, theta) -> real(s)
-    theta_samples: np.ndarray
+    features: Callable  # Phi; code, so to_json leaves it out
     weights: np.ndarray
-    anchors: np.ndarray
+    anchors: np.ndarray  # (n, d) training inputs x_i
     coeffs: np.ndarray
-    kernel_x: KernelSpec
-    kernel_theta: KernelSpec
-    lambda_omega: float
-    lambda_r: float
-    qp: simplex_qp.QpSolution = field(repr=False, default=None)
+    kernel: KernelSpec
 
     def predict(self, x):
         x = np.asarray(x, dtype=float)
-        cols = np.stack([np.atleast_1d(np.asarray(self.family(x, th), dtype=float))
-                         for th in self.theta_samples], axis=-1)
-        base = cols @ self.weights
-        if x.ndim == 0:
-            base = float(base[0])
-        return base + _residual_term(self.anchors, self.coeffs, self.kernel_x, x)
+        X = x.reshape(-1, 1) if x.ndim < 2 else x
+        out = (feature_columns(self.features, X) @ self.weights
+               + cross_gram(self.kernel, X, self.anchors) @ self.coeffs)
+        return float(out[0]) if x.ndim == 0 else out
 
-    def effective_parameter(self) -> np.ndarray:
-        """Weighted average of the sampled parameters; lies in their convex hull."""
-        return self.weights @ self.theta_samples
+    def to_json(self, **meta) -> str:
+        """The fitted numbers as JSON, after the extra keys in `meta`."""
+        return json.dumps({**meta,
+                           "kernel": self.kernel.to_dict(),
+                           "weights": self.weights.tolist(),
+                           "anchors": self.anchors.tolist(),
+                           "coeffs": self.coeffs.tolist()})
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "model": "mixture",
-            "kernel_x": self.kernel_x.to_dict(),
-            "kernel_theta": self.kernel_theta.to_dict(),
-            "anchors": self.anchors.tolist(),
-            "coeffs": self.coeffs.tolist(),
-            "theta_samples": self.theta_samples.tolist(),
-            "weights": self.weights.tolist(),
-            "lambda_omega": self.lambda_omega,
-            "lambda_r": self.lambda_r,
-        })
+    @classmethod
+    def from_json(cls, text: str, features: Callable) -> "HybridModel":
+        """Inverse of to_json; the caller supplies the feature map."""
+        doc = json.loads(text)
+        return cls(features=features,
+                   weights=np.asarray(doc["weights"], dtype=float),
+                   anchors=np.asarray(doc["anchors"], dtype=float),
+                   coeffs=np.asarray(doc["coeffs"], dtype=float),
+                   kernel=KernelSpec.from_dict(doc["kernel"]))
 
 
-def fit_reference_krr(data: Dataset, reference: Callable, kernel: KernelSpec,
-                      lam: float) -> ReferenceKrrModel:
-    """Closed-form ridge fit of the residual around a fixed reference model."""
+@dataclass(frozen=True)
+class Design:
+    """The lambda-independent blocks of one dataset under one feature map.
+
+    F = Phi(X) and K = k(X, anchors): the Gram matrix G on the training set
+    (anchors = X), the cross-Gram against the training inputs on any other
+    set. DtD and Dty are D'D and D'y of D = [F, G]; only the joint fits need
+    them. The arrays are read, never written, so pool threads share a design.
+    """
+
+    features: Callable
+    kernel: KernelSpec
+    inputs: np.ndarray
+    anchors: np.ndarray
+    F: np.ndarray
+    K: np.ndarray
+    y: np.ndarray
+    DtD: np.ndarray = None
+    Dty: np.ndarray = None
+
+    def at(self, data: Dataset) -> "Design":
+        """The same model space on another dataset, e.g. for validation RMSE."""
+        return _design(self.features, self.kernel, data.inputs, self.anchors,
+                       cross_gram(self.kernel, data.inputs, self.anchors),
+                       data.targets, joint=False)
+
+    def with_features(self, features: Callable, joint: bool = False) -> "Design":
+        """This design's data and kernel block under another feature map."""
+        return _design(features, self.kernel, self.inputs, self.anchors, self.K,
+                       self.y, joint)
+
+    def model(self, weights, coeffs) -> HybridModel:
+        return HybridModel(features=self.features, weights=weights,
+                           anchors=self.anchors, coeffs=coeffs, kernel=self.kernel)
+
+
+def _design(features, kernel, inputs, anchors, K, y, joint) -> Design:
+    F = feature_columns(features, inputs)
+    DtD = Dty = None
+    if joint:
+        D = np.hstack([F, K])
+        DtD, Dty = D.T @ D, D.T @ y
+        DtD = 0.5 * (DtD + DtD.T)
+    return Design(features=features, kernel=kernel, inputs=inputs, anchors=anchors,
+                  F=F, K=K, y=y, DtD=DtD, Dty=Dty)
+
+
+def design(data: Dataset, features: Callable, kernel: KernelSpec,
+           joint: bool = False) -> Design:
+    """Training design: feature columns and Gram matrix of `data`; with
+    joint=True also the normal blocks the subspace and mixture fits solve."""
+    return _design(features, kernel, data.inputs, data.inputs,
+                   gram(kernel, data.inputs), data.targets, joint)
+
+
+def _joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray:
+    """D'D + blockdiag(weight_penalty, lambda_r G); exactly symmetric when the
+    penalty is, since D'D is symmetrized when the design is built."""
+    if design.DtD is None:
+        raise DomainError("joint fits need a training design built with joint=True")
+    p = design.F.shape[1]
+    M = design.DtD.copy()
+    M[:p, :p] += weight_penalty
+    M[p:, p:] += lambda_r * design.K
+    return M
+
+
+def fit_reference_krr(design: Design, lam: float) -> HybridModel:
+    """Closed-form ridge fit of the residual around the fixed feature columns,
+    each with weight 1: c = (G + lam I)^-1 (y - F 1)."""
     if lam <= 0:
         raise DomainError("lambda must be positive")
-    X = data.inputs
-    eta = data.targets - np.asarray(reference(X.squeeze(-1) if X.shape[1] == 1 else X),
-                                    dtype=float).ravel()
-    G = gram(kernel, X)
-    c = solve_spd(G + lam * np.eye(data.size), eta)
-    return ReferenceKrrModel(reference=reference, anchors=X, coeffs=c,
-                             kernel=kernel, lam=lam)
+    w = np.ones(design.F.shape[1])
+    M = design.K.copy()
+    M.flat[::M.shape[0] + 1] += lam
+    return design.model(w, solve_spd(M, design.y - design.F @ w))
 
 
-def fit_subspace(data: Dataset, feature_map: Callable, kernel: KernelSpec,
-                 lambda_theta: float, lambda_r: float) -> SubspaceModel:
+def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> HybridModel:
     """Joint fit of linear parameters theta and the kernel residual.
 
-    Solves the stacked system
-        ([Phi'; G'] [Phi G] + diag(l_theta I, l_r G)) [theta; c] = [Phi'; G'] y
-    symmetrized and solved with the jittered SPD path.
+    Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
+    jittered SPD path.
     """
     if lambda_theta <= 0 or lambda_r <= 0:
         raise DomainError("regularization weights must be positive")
-    X = data.inputs
-    y = data.targets
-    Phi = np.asarray(feature_map(X.squeeze(-1) if X.shape[1] == 1 else X), dtype=float)
-    if Phi.ndim == 1:
-        Phi = Phi[:, None]
-    n, N = data.size, Phi.shape[1]
-    G = gram(kernel, X)
-    D = np.hstack([Phi, G])
-    M = D.T @ D
-    M[:N, :N] += lambda_theta * np.eye(N)
-    M[N:, N:] += lambda_r * G
-    M = 0.5 * (M + M.T)
-    sol = solve_spd(M, D.T @ y)
-    return SubspaceModel(theta=sol[:N], feature_map=feature_map, anchors=X,
-                         coeffs=sol[N:], kernel=kernel,
-                         lambda_theta=lambda_theta, lambda_r=lambda_r)
+    p = design.F.shape[1]
+    sol = solve_spd(_joint_matrix(design, lambda_theta * np.eye(p), lambda_r), design.Dty)
+    return design.model(sol[:p], sol[p:])
 
 
-def subspace_objective(data: Dataset, feature_map: Callable, kernel: KernelSpec,
-                       lambda_theta: float, lambda_r: float,
-                       theta, coeffs) -> float:
-    """Direct evaluation of the joint-fit objective at a given (theta, c)."""
-    X = data.inputs
-    Phi = np.asarray(feature_map(X.squeeze(-1) if X.shape[1] == 1 else X), dtype=float)
-    if Phi.ndim == 1:
-        Phi = Phi[:, None]
-    G = gram(kernel, X)
-    theta = np.asarray(theta, dtype=float).ravel()
-    c = np.asarray(coeffs, dtype=float).ravel()
-    resid = Phi @ theta + G @ c - data.targets
-    return float(resid @ resid + lambda_theta * (theta @ theta) + lambda_r * (c @ G @ c))
-
-
-def fit_mixture(data: Dataset, family: Callable, theta_samples,
-                kernel_x: KernelSpec, kernel_theta: KernelSpec,
-                lambda_omega: float, lambda_r: float,
+def fit_mixture(design: Design, theta_gram, lambda_omega: float, lambda_r: float,
                 tol: float = simplex_qp.DEFAULT_TOL,
-                max_iter: int = simplex_qp.DEFAULT_MAX_ITER) -> MixtureModel:
+                max_iter: int = simplex_qp.DEFAULT_MAX_ITER
+                ) -> tuple[HybridModel, simplex_qp.QpSolution]:
     """Simplex-constrained QP fit of mixture weights plus kernel residual.
 
-    Objective: ||H b + G_x c - y||^2 + l_omega b'G_theta b + l_r c'G_x c.
+    Objective: ||F b + G c - y||^2 + l_omega b'G_theta b + l_r c'G c, where
+    the columns of F are the family members. Returns the model and the QP
+    solution.
     """
     if lambda_omega < 0 or lambda_r <= 0:
         raise DomainError("need lambda_omega >= 0 and lambda_r > 0")
-    theta_samples = np.asarray(theta_samples, dtype=float)
-    if theta_samples.ndim == 1:
-        theta_samples = theta_samples[:, None]
-    m = theta_samples.shape[0]
-    X = data.inputs
-    y = data.targets
-    n = data.size
-    xs = X.squeeze(-1) if X.shape[1] == 1 else X
-    H = np.column_stack([np.asarray(family(xs, th), dtype=float).ravel()
-                         for th in theta_samples])
-    Gx = gram(kernel_x, X)
-    Gt = gram(kernel_theta, theta_samples)
-    D = np.hstack([H, Gx])
-    Q = D.T @ D
-    Q[:m, :m] += lambda_omega * Gt
-    Q[m:, m:] += lambda_r * Gx
-    Q = 0.5 * (Q + Q.T)
-    q_lin = -2.0 * (D.T @ y)
-    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=q_lin, m_simplex=m, n_free=n)
+    m, n = design.F.shape[1], design.K.shape[1]
+    Q = _joint_matrix(design, lambda_omega * np.asarray(theta_gram, dtype=float), lambda_r)
+    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,
+                                          m_simplex=m, n_free=n)
     sol = simplex_qp.solve(problem, tol=tol, max_iter=max_iter)
-    return MixtureModel(family=family, theta_samples=theta_samples, weights=sol.b,
-                        anchors=X, coeffs=sol.c_free, kernel_x=kernel_x,
-                        kernel_theta=kernel_theta, lambda_omega=lambda_omega,
-                        lambda_r=lambda_r, qp=sol)
+    return design.model(sol.b, sol.c_free), sol
 
 
-def mixture_objective(data: Dataset, family: Callable, theta_samples,
-                      kernel_x: KernelSpec, kernel_theta: KernelSpec,
-                      lambda_omega: float, lambda_r: float, weights, coeffs) -> float:
-    """Direct evaluation of the mixture objective at a given (b, c)."""
-    theta_samples = np.asarray(theta_samples, dtype=float)
-    if theta_samples.ndim == 1:
-        theta_samples = theta_samples[:, None]
-    X = data.inputs
-    xs = X.squeeze(-1) if X.shape[1] == 1 else X
-    H = np.column_stack([np.asarray(family(xs, th), dtype=float).ravel()
-                         for th in theta_samples])
-    Gx = gram(kernel_x, X)
-    Gt = gram(kernel_theta, theta_samples)
-    b = np.asarray(weights, dtype=float).ravel()
+def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) -> float:
+    """Direct evaluation of ||F w + G c - y||^2 + w'Pw + lambda_r c'G c, where
+    the p x p weight penalty P is l_theta I (subspace) or l_omega G_theta
+    (mixture)."""
+    w = np.asarray(weights, dtype=float).ravel()
     c = np.asarray(coeffs, dtype=float).ravel()
-    resid = H @ b + Gx @ c - data.targets
-    return float(resid @ resid + lambda_omega * (b @ Gt @ b) + lambda_r * (c @ Gx @ c))
+    resid = design.F @ w + design.K @ c - design.y
+    return float(resid @ resid + w @ np.asarray(weight_penalty, dtype=float) @ w
+                 + lambda_r * (c @ design.K @ c))
 
 
-def predict(model, x):
-    """Interpretable part plus kernel residual, for any fitted model."""
-    return model.predict(x)
-
-
-def rmse(model, data: Dataset) -> float:
-    xs = data.inputs.squeeze(-1) if data.inputs.shape[1] == 1 else data.inputs
-    pred = np.asarray(model.predict(xs), dtype=float).ravel()
-    return float(np.sqrt(np.mean((pred - data.targets) ** 2)))
+def rmse(model: HybridModel, design: Design) -> float:
+    """RMS error of the model on the design's dataset, from its F and K blocks."""
+    pred = design.F @ model.weights + design.K @ model.coeffs
+    return float(np.sqrt(np.mean((pred - design.y) ** 2)))

@@ -1,4 +1,4 @@
-"""Gaussian kernels, Gram/cross-Gram matrices, and the tensor-product kernel."""
+"""Gaussian kernels and Gram/cross-Gram matrices."""
 
 from __future__ import annotations
 
@@ -45,17 +45,6 @@ class KernelSpec:
         return cls(gamma=float(d["gamma"]), family=d.get("family", "gaussian"))
 
 
-@dataclass(frozen=True)
-class ProductKernelSpec:
-    """Tensor-product kernel on (input, parameter) pairs."""
-
-    kx: KernelSpec
-    ktheta: KernelSpec
-
-    def to_dict(self) -> dict:
-        return {"kx": self.kx.to_dict(), "ktheta": self.ktheta.to_dict()}
-
-
 def kernel_eval(k: KernelSpec, a, b) -> float:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -80,7 +69,3 @@ def cross_gram(k: KernelSpec, a_points, b_points) -> np.ndarray:
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"point dimensions differ: {A.shape[1]} vs {B.shape[1]}")
     return np.exp(-k.gamma * cdist(A, B, metric="sqeuclidean"))
-
-
-def product_kernel_eval(pk: ProductKernelSpec, x, theta, x2, theta2) -> float:
-    return kernel_eval(pk.kx, x, x2) * kernel_eval(pk.ktheta, theta, theta2)

@@ -348,3 +348,16 @@ def model_to_json_dict(model: KoopmanHybridModel, lambda_b: float = None,
     if seeds:
         d["seeds"] = seeds
     return d
+
+
+def model_from_json_dict(d: dict) -> KoopmanHybridModel:
+    """Inverse of model_to_json_dict; the fit metadata (lambdas, seeds) is not kept."""
+    thetas = d.get("theta_samples")
+    return KoopmanHybridModel(basis=MonomialBasis(q=int(d["q"])),
+                              weights=np.asarray(d["weights"], dtype=float),
+                              residual=np.asarray(d["residual"], dtype=float),
+                              closure_A=np.asarray(d["closure_A"], dtype=float),
+                              input_betas=np.asarray(d["input_betas"], dtype=float),
+                              input_gammas=np.asarray(d["input_gammas"], dtype=float),
+                              theta_samples=None if thetas is None
+                              else np.asarray(thetas, dtype=float))

@@ -51,7 +51,7 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     jitter = 0.0
     for attempt in range(MAX_JITTER_RETRIES + 1):
         try:
-            L = scipy.linalg.cholesky(M + jitter * np.eye(dim), lower=True)
+            L = scipy.linalg.cholesky(M + jitter * np.eye(dim) if jitter else M, lower=True)
             return L, jitter
         except scipy.linalg.LinAlgError:
             jitter = base * 10.0**attempt

@@ -251,15 +251,11 @@ def wilson_lambdas(w: WilsonParams, T: float) -> tuple[float, float]:
 
 def wilson_gex(w: WilsonParams, x1: float, T: float) -> float:
     """Wilson excess Gibbs energy / RT at liquid fraction x1, T in Kelvin."""
-    lam12, lam21 = wilson_lambdas(w, T)
-    if x1 <= 0.0 or x1 >= 1.0:
-        return 0.0
-    x2 = 1.0 - x1
-    return float(-x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21))
+    return wilson_gex_from_lambdas(*wilson_lambdas(w, T), x1)
 
 
 def wilson_gex_from_lambdas(lam12: float, lam21: float, x1: float) -> float:
-    """Wilson form with the Lambda coefficients supplied directly (unit tests)."""
+    """Wilson excess Gibbs energy / RT with the Lambda coefficients supplied directly."""
     if x1 <= 0.0 or x1 >= 1.0:
         return 0.0
     x2 = 1.0 - x1

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from hybridkernel import cli, experiments
+from hybridkernel import cli, experiments, koopman, thermo_vle
+from hybridkernel.hybrid_static import HybridModel, family_features
 from hybridkernel.errors import ConfigError
 
 
@@ -126,6 +127,47 @@ class TestExperiments:
     def test_gex_reference_finite_on_interior(self):
         vals = experiments.gex_reference(np.linspace(0.05, 0.95, 7))
         assert np.all(np.isfinite(vals))
+
+
+class TestModelJson:
+    """Every model JSON the CLI writes loads back to the sweep's model."""
+
+    GRID = (0.1, 1.0)
+    XS = np.linspace(0.02, 0.98, 25)
+
+    def _cli(self, out, *args):
+        assert run_cli(list(args) + ["--lambda", "0.1,1", "--out", str(out)]) == 0
+
+    def test_margules_model(self, tmp_path):
+        self._cli(tmp_path, "setting2", "--n", "12")
+        model = experiments.run_setting2(n=12, seed=0, lambda_grid=self.GRID)["margules"][-1]["model"]
+        loaded = HybridModel.from_json((tmp_path / "margules_model.json").read_text(),
+                                       thermo_vle.margules_features)
+        np.testing.assert_allclose(loaded.predict(self.XS), model.predict(self.XS),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_mixture_model(self, tmp_path):
+        self._cli(tmp_path, "setting3", "--n", "12", "--m", "5")
+        rows = experiments.run_setting3(n=12, seed=0, m=5, lambda_grid=self.GRID)
+        for i, row in enumerate(rows):
+            text = (tmp_path / f"mixture_model_{i:02d}.json").read_text()
+            thetas = np.array(json.loads(text)["theta_samples"])
+            loaded = HybridModel.from_json(
+                text, family_features(experiments.wilson_family, thetas))
+            np.testing.assert_allclose(loaded.predict(self.XS), row["model"].predict(self.XS),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_koopman_model(self, tmp_path):
+        self._cli(tmp_path, "koopman", "--n", "30", "--m", "5")
+        rows = experiments.run_koopman(n=30, seed=0, m=5, lambda_grid=self.GRID)
+        states = koopman.sample_states(20, seed=3)
+        for i, row in enumerate(rows):
+            doc = json.loads((tmp_path / f"koopman_model_{i:02d}.json").read_text())
+            loaded = koopman.model_from_json_dict(doc)
+            for x in states:
+                z = loaded.basis.eval(x)
+                np.testing.assert_allclose(loaded.rhs(z, 0.3), row["model"].rhs(z, 0.3),
+                                           rtol=1e-12, atol=1e-12)
 
 
 def _namespace(config=None, seed=None, out=None, lambda_grid=None, m=None, n=None):

@@ -8,7 +8,7 @@ import pytest
 from hybridkernel import hybrid_static as hs
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.hybrid_static import Dataset
-from hybridkernel.kernels import KernelSpec
+from hybridkernel.kernels import KernelSpec, gram
 
 KX = KernelSpec(gamma=100.0)
 KTHETA = KernelSpec(gamma=10.0)
@@ -34,12 +34,16 @@ class TestDataset:
             Dataset(inputs=np.array([0.1, np.nan]), targets=np.array([0.0, 1.0]))
 
 
+def fit_ref(data, reference, lam):
+    return hs.fit_reference_krr(hs.design(data, reference, KX), lam)
+
+
 class TestReferenceKrr:
     def test_zero_residual_gives_zero_coeffs(self):
         data = toy_dataset()
         ref = lambda x: np.sin(2 * np.pi * np.asarray(x))
         for lam in (1e-3, 1.0, 1e3):
-            model = hs.fit_reference_krr(data, ref, KX, lam)
+            model = fit_ref(data, ref, lam)
             np.testing.assert_allclose(model.coeffs, 0.0, atol=1e-10)
             np.testing.assert_allclose(model.predict(data.inputs.ravel()),
                                        data.targets, atol=1e-10)
@@ -47,22 +51,21 @@ class TestReferenceKrr:
     def test_single_point_closed_form(self):
         # G = [[1]], eta = 1, lambda = 1  ->  c = 1/(1+1) = 0.5
         data = Dataset(inputs=np.array([0.3]), targets=np.array([1.0]))
-        model = hs.fit_reference_krr(data, lambda x: 0.0 * np.asarray(x), KX, 1.0)
+        model = fit_ref(data, lambda x: 0.0 * np.asarray(x), 1.0)
         assert model.coeffs[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_small_lambda_beats_large_lambda(self):
-        train = toy_dataset(30, seed=0)
-        val = toy_dataset(30, seed=1)
-        ref = lambda x: 0.0 * np.asarray(x)
-        small = hs.fit_reference_krr(train, ref, KX, 1e-3)
-        large = hs.fit_reference_krr(train, ref, KX, 1e2)
+        train = hs.design(toy_dataset(30, seed=0), lambda x: 0.0 * np.asarray(x), KX)
+        val = train.at(toy_dataset(30, seed=1))
+        small = hs.fit_reference_krr(train, 1e-3)
+        large = hs.fit_reference_krr(train, 1e2)
         assert hs.rmse(small, val) < hs.rmse(large, val)
 
     def test_pinning_limit(self):
         # lambda = 1e6 pins the model to the reference on a 101-point grid
         train = toy_dataset(30, seed=0)
         ref = lambda x: 0.25 * np.asarray(x)
-        model = hs.fit_reference_krr(train, ref, KX, 1e6)
+        model = fit_ref(train, ref, 1e6)
         grid = np.linspace(0.0, 1.0, 101)
         dev = np.max(np.abs(model.predict(grid) - ref(grid)))
         target_range = train.targets.max() - train.targets.min()
@@ -72,26 +75,29 @@ class TestReferenceKrr:
         # lambda = 1e-10 with separated inputs: training residual <= 1e-4
         x = np.linspace(0.0, 1.0, 40)  # spacing 0.026 >= 0.005
         data = Dataset(inputs=x, targets=np.cos(3 * x))
-        model = hs.fit_reference_krr(data, lambda x: 0.0 * np.asarray(x), KX, 1e-10)
+        model = fit_ref(data, lambda x: 0.0 * np.asarray(x), 1e-10)
         resid = np.max(np.abs(model.predict(x) - data.targets))
         assert resid <= 1e-4
 
     def test_to_json_fields(self):
-        model = hs.fit_reference_krr(toy_dataset(), lambda x: 0.0 * np.asarray(x),
-                                     KX, 1.0)
-        doc = json.loads(model.to_json())
-        assert doc["model"] == "reference_krr"
+        model = fit_ref(toy_dataset(), lambda x: 0.0 * np.asarray(x), 1.0)
+        doc = json.loads(model.to_json(lambda_r=1.0))
+        assert doc["lambda_r"] == 1.0
         assert doc["kernel"]["gamma"] == 100.0
+        assert doc["weights"] == [1.0]
         assert len(doc["coeffs"]) == len(doc["anchors"])
+        loaded = hs.HybridModel.from_json(model.to_json(), model.features)
+        grid = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(loaded.predict(grid), model.predict(grid))
 
 
 class TestSubspace:
     def test_zero_targets(self):
         x = np.linspace(0.05, 0.95, 10)
         data = Dataset(inputs=x, targets=np.zeros(10))
-        model = hs.fit_subspace(data, lambda x: np.stack([x, x ** 2], axis=-1),
-                                KX, lambda_theta=1e-6, lambda_r=1.0)
-        np.testing.assert_allclose(model.theta, 0.0, atol=1e-10)
+        design = hs.design(data, lambda x: np.stack([x, x ** 2], axis=-1), KX, joint=True)
+        model = hs.fit_subspace(design, lambda_theta=1e-6, lambda_r=1.0)
+        np.testing.assert_allclose(model.weights, 0.0, atol=1e-10)
         np.testing.assert_allclose(model.coeffs, 0.0, atol=1e-10)
 
     def test_ridge_limit_recovers_sample_mean(self):
@@ -101,40 +107,46 @@ class TestSubspace:
         y = np.array([1.0, 2.0, 6.0])
         data = Dataset(inputs=x, targets=y)
         const = lambda x: np.ones(np.shape(np.asarray(x)) + (1,))
-        model = hs.fit_subspace(data, const, KX, lambda_theta=1e-10, lambda_r=1e10)
-        assert model.theta[0] == pytest.approx(y.mean(), rel=1e-4)
+        model = hs.fit_subspace(hs.design(data, const, KX, joint=True),
+                                lambda_theta=1e-10, lambda_r=1e10)
+        assert model.weights[0] == pytest.approx(y.mean(), rel=1e-4)
 
     def test_joint_fit_dominance(self):
         # the joint optimum beats any fixed theta evaluated in the same objective
         data = toy_dataset(20, seed=2)
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
         lt, lr = 1e-4, 0.1
-        model = hs.fit_subspace(data, fmap, KX, lambda_theta=lt, lambda_r=lr)
-        opt = hs.subspace_objective(data, fmap, KX, lt, lr, model.theta, model.coeffs)
+        design = hs.design(data, fmap, KX, joint=True)
+        model = hs.fit_subspace(design, lambda_theta=lt, lambda_r=lr)
+        penalty = lt * np.eye(2)
+        opt = hs.objective(design, model.weights, model.coeffs, penalty, lr)
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta_hat = rng.standard_normal(2)
             # best c for this fixed theta comes from a reference KRR around it
-            ref = lambda x, t=theta_hat: fmap(x) @ t
-            fixed = hs.fit_reference_krr(data, ref, KX, lr)
-            val = hs.subspace_objective(data, fmap, KX, lt, lr, theta_hat,
-                                        fixed.coeffs)
+            fixed = fit_ref(data, lambda x, t=theta_hat: fmap(x) @ t, lr)
+            val = hs.objective(design, theta_hat, fixed.coeffs, penalty, lr)
             assert opt <= val + 1e-8
 
     def test_objective_matches_solution(self):
         data = toy_dataset(15, seed=4)
         fmap = lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)
-        model = hs.fit_subspace(data, fmap, KX, lambda_theta=1e-3, lambda_r=1.0)
+        design = hs.design(data, fmap, KX, joint=True)
+        model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=1.0)
         # perturbing the solution can only increase the objective
-        base = hs.subspace_objective(data, fmap, KX, 1e-3, 1.0,
-                                     model.theta, model.coeffs)
+        penalty = 1e-3 * np.eye(2)
+        base = hs.objective(design, model.weights, model.coeffs, penalty, 1.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             dt = 1e-3 * rng.standard_normal(2)
             dc = 1e-3 * rng.standard_normal(data.size)
-            assert base <= hs.subspace_objective(data, fmap, KX, 1e-3, 1.0,
-                                                 model.theta + dt,
-                                                 model.coeffs + dc) + 1e-10
+            assert base <= hs.objective(design, model.weights + dt, model.coeffs + dc,
+                                        penalty, 1.0) + 1e-10
+
+
+def fit_mix(data, family, thetas, lambda_omega, lambda_r):
+    design = hs.design(data, hs.family_features(family, thetas), KX, joint=True)
+    return hs.fit_mixture(design, gram(KTHETA, thetas), lambda_omega, lambda_r)
 
 
 class TestMixture:
@@ -143,19 +155,18 @@ class TestMixture:
         hbar = lambda x: 0.2 + 0.5 * np.asarray(x)
         family = lambda x, theta: hbar(x)
         thetas = np.random.default_rng(7).uniform(0, 1, size=(8, 2))
-        mix = hs.fit_mixture(data, family, thetas, KX, KTHETA,
-                             lambda_omega=0.0, lambda_r=0.5)
-        ref = hs.fit_reference_krr(data, hbar, KX, 0.5)
+        mix, _ = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=0.5)
+        ref = fit_ref(data, hbar, 0.5)
         grid = np.linspace(0, 1, 50)
         np.testing.assert_allclose(mix.predict(grid), ref.predict(grid), atol=1e-6)
 
     def test_single_parameter_sample(self):
         data = toy_dataset(12, seed=8)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
-        mix = hs.fit_mixture(data, family, np.array([[0.4, 0.0]]), KX, KTHETA,
-                             lambda_omega=0.0, lambda_r=1.0)
+        mix, _ = fit_mix(data, family, np.array([[0.4, 0.0]]),
+                         lambda_omega=0.0, lambda_r=1.0)
         np.testing.assert_array_equal(mix.weights, [1.0])
-        ref = hs.fit_reference_krr(data, lambda x: 0.4 * np.asarray(x), KX, 1.0)
+        ref = fit_ref(data, lambda x: 0.4 * np.asarray(x), 1.0)
         grid = np.linspace(0, 1, 50)
         np.testing.assert_allclose(mix.predict(grid), ref.predict(grid), atol=1e-8)
 
@@ -164,43 +175,37 @@ class TestMixture:
         family = lambda x, theta: float(theta[0]) * np.asarray(x) \
             + float(theta[1]) * np.asarray(x) ** 2
         thetas = np.random.default_rng(10).uniform(0, 1, size=(6, 2))
-        mix = hs.fit_mixture(data, family, thetas, KX, KTHETA,
-                             lambda_omega=0.1, lambda_r=0.5)
+        mix, qp = fit_mix(data, family, thetas, lambda_omega=0.1, lambda_r=0.5)
         assert np.all(mix.weights >= -1e-12)
         assert abs(mix.weights.sum() - 1.0) <= 1e-10
-        direct = hs.mixture_objective(data, family, thetas, KX, KTHETA,
-                                      0.1, 0.5, mix.weights, mix.coeffs)
-        assert mix.qp.objective + data.targets @ data.targets == pytest.approx(
-            direct, abs=1e-8)
+        design = hs.design(data, hs.family_features(family, thetas), KX)
+        direct = hs.objective(design, mix.weights, mix.coeffs,
+                              0.1 * gram(KTHETA, thetas), 0.5)
+        assert qp.objective + data.targets @ data.targets == pytest.approx(direct, abs=1e-8)
 
     def test_effective_parameter(self):
         thetas = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        base = dict(family=lambda x, t: 0.0 * np.asarray(x), theta_samples=thetas,
-                    anchors=np.zeros((1, 1)), coeffs=np.zeros(1), kernel_x=KX,
-                    kernel_theta=KTHETA, lambda_omega=0.0, lambda_r=1.0)
-        vertex = hs.MixtureModel(weights=np.array([0.0, 1.0, 0.0, 0.0]), **base)
-        np.testing.assert_allclose(vertex.effective_parameter(), [1.0, 0.0])
-        uniform = hs.MixtureModel(weights=np.full(4, 0.25), **base)
-        np.testing.assert_allclose(uniform.effective_parameter(), [0.5, 0.5])
+        np.testing.assert_allclose(
+            hs.effective_parameter(np.array([0.0, 1.0, 0.0, 0.0]), thetas), [1.0, 0.0])
+        np.testing.assert_allclose(hs.effective_parameter(np.full(4, 0.25), thetas),
+                                   [0.5, 0.5])
 
     def test_effective_parameter_in_bounding_box(self):
         data = toy_dataset(12, seed=11)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
         thetas = np.random.default_rng(12).uniform(0.2, 0.8, size=(5, 2))
-        mix = hs.fit_mixture(data, family, thetas, KX, KTHETA,
-                             lambda_omega=0.0, lambda_r=1.0)
-        eff = mix.effective_parameter()
+        mix, _ = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=1.0)
+        eff = hs.effective_parameter(mix.weights, thetas)
         assert np.all(eff >= thetas.min(axis=0) - 1e-9)
         assert np.all(eff <= thetas.max(axis=0) + 1e-9)
 
     def test_vertex_weight_prediction(self):
         thetas = np.array([[0.2, 0.0], [0.9, 0.0]])
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
-        model = hs.MixtureModel(family=family, theta_samples=thetas,
-                                weights=np.array([0.0, 1.0]),
-                                anchors=np.array([[0.5]]), coeffs=np.array([0.3]),
-                                kernel_x=KX, kernel_theta=KTHETA,
-                                lambda_omega=0.0, lambda_r=1.0)
+        model = hs.HybridModel(features=hs.family_features(family, thetas),
+                               weights=np.array([0.0, 1.0]),
+                               anchors=np.array([[0.5]]), coeffs=np.array([0.3]),
+                               kernel=KX)
         x = 0.5
         expected = 0.9 * x + 0.3 * 1.0  # family at theta_2 plus residual at anchor
         assert model.predict(x) == pytest.approx(expected, abs=1e-12)
@@ -210,19 +215,23 @@ class TestRmse:
     def test_perfect_model(self):
         data = toy_dataset()
         ref = lambda x: np.sin(2 * np.pi * np.asarray(x))
-        model = hs.fit_reference_krr(data, ref, KX, 1.0)
-        assert hs.rmse(model, data) == pytest.approx(0.0, abs=1e-10)
+        design = hs.design(data, ref, KX)
+        assert hs.rmse(hs.fit_reference_krr(design, 1.0), design) == pytest.approx(
+            0.0, abs=1e-10)
 
     def test_constant_zero_model(self):
         data = Dataset(inputs=np.array([0.2, 0.8]), targets=np.array([1.0, -1.0]))
-        model = hs.ReferenceKrrModel(reference=lambda x: 0.0 * np.asarray(x),
-                                     anchors=data.inputs, coeffs=np.zeros(2),
-                                     kernel=KX, lam=1.0)
-        assert hs.rmse(model, data) == pytest.approx(1.0, abs=1e-12)
+        design = hs.design(data, lambda x: 0.0 * np.asarray(x), KX)
+        model = design.model(np.ones(1), np.zeros(2))
+        assert hs.rmse(model, design) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_recomputation_from_predict(self):
-        data = toy_dataset(20, seed=13)
-        model = hs.fit_reference_krr(data, lambda x: 0.0 * np.asarray(x), KX, 0.1)
-        pred = model.predict(data.inputs.ravel())
-        manual = np.sqrt(np.mean((pred - data.targets) ** 2))
-        assert hs.rmse(model, data) == pytest.approx(manual, abs=1e-14)
+        # rmse reads the design's blocks; predict evaluates the model afresh
+        train, val = toy_dataset(20, seed=13), toy_dataset(20, seed=14)
+        fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
+        design = hs.design(train, fmap, KX, joint=True)
+        model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=0.1)
+        for data, d in ((train, design), (val, design.at(val))):
+            pred = model.predict(data.inputs.ravel())
+            manual = np.sqrt(np.mean((pred - data.targets) ** 2))
+            assert hs.rmse(model, d) == pytest.approx(manual, rel=1e-12, abs=1e-14)

@@ -1,4 +1,4 @@
-"""Gaussian kernel evaluation, Gram construction, and the product kernel."""
+"""Gaussian kernel evaluation and Gram construction."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkernel.errors import DimensionMismatch
-from hybridkernel.kernels import (KernelSpec, ProductKernelSpec, cross_gram, gram,
-                                  kernel_eval, product_kernel_eval)
+from hybridkernel.kernels import KernelSpec, cross_gram, gram, kernel_eval
 from hybridkernel.linalg import cholesky_with_jitter
 
 GAMMA100 = KernelSpec(gamma=100.0)
@@ -43,6 +42,10 @@ class TestKernelEval:
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ValueError):
             KernelSpec(gamma=0.0)
+
+    def test_round_trip_serialization(self):
+        d = KernelSpec(gamma=100.0).to_dict()
+        assert KernelSpec.from_dict(d) == KernelSpec(gamma=100.0)
 
 
 class TestGram:
@@ -81,30 +84,3 @@ class TestGram:
         out = cross_gram(GAMMA100, [[0.0]], [[0.1]])
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(kernel_eval(GAMMA100, [0.0], [0.1]))
-
-
-class TestProductKernel:
-    PK = ProductKernelSpec(kx=KernelSpec(gamma=100.0), ktheta=KernelSpec(gamma=10.0))
-
-    def test_coincident_arguments(self):
-        assert product_kernel_eval(self.PK, [0.3], [0.1, 0.2], [0.3], [0.1, 0.2]) == 1.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(finite_floats, finite_floats, finite_floats, finite_floats)
-    def test_factorization(self, x, t, x2, t2):
-        v = product_kernel_eval(self.PK, [x], [t], [x2], [t2])
-        assert v == pytest.approx(kernel_eval(self.PK.kx, [x], [x2])
-                                  * kernel_eval(self.PK.ktheta, [t], [t2]), rel=1e-12)
-
-    def test_gram_is_hadamard_product(self):
-        xs = np.array([[0.0], [0.2], [0.5], [0.9]])
-        ts = np.array([[0.1, 0.1], [0.3, 0.7], [0.5, 0.5], [0.8, 0.2]])
-        Gx = gram(self.PK.kx, xs)
-        Gt = gram(self.PK.ktheta, ts)
-        direct = np.array([[product_kernel_eval(self.PK, xs[i], ts[i], xs[j], ts[j])
-                            for j in range(4)] for i in range(4)])
-        np.testing.assert_allclose(direct, Gx * Gt, atol=1e-14)
-
-    def test_round_trip_serialization(self):
-        d = KernelSpec(gamma=100.0).to_dict()
-        assert KernelSpec.from_dict(d) == KernelSpec(gamma=100.0)
