@@ -220,8 +220,8 @@ def run(config: ExperimentConfig) -> int:
         _write_csv(out / "sweep.csv", rows,
                    ["lambda_R", "train_rmse", "val_rmse", "frob_R"])
         files.append("sweep.csv")
-        for i, row in enumerate(rows):
-            doc = koopman.model_to_json_dict(row["model"],
+        for i, (row, model) in enumerate(zip(rows, experiments.koopman_models(rows))):
+            doc = koopman.model_to_json_dict(model,
                                              lambda_b=experiments.DEFAULT_LAMBDA_B,
                                              lambda_R=row["lambda_R"], seeds=seeds)
             name = f"koopman_model_{i:02d}.json"

@@ -162,8 +162,8 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     theta_gram = gram(KernelSpec(gamma=gamma_theta), thetas)
 
     def one(lam):
-        model, _ = hybrid_static.fit_mixture(train, theta_gram, lambda_omega=lambda_omega,
-                                             lambda_r=lam)
+        model = hybrid_static.fit_mixture(train, theta_gram, lambda_omega=lambda_omega,
+                                          lambda_r=lam)
         theta_star = hybrid_static.effective_parameter(model.weights, thetas)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
@@ -207,9 +207,9 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID, lambda_b: float = DEFAULT_LAMBDA_B,
                 q: int = 3, theta_seed: int = None) -> list[dict]:
     """Hybrid generator identification sweep over lambda_R; each row carries
-    its bilinear model under "model"."""
-    basis, _, f1, family, train, val, thetas = koopman_setup(n, seed, m, theta_seed, q)
-    closures = fit_closures(thetas, basis, family, f1)
+    the fitted "b" and "R" and the sweep's "basis" and "theta_samples", from
+    which koopman_models assembles the bilinear models."""
+    basis, _, _, family, train, val, thetas = koopman_setup(n, seed, m, theta_seed, q)
 
     def one(lam):
         b, R, _ = koopman.fit_hybrid_generator(train, family, thetas, basis,
@@ -220,9 +220,17 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 "val_rmse": koopman.hybrid_prediction_rmse(val, family, thetas,
                                                            basis, b, R),
                 "frob_R": float(np.linalg.norm(R, "fro")),
-                "model": build_hybrid_model(b, R, thetas, basis, closures)}
+                "b": b, "R": R, "basis": basis, "theta_samples": thetas}
 
     return _map_grid(one, list(lambda_grid))
+
+
+def koopman_models(rows: list[dict]) -> list[koopman.KoopmanHybridModel]:
+    """The bilinear model of each run_koopman row; the closures are fit once."""
+    basis, thetas = rows[0]["basis"], rows[0]["theta_samples"]
+    _, f1, family = koopman.cstr_fields()
+    closures = fit_closures(thetas, basis, family, f1)
+    return [build_hybrid_model(r["b"], r["R"], thetas, basis, closures) for r in rows]
 
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,

@@ -214,13 +214,11 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> Hybrid
 
 def fit_mixture(design: Design, theta_gram, lambda_omega: float, lambda_r: float,
                 tol: float = simplex_qp.DEFAULT_TOL,
-                max_iter: int = simplex_qp.DEFAULT_MAX_ITER
-                ) -> tuple[HybridModel, simplex_qp.QpSolution]:
+                max_iter: int = simplex_qp.DEFAULT_MAX_ITER) -> HybridModel:
     """Simplex-constrained QP fit of mixture weights plus kernel residual.
 
     Objective: ||F b + G c - y||^2 + l_omega b'G_theta b + l_r c'G c, where
-    the columns of F are the family members. Returns the model and the QP
-    solution.
+    the columns of F are the family members.
     """
     if lambda_omega < 0 or lambda_r <= 0:
         raise DomainError("need lambda_omega >= 0 and lambda_r > 0")
@@ -229,7 +227,7 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float, lambda_r: float
     problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,
                                           m_simplex=m, n_free=n)
     sol = simplex_qp.solve(problem, tol=tol, max_iter=max_iter)
-    return design.model(sol.b, sol.c_free), sol
+    return design.model(sol.b, sol.c_free)
 
 
 def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) -> float:
@@ -244,6 +242,10 @@ def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) 
 
 
 def rmse(model: HybridModel, design: Design) -> float:
-    """RMS error of the model on the design's dataset, from its F and K blocks."""
+    """RMS error of the model on the design's dataset, from its F and K blocks;
+    the model must be fit on this design's feature map, anchors and kernel."""
+    if not (model.features is design.features and model.anchors is design.anchors
+            and model.kernel == design.kernel):
+        raise DomainError("model was not fit on this design's features, anchors and kernel")
     pred = design.F @ model.weights + design.K @ model.coeffs
     return float(np.sqrt(np.mean((pred - design.y) ** 2)))

@@ -161,12 +161,12 @@ class TestModelJson:
         self._cli(tmp_path, "koopman", "--n", "30", "--m", "5")
         rows = experiments.run_koopman(n=30, seed=0, m=5, lambda_grid=self.GRID)
         states = koopman.sample_states(20, seed=3)
-        for i, row in enumerate(rows):
+        for i, model in enumerate(experiments.koopman_models(rows)):
             doc = json.loads((tmp_path / f"koopman_model_{i:02d}.json").read_text())
             loaded = koopman.model_from_json_dict(doc)
             for x in states:
                 z = loaded.basis.eval(x)
-                np.testing.assert_allclose(loaded.rhs(z, 0.3), row["model"].rhs(z, 0.3),
+                np.testing.assert_allclose(loaded.rhs(z, 0.3), model.rhs(z, 0.3),
                                            rtol=1e-12, atol=1e-12)
 
 

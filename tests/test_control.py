@@ -61,7 +61,7 @@ class TestClfRates:
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
         rows = experiments.run_koopman(n=120, seed=0, m=10,
                                        lambda_grid=(1e-4,))
-        model = rows[0]["model"]
+        (model,) = experiments.koopman_models(rows)
         worst = 0.0
         for x in kp.sample_states(30, seed=2):
             at, bt = ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true, kp.cstr_f1, x)

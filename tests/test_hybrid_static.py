@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hybridkernel import hybrid_static as hs
+from hybridkernel import simplex_qp
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.hybrid_static import Dataset
 from hybridkernel.kernels import KernelSpec, gram
@@ -155,7 +156,7 @@ class TestMixture:
         hbar = lambda x: 0.2 + 0.5 * np.asarray(x)
         family = lambda x, theta: hbar(x)
         thetas = np.random.default_rng(7).uniform(0, 1, size=(8, 2))
-        mix, _ = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=0.5)
+        mix = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=0.5)
         ref = fit_ref(data, hbar, 0.5)
         grid = np.linspace(0, 1, 50)
         np.testing.assert_allclose(mix.predict(grid), ref.predict(grid), atol=1e-6)
@@ -163,7 +164,7 @@ class TestMixture:
     def test_single_parameter_sample(self):
         data = toy_dataset(12, seed=8)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
-        mix, _ = fit_mix(data, family, np.array([[0.4, 0.0]]),
+        mix = fit_mix(data, family, np.array([[0.4, 0.0]]),
                          lambda_omega=0.0, lambda_r=1.0)
         np.testing.assert_array_equal(mix.weights, [1.0])
         ref = fit_ref(data, lambda x: 0.4 * np.asarray(x), 1.0)
@@ -175,12 +176,18 @@ class TestMixture:
         family = lambda x, theta: float(theta[0]) * np.asarray(x) \
             + float(theta[1]) * np.asarray(x) ** 2
         thetas = np.random.default_rng(10).uniform(0, 1, size=(6, 2))
-        mix, qp = fit_mix(data, family, thetas, lambda_omega=0.1, lambda_r=0.5)
+        design = hs.design(data, hs.family_features(family, thetas), KX, joint=True)
+        theta_gram = gram(KTHETA, thetas)
+        mix = hs.fit_mixture(design, theta_gram, lambda_omega=0.1, lambda_r=0.5)
         assert np.all(mix.weights >= -1e-12)
         assert abs(mix.weights.sum() - 1.0) <= 1e-10
-        design = hs.design(data, hs.family_features(family, thetas), KX)
-        direct = hs.objective(design, mix.weights, mix.coeffs,
-                              0.1 * gram(KTHETA, thetas), 0.5)
+        # the QP that fit_mixture solves, built by hand from the normal blocks
+        Q = design.DtD + np.block([[0.1 * theta_gram, np.zeros((6, data.size))],
+                                   [np.zeros((data.size, 6)), 0.5 * design.K]])
+        qp = simplex_qp.solve(simplex_qp.SimplexQpProblem(
+            Q=Q, q_lin=-2.0 * design.Dty, m_simplex=6, n_free=data.size))
+        np.testing.assert_array_equal(qp.b, mix.weights)
+        direct = hs.objective(design, mix.weights, mix.coeffs, 0.1 * theta_gram, 0.5)
         assert qp.objective + data.targets @ data.targets == pytest.approx(direct, abs=1e-8)
 
     def test_effective_parameter(self):
@@ -194,7 +201,7 @@ class TestMixture:
         data = toy_dataset(12, seed=11)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
         thetas = np.random.default_rng(12).uniform(0.2, 0.8, size=(5, 2))
-        mix, _ = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=1.0)
+        mix = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=1.0)
         eff = hs.effective_parameter(mix.weights, thetas)
         assert np.all(eff >= thetas.min(axis=0) - 1e-9)
         assert np.all(eff <= thetas.max(axis=0) + 1e-9)
@@ -234,4 +241,12 @@ class TestRmse:
         for data, d in ((train, design), (val, design.at(val))):
             pred = model.predict(data.inputs.ravel())
             manual = np.sqrt(np.mean((pred - data.targets) ** 2))
-            assert hs.rmse(model, d) == pytest.approx(manual, rel=1e-12, abs=1e-14)
+            assert hs.rmse(model, d) == pytest.approx(manual, abs=1e-14)
+
+    def test_rejects_model_from_another_design(self):
+        data = toy_dataset(12, seed=15)
+        design = hs.design(data, lambda x: np.asarray(x), KX)
+        other = design.with_features(lambda x: 2.0 * np.asarray(x))
+        model = hs.fit_reference_krr(design, 1.0)
+        with pytest.raises(DomainError):
+            hs.rmse(model, other)
