@@ -269,6 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.experiment, args)
+        experiments.worker_count()  # rejects a bad HYBRIDKERNEL_THREADS up front
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -5,6 +5,7 @@ simulation, and trajectory comparison for the reactor case study.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -45,20 +46,11 @@ class Trajectory:
                                  repr(float(self.states[i, 1])), repr(float(u)) if u != "" else ""])
 
 
-def clf_value(basis: MonomialBasis, x) -> float:
-    """V(x) = ||psi(x)||^2."""
-    psi = basis.eval(np.asarray(x, dtype=float))
-    return float(psi @ psi)
-
-
-def clf_value_closed_form(basis: MonomialBasis, x) -> float:
-    """Equivalent closed form ||x||^2 (1 - x1^{2q}) / (1 - x1^2)."""
-    x = np.asarray(x, dtype=float).ravel()
-    x1sq = x[0] * x[0]
-    norm_sq = x @ x
-    if abs(1.0 - x1sq) < 1e-14:
-        return float(norm_sq * basis.q)
-    return float(norm_sq * (1.0 - x1sq ** basis.q) / (1.0 - x1sq))
+def clf_value(basis: MonomialBasis, x):
+    """V(x) = ||psi(x)||^2: a float at one state, a (T,) array for (T, 2) states."""
+    psi = basis.eval(x)
+    v = (psi[..., None, :] @ psi[..., None])[..., 0, 0]
+    return float(v) if v.ndim == 0 else v
 
 
 def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
@@ -85,8 +77,8 @@ def lin_sontag(a: float, b: float, bound: float = 1.0) -> float:
         raise ValueError("bound must be positive")
     if abs(b) < B_DEADBAND:
         return 0.0
-    u = -(a + np.sqrt(a * a + b ** 4)) / (b * (1.0 + np.sqrt(1.0 + b * b)))
-    return float(np.clip(u, -bound, bound))
+    u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
+    return float(min(max(u, -bound), bound))
 
 
 def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
@@ -96,9 +88,9 @@ def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
         raise ValueError("need dt > 0 and horizon >= dt")
     steps = int(round(horizon / dt))
     x = np.asarray(x0, dtype=float).ravel()
-    times = [0.0]
-    states = [x.copy()]
-    controls = []
+    states = np.empty((steps + 1, x.size))
+    controls = np.empty(steps)
+    states[0] = x
     for step in range(steps):
         u = float(controller(x))
         k1 = np.asarray(dynamics(x, u), dtype=float)
@@ -106,13 +98,11 @@ def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
         k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
         k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFinite(f"state became non-finite at step {step}")
-        controls.append(u)
-        times.append((step + 1) * dt)
-        states.append(x.copy())
-    return Trajectory(times=np.array(times), states=np.stack(states),
-                      controls=np.array(controls))
+        controls[step] = u
+        states[step + 1] = x
+    return Trajectory(times=np.arange(steps + 1) * dt, states=states, controls=controls)
 
 
 def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:

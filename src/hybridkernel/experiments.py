@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import control, hybrid_static, koopman, thermo_vle
+from .errors import ConfigError
 from .hybrid_static import Dataset
 from .kernels import KernelSpec, gram
 
@@ -25,10 +26,12 @@ THREADS_ENV = "HYBRIDKERNEL_THREADS"
 
 
 def worker_count() -> int:
-    cap = os.environ.get(THREADS_ENV)
-    if cap:
-        return max(1, int(cap))
-    return min(4, os.cpu_count() or 1)
+    cap = os.environ.get(THREADS_ENV, "").strip()
+    if not cap:
+        return min(4, os.cpu_count() or 1)
+    if not cap.isdecimal() or int(cap) < 1:
+        raise ConfigError(f"{THREADS_ENV}={cap!r} is not a positive integer")
+    return int(cap)
 
 
 def _map_grid(fn, grid):
@@ -40,15 +43,18 @@ def _map_grid(fn, grid):
 
 
 @lru_cache(maxsize=None)
-def _bubble_T(x: float) -> float:
-    return thermo_vle.bubble_point(x)[0]
+def _vle_point(x: float) -> thermo_vle.VlePoint:
+    """The bubble point at x, at 1 atm; the datasets and the features share
+    this cache, so a sweep solves each composition once."""
+    T, y = thermo_vle.bubble_point(x)
+    return thermo_vle.VlePoint(x=x, y=y, T=T)
 
 
 @lru_cache(maxsize=None)
 def vle_points(n: int, seed: int) -> tuple:
     """The VLE points of one dataset; cached, so the CLI writes the points a
     sweep fitted without solving their bubble points again."""
-    return tuple(thermo_vle.generate_vle_dataset(n, seed=seed))
+    return tuple(_vle_point(float(x)) for x in thermo_vle.vle_compositions(n, seed))
 
 
 def xy_dataset(n: int, seed: int) -> Dataset:
@@ -79,7 +85,7 @@ def gex_reference(x):
     out = np.empty_like(xs)
     for i, xi in enumerate(xs):
         y_ref = thermo_vle.rel_volatility_model(thermo_vle.REL_VOLATILITY_ALPHA, float(xi))
-        T = _bubble_T(float(xi))
+        T = _vle_point(float(xi)).T
         out[i] = thermo_vle.excess_gibbs_from_txy(
             thermo_vle.VlePoint(x=float(xi), y=y_ref, T=T))
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -90,7 +96,7 @@ def wilson_family(x, theta):
     w = thermo_vle.WilsonParams(theta=(float(theta[0]), float(theta[1])))
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.array([thermo_vle.wilson_gex(w, float(xi),
-                                          _bubble_T(float(xi)) + thermo_vle.CELSIUS_TO_KELVIN)
+                                          _vle_point(float(xi)).T + thermo_vle.CELSIUS_TO_KELVIN)
                     for xi in xs])
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -254,8 +260,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         return f0_true(x) + u * f1(x)
 
     def v_monotone(traj):
-        vals = np.array([control.clf_value(basis, x) for x in traj.states])
-        return bool(np.all(np.diff(vals) <= 1e-6))
+        return bool(np.all(np.diff(control.clf_value(basis, traj.states)) <= 1e-6))
 
     # the ground-truth loop does not depend on lambda_R
     truth_ctrl = control.make_truth_controller(basis, f0_true, f1)

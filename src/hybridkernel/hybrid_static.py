@@ -49,7 +49,9 @@ class Dataset:
             raise DimensionMismatch("empty dataset")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise DomainError("dataset contains NaN/Inf")
-        if X.shape[0] > 1 and pdist(X).min() < DUPLICATE_TOL:
+        # for 1-D inputs the nearest pair is adjacent once sorted
+        gaps = np.diff(np.sort(X[:, 0])) if X.shape[1] == 1 else pdist(X)
+        if X.shape[0] > 1 and gaps.min() < DUPLICATE_TOL:
             raise DomainError("duplicate inputs (pairwise distance < 1e-9)")
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "targets", y)

@@ -5,7 +5,8 @@ affine closures, and bilinear model assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,21 +37,34 @@ class MonomialBasis:
         return [(k, 0) for k in range(1, self.q + 1)] + [(k, 1) for k in range(self.q)]
 
     def eval(self, x) -> np.ndarray:
+        """psi at states of shape (..., 2), as an (..., N) array."""
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        cols = [x1 ** k for k in range(1, self.q + 1)]
-        cols += [x1 ** k * x2 for k in range(self.q)]
-        return np.stack(cols, axis=-1)
+        out = np.empty(x.shape[:-1] + (self.N,))
+        for k in range(1, self.q + 1):
+            out[..., k - 1] = x1 ** k
+        for k in range(self.q):
+            out[..., self.q + k] = x1 ** k * x2
+        return out
 
     def jacobian(self, x) -> np.ndarray:
-        """N x 2 matrix of partial derivatives at a single state."""
-        x = np.asarray(x, dtype=float).ravel()
-        x1, x2 = x[0], x[1]
-        J = np.zeros((self.N, 2))
+        """Partial derivatives of psi at states of shape (..., 2), as (..., N, 2).
+
+        np.float_power takes libm's pow per element, as numpy scalars do; the
+        array ``**`` (x*x for squares, else SIMD) differs in the last bit.
+        """
+        x = np.asarray(x, dtype=float)
+        x1, x2, pw = x[..., 0], x[..., 1], np.float_power
+        J = np.zeros(x.shape[:-1] + (self.N, 2))
         for row, (i, j) in enumerate(self.exponents):
-            J[row, 0] = i * x1 ** (i - 1) * x2 ** j if i >= 1 else 0.0
-            J[row, 1] = x1 ** i * j * x2 ** (j - 1) if j >= 1 else 0.0
+            J[..., row, 0] = i * pw(x1, i - 1) * pw(x2, j) if i >= 1 else 0.0
+            J[..., row, 1] = pw(x1, i) * j * pw(x2, j - 1) if j >= 1 else 0.0
         return J
+
+
+def _matvec(J: np.ndarray, v) -> np.ndarray:
+    """Row-wise J_i @ v_i, bit for bit the per-row ``J @ v`` (np.einsum is not)."""
+    return (J @ np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -80,17 +94,22 @@ def cstr_f0_true(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     x1, x2 = x[..., 0], x[..., 1]
     denom = 3.0 + 2.0 * x1
-    if np.any(denom == 0.0):
+    if np.count_nonzero(denom == 0.0):
         raise DomainError("drift undefined at 3 + 2 x1 = 0")
     rate = 9.0 * (1.0 + x1) / (4.0 * denom)
-    return np.stack([(3.0 - x1) / 4.0 - rate, -3.0 * (1.0 + x2) / 4.0 + rate], axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = (3.0 - x1) / 4.0 - rate
+    out[..., 1] = -3.0 * (1.0 + x2) / 4.0 + rate
+    return out
 
 
 def cstr_f1(x) -> np.ndarray:
     """Known input channel (throughput convection)."""
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([(3.0 - x1) / 4.0, -(1.0 + x2) / 4.0], axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = (3.0 - x[..., 0]) / 4.0
+    out[..., 1] = -(1.0 + x[..., 1]) / 4.0
+    return out
 
 
 def cstr_f0_family(x, theta) -> np.ndarray:
@@ -120,8 +139,7 @@ def make_drift_sample(n: int, seed: int, field: Callable = cstr_f0_true) -> Drif
 
 def lifted_velocities(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     """psi-dot(x_i) = Dpsi(x_i) xdot_i, analytically, one row per sample."""
-    return np.stack([basis.jacobian(x) @ v
-                     for x, v in zip(sample.states, sample.drift_velocities)])
+    return _matvec(basis.jacobian(sample.states), sample.drift_velocities)
 
 
 def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
@@ -133,10 +151,11 @@ def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     return solve_least_squares(Psi, Psidot).T
 
 
-def gedmd_residual_rms(sample: DriftSample, basis: MonomialBasis, A: np.ndarray) -> float:
-    Psi = basis.eval(sample.states)
-    Psidot = lifted_velocities(sample, basis)
-    return float(np.sqrt(np.mean((Psi @ A.T - Psidot) ** 2)))
+def _family_velocities(J: np.ndarray, states: np.ndarray, family: Callable,
+                       theta_samples) -> np.ndarray:
+    """Dpsi(x_i) f0(x_i | theta_j) as an (n, m, N) array, from J = Dpsi(states)."""
+    F = np.stack([family(states, th) for th in np.asarray(theta_samples)], axis=1)
+    return _matvec(J[:, None], F)
 
 
 def hybrid_generator_problem(sample: DriftSample, family: Callable, theta_samples,
@@ -154,17 +173,14 @@ def hybrid_generator_problem(sample: DriftSample, family: Callable, theta_sample
     N = basis.N
     n = sample.size
     Psi = basis.eval(sample.states)
-    Psidot = lifted_velocities(sample, basis)
+    J = basis.jacobian(sample.states)
+    G = _family_velocities(J, sample.states, family, theta_samples)
 
     # Stacked design: row block i is [PsiDot_i, psi_i' (x) I_N] acting on [b; vec R].
-    C = np.zeros((n * N, m + N * N))
-    target = np.zeros(n * N)
-    for i, x in enumerate(sample.states):
-        J = basis.jacobian(x)
-        C[i * N:(i + 1) * N, :m] = np.column_stack(
-            [J @ family(x, th) for th in theta_samples])
-        C[i * N:(i + 1) * N, m:] = np.kron(Psi[i][None, :], np.eye(N))
-        target[i * N:(i + 1) * N] = Psidot[i]
+    C = np.empty((n * N, m + N * N))
+    C[:, :m] = G.transpose(0, 2, 1).reshape(n * N, m)
+    C[:, m:] = (Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
+    target = _matvec(J, sample.drift_velocities).ravel()
 
     Q = C.T @ C
     Q[:m, :m] += lambda_b * np.eye(m)
@@ -193,33 +209,32 @@ def fit_hybrid_generator(sample: DriftSample, family: Callable, theta_samples,
     return sol.b, R, sol
 
 
+def _hybrid_residuals(sample: DriftSample, family: Callable, theta_samples,
+                      basis: MonomialBasis, b, R) -> np.ndarray:
+    """Rows sum_j b_j Dpsi f0(x_i | theta_j) + R psi(x_i) - psi-dot(x_i)."""
+    b = np.asarray(b, dtype=float).ravel()
+    J = basis.jacobian(sample.states)
+    G = _family_velocities(J, sample.states, family, theta_samples)
+    mix = sum(bj * G[:, j] for j, bj in enumerate(b))
+    Rpsi = _matvec(np.asarray(R, dtype=float), basis.eval(sample.states))
+    return mix + Rpsi - _matvec(J, sample.drift_velocities)
+
+
 def hybrid_generator_objective(sample: DriftSample, family: Callable, theta_samples,
                                basis: MonomialBasis, lambda_b: float, lambda_R: float,
                                b, R) -> float:
     """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
     b = np.asarray(b, dtype=float).ravel()
     R = np.asarray(R, dtype=float)
-    total = 0.0
-    Psidot = lifted_velocities(sample, basis)
-    for i, x in enumerate(sample.states):
-        J = basis.jacobian(x)
-        mix = sum(bj * (J @ family(x, th)) for bj, th in zip(b, np.asarray(theta_samples)))
-        resid = mix + R @ basis.eval(x) - Psidot[i]
-        total += float(resid @ resid)
-    return total + lambda_b * float(b @ b) + lambda_R * float(np.sum(R * R))
+    resid = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
+    return (float(np.sum(resid * resid)) + lambda_b * float(b @ b)
+            + lambda_R * float(np.sum(R * R)))
 
 
 def hybrid_prediction_rmse(sample: DriftSample, family: Callable, theta_samples,
                            basis: MonomialBasis, b, R) -> float:
     """RMS error of predicted psi-dot against exact lifted velocities."""
-    b = np.asarray(b, dtype=float).ravel()
-    theta_samples = np.asarray(theta_samples)
-    Psidot = lifted_velocities(sample, basis)
-    errs = []
-    for i, x in enumerate(sample.states):
-        J = basis.jacobian(x)
-        mix = sum(bj * (J @ family(x, th)) for bj, th in zip(b, theta_samples))
-        errs.append(mix + R @ basis.eval(x) - Psidot[i])
+    errs = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
     return float(np.sqrt(np.mean(np.square(errs))))
 
 
@@ -230,21 +245,24 @@ def default_closure_grid(points_per_axis: int = 33, box: float = STATE_BOX) -> n
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
+def _closure_targets(field: Callable, basis: MonomialBasis, grid):
+    """(grid, Dpsi(x) f(x) on it); a field may return one (2,) vector for all x."""
+    grid = default_closure_grid() if grid is None else np.asarray(grid, dtype=float)
+    F = np.broadcast_to(np.asarray(field(grid), dtype=float), grid.shape)
+    return grid, _matvec(basis.jacobian(grid), F)
+
+
 def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
                 affine: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares closure Dpsi(x) f(x) ~ beta + Gamma psi(x) on a state lattice.
 
     With affine=False, beta is returned as the zero vector and only Gamma is fit.
     """
-    if grid is None:
-        grid = default_closure_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid, targets = _closure_targets(field, basis, grid)
     N = basis.N
     if grid.shape[0] < N + 1:
         raise DimensionMismatch("closure grid must have at least N + 1 points")
     Psi = basis.eval(grid)
-    targets = np.stack([basis.jacobian(x) @ np.asarray(field(x), dtype=float).ravel()
-                        for x in grid])
     if affine:
         design = np.hstack([np.ones((grid.shape[0], 1)), Psi])
         sol = solve_least_squares(design, targets)
@@ -256,16 +274,10 @@ def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
 def closure_residual(field: Callable, basis: MonomialBasis, beta, Gamma,
                      grid=None) -> float:
     """Max abs deviation of the closure on the grid."""
-    if grid is None:
-        grid = default_closure_grid()
-    grid = np.asarray(grid, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    Gamma = np.asarray(Gamma, dtype=float)
-    worst = 0.0
-    for x in grid:
-        truth = basis.jacobian(x) @ np.asarray(field(x), dtype=float).ravel()
-        worst = max(worst, float(np.max(np.abs(beta + Gamma @ basis.eval(x) - truth))))
-    return worst
+    grid, truth = _closure_targets(field, basis, grid)
+    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float),
+                                                  basis.eval(grid))
+    return float(np.max(np.abs(fit - truth)))
 
 
 @dataclass(frozen=True)
@@ -299,7 +311,7 @@ class KoopmanHybridModel:
         object.__setattr__(self, "input_betas", betas)
         object.__setattr__(self, "input_gammas", gammas)
 
-    @property
+    @cached_property
     def drift_matrix(self) -> np.ndarray:
         return np.tensordot(self.weights, self.closure_A, axes=1) + self.residual
 

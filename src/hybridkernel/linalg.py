@@ -1,4 +1,4 @@
-"""Dense linear algebra primitives: jittered SPD solves, least squares, kron, vec.
+"""Dense linear algebra primitives: jittered SPD solves, least squares, vec.
 
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
@@ -89,11 +89,6 @@ def solve_least_squares(A, B) -> np.ndarray:
         raise DimensionMismatch(f"B has {B2.shape[0]} rows, A has {A.shape[0]}")
     X = solve_spd(A.T @ A, A.T @ B2)
     return X[:, 0] if was_1d else X
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product; block (i, j) is a_ij * B."""
-    return np.kron(_as_2d(A), _as_2d(B))
 
 
 def vec(A) -> np.ndarray:

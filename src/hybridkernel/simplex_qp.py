@@ -209,15 +209,3 @@ def solve(problem: SimplexQpProblem, tol: float = DEFAULT_TOL,
                       kkt_residual=kkt_residual(problem, b, c), iterations=it,
                       converged=converged, kkt_history=history,
                       objective_history=obj_history)
-
-
-def solve_unconstrained(problem: SimplexQpProblem) -> tuple[np.ndarray, np.ndarray, float]:
-    """Test hook: minimizer with the simplex constraint dropped (full space).
-
-    Returns (b, c_free, objective) from the stacked closed form
-    z = -Q^{-1} q_lin / 2.
-    """
-    L, _ = cholesky_with_jitter(problem.Q)
-    z = scipy.linalg.cho_solve((L, True), -0.5 * problem.q_lin)
-    m = problem.m_simplex
-    return z[:m], z[m:], problem.objective(z[:m], z[m:])

@@ -153,10 +153,11 @@ def bubble_point(
         raise NoBracket(f"pressure equation does not change sign on {T_WINDOW_C}")
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if pressure_excess(mid) * f_lo <= 0:
+        f_mid = pressure_excess(mid)
+        if f_mid * f_lo <= 0:
             hi = mid
         else:
-            lo, f_lo = mid, pressure_excess(mid)
+            lo, f_lo = mid, f_mid
     T_c = 0.5 * (lo + hi)
     g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
@@ -183,6 +184,13 @@ def find_azeotrope(
     return VlePoint(x=float(x_az), y=float(y_az), T=float(T_az))
 
 
+def vle_compositions(n: int, seed: int = 0) -> np.ndarray:
+    """n liquid fractions uniform on [0.01, 0.99], deterministic per seed."""
+    if n < 1:
+        raise DomainError("need n >= 1")
+    return np.random.default_rng(seed).uniform(0.01, 0.99, size=n)
+
+
 def generate_vle_dataset(
     n: int,
     P: float = ATM_MMHG,
@@ -191,15 +199,11 @@ def generate_vle_dataset(
     antoine1: AntoineConstants = ETHANOL_ANTOINE,
     antoine2: AntoineConstants = TOLUENE_ANTOINE,
 ) -> list[VlePoint]:
-    """n equilibrium points with x uniform on [0.01, 0.99], deterministic per seed."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0.01, 0.99, size=n)
+    """n equilibrium points at vle_compositions(n, seed)."""
     pts = []
-    for x in xs:
-        T, y = bubble_point(float(x), P, params, antoine1, antoine2)
-        pts.append(VlePoint(x=float(x), y=y, T=T))
+    for x in map(float, vle_compositions(n, seed)):
+        T, y = bubble_point(x, P, params, antoine1, antoine2)
+        pts.append(VlePoint(x=x, y=y, T=T))
     return pts
 
 

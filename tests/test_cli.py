@@ -81,6 +81,14 @@ class TestCliRuns:
                         "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_exit_code_2_on_bad_thread_cap(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(experiments.THREADS_ENV, value)
+        for experiment in ("setting1", "control"):
+            assert run_cli([experiment, "--n", "12", "--out", str(tmp_path)]) == 2
+            assert experiments.THREADS_ENV in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_exit_code_2_on_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mystery=1\n")
@@ -110,6 +118,26 @@ class TestExperiments:
         assert experiments.worker_count() == 3
         monkeypatch.delenv(experiments.THREADS_ENV)
         assert experiments.worker_count() >= 1
+        for bad in ("abc", "0", "1.5"):
+            monkeypatch.setenv(experiments.THREADS_ENV, bad)
+            with pytest.raises(ConfigError, match=experiments.THREADS_ENV):
+                experiments.worker_count()
+
+    @pytest.mark.parametrize("setting", ["setting2", "setting3"])
+    def test_each_composition_is_solved_once(self, monkeypatch, setting):
+        # n training and n validation compositions: 2n bubble points, although
+        # the datasets and the features both need the temperature at each x
+        calls = []
+        solve = thermo_vle.bubble_point
+        monkeypatch.setattr(thermo_vle, "bubble_point",
+                            lambda x, *a, **kw: calls.append(x) or solve(x, *a, **kw))
+        experiments._vle_point.cache_clear()
+        experiments.vle_points.cache_clear()
+        run = getattr(experiments, f"run_{setting}")
+        extra = {"m": 3} if setting == "setting3" else {}
+        run(n=15, seed=4, lambda_grid=(0.1, 1.0), **extra)
+        assert len(calls) == 30
+        assert len(set(calls)) == 30
 
     def test_setting1_rows_deterministic(self):
         grid = (1e-2, 1e0)

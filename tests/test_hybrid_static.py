@@ -29,10 +29,26 @@ class TestDataset:
     def test_rejects_near_duplicates(self):
         with pytest.raises(DomainError):
             Dataset(inputs=np.array([0.1, 0.1 + 1e-12]), targets=np.array([0.0, 1.0]))
+        # 1-D inputs are checked sorted: here the pair is 499 positions apart
+        x = np.random.default_rng(3).uniform(0.0, 1.0, size=500)
+        x[-1] = x[0] + 5e-10
+        with pytest.raises(DomainError):
+            Dataset(inputs=x, targets=np.zeros(x.size))
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             Dataset(inputs=np.array([0.1, np.nan]), targets=np.array([0.0, 1.0]))
+
+    def test_spacing_rule_matches_pairwise_distances(self):
+        # the 1e-9 rule is the pairwise-distance rule, in 1-D and in 2-D
+        for gap, rejected in ((0.5e-9, True), (2e-9, False)):
+            x = np.array([0.7, 0.2, 0.7 + gap, 0.9])
+            for inputs in (x, np.column_stack([x, np.zeros(4)])):
+                if rejected:
+                    with pytest.raises(DomainError):
+                        Dataset(inputs=inputs, targets=np.zeros(4))
+                else:
+                    assert Dataset(inputs=inputs, targets=np.zeros(4)).size == 4
 
 
 def fit_ref(data, reference, lam):

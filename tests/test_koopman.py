@@ -6,6 +6,7 @@ import pytest
 from hybridkernel import koopman as kp
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.linalg import vec
+from oracles import gedmd_residual_rms
 
 BASIS3 = kp.MonomialBasis(q=3)
 
@@ -93,7 +94,7 @@ class TestGedmd:
     def test_residual_positive_on_true_cstr(self):
         sample = kp.make_drift_sample(200, seed=0)
         A = kp.gedmd(sample, BASIS3)
-        assert kp.gedmd_residual_rms(sample, BASIS3, A) > 1e-6
+        assert gedmd_residual_rms(sample, BASIS3, A) > 1e-6
 
     def test_requires_enough_samples(self):
         sample = kp.make_drift_sample(4, seed=3)

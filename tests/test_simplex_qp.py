@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from hybridkernel.errors import NotPsd, NotSymmetric
 from hybridkernel.simplex_qp import (QpSolution, SimplexQpProblem, kkt_residual,
-                                     project_simplex, solve, solve_unconstrained)
+                                     project_simplex, solve)
+from oracles import solve_unconstrained
 
 
 def random_problem(rng, m, n_free, strictly_convex=True):
