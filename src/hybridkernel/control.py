@@ -4,15 +4,15 @@ simulation, and trajectory comparison for the reactor case study.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NonFinite
+from .errors import DimensionMismatch, DomainError, GridMismatch, NonFinite
 from .koopman import KoopmanHybridModel, MonomialBasis
 
 B_DEADBAND = 1e-12
@@ -37,13 +37,12 @@ class Trajectory:
         object.__setattr__(self, "controls", u)
 
     def save_csv(self, path) -> None:
+        """Rows t,x1,x2,u as csv.writer writes them: CRLF, u empty without a control."""
+        rows = zip_longest(self.times.tolist(), *self.states[:, :2].T.tolist(),
+                           map(repr, self.controls.tolist()), fillvalue="")
         with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x1", "x2", "u"])
-            for i, t in enumerate(self.times):
-                u = self.controls[i] if i < self.controls.size else ""
-                writer.writerow([repr(float(t)), repr(float(self.states[i, 0])),
-                                 repr(float(self.states[i, 1])), repr(float(u)) if u != "" else ""])
+            fh.write("t,x1,x2,u\r\n")
+            fh.writelines(f"{t!r},{x1!r},{x2!r},{u}\r\n" for t, x1, x2, u in rows)
 
 
 def clf_value(basis: MonomialBasis, x):
@@ -83,10 +82,13 @@ def lin_sontag(a: float, b: float, bound: float = 1.0) -> float:
 
 def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
              horizon: float) -> Trajectory:
-    """Classical RK4 with zero-order-hold control over each step."""
-    if dt <= 0 or horizon < dt:
-        raise ValueError("need dt > 0 and horizon >= dt")
-    steps = int(round(horizon / dt))
+    """Classical RK4 with zero-order-hold control over each step; the horizon
+    must be a whole number of steps (to 1e-9 relative)."""
+    if not 0 < dt <= horizon < math.inf:
+        raise DomainError(f"need 0 < dt <= horizon < inf, got dt={dt}, horizon={horizon}")
+    steps = round(horizon / dt)
+    if abs(horizon / dt - steps) > 1e-9 * steps:
+        raise DomainError(f"horizon {horizon} is not a whole number of steps of {dt}")
     x = np.asarray(x0, dtype=float).ravel()
     states = np.empty((steps + 1, x.size))
     controls = np.empty(steps)

@@ -57,9 +57,9 @@ def kernel_eval(k: KernelSpec, a, b) -> float:
 def gram(k: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix G_ij = k(x_i, x_j)."""
     X = _as_points(points)
-    sq = cdist(X, X, metric="sqeuclidean")
-    G = np.exp(-k.gamma * sq)
-    return 0.5 * (G + G.T)
+    G = cdist(X, X, metric="sqeuclidean")  # exactly symmetric: (a-b)^2 == (b-a)^2
+    G *= -k.gamma
+    return np.exp(G, out=G)
 
 
 def cross_gram(k: KernelSpec, a_points, b_points) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Continuous-time Koopman machinery for the CSTR case study: monomial basis,
-gEDMD, hybrid generator identification over a simplex of parameterized drifts,
-affine closures, and bilinear model assembly.
+lifted velocities, hybrid generator identification over a simplex of
+parameterized drifts, affine closures, and bilinear model assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -142,15 +142,6 @@ def lifted_velocities(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     return _matvec(basis.jacobian(sample.states), sample.drift_velocities)
 
 
-def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
-    """Black-box generator estimate: min_A sum_i ||A psi(x_i) - psi-dot(x_i)||^2."""
-    if sample.size < basis.N:
-        raise DimensionMismatch(f"need at least N={basis.N} samples, got {sample.size}")
-    Psi = basis.eval(sample.states)        # (n, N)
-    Psidot = lifted_velocities(sample, basis)
-    return solve_least_squares(Psi, Psidot).T
-
-
 def _family_velocities(J: np.ndarray, states: np.ndarray, family: Callable,
                        theta_samples) -> np.ndarray:
     """Dpsi(x_i) f0(x_i | theta_j) as an (n, m, N) array, from J = Dpsi(states)."""
@@ -220,17 +211,6 @@ def _hybrid_residuals(sample: DriftSample, family: Callable, theta_samples,
     return mix + Rpsi - _matvec(J, sample.drift_velocities)
 
 
-def hybrid_generator_objective(sample: DriftSample, family: Callable, theta_samples,
-                               basis: MonomialBasis, lambda_b: float, lambda_R: float,
-                               b, R) -> float:
-    """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
-    b = np.asarray(b, dtype=float).ravel()
-    R = np.asarray(R, dtype=float)
-    resid = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
-    return (float(np.sum(resid * resid)) + lambda_b * float(b @ b)
-            + lambda_R * float(np.sum(R * R)))
-
-
 def hybrid_prediction_rmse(sample: DriftSample, family: Callable, theta_samples,
                            basis: MonomialBasis, b, R) -> float:
     """RMS error of predicted psi-dot against exact lifted velocities."""
@@ -269,15 +249,6 @@ def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
         return sol[0].copy(), sol[1:].T
     sol = solve_least_squares(Psi, targets)
     return np.zeros(N), sol.T
-
-
-def closure_residual(field: Callable, basis: MonomialBasis, beta, Gamma,
-                     grid=None) -> float:
-    """Max abs deviation of the closure on the grid."""
-    grid, truth = _closure_targets(field, basis, grid)
-    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float),
-                                                  basis.eval(grid))
-    return float(np.max(np.abs(fit - truth)))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
-# Jitter schedule for near-singular SPD systems: start at JITTER_INIT * trace/dim,
-# multiply by 10 each retry, give up after MAX_JITTER_RETRIES (so the largest
-# jitter ever applied is 1e-6 * trace/dim).
+# Jitter schedule for near-singular SPD systems: try no jitter, then
+# JITTER_INIT * trace/dim, multiplying by 10 on each of the MAX_JITTER_RETRIES
+# retries, so the largest jitter ever applied is 1e-7 * trace/dim.
 JITTER_INIT = 1e-12
 MAX_JITTER_RETRIES = 6
 SYMMETRY_RTOL = 1e-10
+SYMMETRY_TILE = 128  # the symmetry check compares 128 x 128 tiles, not whole matrices
 
 
 def _as_2d(a) -> np.ndarray:
@@ -33,25 +34,41 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise DimensionMismatch(f"{name} contains NaN/Inf entries")
 
 
+def _max_asymmetry(M: np.ndarray) -> float:
+    """max |M - M'|, from the tiles on and above the diagonal against the
+    transposed tiles below it, without an n x n temporary."""
+    t, worst = SYMMETRY_TILE, 0.0
+    for i in range(0, M.shape[0], t):
+        for j in range(i, M.shape[0], t):
+            worst = max(worst, float(np.abs(M[i:i + t, j:j + t] - M[j:j + t, i:i + t].T).max()))
+    return worst
+
+
 def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M, escalating a diagonal jitter on failure.
 
     Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
-    budget (1e-6 * trace/dim) is exhausted.
+    budget (1e-7 * trace/dim) is exhausted. M itself is never written.
     """
     M = _as_2d(M)
-    _check_finite(M, "matrix")
     dim = M.shape[0]
     if M.shape[1] != dim:
         raise DimensionMismatch(f"matrix is {M.shape}, not square")
-    scale = max(abs(M).max(), 1.0)
-    if abs(M - M.T).max() > SYMMETRY_RTOL * scale:
+    hi, lo = M.max(), M.min()
+    _check_finite(np.array([hi, lo]), "matrix")  # NaN and +-Inf show up in max and min
+    asymmetry = _max_asymmetry(M)
+    if asymmetry > SYMMETRY_RTOL * max(hi, -lo, 1.0):
         raise NotSymmetric("matrix is not symmetric to tolerance")
     base = JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
     jitter = 0.0
     for attempt in range(MAX_JITTER_RETRIES + 1):
+        # LAPACK factors this private Fortran-ordered copy in place; an exactly
+        # symmetric M equals M', whose copy is plain, not transposing (faster)
+        A = np.array(M if asymmetry else M.T, order="F")
+        if jitter:
+            A.flat[::dim + 1] += jitter
         try:
-            L = scipy.linalg.cholesky(M + jitter * np.eye(dim) if jitter else M, lower=True)
+            L = scipy.linalg.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
             return L, jitter
         except scipy.linalg.LinAlgError:
             jitter = base * 10.0**attempt
@@ -71,7 +88,7 @@ def solve_spd(M, rhs) -> np.ndarray:
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
     L, _ = cholesky_with_jitter(M)
-    X = scipy.linalg.cho_solve((L, True), B)
+    X = scipy.linalg.cho_solve((L, True), B, check_finite=False)
     return X[:, 0] if was_1d else X
 
 

@@ -97,6 +97,12 @@ def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:
         raise DomainError(f"x1 = {x1} outside [0, 1]")
     if T <= 0:
         raise DomainError("temperature must be positive (Kelvin)")
+    return _uniquac_gamma_at(p, _uniquac_composition_terms(p, x1), T)
+
+
+def _uniquac_composition_terms(p: UniquacParams, x1: float) -> tuple:
+    """The T-independent part of uniquac_gamma: the area fractions (th1, th2)
+    and the combinatorial part of each ln gamma."""
     x2 = 1.0 - x1
     sr = x1 * p.r1 + x2 * p.r2
     sq = x1 * p.q1 + x2 * p.q2
@@ -107,21 +113,21 @@ def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:
     th2 = x2 * p.q2 / sq
     phi1_th = (p.r1 * sq) / (p.q1 * sr)
     phi2_th = (p.r2 * sq) / (p.q2 * sr)
-    tau12 = np.exp(-p.a12 / T)
-    tau21 = np.exp(-p.a21 / T)
+    comb1 = np.log(phi1_x) + 1.0 - phi1_x - 5.0 * p.q1 * (np.log(phi1_th) + 1.0 - phi1_th)
+    comb2 = np.log(phi2_x) + 1.0 - phi2_x - 5.0 * p.q2 * (np.log(phi2_th) + 1.0 - phi2_th)
+    return th1, th2, float(comb1), float(comb2)
 
+
+def _uniquac_gamma_at(p: UniquacParams, terms: tuple, T: float) -> tuple[float, float]:
+    """uniquac_gamma from the composition terms and T in Kelvin: numpy's exp and
+    log (math's differ in the last bit), the rest on Python floats (same rounding)."""
+    th1, th2, comb1, comb2 = terms
+    tau12 = float(np.exp(-p.a12 / T))
+    tau21 = float(np.exp(-p.a21 / T))
     d1 = th1 + th2 * tau21
     d2 = th1 * tau12 + th2
-    ln_g1 = (
-        np.log(phi1_x) + 1.0 - phi1_x
-        - 5.0 * p.q1 * (np.log(phi1_th) + 1.0 - phi1_th)
-        + p.q1 * (1.0 - np.log(d1) - th1 / d1 - th2 * tau12 / d2)
-    )
-    ln_g2 = (
-        np.log(phi2_x) + 1.0 - phi2_x
-        - 5.0 * p.q2 * (np.log(phi2_th) + 1.0 - phi2_th)
-        + p.q2 * (1.0 - np.log(d2) - th1 * tau21 / d1 - th2 / d2)
-    )
+    ln_g1 = comb1 + p.q1 * (1.0 - float(np.log(d1)) - th1 / d1 - th2 * tau12 / d2)
+    ln_g2 = comb2 + p.q2 * (1.0 - float(np.log(d2)) - th1 * tau21 / d1 - th2 / d2)
     return float(np.exp(ln_g1)), float(np.exp(ln_g2))
 
 
@@ -141,9 +147,10 @@ def bubble_point(
     if P <= 0:
         raise DomainError("pressure must be positive")
     x2 = 1.0 - x1
+    terms = _uniquac_composition_terms(params, x1)
 
     def pressure_excess(T_c: float) -> float:
-        g1, g2 = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+        g1, g2 = _uniquac_gamma_at(params, terms, T_c + CELSIUS_TO_KELVIN)
         return (x1 * g1 * antoine_psat(antoine1, T_c)
                 + x2 * g2 * antoine_psat(antoine2, T_c) - P)
 
@@ -159,7 +166,7 @@ def bubble_point(
         else:
             lo, f_lo = mid, f_mid
     T_c = 0.5 * (lo + hi)
-    g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+    g1, _ = _uniquac_gamma_at(params, terms, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
     return T_c, float(np.clip(y1, 0.0, 1.0))
 
@@ -259,8 +266,11 @@ def wilson_gex(w: WilsonParams, x1: float, T: float) -> float:
 
 
 def wilson_gex_from_lambdas(lam12: float, lam21: float, x1: float) -> float:
-    """Wilson excess Gibbs energy / RT with the Lambda coefficients supplied directly."""
-    if x1 <= 0.0 or x1 >= 1.0:
+    """Wilson excess Gibbs energy / RT with the Lambda coefficients supplied
+    directly; 0 at the pure components x1 = 0 and x1 = 1."""
+    if not (0.0 <= x1 <= 1.0):
+        raise DomainError(f"x1 = {x1} outside [0, 1]")
+    if x1 == 0.0 or x1 == 1.0:
         return 0.0
     x2 = 1.0 - x1
     return float(-x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21))

@@ -2,15 +2,32 @@
 
 The per-point Koopman functions are the scalar paths that the batched code
 in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
-property tests check the batched results against them bit for bit.
+property tests check the batched results against them bit for bit. Likewise
+the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
+term at each bisection step, the symmetrized Gram matrix and the csv.writer
+trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
+``control`` replaced. ``gedmd``, ``hybrid_generator_objective`` and
+``closure_residual`` moved here from ``hybridkernel.koopman``, which has no
+caller for them.
 """
+
+import csv
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
-from hybridkernel import simplex_qp
-from hybridkernel.koopman import DriftSample, MonomialBasis, default_closure_grid
-from hybridkernel.linalg import _as_2d, cholesky_with_jitter, solve_least_squares
+from hybridkernel import linalg, simplex_qp
+from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket,
+                                 NotPositiveDefinite, NotSymmetric)
+from hybridkernel.kernels import KernelSpec, _as_points
+from hybridkernel.koopman import (DriftSample, MonomialBasis, _closure_targets,
+                                  _hybrid_residuals, _matvec, default_closure_grid)
+from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
+from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
+                                     ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
+                                     AntoineConstants, UniquacParams, antoine_psat)
 
 
 def kron(A, B) -> np.ndarray:
@@ -24,7 +41,7 @@ def solve_unconstrained(problem: simplex_qp.SimplexQpProblem):
     Returns (b, c_free, objective) from the stacked closed form
     z = -Q^{-1} q_lin / 2.
     """
-    L, _ = cholesky_with_jitter(problem.Q)
+    L, _ = linalg.cholesky_with_jitter(problem.Q)
     z = scipy.linalg.cho_solve((L, True), -0.5 * problem.q_lin)
     m = problem.m_simplex
     return z[:m], z[m:], problem.objective(z[:m], z[m:])
@@ -102,9 +119,9 @@ def hybrid_generator_problem(sample: DriftSample, family, theta_samples,
     return Q, -2.0 * (C.T @ target), float(target @ target)
 
 
-def hybrid_generator_objective(sample: DriftSample, family, theta_samples,
-                               basis: MonomialBasis, lambda_b: float, lambda_R: float,
-                               b, R) -> float:
+def hybrid_generator_objective_per_point(sample: DriftSample, family, theta_samples,
+                                         basis: MonomialBasis, lambda_b: float,
+                                         lambda_R: float, b, R) -> float:
     b = np.asarray(b, dtype=float).ravel()
     R = np.asarray(R, dtype=float)
     total = 0.0
@@ -147,7 +164,8 @@ def closure_fit(field, basis: MonomialBasis, grid=None, affine: bool = False):
     return np.zeros(basis.N), solve_least_squares(Psi, targets).T
 
 
-def closure_residual(field, basis: MonomialBasis, beta, Gamma, grid=None) -> float:
+def closure_residual_per_point(field, basis: MonomialBasis, beta, Gamma,
+                               grid=None) -> float:
     if grid is None:
         grid = default_closure_grid()
     grid = np.asarray(grid, dtype=float)
@@ -174,3 +192,153 @@ def simulate(dynamics, controller, x0, dt: float, horizon: float):
         times.append((step + 1) * dt)
         states.append(x.copy())
     return np.array(times), np.stack(states), np.array(controls)
+
+
+# ---- moved from hybridkernel.koopman: only tests call them ------------------
+
+def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
+    """Black-box generator estimate: min_A sum_i ||A psi(x_i) - psi-dot(x_i)||^2."""
+    if sample.size < basis.N:
+        raise DimensionMismatch(f"need at least N={basis.N} samples, got {sample.size}")
+    Psi = basis.eval(sample.states)        # (n, N)
+    Psidot = lifted_velocities(sample, basis)  # equals the batched path bit for bit
+    return solve_least_squares(Psi, Psidot).T
+
+
+def hybrid_generator_objective(sample: DriftSample, family, theta_samples,
+                               basis: MonomialBasis, lambda_b: float, lambda_R: float,
+                               b, R) -> float:
+    """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
+    b = np.asarray(b, dtype=float).ravel()
+    R = np.asarray(R, dtype=float)
+    resid = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
+    return (float(np.sum(resid * resid)) + lambda_b * float(b @ b)
+            + lambda_R * float(np.sum(R * R)))
+
+
+def closure_residual(field, basis: MonomialBasis, beta, Gamma, grid=None) -> float:
+    """Max abs deviation of the closure on the grid."""
+    grid, truth = _closure_targets(field, basis, grid)
+    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float),
+                                                  basis.eval(grid))
+    return float(np.max(np.abs(fit - truth)))
+
+
+# ---- the full-matrix SPD path, per-step UNIQUAC, symmetrized Gram, csv rows --
+
+def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of M with full-matrix checks and scipy's own copy."""
+    M = _as_2d(M)
+    _check_finite(M, "matrix")
+    dim = M.shape[0]
+    if M.shape[1] != dim:
+        raise DimensionMismatch(f"matrix is {M.shape}, not square")
+    scale = max(abs(M).max(), 1.0)
+    if abs(M - M.T).max() > linalg.SYMMETRY_RTOL * scale:
+        raise NotSymmetric("matrix is not symmetric to tolerance")
+    base = linalg.JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
+    jitter = 0.0
+    for attempt in range(linalg.MAX_JITTER_RETRIES + 1):
+        try:
+            L = scipy.linalg.cholesky(M + jitter * np.eye(dim) if jitter else M, lower=True)
+            return L, jitter
+        except scipy.linalg.LinAlgError:
+            jitter = base * 10.0**attempt
+    raise NotPositiveDefinite("Cholesky failed after jitter escalation")
+
+
+def solve_spd(M, rhs) -> np.ndarray:
+    M = _as_2d(M)
+    rhs_arr = np.asarray(rhs, dtype=float)
+    was_1d = rhs_arr.ndim == 1
+    B = _as_2d(rhs_arr)
+    _check_finite(B, "rhs")
+    if B.shape[0] != M.shape[0]:
+        raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
+    L, _ = cholesky_with_jitter(M)
+    X = scipy.linalg.cho_solve((L, True), B)
+    return X[:, 0] if was_1d else X
+
+
+def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:
+    """Activity coefficients, every term evaluated at each call."""
+    if not (0.0 <= x1 <= 1.0):
+        raise DomainError(f"x1 = {x1} outside [0, 1]")
+    if T <= 0:
+        raise DomainError("temperature must be positive (Kelvin)")
+    x2 = 1.0 - x1
+    sr = x1 * p.r1 + x2 * p.r2
+    sq = x1 * p.q1 + x2 * p.q2
+    phi1_x = p.r1 / sr
+    phi2_x = p.r2 / sr
+    th1 = x1 * p.q1 / sq
+    th2 = x2 * p.q2 / sq
+    phi1_th = (p.r1 * sq) / (p.q1 * sr)
+    phi2_th = (p.r2 * sq) / (p.q2 * sr)
+    tau12 = np.exp(-p.a12 / T)
+    tau21 = np.exp(-p.a21 / T)
+
+    d1 = th1 + th2 * tau21
+    d2 = th1 * tau12 + th2
+    ln_g1 = (
+        np.log(phi1_x) + 1.0 - phi1_x
+        - 5.0 * p.q1 * (np.log(phi1_th) + 1.0 - phi1_th)
+        + p.q1 * (1.0 - np.log(d1) - th1 / d1 - th2 * tau12 / d2)
+    )
+    ln_g2 = (
+        np.log(phi2_x) + 1.0 - phi2_x
+        - 5.0 * p.q2 * (np.log(phi2_th) + 1.0 - phi2_th)
+        + p.q2 * (1.0 - np.log(d2) - th1 * tau21 / d1 - th2 / d2)
+    )
+    return float(np.exp(ln_g1)), float(np.exp(ln_g2))
+
+
+def bubble_point(x1: float, P: float = ATM_MMHG,
+                 params: UniquacParams = ETHANOL_TOLUENE_UNIQUAC,
+                 antoine1: AntoineConstants = ETHANOL_ANTOINE,
+                 antoine2: AntoineConstants = TOLUENE_ANTOINE) -> tuple[float, float]:
+    """Bubble point by bisection, with the full uniquac_gamma at every step."""
+    if not (0.0 <= x1 <= 1.0):
+        raise DomainError(f"x1 = {x1} outside [0, 1]")
+    if P <= 0:
+        raise DomainError("pressure must be positive")
+    x2 = 1.0 - x1
+
+    def pressure_excess(T_c: float) -> float:
+        g1, g2 = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+        return (x1 * g1 * antoine_psat(antoine1, T_c)
+                + x2 * g2 * antoine_psat(antoine2, T_c) - P)
+
+    lo, hi = T_WINDOW_C
+    f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
+    if f_lo * f_hi > 0:
+        raise NoBracket(f"pressure equation does not change sign on {T_WINDOW_C}")
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        f_mid = pressure_excess(mid)
+        if f_mid * f_lo <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    T_c = 0.5 * (lo + hi)
+    g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+    y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
+    return T_c, float(np.clip(y1, 0.0, 1.0))
+
+
+def gram(k: KernelSpec, points) -> np.ndarray:
+    """Gram matrix from all n^2 distances, symmetrized."""
+    X = _as_points(points)
+    G = np.exp(-k.gamma * cdist(X, X, metric="sqeuclidean"))
+    return 0.5 * (G + G.T)
+
+
+def save_csv(traj, path) -> None:
+    """A trajectory's CSV file, written row by row by csv.writer."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x1", "x2", "u"])
+        for i, t in enumerate(traj.times):
+            u = traj.controls[i] if i < traj.controls.size else ""
+            writer.writerow([repr(float(t)), repr(float(traj.states[i, 0])),
+                             repr(float(traj.states[i, 1])), repr(float(u)) if u != "" else ""])

@@ -2,7 +2,9 @@
 
 Every batched result must equal the per-point oracle bit for bit, except
 ``hybrid_generator_objective``: it sums the squared residuals with np.sum, not
-one point at a time, and matches the oracle to 1e-12 relative.
+one point at a time, and matches the oracle to 1e-12 relative. The batched
+``hybrid_generator_objective`` and ``closure_residual`` live in ``oracles``
+too, since only tests call them.
 """
 
 import numpy as np
@@ -84,8 +86,9 @@ def test_hybrid_generator_matches_per_point_assembly(q, X, thetas, lam):
     R = rng.standard_normal((basis.N, basis.N))
     assert (kp.hybrid_prediction_rmse(sample, family, thetas, basis, b, R)
             == oracles.hybrid_prediction_rmse(sample, family, thetas, basis, b, R))
-    new = kp.hybrid_generator_objective(sample, family, thetas, basis, 1e-8, lam, b, R)
-    old = oracles.hybrid_generator_objective(sample, family, thetas, basis, 1e-8, lam, b, R)
+    new = oracles.hybrid_generator_objective(sample, family, thetas, basis, 1e-8, lam, b, R)
+    old = oracles.hybrid_generator_objective_per_point(sample, family, thetas, basis, 1e-8,
+                                                       lam, b, R)
     assert abs(new - old) <= 1e-12 * abs(old)
 
 
@@ -104,8 +107,8 @@ def test_closures_match_per_point_fit(q, X, theta, affine):
         beta_old, gamma_old = oracles.closure_fit(field, basis, grid=grid, affine=affine)
         assert_bit_equal(beta, beta_old)
         assert_bit_equal(gamma, gamma_old)
-        assert (kp.closure_residual(field, basis, beta, gamma, grid=grid)
-                == oracles.closure_residual(field, basis, beta, gamma, grid=grid))
+        assert (oracles.closure_residual(field, basis, beta, gamma, grid=grid)
+                == oracles.closure_residual_per_point(field, basis, beta, gamma, grid=grid))
 
 
 def test_default_closures_match_per_point_fit():

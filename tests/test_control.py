@@ -5,7 +5,7 @@ import pytest
 
 from hybridkernel import control as ctl
 from hybridkernel import experiments, koopman as kp
-from hybridkernel.errors import GridMismatch, NonFinite
+from hybridkernel.errors import DomainError, GridMismatch, NonFinite
 from oracles import clf_value_closed_form
 
 BASIS3 = kp.MonomialBasis(q=3)
@@ -137,6 +137,24 @@ class TestSimulate:
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
+
+    @pytest.mark.parametrize("dt, horizon", [(0.3, 1.0), (0.01, 10.005), (0.1, 1.0 + 1e-6)])
+    def test_rejects_horizon_not_whole_steps(self, dt, horizon):
+        with pytest.raises(DomainError):
+            ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+
+    @pytest.mark.parametrize("dt, horizon", [(0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0),
+                                             (0.1, float("nan")), (0.1, float("inf")),
+                                             (0.5, 0.2)])
+    def test_rejects_bad_step_or_horizon(self, dt, horizon):
+        with pytest.raises(DomainError):
+            ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+
+    @pytest.mark.parametrize("dt, horizon, steps", [(0.01, 10.0, 1000), (0.1, 0.3, 3)])
+    def test_whole_steps_up_to_rounding(self, dt, horizon, steps):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        traj = ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+        assert traj.controls.size == steps and traj.times.size == steps + 1
 
     def test_nonfinite_escape_detected(self):
         with np.errstate(over="ignore"), pytest.raises(NonFinite):

@@ -52,11 +52,30 @@ class TestSolveSpd:
 
     def test_jitter_cap(self):
         # Rank-deficient PSD matrix: jitter makes it solvable, and the jitter
-        # applied never exceeds the documented budget of 1e-6 * trace/dim.
+        # applied never exceeds the documented budget of 1e-7 * trace/dim.
         M = np.outer(np.ones(4), np.ones(4))
         _, jitter = cholesky_with_jitter(M)
-        assert jitter <= 1e-6 * np.trace(M) / 4 + 1e-30
-        assert 10.0 ** MAX_JITTER_RETRIES * JITTER_INIT == pytest.approx(1e-6)
+        assert jitter <= 1e-7 * np.trace(M) / 4 + 1e-30
+        assert 10.0 ** (MAX_JITTER_RETRIES - 1) * JITTER_INIT == pytest.approx(1e-7)
+
+    def test_last_jitter_step_still_factors(self):
+        # eigenvalue -1e-8 against trace/dim ~ 0.5: the step 5e-9 is too small,
+        # the last one, 1e-7 * trace/dim ~ 5e-8, factors it
+        M = np.diag([1.0, -1e-8])
+        L, jitter = cholesky_with_jitter(M)
+        base = JITTER_INIT * (np.trace(M) / 2)
+        assert jitter == base * 10.0 ** (MAX_JITTER_RETRIES - 1)
+        np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(2), rtol=1e-15, atol=0)
+
+    def test_needing_more_than_the_last_step_raises(self):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_with_jitter(np.diag([1.0, -1e-7]))
+
+    def test_input_is_not_written(self):
+        M = np.outer(np.ones(3), np.ones(3))
+        before = M.copy()
+        cholesky_with_jitter(M)
+        np.testing.assert_array_equal(M, before)
 
     def test_preserves_1d_rhs(self):
         x = solve_spd(np.eye(2), np.array([1.0, 2.0]))

@@ -183,6 +183,15 @@ class TestWilson:
         w = tv.WilsonParams(theta=(0.3, 0.7))
         assert tv.wilson_gex(w, 0.0, 350.0) == 0.0
         assert tv.wilson_gex(w, 1.0, 350.0) == 0.0
+        assert tv.wilson_gex_from_lambdas(0.4, 2.0, 0.0) == 0.0
+        assert tv.wilson_gex_from_lambdas(0.4, 2.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("x1", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
+    def test_rejects_x_outside_unit_interval(self, x1):
+        with pytest.raises(DomainError):
+            tv.wilson_gex_from_lambdas(0.4, 2.0, x1)
+        with pytest.raises(DomainError):
+            tv.wilson_gex(tv.WilsonParams(theta=(0.3, 0.7)), x1, 350.0)
 
     def test_theta_encoding(self):
         w = tv.WilsonParams(theta=(0.0, 1.0))
