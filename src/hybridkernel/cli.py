@@ -97,33 +97,19 @@ def parse_config(experiment: str, args: argparse.Namespace) -> ExperimentConfig:
             f"config file names experiment {file_values['experiment']!r}, "
             f"but subcommand is {experiment!r}")
 
-    def pick(flag_value, key, cast):
-        if flag_value is not None:
-            return cast(flag_value)
-        if key in file_values:
+    kwargs = {}
+    for flag, key, cast, name in ((args.seed, "seed", int, "seed"),
+                                  (args.lambda_grid, "lambda", _parse_lambda_grid,
+                                   "lambda_grid"),
+                                  (args.m, "m", int, "m"), (args.n, "n", int, "n"),
+                                  (args.out, "out", Path, "output_dir")):
+        if flag is not None:
+            kwargs[name] = cast(flag)
+        elif key in file_values:
             try:
-                return cast(file_values[key])
+                kwargs[name] = cast(file_values[key])
             except (ValueError, ConfigError) as e:
                 raise ConfigError(f"config key {key!r}: {e}") from e
-        return None
-
-    kwargs = {}
-    seed = pick(args.seed, "seed", int)
-    if seed is not None:
-        kwargs["seed"] = seed
-    grid = pick(args.lambda_grid, "lambda",
-                lambda v: _parse_lambda_grid(v) if isinstance(v, str) else v)
-    if grid is not None:
-        kwargs["lambda_grid"] = grid
-    m = pick(args.m, "m", int)
-    if m is not None:
-        kwargs["m"] = m
-    n = pick(args.n, "n", int)
-    if n is not None:
-        kwargs["n"] = n
-    out = pick(args.out, "out", Path)
-    if out is not None:
-        kwargs["output_dir"] = out
     return ExperimentConfig(experiment=experiment, **kwargs)
 
 
@@ -167,8 +153,8 @@ def run(config: ExperimentConfig) -> int:
     files = []
 
     if config.experiment == "vle-data":
-        pts = thermo_vle.generate_vle_dataset(config.n, seed=config.seed)
-        thermo_vle.save_vle_csv(pts, out / "data.csv", seed=config.seed)
+        thermo_vle.save_vle_csv(experiments.vle_points(config.n, config.seed),
+                                out / "data.csv", seed=config.seed)
         files += ["data.csv", "data.csv.meta.json"]
 
     elif config.experiment == "setting1":

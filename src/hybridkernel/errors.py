@@ -21,10 +21,6 @@ class NotPsd(HybridKernelError):
     pass
 
 
-class MaxIterExceeded(HybridKernelError):
-    pass
-
-
 class DomainError(HybridKernelError):
     pass
 

@@ -182,16 +182,12 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     return _map_grid(one, list(lambda_grid))
 
 
-def koopman_setup(n: int = 200, seed: int = 0, m: int = 25, theta_seed: int = None,
-                  q: int = 3):
-    if theta_seed is None:
-        theta_seed = seed + 1000
-    basis = koopman.MonomialBasis(q=q)
-    f0_true, f1, family = koopman.cstr_fields()
-    train = koopman.make_drift_sample(n, seed, f0_true)
-    val = koopman.make_drift_sample(n, seed + 1, f0_true)
-    thetas = sample_thetas(m, theta_seed)
-    return basis, f0_true, f1, family, train, val, thetas
+def cstr_design(n: int, seed: int, thetas, basis: koopman.MonomialBasis
+                ) -> koopman.GeneratorDesign:
+    """Hybrid generator design on n CSTR drift states drawn at `seed`."""
+    f0_true, _, family = koopman.cstr_fields()
+    return koopman.generator_design(koopman.make_drift_sample(n, seed, f0_true), family,
+                                    thetas, basis)
 
 
 def fit_closures(thetas, basis: koopman.MonomialBasis, family, f1) -> tuple:
@@ -215,16 +211,15 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
     """Hybrid generator identification sweep over lambda_R; each row carries
     the fitted "b" and "R" and the sweep's "basis" and "theta_samples", from
     which koopman_models assembles the bilinear models."""
-    basis, _, _, family, train, val, thetas = koopman_setup(n, seed, m, theta_seed, q)
+    basis = koopman.MonomialBasis(q=q)
+    thetas = sample_thetas(m, seed + 1000 if theta_seed is None else theta_seed)
+    train, val = (cstr_design(n, s, thetas, basis) for s in (seed, seed + 1))
 
     def one(lam):
-        b, R, _ = koopman.fit_hybrid_generator(train, family, thetas, basis,
-                                               lambda_b=lambda_b, lambda_R=lam)
+        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=lambda_b, lambda_R=lam)
         return {"lambda_R": float(lam),
-                "train_rmse": koopman.hybrid_prediction_rmse(train, family, thetas,
-                                                             basis, b, R),
-                "val_rmse": koopman.hybrid_prediction_rmse(val, family, thetas,
-                                                           basis, b, R),
+                "train_rmse": koopman.hybrid_prediction_rmse(train, b, R),
+                "val_rmse": koopman.hybrid_prediction_rmse(val, b, R),
                 "frob_R": float(np.linalg.norm(R, "fro")),
                 "b": b, "R": R, "basis": basis, "theta_samples": thetas}
 
@@ -252,7 +247,10 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     """
     if state_seed is None:
         state_seed = seed + 2000
-    basis, f0_true, f1, family, train, _, thetas = koopman_setup(n, seed, m, q=q)
+    basis = koopman.MonomialBasis(q=q)
+    thetas = sample_thetas(m, seed + 1000)
+    f0_true, f1, family = koopman.cstr_fields()
+    train = cstr_design(n, seed, thetas, basis)
     x0s = koopman.sample_states(n_states, state_seed)
     closures = fit_closures(thetas, basis, family, f1)
 
@@ -269,8 +267,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
 
     rows = []
     for lam in lambda_grid:
-        b, R, _ = koopman.fit_hybrid_generator(train, family, thetas, basis,
-                                               lambda_b=lambda_b, lambda_R=lam)
+        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=lambda_b, lambda_R=lam)
         model_ctrl = control.make_model_controller(
             build_hybrid_model(b, R, thetas, basis, closures))
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):

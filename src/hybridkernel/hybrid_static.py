@@ -214,9 +214,8 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> Hybrid
     return design.model(sol[:p], sol[p:])
 
 
-def fit_mixture(design: Design, theta_gram, lambda_omega: float, lambda_r: float,
-                tol: float = simplex_qp.DEFAULT_TOL,
-                max_iter: int = simplex_qp.DEFAULT_MAX_ITER) -> HybridModel:
+def fit_mixture(design: Design, theta_gram, lambda_omega: float,
+                lambda_r: float) -> HybridModel:
     """Simplex-constrained QP fit of mixture weights plus kernel residual.
 
     Objective: ||F b + G c - y||^2 + l_omega b'G_theta b + l_r c'G c, where
@@ -228,7 +227,7 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float, lambda_r: float
     Q = _joint_matrix(design, lambda_omega * np.asarray(theta_gram, dtype=float), lambda_r)
     problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,
                                           m_simplex=m, n_free=n)
-    sol = simplex_qp.solve(problem, tol=tol, max_iter=max_iter)
+    sol = simplex_qp.solve(problem)
     return design.model(sol.b, sol.c_free)
 
 

@@ -137,85 +137,88 @@ def make_drift_sample(n: int, seed: int, field: Callable = cstr_f0_true) -> Drif
     return DriftSample(states=states, drift_velocities=field(states))
 
 
-def lifted_velocities(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
-    """psi-dot(x_i) = Dpsi(x_i) xdot_i, analytically, one row per sample."""
-    return _matvec(basis.jacobian(sample.states), sample.drift_velocities)
+@dataclass(frozen=True)
+class GeneratorDesign:
+    """The lambda-independent blocks of the hybrid generator fit on one sample.
+
+    Psi = psi(X) is (n, N), G[i, j] = Dpsi(x_i) f0(x_i | theta_j) is (n, m, N)
+    and psidot[i] = Dpsi(x_i) xdot_i is (n, N). The stacked design C has row
+    block i = [G[i]', psi_i' (x) I_N] acting on [b; vec R]; the design keeps
+    CtC = C'C (symmetrized once), Ct_psidot = C' vec(psidot) and psidot_sq =
+    ||psidot||^2. The arrays are read, never written, so pool threads share it.
+    """
+
+    basis: MonomialBasis
+    Psi: np.ndarray
+    G: np.ndarray
+    psidot: np.ndarray
+    CtC: np.ndarray
+    Ct_psidot: np.ndarray
+    psidot_sq: float
+
+    def residuals(self, b, R) -> np.ndarray:
+        """Rows sum_j b_j G[i, j] + R psi_i - psidot_i."""
+        b = np.asarray(b, dtype=float).ravel()
+        mix = sum(bj * self.G[:, j] for j, bj in enumerate(b))
+        return mix + _matvec(np.asarray(R, dtype=float), self.Psi) - self.psidot
 
 
-def _family_velocities(J: np.ndarray, states: np.ndarray, family: Callable,
-                       theta_samples) -> np.ndarray:
-    """Dpsi(x_i) f0(x_i | theta_j) as an (n, m, N) array, from J = Dpsi(states)."""
-    F = np.stack([family(states, th) for th in np.asarray(theta_samples)], axis=1)
-    return _matvec(J[:, None], F)
+def generator_design(sample: DriftSample, family: Callable, theta_samples,
+                     basis: MonomialBasis) -> GeneratorDesign:
+    """Evaluate psi, Dpsi and the family velocities on the sample once; drivers
+    build one design per sample and sweep lambda_R over it."""
+    thetas = np.asarray(theta_samples, dtype=float)
+    m, N, n = thetas.shape[0], basis.N, sample.size
+    Psi = basis.eval(sample.states)
+    J = basis.jacobian(sample.states)
+    F = np.stack([family(sample.states, th) for th in thetas], axis=1)
+    G = _matvec(J[:, None], F)
+    psidot = _matvec(J, sample.drift_velocities)
+
+    C = np.empty((n * N, m + N * N))
+    C[:, :m] = G.transpose(0, 2, 1).reshape(n * N, m)
+    C[:, m:] = (Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
+    target = psidot.ravel()
+    CtC = C.T @ C
+    return GeneratorDesign(basis=basis, Psi=Psi, G=G, psidot=psidot,
+                           CtC=0.5 * (CtC + CtC.T), Ct_psidot=C.T @ target,
+                           psidot_sq=float(target @ target))
 
 
-def hybrid_generator_problem(sample: DriftSample, family: Callable, theta_samples,
-                             basis: MonomialBasis, lambda_b: float, lambda_R: float
+def hybrid_generator_problem(design: GeneratorDesign, lambda_b: float, lambda_R: float
                              ) -> tuple[simplex_qp.SimplexQpProblem, float]:
-    """Stacked QP over (b, vec R) for the hybrid generator fit.
+    """Stacked QP over (b, vec R) for the hybrid generator fit: the design's
+    C'C with lambda_b and lambda_R added to the diagonals of the b and R blocks.
 
     Returns (problem, constant) with the dropped constant term so that
     problem.objective(b, vec R) + constant equals the primal objective.
     """
     if lambda_b < 0 or lambda_R <= 0:
         raise DomainError("need lambda_b >= 0 and lambda_R > 0")
-    theta_samples = np.asarray(theta_samples, dtype=float)
-    m = theta_samples.shape[0]
-    N = basis.N
-    n = sample.size
-    Psi = basis.eval(sample.states)
-    J = basis.jacobian(sample.states)
-    G = _family_velocities(J, sample.states, family, theta_samples)
-
-    # Stacked design: row block i is [PsiDot_i, psi_i' (x) I_N] acting on [b; vec R].
-    C = np.empty((n * N, m + N * N))
-    C[:, :m] = G.transpose(0, 2, 1).reshape(n * N, m)
-    C[:, m:] = (Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
-    target = _matvec(J, sample.drift_velocities).ravel()
-
-    Q = C.T @ C
-    Q[:m, :m] += lambda_b * np.eye(m)
-    Q[m:, m:] += lambda_R * np.eye(N * N)
-    Q = 0.5 * (Q + Q.T)
-    q_lin = -2.0 * (C.T @ target)
-    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=q_lin, m_simplex=m, n_free=N * N)
-    return problem, float(target @ target)
+    m, NN = design.G.shape[1], design.basis.N ** 2
+    Q = design.CtC.copy()
+    Q.flat[::m + NN + 1] += np.repeat([lambda_b, lambda_R], [m, NN])
+    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Ct_psidot,
+                                          m_simplex=m, n_free=NN)
+    return problem, design.psidot_sq
 
 
-def fit_hybrid_generator(sample: DriftSample, family: Callable, theta_samples,
-                         basis: MonomialBasis, lambda_b: float, lambda_R: float,
-                         tol: float = simplex_qp.DEFAULT_TOL,
-                         max_iter: int = simplex_qp.DEFAULT_MAX_ITER):
+def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: float):
     """Simplex-weighted interpretable drift plus residual generator matrix R.
 
-    Minimizes sum_i ||PsiDot_i b + R psi_i - psi-dot_i||^2
+    Minimizes sum_i ||sum_j b_j G_ij + R psi_i - psi-dot_i||^2
               + lambda_b ||b||^2 + lambda_R ||R||_F^2
     with b on the simplex. Returns (b, R, QpSolution).
     """
-    problem, _ = hybrid_generator_problem(sample, family, theta_samples, basis,
-                                          lambda_b, lambda_R)
-    sol = simplex_qp.solve(problem, tol=tol, max_iter=max_iter)
-    N = basis.N
-    R = unvec(sol.c_free, N, N)
-    return sol.b, R, sol
+    problem, _ = hybrid_generator_problem(design, lambda_b, lambda_R)
+    sol = simplex_qp.solve(problem)
+    N = design.basis.N
+    return sol.b, unvec(sol.c_free, N, N), sol
 
 
-def _hybrid_residuals(sample: DriftSample, family: Callable, theta_samples,
-                      basis: MonomialBasis, b, R) -> np.ndarray:
-    """Rows sum_j b_j Dpsi f0(x_i | theta_j) + R psi(x_i) - psi-dot(x_i)."""
-    b = np.asarray(b, dtype=float).ravel()
-    J = basis.jacobian(sample.states)
-    G = _family_velocities(J, sample.states, family, theta_samples)
-    mix = sum(bj * G[:, j] for j, bj in enumerate(b))
-    Rpsi = _matvec(np.asarray(R, dtype=float), basis.eval(sample.states))
-    return mix + Rpsi - _matvec(J, sample.drift_velocities)
-
-
-def hybrid_prediction_rmse(sample: DriftSample, family: Callable, theta_samples,
-                           basis: MonomialBasis, b, R) -> float:
+def hybrid_prediction_rmse(design: GeneratorDesign, b, R) -> float:
     """RMS error of predicted psi-dot against exact lifted velocities."""
-    errs = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
-    return float(np.sqrt(np.mean(np.square(errs))))
+    return float(np.sqrt(np.mean(np.square(design.residuals(b, R)))))
 
 
 def default_closure_grid(points_per_axis: int = 33, box: float = STATE_BOX) -> np.ndarray:

@@ -198,22 +198,6 @@ def vle_compositions(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.01, 0.99, size=n)
 
 
-def generate_vle_dataset(
-    n: int,
-    P: float = ATM_MMHG,
-    seed: int = 0,
-    params: UniquacParams = ETHANOL_TOLUENE_UNIQUAC,
-    antoine1: AntoineConstants = ETHANOL_ANTOINE,
-    antoine2: AntoineConstants = TOLUENE_ANTOINE,
-) -> list[VlePoint]:
-    """n equilibrium points at vle_compositions(n, seed)."""
-    pts = []
-    for x in map(float, vle_compositions(n, seed)):
-        T, y = bubble_point(x, P, params, antoine1, antoine2)
-        pts.append(VlePoint(x=x, y=y, T=T))
-    return pts
-
-
 def excess_gibbs_from_txy(
     pt: VlePoint,
     P: float = ATM_MMHG,

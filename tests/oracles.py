@@ -22,8 +22,8 @@ from hybridkernel import linalg, simplex_qp
 from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket,
                                  NotPositiveDefinite, NotSymmetric)
 from hybridkernel.kernels import KernelSpec, _as_points
-from hybridkernel.koopman import (DriftSample, MonomialBasis, _closure_targets,
-                                  _hybrid_residuals, _matvec, default_closure_grid)
+from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis,
+                                  _closure_targets, _matvec, default_closure_grid)
 from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
@@ -205,13 +205,12 @@ def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     return solve_least_squares(Psi, Psidot).T
 
 
-def hybrid_generator_objective(sample: DriftSample, family, theta_samples,
-                               basis: MonomialBasis, lambda_b: float, lambda_R: float,
+def hybrid_generator_objective(design: GeneratorDesign, lambda_b: float, lambda_R: float,
                                b, R) -> float:
     """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
     b = np.asarray(b, dtype=float).ravel()
     R = np.asarray(R, dtype=float)
-    resid = _hybrid_residuals(sample, family, theta_samples, basis, b, R)
+    resid = design.residuals(b, R)
     return (float(np.sum(resid * resid)) + lambda_b * float(b @ b)
             + lambda_R * float(np.sum(R * R)))
 

@@ -202,11 +202,10 @@ def test_criterion_08_koopman_recoverability(criterion):
     theta_bar = thetas[jbar]
     sample = koopman.make_drift_sample(
         200, seed=0, field=lambda x: koopman.cstr_f0_family(x, theta_bar))
-    b, R, _ = koopman.fit_hybrid_generator(sample, koopman.cstr_f0_family, thetas,
-                                           basis, lambda_b=1e-8, lambda_R=1e2)
+    design = koopman.generator_design(sample, koopman.cstr_f0_family, thetas, basis)
+    b, R, _ = koopman.fit_hybrid_generator(design, lambda_b=1e-8, lambda_R=1e2)
     frob = float(np.linalg.norm(R, "fro"))
-    rmse = koopman.hybrid_prediction_rmse(sample, koopman.cstr_f0_family, thetas,
-                                          basis, b, R)
+    rmse = koopman.hybrid_prediction_rmse(design, b, R)
     assert frob < 1e-6
     assert rmse < 1e-8
     criterion.passed(8, f"planted drift recovered: |R|_F={frob:.1e}, "

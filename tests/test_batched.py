@@ -72,21 +72,24 @@ def test_hybrid_generator_matches_per_point_assembly(q, X, thetas, lam):
     basis = kp.MonomialBasis(q=q)
     sample = kp.DriftSample(states=X, drift_velocities=kp.cstr_f1(X))
     family = kp.cstr_f0_family
-    problem, const = kp.hybrid_generator_problem(sample, family, thetas, basis, 1e-8, lam)
+    design = kp.generator_design(sample, family, thetas, basis)
+    problem, const = kp.hybrid_generator_problem(design, 1e-8, lam)
     Q, q_lin, const_old = oracles.hybrid_generator_problem(sample, family, thetas, basis,
                                                            1e-8, lam)
     assert_bit_equal(problem.Q, Q)
     assert_bit_equal(problem.q_lin, q_lin)
     assert const == const_old
-    assert_bit_equal(kp.lifted_velocities(sample, basis),
-                     oracles.lifted_velocities(sample, basis))
+    assert_bit_equal(design.psidot, oracles.lifted_velocities(sample, basis))
+    assert_bit_equal(design.Psi, oracles.psi(basis, X))
+    assert_bit_equal(design.G, np.stack([[oracles.jacobian(basis, x) @ family(x, th)
+                                          for th in thetas] for x in X]))
 
     rng = np.random.default_rng(q)
     b = rng.dirichlet(np.ones(len(thetas)))
     R = rng.standard_normal((basis.N, basis.N))
-    assert (kp.hybrid_prediction_rmse(sample, family, thetas, basis, b, R)
+    assert (kp.hybrid_prediction_rmse(design, b, R)
             == oracles.hybrid_prediction_rmse(sample, family, thetas, basis, b, R))
-    new = oracles.hybrid_generator_objective(sample, family, thetas, basis, 1e-8, lam, b, R)
+    new = oracles.hybrid_generator_objective(design, 1e-8, lam, b, R)
     old = oracles.hybrid_generator_objective_per_point(sample, family, thetas, basis, 1e-8,
                                                        lam, b, R)
     assert abs(new - old) <= 1e-12 * abs(old)

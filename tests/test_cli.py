@@ -139,6 +139,36 @@ class TestExperiments:
         assert len(calls) == 30
         assert len(set(calls)) == 30
 
+    @pytest.mark.parametrize("driver", ["koopman", "control"])
+    def test_koopman_design_is_built_once_per_sweep(self, monkeypatch, driver):
+        # Dpsi and the family velocities do not depend on lambda_R, so a sweep
+        # evaluates them as often on a 3-point grid as on a 1-point grid
+        counts = {"jacobian": 0, "family": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setenv(experiments.THREADS_ENV, "1")
+        monkeypatch.setattr(koopman.MonomialBasis, "jacobian",
+                            counted("jacobian", koopman.MonomialBasis.jacobian))
+        monkeypatch.setattr(koopman, "cstr_f0_family",
+                            counted("family", koopman.cstr_f0_family))
+        seen = []
+        for grid in ((1.0,), (1e-2, 1.0, 1e2)):
+            counts.update(jacobian=0, family=0)
+            if driver == "koopman":
+                experiments.run_koopman(n=30, m=5, lambda_grid=grid)
+            else:
+                experiments.run_control(n=30, m=5, lambda_grid=grid, n_states=1,
+                                        horizon=0.1)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        if driver == "koopman":  # one design per sample: training and validation
+            assert seen[0] == {"jacobian": 2, "family": 2 * 5}
+
     def test_setting1_rows_deterministic(self):
         grid = (1e-2, 1e0)
         r1 = experiments.run_setting1(n=12, seed=0, lambda_grid=grid)

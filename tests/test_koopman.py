@@ -107,16 +107,20 @@ class TestHybridGenerator:
         self.thetas = np.random.default_rng(1000).uniform(0, 1, size=(10, 2))
         self.family = kp.cstr_f0_family
 
+    def design(self, sample, thetas=None):
+        thetas = self.thetas if thetas is None else thetas
+        return kp.generator_design(sample, self.family, thetas, BASIS3)
+
     def test_single_parameter_reduces_to_ridge(self):
         sample = kp.make_drift_sample(80, seed=4)
         theta = self.thetas[:1]
         lam_R = 0.5
-        b, R, _ = kp.fit_hybrid_generator(sample, self.family, theta, BASIS3,
+        b, R, _ = kp.fit_hybrid_generator(self.design(sample, theta),
                                           lambda_b=1e-8, lambda_R=lam_R)
         np.testing.assert_array_equal(b, [1.0])
         # closed-form ridge for R: residual targets around f0(.|theta_1)
         Psi = BASIS3.eval(sample.states)
-        targets = kp.lifted_velocities(sample, BASIS3) - np.stack(
+        targets = oracles.lifted_velocities(sample, BASIS3) - np.stack(
             [BASIS3.jacobian(x) @ self.family(x, theta[0]) for x in sample.states])
         R_ridge = np.linalg.solve(Psi.T @ Psi + lam_R * np.eye(6),
                                   Psi.T @ targets).T
@@ -125,15 +129,14 @@ class TestHybridGenerator:
     def test_objective_equivalence(self):
         sample = kp.make_drift_sample(40, seed=5)
         lam_b, lam_R = 1e-4, 0.3
-        problem, const = kp.hybrid_generator_problem(sample, self.family, self.thetas,
-                                                     BASIS3, lam_b, lam_R)
+        design = self.design(sample)
+        problem, const = kp.hybrid_generator_problem(design, lam_b, lam_R)
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.exponential(size=10)
             b = v / v.sum()
             R = rng.standard_normal((6, 6))
-            direct = oracles.hybrid_generator_objective(sample, self.family, self.thetas,
-                                                        BASIS3, lam_b, lam_R, b, R)
+            direct = oracles.hybrid_generator_objective(design, lam_b, lam_R, b, R)
             quad = problem.objective(b, vec(R)) + const
             assert quad == pytest.approx(direct, rel=1e-8)
 
@@ -143,21 +146,18 @@ class TestHybridGenerator:
         theta_bar = self.thetas[jbar]
         sample = kp.make_drift_sample(120, seed=7,
                                       field=lambda x: self.family(x, theta_bar))
-        b, R, _ = kp.fit_hybrid_generator(sample, self.family, self.thetas, BASIS3,
-                                          lambda_b=1e-8, lambda_R=1e2)
+        design = self.design(sample)
+        b, R, _ = kp.fit_hybrid_generator(design, lambda_b=1e-8, lambda_R=1e2)
         assert b[jbar] >= 0.99
         assert np.linalg.norm(R, "fro") < 1e-6
-        assert kp.hybrid_prediction_rmse(sample, self.family, self.thetas,
-                                         BASIS3, b, R) < 1e-8
+        assert kp.hybrid_prediction_rmse(design, b, R) < 1e-8
 
     def test_rejects_bad_regularization(self):
-        sample = kp.make_drift_sample(20, seed=8)
+        design = self.design(kp.make_drift_sample(20, seed=8))
         with pytest.raises(DomainError):
-            kp.fit_hybrid_generator(sample, self.family, self.thetas, BASIS3,
-                                    lambda_b=-1.0, lambda_R=1.0)
+            kp.fit_hybrid_generator(design, lambda_b=-1.0, lambda_R=1.0)
         with pytest.raises(DomainError):
-            kp.fit_hybrid_generator(sample, self.family, self.thetas, BASIS3,
-                                    lambda_b=0.0, lambda_R=0.0)
+            kp.fit_hybrid_generator(design, lambda_b=0.0, lambda_R=0.0)
 
 
 class TestClosures:

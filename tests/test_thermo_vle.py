@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridkernel import thermo_vle as tv
+from hybridkernel import experiments, thermo_vle as tv
 from hybridkernel.errors import DomainError
 
 
@@ -93,24 +93,30 @@ class TestBubblePoint:
 
 class TestDatasetGeneration:
     def test_bounds(self):
-        pts = tv.generate_vle_dataset(50, seed=0)
+        pts = experiments.vle_points(50, 0)
         assert len(pts) == 50
         for p in pts:
             assert 0.0 <= p.y <= 1.0
             assert 76.0 <= p.T <= 111.0
 
     def test_determinism(self):
-        assert tv.generate_vle_dataset(10, seed=3) == tv.generate_vle_dataset(10, seed=3)
+        runs = []
+        for _ in range(2):
+            # clear both caches, so that each call solves the points
+            experiments._vle_point.cache_clear()
+            experiments.vle_points.cache_clear()
+            runs.append(experiments.vle_points(10, 3))
+        assert runs[0] == runs[1]
 
     def test_single_point(self):
-        (pt,) = tv.generate_vle_dataset(1, seed=0)
+        (pt,) = experiments.vle_points(1, 0)
         assert 0.01 <= pt.x <= 0.99
 
     def test_csv_round_trip(self, tmp_path):
-        pts = tv.generate_vle_dataset(5, seed=1)
+        pts = experiments.vle_points(5, 1)
         tv.save_vle_csv(pts, tmp_path / "d.csv", seed=1)
         loaded = tv.load_vle_csv(tmp_path / "d.csv")
-        assert loaded == pts
+        assert tuple(loaded) == pts
         assert (tmp_path / "d.csv.meta.json").exists()
 
 
