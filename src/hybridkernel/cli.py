@@ -6,7 +6,8 @@ optional --config pointing at a flat key=value file; flags override the file.
 All outputs are deterministic per seed (rerunning a config reproduces every
 numeric byte; only the manifest timestamp changes).
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure (an unconverged QP
+included).
 """
 
 from __future__ import annotations

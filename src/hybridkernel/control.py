@@ -52,11 +52,17 @@ def clf_value(basis: MonomialBasis, x):
     return float(v) if v.ndim == 0 else v
 
 
+def _point(x) -> tuple:
+    """One state as a tuple of floats; simulate passes its states as such."""
+    return x if type(x) is tuple else tuple(np.asarray(x, dtype=float).ravel().tolist())
+
+
 def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
-    """Lie derivatives of V along drift and input channel of the true plant."""
-    x = np.asarray(x, dtype=float).ravel()
-    psi = basis.eval(x)
-    J = basis.jacobian(x)
+    """Lie derivatives of V along drift and input channel of the true plant;
+    f0 and f1 receive the state as a tuple of floats."""
+    x = _point(x)
+    psi = basis.eval_at(x)
+    J = basis.jacobian_at(x)
     a = 2.0 * float(psi @ (J @ np.asarray(f0(x), dtype=float).ravel()))
     b = 2.0 * float(psi @ (J @ np.asarray(f1(x), dtype=float).ravel()))
     return a, b
@@ -64,7 +70,7 @@ def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tup
 
 def clf_rates_model(model: KoopmanHybridModel, x, channel: int = 0) -> tuple[float, float]:
     """Lie derivatives of V computed on the bilinear lifted model at z = psi(x)."""
-    z = model.basis.eval(np.asarray(x, dtype=float).ravel())
+    z = model.basis.eval_at(_point(x))
     a = 2.0 * float(z @ (model.drift_matrix @ z))
     b = 2.0 * float(z @ (model.input_betas[channel] + model.input_gammas[channel] @ z))
     return a, b
@@ -80,31 +86,46 @@ def lin_sontag(a: float, b: float, bound: float = 1.0) -> float:
     return float(min(max(u, -bound), bound))
 
 
+def _floats(v):
+    """A dynamics result as a sequence of floats; an array becomes a list."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
              horizon: float) -> Trajectory:
     """Classical RK4 with zero-order-hold control over each step; the horizon
-    must be a whole number of steps (to 1e-9 relative)."""
+    must be a whole number of steps (to 1e-9 relative).
+
+    The state is carried as a tuple of Python floats: controller(x) and
+    dynamics(x, u) receive that tuple, and dynamics returns a sequence of
+    floats (an array is accepted). A state that overflows or turns NaN raises
+    NonFinite.
+    """
     if not 0 < dt <= horizon < math.inf:
         raise DomainError(f"need 0 < dt <= horizon < inf, got dt={dt}, horizon={horizon}")
     steps = round(horizon / dt)
     if abs(horizon / dt - steps) > 1e-9 * steps:
         raise DomainError(f"horizon {horizon} is not a whole number of steps of {dt}")
-    x = np.asarray(x0, dtype=float).ravel()
-    states = np.empty((steps + 1, x.size))
-    controls = np.empty(steps)
-    states[0] = x
-    for step in range(steps):
-        u = float(controller(x))
-        k1 = np.asarray(dynamics(x, u), dtype=float)
-        k2 = np.asarray(dynamics(x + 0.5 * dt * k1, u), dtype=float)
-        k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
-        k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise NonFinite(f"state became non-finite at step {step}")
-        controls[step] = u
-        states[step + 1] = x
-    return Trajectory(times=np.arange(steps + 1) * dt, states=states, controls=controls)
+    x = tuple(np.asarray(x0, dtype=float).ravel().tolist())
+    half, sixth = 0.5 * dt, dt / 6.0
+    states, controls = [x], []
+    try:
+        for step in range(steps):
+            u = float(controller(x))
+            k1 = _floats(dynamics(x, u))
+            k2 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k1)]), u))
+            k3 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k2)]), u))
+            k4 = _floats(dynamics(tuple([xi + dt * ki for xi, ki in zip(x, k3)]), u))
+            x = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+            if not all(map(math.isfinite, x)):
+                raise NonFinite(f"state became non-finite at step {step}")
+            controls.append(u)
+            states.append(x)
+    except OverflowError as e:
+        raise NonFinite(f"overflow at step {step}: {e}") from e
+    return Trajectory(times=np.arange(steps + 1) * dt, states=np.array(states),
+                      controls=np.array(controls))
 
 
 def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:

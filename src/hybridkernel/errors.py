@@ -39,3 +39,7 @@ class NonFinite(HybridKernelError):
 
 class ConfigError(HybridKernelError):
     pass
+
+
+class NotConverged(HybridKernelError):
+    """An iterative solver stopped at its iteration cap above its tolerance."""

@@ -249,20 +249,19 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         state_seed = seed + 2000
     basis = koopman.MonomialBasis(q=q)
     thetas = sample_thetas(m, seed + 1000)
-    f0_true, f1, family = koopman.cstr_fields()
+    _, f1, family = koopman.cstr_fields()
     train = cstr_design(n, seed, thetas, basis)
     x0s = koopman.sample_states(n_states, state_seed)
     closures = fit_closures(thetas, basis, family, f1)
-
-    def plant(x, u):
-        return f0_true(x) + u * f1(x)
 
     def v_monotone(traj):
         return bool(np.all(np.diff(control.clf_value(basis, traj.states)) <= 1e-6))
 
     # the ground-truth loop does not depend on lambda_R
-    truth_ctrl = control.make_truth_controller(basis, f0_true, f1)
-    truths = [control.simulate(plant, truth_ctrl, x0, dt, horizon) for x0 in x0s]
+    truth_ctrl = control.make_truth_controller(basis, koopman.cstr_f0_true_at,
+                                               koopman.cstr_f1_at)
+    truths = [control.simulate(koopman.cstr_plant, truth_ctrl, x0, dt, horizon)
+              for x0 in x0s]
     truth_monotone = [v_monotone(t) for t in truths]
 
     rows = []
@@ -271,7 +270,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         model_ctrl = control.make_model_controller(
             build_hybrid_model(b, R, thetas, basis, closures))
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
-            t_model = control.simulate(plant, model_ctrl, x0, dt, horizon)
+            t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, dt, horizon)
             row = {
                 "lambda_R": float(lam),
                 "x0_index": i,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NotConverged
 from .kernels import KernelSpec, cross_gram, gram
 from .linalg import solve_spd
 
@@ -219,7 +219,8 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float,
     """Simplex-constrained QP fit of mixture weights plus kernel residual.
 
     Objective: ||F b + G c - y||^2 + l_omega b'G_theta b + l_r c'G c, where
-    the columns of F are the family members.
+    the columns of F are the family members. Raises NotConverged if the QP
+    stops at its iteration cap.
     """
     if lambda_omega < 0 or lambda_r <= 0:
         raise DomainError("need lambda_omega >= 0 and lambda_r > 0")
@@ -228,6 +229,9 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float,
     problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,
                                           m_simplex=m, n_free=n)
     sol = simplex_qp.solve(problem)
+    if not sol.converged:
+        raise NotConverged(f"mixture QP at lambda_r={lambda_r} did not converge in "
+                           f"{sol.iterations} iterations (KKT residual {sol.kkt_residual:.3e})")
     return design.model(sol.b, sol.c_free)
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NotConverged
 from .linalg import solve_least_squares, unvec
 
 STATE_BOX = 0.25  # X = [-1/4, 1/4]^2
@@ -47,6 +47,17 @@ class MonomialBasis:
             out[..., self.q + k] = x1 ** k * x2
         return out
 
+    def eval_at(self, x) -> np.ndarray:
+        """psi at one state given as (x1, x2) floats, bit for bit a row of eval.
+
+        The array ``**`` of eval is x*x for squares and numpy's SIMD pow
+        otherwise, which differs from libm's (Python's ``**``) in the last bit;
+        so squares are x1 * x1 and higher powers go through np.power.
+        """
+        x1, x2 = x
+        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
+        return np.array(powers + [x2] + [p * x2 for p in powers[:-1]])
+
     def jacobian(self, x) -> np.ndarray:
         """Partial derivatives of psi at states of shape (..., 2), as (..., N, 2).
 
@@ -60,6 +71,15 @@ class MonomialBasis:
             J[..., row, 0] = i * pw(x1, i - 1) * pw(x2, j) if i >= 1 else 0.0
             J[..., row, 1] = pw(x1, i) * j * pw(x2, j - 1) if j >= 1 else 0.0
         return J
+
+    def jacobian_at(self, x) -> np.ndarray:
+        """Dpsi at one state given as (x1, x2) floats, bit for bit a row of
+        jacobian: Python's ``**`` on floats is libm's pow, as np.float_power is."""
+        x1, x2 = x
+        return np.array([d for i, j in self.exponents
+                         for d in (i * x1 ** (i - 1) * x2 ** j if i >= 1 else 0.0,
+                                   x1 ** i * j * x2 ** (j - 1) if j >= 1 else 0.0)]
+                        ).reshape(self.N, 2)
 
 
 def _matvec(J: np.ndarray, v) -> np.ndarray:
@@ -89,27 +109,53 @@ class DriftSample:
         return self.states.shape[0]
 
 
+def _f0_true(x):
+    """The CSTR drift formula at x = (x1, x2): floats or coordinate arrays."""
+    x1, x2 = x
+    rate = 9.0 * (1.0 + x1) / (4.0 * (3.0 + 2.0 * x1))
+    return (3.0 - x1) / 4.0 - rate, -3.0 * (1.0 + x2) / 4.0 + rate
+
+
+def _on_states(formula, x) -> np.ndarray:
+    """formula at the coordinate arrays of (..., 2) states, as an (..., 2) array."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape)
+    out[..., 0], out[..., 1] = formula((x[..., 0], x[..., 1]))
+    return out
+
+
 def cstr_f0_true(x) -> np.ndarray:
     """CSTR drift with fractional kinetics; steady state at the origin."""
     x = np.asarray(x, dtype=float)
-    x1, x2 = x[..., 0], x[..., 1]
-    denom = 3.0 + 2.0 * x1
-    if np.count_nonzero(denom == 0.0):
+    if np.count_nonzero(3.0 + 2.0 * x[..., 0] == 0.0):
         raise DomainError("drift undefined at 3 + 2 x1 = 0")
-    rate = 9.0 * (1.0 + x1) / (4.0 * denom)
-    out = np.empty(x.shape)
-    out[..., 0] = (3.0 - x1) / 4.0 - rate
-    out[..., 1] = -3.0 * (1.0 + x2) / 4.0 + rate
-    return out
+    return _on_states(_f0_true, x)
+
+
+def cstr_f0_true_at(x) -> tuple[float, float]:
+    """cstr_f0_true at one state given as (x1, x2) floats, as a tuple of floats."""
+    if 3.0 + 2.0 * x[0] == 0.0:
+        raise DomainError("drift undefined at 3 + 2 x1 = 0")
+    return _f0_true(x)
 
 
 def cstr_f1(x) -> np.ndarray:
     """Known input channel (throughput convection)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    out[..., 0] = (3.0 - x[..., 0]) / 4.0
-    out[..., 1] = -(1.0 + x[..., 1]) / 4.0
-    return out
+    return _on_states(cstr_f1_at, x)
+
+
+def cstr_f1_at(x) -> tuple[float, float]:
+    """cstr_f1 at one state given as (x1, x2) floats, as a tuple of floats;
+    cstr_f1 runs the same formula on coordinate arrays."""
+    x1, x2 = x
+    return (3.0 - x1) / 4.0, -(1.0 + x2) / 4.0
+
+
+def cstr_plant(x, u: float) -> tuple[float, float]:
+    """The true plant f0_true(x) + u f1(x) at one state of floats; the
+    closed-loop dynamics that control.simulate integrates."""
+    (a1, a2), (b1, b2) = cstr_f0_true_at(x), cstr_f1_at(x)
+    return a1 + u * b1, a2 + u * b2
 
 
 def cstr_f0_family(x, theta) -> np.ndarray:
@@ -208,10 +254,14 @@ def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: flo
 
     Minimizes sum_i ||sum_j b_j G_ij + R psi_i - psi-dot_i||^2
               + lambda_b ||b||^2 + lambda_R ||R||_F^2
-    with b on the simplex. Returns (b, R, QpSolution).
+    with b on the simplex. Returns (b, R, QpSolution); raises NotConverged
+    if the QP stops at its iteration cap.
     """
     problem, _ = hybrid_generator_problem(design, lambda_b, lambda_R)
     sol = simplex_qp.solve(problem)
+    if not sol.converged:
+        raise NotConverged(f"hybrid generator QP at lambda_R={lambda_R} did not converge in "
+                           f"{sol.iterations} iterations (KKT residual {sol.kkt_residual:.3e})")
     N = design.basis.N
     return sol.b, unvec(sol.c_free, N, N), sol
 

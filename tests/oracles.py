@@ -2,7 +2,9 @@
 
 The per-point Koopman functions are the scalar paths that the batched code
 in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
-property tests check the batched results against them bit for bit. Likewise
+property tests check the batched results against them bit for bit. The
+closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
+is the path that ``control.simulate`` on Python floats replaced. Likewise
 the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
 term at each bisection step, the symmetrized Gram matrix and the csv.writer
 trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
@@ -19,11 +21,13 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from hybridkernel import linalg, simplex_qp
-from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket,
+from hybridkernel.control import lin_sontag
+from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket, NonFinite,
                                  NotPositiveDefinite, NotSymmetric)
 from hybridkernel.kernels import KernelSpec, _as_points
 from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis,
-                                  _closure_targets, _matvec, default_closure_grid)
+                                  _closure_targets, _matvec, cstr_f0_true, cstr_f1,
+                                  default_closure_grid)
 from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
@@ -177,7 +181,8 @@ def closure_residual_per_point(field, basis: MonomialBasis, beta, Gamma,
 
 
 def simulate(dynamics, controller, x0, dt: float, horizon: float):
-    """RK4 with zero-order hold, collecting (times, states, controls) in lists."""
+    """RK4 with zero-order hold on numpy arrays, collecting (times, states,
+    controls) in lists; a non-finite state raises NonFinite."""
     steps = int(round(horizon / dt))
     x = np.asarray(x0, dtype=float).ravel()
     times, states, controls = [0.0], [x.copy()], []
@@ -188,10 +193,39 @@ def simulate(dynamics, controller, x0, dt: float, horizon: float):
         k3 = np.asarray(dynamics(x + 0.5 * dt * k2, u), dtype=float)
         k4 = np.asarray(dynamics(x + dt * k3, u), dtype=float)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            raise NonFinite(f"state became non-finite at step {step}")
         controls.append(u)
         times.append((step + 1) * dt)
         states.append(x.copy())
     return np.array(times), np.stack(states), np.array(controls)
+
+
+def plant(x, u) -> np.ndarray:
+    """The CSTR plant on a (2,) state array, from the array fields."""
+    return cstr_f0_true(x) + u * cstr_f1(x)
+
+
+def truth_controller(basis: MonomialBasis):
+    """The ground-truth CLF controller on a (2,) state array: psi and Dpsi
+    from the batched eval and jacobian, the CSTR fields as arrays."""
+    def controller(x):
+        x = np.asarray(x, dtype=float).ravel()
+        psi, J = basis.eval(x), basis.jacobian(x)
+        a = 2.0 * float(psi @ (J @ cstr_f0_true(x)))
+        b = 2.0 * float(psi @ (J @ cstr_f1(x)))
+        return lin_sontag(a, b)
+    return controller
+
+
+def model_controller(model):
+    """The hybrid-model CLF controller on a (2,) state array, psi from eval."""
+    def controller(x):
+        z = model.basis.eval(np.asarray(x, dtype=float).ravel())
+        a = 2.0 * float(z @ (model.drift_matrix @ z))
+        b = 2.0 * float(z @ (model.input_betas[0] + model.input_gammas[0] @ z))
+        return lin_sontag(a, b)
+    return controller
 
 
 # ---- moved from hybridkernel.koopman: only tests call them ------------------

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hybridkernel import cli, experiments, koopman, thermo_vle
+from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel, family_features
 from hybridkernel.errors import ConfigError
 
@@ -80,6 +80,15 @@ class TestCliRuns:
         assert run_cli(["setting1", "--lambda", "not-a-number",
                         "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("call", [("control", "--n", "30", "--m", "5"),
+                                      ("setting3", "--n", "12", "--m", "5")])
+    def test_exit_code_3_on_unconverged_qp(self, tmp_path, capsys, monkeypatch, call):
+        monkeypatch.setattr(simplex_qp.solve, "__defaults__", (simplex_qp.DEFAULT_TOL, 2))
+        with pytest.warns(RuntimeWarning, match="max_iter=2"):
+            assert run_cli(list(call) + ["--lambda", "1", "--out", str(tmp_path)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_exit_code_2_on_bad_thread_cap(self, tmp_path, capsys, monkeypatch, value):
