@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, koopman, thermo_vle
+from . import __version__, experiments, thermo_vle
 from .errors import ConfigError, HybridKernelError
 
 EXPERIMENTS = ("vle-data", "setting1", "setting2", "setting3", "koopman", "control")
@@ -136,10 +136,10 @@ def _write_manifest(out: Path, config: ExperimentConfig, seeds: dict,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_vle_data(out: Path, config: ExperimentConfig) -> list[str]:
+def _write_vle_data(out: Path, config: ExperimentConfig, seeds: dict) -> list[str]:
     """train.csv and val.csv from the VLE points the sweep fits."""
     files = []
-    for name, seed in (("train", config.seed), ("val", config.seed + 1)):
+    for name, seed in (("train", seeds["data_seed"]), ("val", seeds["validation_seed"])):
         thermo_vle.save_vle_csv(experiments.vle_points(config.n, seed),
                                 out / f"{name}.csv", seed=seed)
         files += [f"{name}.csv", f"{name}.csv.meta.json"]
@@ -150,7 +150,7 @@ def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    seeds = {"data_seed": config.seed, "validation_seed": config.seed + 1}
+    seeds = experiments.seeds(config.experiment, config.seed)
     files = []
 
     if config.experiment == "vle-data":
@@ -159,14 +159,14 @@ def run(config: ExperimentConfig) -> int:
         files += ["data.csv", "data.csv.meta.json"]
 
     elif config.experiment == "setting1":
-        files += _write_vle_data(out, config)
+        files += _write_vle_data(out, config, seeds)
         rows = experiments.run_setting1(n=config.n, seed=config.seed,
                                         lambda_grid=config.lambda_grid)
         _write_csv(out / "summary.csv", rows, ["lambda", "train_rmse", "val_rmse"])
         files.append("summary.csv")
 
     elif config.experiment == "setting2":
-        files += _write_vle_data(out, config)
+        files += _write_vle_data(out, config, seeds)
         result = experiments.run_setting2(n=config.n, seed=config.seed,
                                           lambda_grid=config.lambda_grid)
         _write_csv(out / "reference.csv", result["reference"],
@@ -181,47 +181,37 @@ def run(config: ExperimentConfig) -> int:
         files.append("margules_model.json")
 
     elif config.experiment == "setting3":
-        theta_seed = config.seed + 1000
-        seeds["theta_seed"] = theta_seed
         rows = experiments.run_setting3(n=config.n, seed=config.seed, m=config.m,
-                                        lambda_grid=config.lambda_grid,
-                                        theta_seed=theta_seed)
+                                        lambda_grid=config.lambda_grid)
         _write_csv(out / "summary.csv", rows,
                    ["lambda", "train_rmse", "val_rmse", "theta_star"])
         files.append("summary.csv")
         for i, row in enumerate(rows):
-            doc = row["model"].to_json(lambda_r=row["lambda"], lambda_omega=0.0,
+            doc = row["model"].to_json(lambda_r=row["lambda"],
+                                       lambda_omega=experiments.DEFAULT_LAMBDA_OMEGA,
                                        theta_samples=row["theta_samples"].tolist(),
                                        theta_star=row["theta_star"], seed=config.seed,
-                                       theta_seed=theta_seed)
+                                       theta_seed=seeds["theta_seed"])
             name = f"mixture_model_{i:02d}.json"
             (out / name).write_text(doc + "\n")
             files.append(name)
 
     elif config.experiment == "koopman":
-        theta_seed = config.seed + 1000
-        seeds["theta_seed"] = theta_seed
         rows = experiments.run_koopman(n=config.n, seed=config.seed, m=config.m,
-                                       lambda_grid=config.lambda_grid,
-                                       theta_seed=theta_seed)
+                                       lambda_grid=config.lambda_grid)
         _write_csv(out / "sweep.csv", rows,
                    ["lambda_R", "train_rmse", "val_rmse", "frob_R"])
         files.append("sweep.csv")
         for i, (row, model) in enumerate(zip(rows, experiments.koopman_models(rows))):
-            doc = koopman.model_to_json_dict(model,
-                                             lambda_b=experiments.DEFAULT_LAMBDA_B,
-                                             lambda_R=row["lambda_R"], seeds=seeds)
+            doc = model.to_json(lambda_b=experiments.DEFAULT_LAMBDA_B,
+                                lambda_R=row["lambda_R"], seeds=seeds)
             name = f"koopman_model_{i:02d}.json"
-            (out / name).write_text(json.dumps(doc, indent=2) + "\n")
+            (out / name).write_text(doc + "\n")
             files.append(name)
 
     elif config.experiment == "control":
-        state_seed = config.seed + 2000
-        seeds["theta_seed"] = config.seed + 1000
-        seeds["state_seed"] = state_seed
         rows = experiments.run_control(seed=config.seed, n=config.n, m=config.m,
-                                       lambda_grid=config.lambda_grid,
-                                       state_seed=state_seed, keep_trajectories=True)
+                                       lambda_grid=config.lambda_grid, keep_trajectories=True)
         summary = [{k: v for k, v in row.items() if not k.startswith("trajectory")}
                    for row in rows]
         (out / "comparison.json").write_text(json.dumps(summary, indent=2) + "\n")

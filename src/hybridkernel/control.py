@@ -59,30 +59,38 @@ def _point(x) -> tuple:
 
 def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
     """Lie derivatives of V along drift and input channel of the true plant;
-    f0 and f1 receive the state as a tuple of floats."""
+    f0 and f1 receive the state as a tuple of floats. Raises NonFinite where
+    the Python-float powers of Dpsi overflow."""
     x = _point(x)
     psi = basis.eval_at(x)
-    J = basis.jacobian_at(x)
+    try:
+        J = basis.jacobian_at(x)
+    except OverflowError as e:
+        raise NonFinite(f"Dpsi overflows at x={x}") from e
     a = 2.0 * float(psi @ (J @ np.asarray(f0(x), dtype=float).ravel()))
     b = 2.0 * float(psi @ (J @ np.asarray(f1(x), dtype=float).ravel()))
     return a, b
 
 
-def clf_rates_model(model: KoopmanHybridModel, x, channel: int = 0) -> tuple[float, float]:
+def clf_rates_model(model: KoopmanHybridModel, x) -> tuple[float, float]:
     """Lie derivatives of V computed on the bilinear lifted model at z = psi(x)."""
     z = model.basis.eval_at(_point(x))
     a = 2.0 * float(z @ (model.drift_matrix @ z))
-    b = 2.0 * float(z @ (model.input_betas[channel] + model.input_gammas[channel] @ z))
+    b = 2.0 * float(z @ (model.input_beta + model.input_gamma @ z))
     return a, b
 
 
 def lin_sontag(a: float, b: float, bound: float = 1.0) -> float:
-    """Bounded-control universal CLF formula, clamped to [-bound, bound]."""
+    """Bounded-control universal CLF formula, clamped to [-bound, bound];
+    raises NonFinite where b ** 4 overflows (|b| above about 1e77)."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     if abs(b) < B_DEADBAND:
         return 0.0
-    u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
+    try:
+        u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
+    except OverflowError as e:
+        raise NonFinite(f"Lin-Sontag formula overflows at b={b!r}") from e
     return float(min(max(u, -bound), bound))
 
 
@@ -109,21 +117,18 @@ def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
     x = tuple(np.asarray(x0, dtype=float).ravel().tolist())
     half, sixth = 0.5 * dt, dt / 6.0
     states, controls = [x], []
-    try:
-        for step in range(steps):
-            u = float(controller(x))
-            k1 = _floats(dynamics(x, u))
-            k2 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k1)]), u))
-            k3 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k2)]), u))
-            k4 = _floats(dynamics(tuple([xi + dt * ki for xi, ki in zip(x, k3)]), u))
-            x = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-                       for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
-            if not all(map(math.isfinite, x)):
-                raise NonFinite(f"state became non-finite at step {step}")
-            controls.append(u)
-            states.append(x)
-    except OverflowError as e:
-        raise NonFinite(f"overflow at step {step}: {e}") from e
+    for step in range(steps):
+        u = float(controller(x))
+        k1 = _floats(dynamics(x, u))
+        k2 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k1)]), u))
+        k3 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k2)]), u))
+        k4 = _floats(dynamics(tuple([xi + dt * ki for xi, ki in zip(x, k3)]), u))
+        x = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
+                   for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
+        if not all(map(math.isfinite, x)):
+            raise NonFinite(f"state became non-finite at step {step}")
+        controls.append(u)
+        states.append(x)
     return Trajectory(times=np.arange(steps + 1) * dt, states=np.array(states),
                       controls=np.array(controls))
 
@@ -135,17 +140,15 @@ def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:
     return float(np.max(np.linalg.norm(t1.states - t2.states, axis=1)))
 
 
-def make_truth_controller(basis: MonomialBasis, f0: Callable, f1: Callable,
-                          bound: float = 1.0) -> Callable:
+def make_truth_controller(basis: MonomialBasis, f0: Callable, f1: Callable) -> Callable:
     def controller(x):
         a, b = clf_rates_fields(basis, f0, f1, x)
-        return lin_sontag(a, b, bound)
+        return lin_sontag(a, b)
     return controller
 
 
-def make_model_controller(model: KoopmanHybridModel, bound: float = 1.0,
-                          channel: int = 0) -> Callable:
+def make_model_controller(model: KoopmanHybridModel) -> Callable:
     def controller(x):
-        a, b = clf_rates_model(model, x, channel)
-        return lin_sontag(a, b, bound)
+        a, b = clf_rates_model(model, x)
+        return lin_sontag(a, b)
     return controller

@@ -21,7 +21,10 @@ DEFAULT_LAMBDA_R_GRID = tuple(np.logspace(-4, 2, 7))
 DEFAULT_GAMMA_X = 100.0
 DEFAULT_GAMMA_THETA = 10.0
 DEFAULT_LAMBDA_THETA = 1e-6
+DEFAULT_LAMBDA_OMEGA = 0.0
 DEFAULT_LAMBDA_B = 1e-8
+DEFAULT_Q = 3
+DEFAULT_DT = 0.01
 THREADS_ENV = "HYBRIDKERNEL_THREADS"
 
 
@@ -106,12 +109,23 @@ def sample_thetas(m: int, seed: int, dim: int = 2) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(m, dim))
 
 
-def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
-                 gamma: float = DEFAULT_GAMMA_X) -> list[dict]:
+def seeds(experiment: str, seed: int) -> dict:
+    """The seeds a run of `experiment` at `seed` draws from, named as
+    manifest.json records them: data, validation, theta samples (setting3,
+    koopman, control) and initial states (control)."""
+    out = {"data_seed": seed, "validation_seed": seed + 1}
+    if experiment in ("setting3", "koopman", "control"):
+        out["theta_seed"] = seed + 1000
+    if experiment == "control":
+        out["state_seed"] = seed + 2000
+    return out
+
+
+def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[dict]:
     """KRR around the relative-volatility reference on (x, y) data."""
     train = hybrid_static.design(xy_dataset(n, seed), relative_volatility_reference,
-                                 KernelSpec(gamma=gamma))
-    val = train.at(xy_dataset(n, seed + 1))
+                                 KernelSpec(gamma=DEFAULT_GAMMA_X))
+    val = train.at(xy_dataset(n, seeds("setting1", seed)["validation_seed"]))
 
     def one(lam):
         model = hybrid_static.fit_reference_krr(train, lam)
@@ -122,22 +136,21 @@ def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
     return _map_grid(one, list(lambda_grid))
 
 
-def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
-                 gamma: float = DEFAULT_GAMMA_X,
-                 lambda_theta: float = DEFAULT_LAMBDA_THETA) -> dict:
+def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> dict:
     """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data.
 
     Each "margules" row carries its fitted model under "model".
     """
     ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
-                                     KernelSpec(gamma=gamma))
-    ref_val = ref_train.at(gex_dataset(n, seed + 1))
+                                     KernelSpec(gamma=DEFAULT_GAMMA_X))
+    ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_train = ref_train.with_features(thermo_vle.margules_features, joint=True)
     sub_val = ref_val.with_features(thermo_vle.margules_features)
 
     def one(lam):
         ref = hybrid_static.fit_reference_krr(ref_train, lam)
-        sub = hybrid_static.fit_subspace(sub_train, lambda_theta=lambda_theta, lambda_r=lam)
+        sub = hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
+                                         lambda_r=lam)
         return (
             {"lambda": float(lam),
              "train_rmse": hybrid_static.rmse(ref, ref_train),
@@ -154,22 +167,19 @@ def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID,
 
 
 def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
-                 lambda_grid=DEFAULT_LAMBDA_GRID, gamma_x: float = DEFAULT_GAMMA_X,
-                 gamma_theta: float = DEFAULT_GAMMA_THETA,
-                 lambda_omega: float = 0.0, theta_seed: int = None) -> list[dict]:
+                 lambda_grid=DEFAULT_LAMBDA_GRID) -> list[dict]:
     """Wilson-manifold mixture fit on Gibbs-energy data."""
-    if theta_seed is None:
-        theta_seed = seed + 1000
-    thetas = sample_thetas(m, theta_seed)
+    run_seeds = seeds("setting3", seed)
+    thetas = sample_thetas(m, run_seeds["theta_seed"])
     train = hybrid_static.design(gex_dataset(n, seed),
                                  hybrid_static.family_features(wilson_family, thetas),
-                                 KernelSpec(gamma=gamma_x), joint=True)
-    val = train.at(gex_dataset(n, seed + 1))
-    theta_gram = gram(KernelSpec(gamma=gamma_theta), thetas)
+                                 KernelSpec(gamma=DEFAULT_GAMMA_X), joint=True)
+    val = train.at(gex_dataset(n, run_seeds["validation_seed"]))
+    theta_gram = gram(KernelSpec(gamma=DEFAULT_GAMMA_THETA), thetas)
 
     def one(lam):
-        model = hybrid_static.fit_mixture(train, theta_gram, lambda_omega=lambda_omega,
-                                          lambda_r=lam)
+        model = hybrid_static.fit_mixture(train, theta_gram,
+                                          lambda_omega=DEFAULT_LAMBDA_OMEGA, lambda_r=lam)
         theta_star = hybrid_static.effective_parameter(model.weights, thetas)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
@@ -185,38 +195,39 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
 def cstr_design(n: int, seed: int, thetas, basis: koopman.MonomialBasis
                 ) -> koopman.GeneratorDesign:
     """Hybrid generator design on n CSTR drift states drawn at `seed`."""
-    f0_true, _, family = koopman.cstr_fields()
-    return koopman.generator_design(koopman.make_drift_sample(n, seed, f0_true), family,
-                                    thetas, basis)
+    return koopman.generator_design(koopman.make_drift_sample(n, seed),
+                                    koopman.cstr_f0_family, thetas, basis)
 
 
-def fit_closures(thetas, basis: koopman.MonomialBasis, family, f1) -> tuple:
-    """The lambda-independent closures: Gamma_j of each family member f0(. | theta_j),
-    and the affine (beta, Gamma) of the input channel f1."""
-    drift = [koopman.closure_fit(lambda x, th=th: family(x, th), basis)[1]
-             for th in np.asarray(thetas)]
-    return drift, [koopman.closure_fit(f1, basis, affine=True)]
+def fit_closures(thetas, basis: koopman.MonomialBasis) -> tuple:
+    """The lambda-independent closures (A, beta, Gamma): A[j] is the Gamma of
+    family member f0(. | theta_j), (beta, Gamma) the affine one of the input
+    channel f1."""
+    A = np.stack([koopman.closure_fit(lambda x, th=th: koopman.cstr_f0_family(x, th), basis)[1]
+                  for th in np.asarray(thetas)])
+    return (A, *koopman.closure_fit(koopman.cstr_f1, basis, affine=True))
 
 
 def build_hybrid_model(b, R, thetas, basis: koopman.MonomialBasis,
                        closures: tuple) -> koopman.KoopmanHybridModel:
-    """Assemble the bilinear lifted model from fitted (b, R) and fit_closures output."""
-    drift, inputs = closures
-    return koopman.assemble_bilinear(b, R, drift, inputs, basis, theta_samples=thetas)
+    """The bilinear lifted model of fitted (b, R) and the fit_closures output."""
+    return koopman.KoopmanHybridModel(basis, b, R, *closures, theta_samples=thetas)
 
 
 def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
-                lambda_grid=DEFAULT_LAMBDA_R_GRID, lambda_b: float = DEFAULT_LAMBDA_B,
-                q: int = 3, theta_seed: int = None) -> list[dict]:
+                lambda_grid=DEFAULT_LAMBDA_R_GRID) -> list[dict]:
     """Hybrid generator identification sweep over lambda_R; each row carries
     the fitted "b" and "R" and the sweep's "basis" and "theta_samples", from
     which koopman_models assembles the bilinear models."""
-    basis = koopman.MonomialBasis(q=q)
-    thetas = sample_thetas(m, seed + 1000 if theta_seed is None else theta_seed)
-    train, val = (cstr_design(n, s, thetas, basis) for s in (seed, seed + 1))
+    run_seeds = seeds("koopman", seed)
+    basis = koopman.MonomialBasis(q=DEFAULT_Q)
+    thetas = sample_thetas(m, run_seeds["theta_seed"])
+    train, val = (cstr_design(n, s, thetas, basis)
+                  for s in (seed, run_seeds["validation_seed"]))
 
     def one(lam):
-        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=lambda_b, lambda_R=lam)
+        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=DEFAULT_LAMBDA_B,
+                                               lambda_R=lam)
         return {"lambda_R": float(lam),
                 "train_rmse": koopman.hybrid_prediction_rmse(train, b, R),
                 "val_rmse": koopman.hybrid_prediction_rmse(val, b, R),
@@ -229,30 +240,25 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
 def koopman_models(rows: list[dict]) -> list[koopman.KoopmanHybridModel]:
     """The bilinear model of each run_koopman row; the closures are fit once."""
     basis, thetas = rows[0]["basis"], rows[0]["theta_samples"]
-    _, f1, family = koopman.cstr_fields()
-    closures = fit_closures(thetas, basis, family, f1)
+    closures = fit_closures(thetas, basis)
     return [build_hybrid_model(r["b"], r["R"], thetas, basis, closures) for r in rows]
 
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,
-                lambda_grid=DEFAULT_LAMBDA_R_GRID, lambda_b: float = DEFAULT_LAMBDA_B,
-                q: int = 3, n_states: int = 5, dt: float = 0.01,
-                horizon: float = 10.0, state_seed: int = None,
-                keep_trajectories: bool = False) -> list[dict]:
+                lambda_grid=DEFAULT_LAMBDA_R_GRID, n_states: int = 5,
+                horizon: float = 10.0, keep_trajectories: bool = False) -> list[dict]:
     """Closed-loop comparison: ground-truth CLF controller vs hybrid-model one.
 
     Both controllers drive the true plant (certainty equivalence); reported per
     (lambda_R, initial state): max state deviation and whether V decreased
     monotonically (1e-6 per-step tolerance) along both trajectories.
     """
-    if state_seed is None:
-        state_seed = seed + 2000
-    basis = koopman.MonomialBasis(q=q)
-    thetas = sample_thetas(m, seed + 1000)
-    _, f1, family = koopman.cstr_fields()
+    run_seeds = seeds("control", seed)
+    basis = koopman.MonomialBasis(q=DEFAULT_Q)
+    thetas = sample_thetas(m, run_seeds["theta_seed"])
     train = cstr_design(n, seed, thetas, basis)
-    x0s = koopman.sample_states(n_states, state_seed)
-    closures = fit_closures(thetas, basis, family, f1)
+    x0s = koopman.sample_states(n_states, run_seeds["state_seed"])
+    closures = fit_closures(thetas, basis)
 
     def v_monotone(traj):
         return bool(np.all(np.diff(control.clf_value(basis, traj.states)) <= 1e-6))
@@ -260,17 +266,19 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     # the ground-truth loop does not depend on lambda_R
     truth_ctrl = control.make_truth_controller(basis, koopman.cstr_f0_true_at,
                                                koopman.cstr_f1_at)
-    truths = [control.simulate(koopman.cstr_plant, truth_ctrl, x0, dt, horizon)
+    truths = [control.simulate(koopman.cstr_plant, truth_ctrl, x0, DEFAULT_DT, horizon)
               for x0 in x0s]
     truth_monotone = [v_monotone(t) for t in truths]
 
     rows = []
     for lam in lambda_grid:
-        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=lambda_b, lambda_R=lam)
+        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=DEFAULT_LAMBDA_B,
+                                               lambda_R=lam)
         model_ctrl = control.make_model_controller(
             build_hybrid_model(b, R, thetas, basis, closures))
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
-            t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, dt, horizon)
+            t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, DEFAULT_DT,
+                                       horizon)
             row = {
                 "lambda_R": float(lam),
                 "x0_index": i,

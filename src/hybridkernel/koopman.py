@@ -1,10 +1,11 @@
 """Continuous-time Koopman machinery for the CSTR case study: monomial basis,
 lifted velocities, hybrid generator identification over a simplex of
-parameterized drifts, affine closures, and bilinear model assembly.
+parameterized drifts, affine closures, and the bilinear lifted model.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -36,27 +37,22 @@ class MonomialBasis:
     def exponents(self) -> list[tuple[int, int]]:
         return [(k, 0) for k in range(1, self.q + 1)] + [(k, 1) for k in range(self.q)]
 
+    def _terms(self, x1, x2) -> list:
+        """psi's entries from the coordinates, floats or arrays. The array
+        ``**`` is x*x for squares and numpy's SIMD pow otherwise, which differs
+        from libm's (Python's ``**``) in the last bit; so squares are x1 * x1
+        and higher powers go through np.power on both paths."""
+        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
+        return powers + [x2] + [p * x2 for p in powers[:-1]]
+
     def eval(self, x) -> np.ndarray:
         """psi at states of shape (..., 2), as an (..., N) array."""
         x = np.asarray(x, dtype=float)
-        x1, x2 = x[..., 0], x[..., 1]
-        out = np.empty(x.shape[:-1] + (self.N,))
-        for k in range(1, self.q + 1):
-            out[..., k - 1] = x1 ** k
-        for k in range(self.q):
-            out[..., self.q + k] = x1 ** k * x2
-        return out
+        return np.stack(self._terms(x[..., 0], x[..., 1]), axis=-1)
 
     def eval_at(self, x) -> np.ndarray:
-        """psi at one state given as (x1, x2) floats, bit for bit a row of eval.
-
-        The array ``**`` of eval is x*x for squares and numpy's SIMD pow
-        otherwise, which differs from libm's (Python's ``**``) in the last bit;
-        so squares are x1 * x1 and higher powers go through np.power.
-        """
-        x1, x2 = x
-        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
-        return np.array(powers + [x2] + [p * x2 for p in powers[:-1]])
+        """psi at one state given as (x1, x2) floats, bit for bit a row of eval."""
+        return np.array(self._terms(*x))
 
     def jacobian(self, x) -> np.ndarray:
         """Partial derivatives of psi at states of shape (..., 2), as (..., N, 2).
@@ -165,11 +161,6 @@ def cstr_f0_family(x, theta) -> np.ndarray:
     x1, x2 = x[..., 0], x[..., 1]
     kin = t1 * x1 + t2 * x1 * x1
     return np.stack([-x1 / 4.0 - kin, -3.0 * x2 / 4.0 + kin], axis=-1)
-
-
-def cstr_fields():
-    """(f0_true, f1, f0_family) for the reactor example."""
-    return cstr_f0_true, cstr_f1, cstr_f0_family
 
 
 def sample_states(n: int, seed: int, box: float = STATE_BOX) -> np.ndarray:
@@ -304,96 +295,51 @@ def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
     return np.zeros(N), sol.T
 
 
+_BLOCKS = ("weights", "residual", "closure_A", "input_beta", "input_gamma")
+
+
 @dataclass(frozen=True)
 class KoopmanHybridModel:
-    """Bilinear lifted model zdot = (sum_j b_j A_j + R) z + sum_k u_k (beta_k + Gamma_k z)."""
+    """Bilinear lifted model zdot = (sum_j b_j A_j + R) z + u (beta + Gamma z)
+    with one scalar input u."""
 
     basis: MonomialBasis
-    weights: np.ndarray
-    residual: np.ndarray
-    closure_A: np.ndarray        # (m, N, N)
-    input_betas: np.ndarray      # (d_u, N)
-    input_gammas: np.ndarray     # (d_u, N, N)
+    weights: np.ndarray      # (m,)
+    residual: np.ndarray     # (N, N)
+    closure_A: np.ndarray    # (m, N, N)
+    input_beta: np.ndarray   # (N,)
+    input_gamma: np.ndarray  # (N, N)
     theta_samples: np.ndarray = None
 
     def __post_init__(self):
-        N = self.basis.N
-        b = np.asarray(self.weights, dtype=float).ravel()
-        A = np.asarray(self.closure_A, dtype=float)
-        R = np.asarray(self.residual, dtype=float)
-        betas = np.atleast_2d(np.asarray(self.input_betas, dtype=float))
-        gammas = np.asarray(self.input_gammas, dtype=float)
-        if gammas.ndim == 2:
-            gammas = gammas[None]
-        if R.shape != (N, N) or A.shape != (b.size, N, N):
-            raise DimensionMismatch("residual/closure matrices inconsistent with basis")
-        if betas.shape[1] != N or gammas.shape[1:] != (N, N) or betas.shape[0] != gammas.shape[0]:
-            raise DimensionMismatch("input closure shapes inconsistent")
-        object.__setattr__(self, "weights", b)
-        object.__setattr__(self, "residual", R)
-        object.__setattr__(self, "closure_A", A)
-        object.__setattr__(self, "input_betas", betas)
-        object.__setattr__(self, "input_gammas", gammas)
+        N, m = self.basis.N, np.size(self.weights)
+        for name, shape in zip(_BLOCKS, ((m,), (N, N), (m, N, N), (N,), (N, N))):
+            block = np.ascontiguousarray(getattr(self, name), dtype=float)
+            if block.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {block.shape}, expected {shape}")
+            object.__setattr__(self, name, block)
+        if self.theta_samples is not None:
+            object.__setattr__(self, "theta_samples",
+                               np.asarray(self.theta_samples, dtype=float))
 
     @cached_property
     def drift_matrix(self) -> np.ndarray:
         return np.tensordot(self.weights, self.closure_A, axes=1) + self.residual
 
-    def rhs(self, z, u) -> np.ndarray:
-        z = np.asarray(z, dtype=float).ravel()
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        out = self.drift_matrix @ z
-        for uk, beta, gamma in zip(u, self.input_betas, self.input_gammas):
-            out = out + uk * (beta + gamma @ z)
-        return out
+    def rhs(self, z, u: float) -> np.ndarray:
+        return self.drift_matrix @ z + u * (self.input_beta + self.input_gamma @ z)
 
+    def to_json(self, **meta) -> str:
+        """The model's blocks as JSON, after the extra keys in `meta`."""
+        doc = {**meta, "q": self.basis.q}
+        for name in _BLOCKS + ("theta_samples",):
+            if getattr(self, name) is not None:
+                doc[name] = getattr(self, name).tolist()
+        return json.dumps(doc)
 
-def assemble_bilinear(b, R, closure_A, input_closures, basis: MonomialBasis,
-                      theta_samples=None) -> KoopmanHybridModel:
-    """Bundle fitted weights, residual, and closures into the bilinear model.
-
-    input_closures is a sequence of (beta_k, Gamma_k) pairs, one per channel.
-    """
-    betas = np.stack([np.asarray(bk, dtype=float).ravel() for bk, _ in input_closures])
-    gammas = np.stack([np.asarray(gk, dtype=float) for _, gk in input_closures])
-    return KoopmanHybridModel(basis=basis, weights=np.asarray(b, dtype=float),
-                              residual=np.asarray(R, dtype=float),
-                              closure_A=np.stack([np.asarray(a, dtype=float)
-                                                  for a in closure_A]),
-                              input_betas=betas, input_gammas=gammas,
-                              theta_samples=None if theta_samples is None
-                              else np.asarray(theta_samples, dtype=float))
-
-
-def model_to_json_dict(model: KoopmanHybridModel, lambda_b: float = None,
-                       lambda_R: float = None, seeds: dict = None) -> dict:
-    d = {
-        "q": model.basis.q,
-        "weights": model.weights.tolist(),
-        "residual": model.residual.tolist(),
-        "closure_A": model.closure_A.tolist(),
-        "input_betas": model.input_betas.tolist(),
-        "input_gammas": model.input_gammas.tolist(),
-    }
-    if model.theta_samples is not None:
-        d["theta_samples"] = model.theta_samples.tolist()
-    if lambda_b is not None:
-        d["lambda_b"] = lambda_b
-    if lambda_R is not None:
-        d["lambda_R"] = lambda_R
-    if seeds:
-        d["seeds"] = seeds
-    return d
-
-
-def model_from_json_dict(d: dict) -> KoopmanHybridModel:
-    """Inverse of model_to_json_dict; the fit metadata (lambdas, seeds) is not kept."""
-    thetas = d.get("theta_samples")
-    return KoopmanHybridModel(basis=MonomialBasis(q=int(d["q"])),
-                              weights=np.asarray(d["weights"], dtype=float),
-                              residual=np.asarray(d["residual"], dtype=float),
-                              closure_A=np.asarray(d["closure_A"], dtype=float),
-                              input_betas=np.asarray(d["input_betas"], dtype=float),
-                              input_gammas=np.asarray(d["input_gammas"], dtype=float),
-                              theta_samples=None if thetas is None
-                              else np.asarray(thetas, dtype=float))
+    @classmethod
+    def from_json(cls, text: str) -> "KoopmanHybridModel":
+        """Inverse of to_json; the extra keys are not kept."""
+        doc = json.loads(text)
+        return cls(MonomialBasis(q=int(doc["q"])), *(doc[name] for name in _BLOCKS),
+                   theta_samples=doc.get("theta_samples"))

@@ -223,7 +223,7 @@ def model_controller(model):
     def controller(x):
         z = model.basis.eval(np.asarray(x, dtype=float).ravel())
         a = 2.0 * float(z @ (model.drift_matrix @ z))
-        b = 2.0 * float(z @ (model.input_betas[0] + model.input_gammas[0] @ z))
+        b = 2.0 * float(z @ (model.input_beta + model.input_gamma @ z))
         return lin_sontag(a, b)
     return controller
 

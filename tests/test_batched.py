@@ -207,10 +207,9 @@ def test_simulate_matches_list_based_loop():
 def test_drift_matrix_is_formed_once():
     rng = np.random.default_rng(0)
     basis = kp.MonomialBasis(q=2)
-    model = kp.assemble_bilinear(np.array([0.4, 0.6]), rng.standard_normal((4, 4)),
-                                 rng.standard_normal((2, 4, 4)),
-                                 [(rng.standard_normal(4), rng.standard_normal((4, 4)))],
-                                 basis)
+    model = kp.KoopmanHybridModel(basis, np.array([0.4, 0.6]), rng.standard_normal((4, 4)),
+                                  rng.standard_normal((2, 4, 4)), rng.standard_normal(4),
+                                  rng.standard_normal((4, 4)))
     assert model.drift_matrix is model.drift_matrix
     assert_bit_equal(model.drift_matrix,
                      np.tensordot(model.weights, model.closure_A, axes=1) + model.residual)

@@ -229,8 +229,8 @@ class TestModelJson:
         rows = experiments.run_koopman(n=30, seed=0, m=5, lambda_grid=self.GRID)
         states = koopman.sample_states(20, seed=3)
         for i, model in enumerate(experiments.koopman_models(rows)):
-            doc = json.loads((tmp_path / f"koopman_model_{i:02d}.json").read_text())
-            loaded = koopman.model_from_json_dict(doc)
+            loaded = koopman.KoopmanHybridModel.from_json(
+                (tmp_path / f"koopman_model_{i:02d}.json").read_text())
             for x in states:
                 z = loaded.basis.eval(x)
                 np.testing.assert_allclose(loaded.rhs(z, 0.3), model.rhs(z, 0.3),

@@ -58,6 +58,11 @@ class TestClfRates:
                 dvdt = (ctl.clf_value(BASIS3, fwd) - ctl.clf_value(BASIS3, bwd)) / (2 * h)
                 assert abs(dvdt - (a + b * u)) < 1e-5
 
+    def test_field_rates_overflow_is_non_finite(self):
+        # the Python-float powers of jacobian_at overflow at |x1| = 1e200
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, (1e200, 0.0))
+
     def test_model_rates_close_to_truth(self):
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
         rows = experiments.run_koopman(n=120, seed=0, m=10,
@@ -111,6 +116,11 @@ class TestLinSontag:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             ctl.lin_sontag(0.0, 1.0, bound=0.0)
+
+    def test_overflow_is_non_finite(self):
+        # b ** 4 on Python floats raises OverflowError where numpy returns inf
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            ctl.lin_sontag(0.0, 1e100)
 
 
 class TestSimulate:

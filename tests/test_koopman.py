@@ -1,5 +1,8 @@
 """Monomial lifting, gEDMD, hybrid generator fit, closures, bilinear assembly."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -189,7 +192,7 @@ class TestBilinearAssembly:
         As = rng.standard_normal((3, 6, 6))
         beta = rng.standard_normal(6)
         gamma = rng.standard_normal((6, 6))
-        model = kp.assemble_bilinear(b, np.zeros((6, 6)), As, [(beta, gamma)], BASIS3)
+        model = kp.KoopmanHybridModel(BASIS3, b, np.zeros((6, 6)), As, beta, gamma)
         return model, As, beta, gamma
 
     def test_vertex_weight_drift(self):
@@ -217,8 +220,8 @@ class TestBilinearAssembly:
             residuals.append(oracles.closure_residual(field, BASIS3, np.zeros(6), A))
         beta1, gamma1 = kp.closure_fit(kp.cstr_f1, BASIS3, affine=True)
         residuals.append(oracles.closure_residual(kp.cstr_f1, BASIS3, beta1, gamma1))
-        model = kp.assemble_bilinear(b, R, As, [(beta1, gamma1)], BASIS3,
-                                     theta_samples=thetas)
+        model = kp.KoopmanHybridModel(BASIS3, b, R, np.stack(As), beta1, gamma1,
+                                      theta_samples=thetas)
         # grid residuals are maxima over a dense lattice; allow a small margin
         # for the off-lattice test states
         bound = 1.1 * sum(residuals) + 1e-12
@@ -238,8 +241,35 @@ class TestBilinearAssembly:
 
     def test_serialization_contains_all_blocks(self):
         model, _, _, _ = self.make_model(np.array([0.2, 0.3, 0.5]))
-        doc = kp.model_to_json_dict(model, lambda_b=1e-8, lambda_R=1.0,
-                                    seeds={"data_seed": 0})
-        for key in ("q", "weights", "residual", "closure_A", "input_betas",
-                    "input_gammas", "lambda_b", "lambda_R", "seeds"):
+        doc = json.loads(model.to_json(lambda_b=1e-8, lambda_R=1.0, seeds={"data_seed": 0}))
+        for key in ("q", "weights", "residual", "closure_A", "input_beta",
+                    "input_gamma", "lambda_b", "lambda_R", "seeds"):
             assert key in doc
+
+    @pytest.mark.parametrize("with_thetas", [False, True])
+    def test_json_round_trip_is_bit_exact(self, with_thetas):
+        model, _, _, _ = self.make_model(np.array([0.2, 0.3, 0.5]))
+        rng = np.random.default_rng(14)
+        model = dataclasses.replace(
+            model, residual=rng.standard_normal((6, 6)),
+            theta_samples=rng.uniform(0.0, 1.0, (3, 2)) if with_thetas else None)
+        loaded = kp.KoopmanHybridModel.from_json(
+            model.to_json(lambda_R=1.0, seeds={"data_seed": 0}))
+        assert loaded.basis == model.basis
+        for name in ("weights", "residual", "closure_A", "input_beta", "input_gamma",
+                     "theta_samples", "drift_matrix"):
+            new, old = getattr(loaded, name), getattr(model, name)
+            if old is None:
+                assert new is None
+            else:
+                assert new.shape == old.shape and new.tobytes() == old.tobytes(), name
+
+    @pytest.mark.parametrize("name, shape", [("input_gamma", (6, 5)), ("input_gamma", (6,)),
+                                             ("closure_A", (2, 6, 6)),
+                                             ("closure_A", (3, 6, 4))])
+    def test_from_json_rejects_wrong_shapes(self, name, shape):
+        model, _, _, _ = self.make_model(np.array([0.2, 0.3, 0.5]))
+        doc = json.loads(model.to_json())
+        doc[name] = np.ones(shape).tolist()
+        with pytest.raises(DimensionMismatch):
+            kp.KoopmanHybridModel.from_json(json.dumps(doc))
