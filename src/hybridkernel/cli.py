@@ -13,11 +13,12 @@ included).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,10 @@ class ExperimentConfig:
                                 else experiments.DEFAULT_LAMBDA_GRID)
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be >= 1")
-        if any(l <= 0 for l in self.lambda_grid):
-            raise ConfigError("lambda grid entries must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not all(math.isfinite(l) and l > 0 for l in self.lambda_grid):
+            raise ConfigError("lambda grid entries must be finite and positive")
         self.output_dir = Path(self.output_dir)
 
     def echo(self) -> dict:
@@ -114,117 +117,111 @@ def parse_config(experiment: str, args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, **kwargs)
 
 
-def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] if isinstance(row[c], str) else repr(float(row[c]))
-                             for c in columns])
+def _cell(v) -> str:
+    """One CSV cell: an array as its floats joined by ';', a number as repr(float)."""
+    if isinstance(v, np.ndarray):
+        return ";".join(map(repr, v.tolist()))
+    return repr(float(v))
 
 
-def _write_manifest(out: Path, config: ExperimentConfig, seeds: dict,
-                    files: list[str]) -> None:
-    manifest = {
-        "version": __version__,
-        "numpy_version": np.__version__,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": config.echo(),
-        "seeds": seeds,
-        "files": sorted(files),
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+class RunOutput:
+    """Every file one run writes, under one directory. Each write records the
+    file's name, so the manifest lists exactly what the run wrote."""
+
+    def __init__(self, root: Path):
+        self.root, self.written = root, []
+
+    def _open(self, name: str):
+        self.written.append(name)
+        return (self.root / name).open("w", newline="")
+
+    def json(self, name: str, doc) -> None:
+        """doc is a JSON text (a model's to_json) or an object to dump with indent 2."""
+        with self._open(name) as fh:
+            fh.write((doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
+
+    def csv(self, name: str, columns, rows) -> None:
+        """A header and one line per row of str cells, CRLF-ended: what
+        csv.writer writes for cells without commas, quotes or line breaks."""
+        with self._open(name) as fh:
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+    def table(self, name: str, rows: list[dict], columns: tuple) -> None:
+        self.csv(name, columns, ([_cell(row[c]) for c in columns] for row in rows))
+
+    def vle_data(self, name: str, n: int, seed: int) -> None:
+        """name.csv with the points x,y,T,gex_rt, and a sidecar with P and the seed."""
+        points = experiments.vle_points(n, seed)
+        self.csv(f"{name}.csv", ("x", "y", "T", "gex_rt"),
+                 (map(repr, (p.x, p.y, p.T, thermo_vle.excess_gibbs_from_txy(p))) for p in points))
+        self.json(f"{name}.csv.meta.json",
+                  {"pressure_mmHg": thermo_vle.ATM_MMHG, "seed": seed, "n": len(points)})
+
+    def trajectory(self, name: str, traj) -> None:
+        """Rows t,x1,x2,u; u is empty where the trajectory has no control."""
+        columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
+        self.csv(name, ("t", "x1", "x2", "u"),
+                 zip_longest(*(map(repr, c) for c in columns), fillvalue=""))
 
 
-def _write_vle_data(out: Path, config: ExperimentConfig, seeds: dict) -> list[str]:
-    """train.csv and val.csv from the VLE points the sweep fits."""
-    files = []
-    for name, seed in (("train", seeds["data_seed"]), ("val", seeds["validation_seed"])):
-        thermo_vle.save_vle_csv(experiments.vle_points(config.n, seed),
-                                out / f"{name}.csv", seed=seed)
-        files += [f"{name}.csv", f"{name}.csv.meta.json"]
-    return files
+RMSE_COLUMNS = ("lambda", "train_rmse", "val_rmse")
+VLE_DATA = {"vle-data": ("data",), "setting1": ("train", "val"), "setting2": ("train", "val")}
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    out = RunOutput(config.output_dir)
     seeds = experiments.seeds(config.experiment, config.seed)
-    files = []
+    sweep = {"n": config.n, "seed": config.seed, "lambda_grid": config.lambda_grid}
+    for name, key in zip(VLE_DATA.get(config.experiment, ()),
+                         ("data_seed", "validation_seed")):
+        out.vle_data(name, config.n, seeds[key])
 
-    if config.experiment == "vle-data":
-        thermo_vle.save_vle_csv(experiments.vle_points(config.n, config.seed),
-                                out / "data.csv", seed=config.seed)
-        files += ["data.csv", "data.csv.meta.json"]
-
-    elif config.experiment == "setting1":
-        files += _write_vle_data(out, config, seeds)
-        rows = experiments.run_setting1(n=config.n, seed=config.seed,
-                                        lambda_grid=config.lambda_grid)
-        _write_csv(out / "summary.csv", rows, ["lambda", "train_rmse", "val_rmse"])
-        files.append("summary.csv")
+    if config.experiment == "setting1":
+        out.table("summary.csv", experiments.run_setting1(**sweep), RMSE_COLUMNS)
 
     elif config.experiment == "setting2":
-        files += _write_vle_data(out, config, seeds)
-        result = experiments.run_setting2(n=config.n, seed=config.seed,
-                                          lambda_grid=config.lambda_grid)
-        _write_csv(out / "reference.csv", result["reference"],
-                   ["lambda", "train_rmse", "val_rmse"])
-        _write_csv(out / "margules.csv", result["margules"],
-                   ["lambda", "train_rmse", "val_rmse", "theta_star"])
-        files += ["reference.csv", "margules.csv"]
+        result = experiments.run_setting2(**sweep)
+        out.table("reference.csv", result["reference"], RMSE_COLUMNS)
+        out.table("margules.csv", result["margules"], RMSE_COLUMNS + ("theta_star",))
         # model JSON at the last grid lambda, for downstream inspection
         last = result["margules"][-1]
-        (out / "margules_model.json").write_text(last["model"].to_json(
-            lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=last["lambda"]) + "\n")
-        files.append("margules_model.json")
+        out.json("margules_model.json", last["model"].to_json(
+            lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=last["lambda"]))
 
     elif config.experiment == "setting3":
-        rows = experiments.run_setting3(n=config.n, seed=config.seed, m=config.m,
-                                        lambda_grid=config.lambda_grid)
-        _write_csv(out / "summary.csv", rows,
-                   ["lambda", "train_rmse", "val_rmse", "theta_star"])
-        files.append("summary.csv")
+        rows = experiments.run_setting3(m=config.m, **sweep)
+        out.table("summary.csv", rows, RMSE_COLUMNS + ("theta_star",))
         for i, row in enumerate(rows):
-            doc = row["model"].to_json(lambda_r=row["lambda"],
-                                       lambda_omega=experiments.DEFAULT_LAMBDA_OMEGA,
-                                       theta_samples=row["theta_samples"].tolist(),
-                                       theta_star=row["theta_star"], seed=config.seed,
-                                       theta_seed=seeds["theta_seed"])
-            name = f"mixture_model_{i:02d}.json"
-            (out / name).write_text(doc + "\n")
-            files.append(name)
+            out.json(f"mixture_model_{i:02d}.json", row["model"].to_json(
+                lambda_r=row["lambda"], lambda_omega=experiments.DEFAULT_LAMBDA_OMEGA,
+                theta_samples=row["theta_samples"].tolist(),
+                theta_star=_cell(row["theta_star"]), seed=config.seed,
+                theta_seed=seeds["theta_seed"]))
 
     elif config.experiment == "koopman":
-        rows = experiments.run_koopman(n=config.n, seed=config.seed, m=config.m,
-                                       lambda_grid=config.lambda_grid)
-        _write_csv(out / "sweep.csv", rows,
-                   ["lambda_R", "train_rmse", "val_rmse", "frob_R"])
-        files.append("sweep.csv")
+        rows = experiments.run_koopman(m=config.m, **sweep)
+        out.table("sweep.csv", rows, ("lambda_R", "train_rmse", "val_rmse", "frob_R"))
         for i, (row, model) in enumerate(zip(rows, experiments.koopman_models(rows))):
-            doc = model.to_json(lambda_b=experiments.DEFAULT_LAMBDA_B,
-                                lambda_R=row["lambda_R"], seeds=seeds)
-            name = f"koopman_model_{i:02d}.json"
-            (out / name).write_text(doc + "\n")
-            files.append(name)
+            out.json(f"koopman_model_{i:02d}.json", model.to_json(
+                lambda_b=experiments.DEFAULT_LAMBDA_B, lambda_R=row["lambda_R"], seeds=seeds))
 
     elif config.experiment == "control":
-        rows = experiments.run_control(seed=config.seed, n=config.n, m=config.m,
-                                       lambda_grid=config.lambda_grid, keep_trajectories=True)
-        summary = [{k: v for k, v in row.items() if not k.startswith("trajectory")}
-                   for row in rows]
-        (out / "comparison.json").write_text(json.dumps(summary, indent=2) + "\n")
-        files.append("comparison.json")
-        traj_dir = out / "trajectories"
-        traj_dir.mkdir(exist_ok=True)
+        rows = experiments.run_control(m=config.m, **sweep)
+        out.json("comparison.json", [{k: v for k, v in row.items()
+                                      if not k.startswith("trajectory")} for row in rows])
+        (out.root / "trajectories").mkdir(exist_ok=True)
         for i, row in enumerate(rows):
             for kind in ("truth", "model"):
-                name = f"trajectories/run{i:03d}_x{row['x0_index']}_{kind}.csv"
-                row[f"trajectory_{kind}"].save_csv(out / name)
-                files.append(name)
+                out.trajectory(f"trajectories/run{i:03d}_x{row['x0_index']}_{kind}.csv",
+                               row[f"trajectory_{kind}"])
 
-    _write_manifest(out, config, seeds, files)
+    out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
+                               "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                               "config": config.echo(), "seeds": seeds,
+                               "files": sorted(out.written)})
     return 0
 
 
@@ -246,11 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.experiment, args)
-        experiments.worker_count()  # rejects a bad HYBRIDKERNEL_THREADS up front
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
+        experiments.worker_count()  # rejects a bad HYBRIDKERNEL_THREADS before any work
         return run(config)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -35,14 +33,6 @@ class Trajectory:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", x)
         object.__setattr__(self, "controls", u)
-
-    def save_csv(self, path) -> None:
-        """Rows t,x1,x2,u as csv.writer writes them: CRLF, u empty without a control."""
-        rows = zip_longest(self.times.tolist(), *self.states[:, :2].T.tolist(),
-                           map(repr, self.controls.tolist()), fillvalue="")
-        with Path(path).open("w", newline="") as fh:
-            fh.write("t,x1,x2,u\r\n")
-            fh.writelines(f"{t!r},{x1!r},{x2!r},{u}\r\n" for t, x1, x2, u in rows)
 
 
 def clf_value(basis: MonomialBasis, x):

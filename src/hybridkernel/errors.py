@@ -41,5 +41,9 @@ class ConfigError(HybridKernelError):
     pass
 
 
+class MalformedModel(HybridKernelError):
+    """A model JSON that is not JSON, lacks a block, or holds a ragged array or a bad value."""
+
+
 class NotConverged(HybridKernelError):
     """An iterative solver stopped at its iteration cap above its tolerance."""

@@ -158,7 +158,7 @@ def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
             {"lambda": float(lam),
              "train_rmse": hybrid_static.rmse(sub, sub_train),
              "val_rmse": hybrid_static.rmse(sub, sub_val),
-             "theta_star": ";".join(repr(float(t)) for t in sub.weights),
+             "theta_star": sub.weights,
              "model": sub},
         )
 
@@ -180,11 +180,10 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     def one(lam):
         model = hybrid_static.fit_mixture(train, theta_gram,
                                           lambda_omega=DEFAULT_LAMBDA_OMEGA, lambda_r=lam)
-        theta_star = hybrid_static.effective_parameter(model.weights, thetas)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
                 "val_rmse": hybrid_static.rmse(model, val),
-                "theta_star": ";".join(repr(float(t)) for t in theta_star),
+                "theta_star": hybrid_static.effective_parameter(model.weights, thetas),
                 "weights": model.weights,
                 "theta_samples": thetas,
                 "model": model}
@@ -246,12 +245,13 @@ def koopman_models(rows: list[dict]) -> list[koopman.KoopmanHybridModel]:
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID, n_states: int = 5,
-                horizon: float = 10.0, keep_trajectories: bool = False) -> list[dict]:
+                horizon: float = 10.0) -> list[dict]:
     """Closed-loop comparison: ground-truth CLF controller vs hybrid-model one.
 
     Both controllers drive the true plant (certainty equivalence); reported per
     (lambda_R, initial state): max state deviation and whether V decreased
-    monotonically (1e-6 per-step tolerance) along both trajectories.
+    monotonically (1e-6 per-step tolerance) along both trajectories, with the
+    two trajectories under "trajectory_truth" and "trajectory_model".
     """
     run_seeds = seeds("control", seed)
     basis = koopman.MonomialBasis(q=DEFAULT_Q)
@@ -279,15 +279,13 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
             t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, DEFAULT_DT,
                                        horizon)
-            row = {
+            rows.append({
                 "lambda_R": float(lam),
                 "x0_index": i,
                 "max_deviation": control.compare_trajectories(t_truth, t_model),
                 "v_monotone_truth": truth_monotone[i],
                 "v_monotone_model": v_monotone(t_model),
-            }
-            if keep_trajectories:
-                row["trajectory_truth"] = t_truth
-                row["trajectory_model"] = t_model
-            rows.append(row)
+                "trajectory_truth": t_truth,
+                "trajectory_model": t_model,
+            })
     return rows

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError, NotConverged
+from .errors import DimensionMismatch, DomainError, MalformedModel, NotConverged
 from .kernels import KernelSpec, cross_gram, gram
 from .linalg import solve_spd
 
@@ -114,13 +114,17 @@ class HybridModel:
 
     @classmethod
     def from_json(cls, text: str, features: Callable) -> "HybridModel":
-        """Inverse of to_json; the caller supplies the feature map."""
-        doc = json.loads(text)
-        return cls(features=features,
-                   weights=np.asarray(doc["weights"], dtype=float),
-                   anchors=np.asarray(doc["anchors"], dtype=float),
-                   coeffs=np.asarray(doc["coeffs"], dtype=float),
-                   kernel=KernelSpec.from_dict(doc["kernel"]))
+        """Inverse of to_json; the caller supplies the feature map. Raises
+        MalformedModel, or DimensionMismatch unless coeffs match the anchors."""
+        try:
+            doc = json.loads(text)
+            anchors, coeffs = (np.asarray(doc[k], dtype=float) for k in ("anchors", "coeffs"))
+            if coeffs.shape != anchors.shape[:1]:
+                raise DimensionMismatch(f"coeffs {coeffs.shape} for anchors {anchors.shape}")
+            return cls(features=features, weights=np.asarray(doc["weights"], dtype=float),
+                       anchors=anchors, coeffs=coeffs, kernel=KernelSpec.from_dict(doc["kernel"]))
+        except (ValueError, KeyError, TypeError) as e:
+            raise MalformedModel(f"not a HybridModel document: {e!r}") from e
 
 
 @dataclass(frozen=True)

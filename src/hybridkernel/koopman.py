@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError, NotConverged
+from .errors import DimensionMismatch, DomainError, MalformedModel, NotConverged
 from .linalg import solve_least_squares, unvec
 
 STATE_BOX = 0.25  # X = [-1/4, 1/4]^2
@@ -339,7 +339,11 @@ class KoopmanHybridModel:
 
     @classmethod
     def from_json(cls, text: str) -> "KoopmanHybridModel":
-        """Inverse of to_json; the extra keys are not kept."""
-        doc = json.loads(text)
-        return cls(MonomialBasis(q=int(doc["q"])), *(doc[name] for name in _BLOCKS),
-                   theta_samples=doc.get("theta_samples"))
+        """Inverse of to_json; the extra keys are not kept. A malformed document
+        raises MalformedModel, blocks of the wrong shape DimensionMismatch."""
+        try:
+            doc = json.loads(text)
+            return cls(MonomialBasis(q=int(doc["q"])), *(doc[name] for name in _BLOCKS),
+                       theta_samples=doc.get("theta_samples"))
+        except (ValueError, KeyError, TypeError) as e:
+            raise MalformedModel(f"not a KoopmanHybridModel document: {e!r}") from e

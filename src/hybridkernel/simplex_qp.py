@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotPsd, NotPositiveDefinite, NotSymmetric
-from .linalg import cholesky_with_jitter
+from .linalg import SYMMETRY_RTOL, _check_finite, _max_asymmetry, cholesky_with_jitter
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50_000
@@ -42,7 +42,9 @@ class SimplexQpProblem:
             raise DimensionMismatch(f"Q is {Q.shape}, expected {(dim, dim)}")
         if q.size != dim:
             raise DimensionMismatch(f"q_lin has length {q.size}, expected {dim}")
-        if abs(Q - Q.T).max() > 1e-10 * max(abs(Q).max(), 1.0):
+        _check_finite(Q, "Q")
+        _check_finite(q, "q_lin")
+        if _max_asymmetry(Q) > SYMMETRY_RTOL * max(Q.max(), -Q.min(), 1.0):
             raise NotSymmetric("Q must be symmetric")
 
     def objective(self, b, c_free=None) -> float:

@@ -11,10 +11,7 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
@@ -258,27 +255,3 @@ def wilson_gex_from_lambdas(lam12: float, lam21: float, x1: float) -> float:
         return 0.0
     x2 = 1.0 - x1
     return float(-x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21))
-
-
-def save_vle_csv(points: list[VlePoint], path, P: float = ATM_MMHG, seed: int | None = None,
-                 antoine1: AntoineConstants = ETHANOL_ANTOINE,
-                 antoine2: AntoineConstants = TOLUENE_ANTOINE) -> None:
-    """Persist points as CSV `x,y,T,gex_rt` with a sidecar JSON recording P and seed."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "T", "gex_rt"])
-        for pt in points:
-            gex = excess_gibbs_from_txy(pt, P, antoine1, antoine2)
-            writer.writerow([repr(pt.x), repr(pt.y), repr(pt.T), repr(gex)])
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    sidecar.write_text(json.dumps({"pressure_mmHg": P, "seed": seed, "n": len(points)},
-                                  indent=2) + "\n")
-
-
-def load_vle_csv(path) -> list[VlePoint]:
-    points = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append(VlePoint(x=float(row["x"]), y=float(row["y"]), T=float(row["T"])))
-    return points

@@ -8,7 +8,8 @@ is the path that ``control.simulate`` on Python floats replaced. Likewise
 the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
 term at each bisection step, the symmetrized Gram matrix and the csv.writer
 trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
-``control`` replaced. ``gedmd``, ``hybrid_generator_objective`` and
+the CLI's output layer replaced. ``load_vle_csv`` reads a CSV the CLI wrote;
+only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
 ``closure_residual`` moved here from ``hybridkernel.koopman``, which has no
 caller for them.
 """
@@ -31,7 +32,8 @@ from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis,
 from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
-                                     AntoineConstants, UniquacParams, antoine_psat)
+                                     AntoineConstants, UniquacParams, VlePoint,
+                                     antoine_psat)
 
 
 def kron(A, B) -> np.ndarray:
@@ -364,6 +366,13 @@ def gram(k: KernelSpec, points) -> np.ndarray:
     X = _as_points(points)
     G = np.exp(-k.gamma * cdist(X, X, metric="sqeuclidean"))
     return 0.5 * (G + G.T)
+
+
+def load_vle_csv(path) -> list:
+    """The VLE points of a CSV the CLI wrote (columns x, y, T)."""
+    with Path(path).open(newline="") as fh:
+        return [VlePoint(x=float(row["x"]), y=float(row["y"]), T=float(row["T"]))
+                for row in csv.DictReader(fh)]
 
 
 def save_csv(traj, path) -> None:

@@ -8,7 +8,8 @@ import pytest
 
 from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel, family_features
-from hybridkernel.errors import ConfigError
+from hybridkernel.errors import ConfigError, DimensionMismatch, MalformedModel
+from hybridkernel.kernels import KernelSpec
 
 
 def run_cli(args):
@@ -97,6 +98,38 @@ class TestCliRuns:
             assert run_cli([experiment, "--n", "12", "--out", str(tmp_path)]) == 2
             assert experiments.THREADS_ENV in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("experiment, seed, via_config", [("setting1", "-1", False),
+                                                              ("control", "-3", False),
+                                                              ("setting1", "-1", True)])
+    def test_exit_code_2_on_negative_seed(self, tmp_path, capsys, experiment, seed, via_config):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed={seed}\n")
+        args = ["--config", str(cfg)] if via_config else ["--seed", seed]
+        assert run_cli([experiment, *args, "--n", "12", "--out", str(tmp_path / "out")]) == 2
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1,nan"])
+    def test_exit_code_2_on_non_finite_lambda(self, tmp_path, capsys, grid):
+        assert run_cli(["setting1", "--n", "12", "--lambda", grid,
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "config error: lambda grid entries must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("call", [("vle-data", "--n", "5"),
+                                      ("setting1", "--n", "12"),
+                                      ("setting2", "--n", "12"),
+                                      ("setting3", "--n", "12", "--m", "3"),
+                                      ("koopman", "--n", "30", "--m", "3"),
+                                      ("control", "--n", "30", "--m", "3")])
+    def test_manifest_lists_every_file_written(self, tmp_path, call):
+        out = tmp_path / "out"
+        assert run_cli(list(call) + ["--lambda", "0.1,1", "--out", str(out)]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert len(listed) == len(set(listed))
+        assert set(listed) == written - {"manifest.json"}
 
     def test_exit_code_2_on_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -235,6 +268,54 @@ class TestModelJson:
                 z = loaded.basis.eval(x)
                 np.testing.assert_allclose(loaded.rhs(z, 0.3), model.rhs(z, 0.3),
                                            rtol=1e-12, atol=1e-12)
+
+
+def _hybrid_model_json() -> str:
+    return HybridModel(features=None, weights=np.array([1.0]), anchors=np.array([[0.1], [0.5]]),
+                       coeffs=np.array([0.2, -0.3]), kernel=KernelSpec(gamma=2.0)).to_json()
+
+
+def _koopman_model_json() -> str:
+    return koopman.KoopmanHybridModel(koopman.MonomialBasis(q=1), np.ones(1), np.eye(2),
+                                      np.ones((1, 2, 2)), np.ones(2), np.eye(2)).to_json()
+
+
+def _edited(text: str, **blocks) -> str:
+    """The JSON document with the given blocks replaced; None drops a block."""
+    doc = json.loads(text)
+    doc.update(blocks)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+class TestMalformedModelJson:
+    """Each loader turns a bad document into a package error, never a bare
+    JSONDecodeError, KeyError or ValueError."""
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda t: t[:-2], MalformedModel),
+        (lambda t: _edited(t, coeffs=None), MalformedModel),
+        (lambda t: _edited(t, anchors=[[0.1], [0.2, 0.3]]), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": 0.0}), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": -1.0}), MalformedModel),
+        (lambda t: _edited(t, coeffs=[0.2, -0.3, 0.4]), DimensionMismatch),
+    ], ids=["not-json", "missing-block", "ragged", "gamma-0", "gamma-negative",
+            "coeffs-per-anchor"])
+    def test_hybrid_model(self, edit, error):
+        features = thermo_vle.margules_features
+        HybridModel.from_json(_hybrid_model_json(), features)  # the unedited one loads
+        with pytest.raises(error):
+            HybridModel.from_json(edit(_hybrid_model_json()), features)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:-2],
+        lambda t: _edited(t, residual=None),
+        lambda t: _edited(t, input_gamma=[[1.0, 0.0], [0.0]]),
+        lambda t: _edited(t, q="one"),
+    ], ids=["not-json", "missing-block", "ragged", "bad-q"])
+    def test_koopman_model(self, edit):
+        koopman.KoopmanHybridModel.from_json(_koopman_model_json())
+        with pytest.raises(MalformedModel):
+            koopman.KoopmanHybridModel.from_json(edit(_koopman_model_json()))
 
 
 def _namespace(config=None, seed=None, out=None, lambda_grid=None, m=None, n=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridkernel import control as ctl
-from hybridkernel import experiments, koopman as kp
+from hybridkernel import cli, experiments, koopman as kp
 from hybridkernel.errors import DomainError, GridMismatch, NonFinite
 from oracles import clf_value_closed_form
 
@@ -202,7 +202,7 @@ class TestCompareTrajectories:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "traj.csv"
-        self.make().save_csv(path)
+        cli.RunOutput(tmp_path).trajectory("traj.csv", self.make())
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2,u"
         assert len(lines) == 6

@@ -1,5 +1,5 @@
 """The one-pass SPD checks, the split bubble point, the half-matrix Gram and the
-one-write trajectory CSV against the paths they replaced (``tests/oracles.py``).
+CLI's trajectory CSV against the paths they replaced (``tests/oracles.py``).
 
 Each result must equal the oracle's bit for bit, and each must raise where
 the oracle raises. The one allowed difference: the old jitter step added
@@ -9,6 +9,7 @@ compared by value, so such a sign of zero would not count.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from hybridkernel import control, kernels, linalg, thermo_vle
+from hybridkernel import cli, control, kernels, linalg, thermo_vle
 from hybridkernel.errors import HybridKernelError, NotPositiveDefinite, NotSymmetric
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -163,7 +164,7 @@ def test_save_csv_matches_csv_writer(states_and_controls, one_per_step):
                               controls=controls[:-1] if one_per_step else controls)
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        traj.save_csv(new)
+        cli.RunOutput(Path(tmp)).trajectory("new.csv", traj)
         oracles.save_csv(traj, old)
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridkernel.errors import NotPsd, NotSymmetric
+from hybridkernel.errors import DimensionMismatch, NotPsd, NotSymmetric
 from hybridkernel.simplex_qp import (QpSolution, SimplexQpProblem, kkt_residual,
                                      project_simplex, solve)
 from oracles import solve_unconstrained
@@ -67,6 +67,25 @@ class TestProblemValidation:
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             SimplexQpProblem(Q=np.array([[1.0, 2.0], [0.0, 1.0]]),
+                             q_lin=np.zeros(2), m_simplex=2, n_free=0)
+
+    @pytest.mark.parametrize("m, n_free, where", [(2, 0, "Q"), (1, 1, "Q"), (2, 1, "Q"),
+                                                  (2, 0, "q_lin"), (1, 1, "q_lin")])
+    def test_rejects_non_finite(self, m, n_free, where):
+        # a NaN would otherwise reach project_simplex, which fails with IndexError
+        data = {"Q": np.eye(m + n_free), "q_lin": np.zeros(m + n_free)}
+        data[where][0] = np.nan
+        with pytest.raises(DimensionMismatch, match=where):
+            SimplexQpProblem(m_simplex=m, n_free=n_free, **data)
+
+    @pytest.mark.parametrize("scale", [1.0, 4.0, -4.0])
+    def test_symmetry_threshold_is_inclusive(self, scale):
+        # |Q - Q'|max may reach 1e-10 * max(|Q|max, 1), not exceed it
+        at = 1e-10 * abs(scale)
+        SimplexQpProblem(Q=np.array([[scale, at], [0.0, 1.0]]), q_lin=np.zeros(2),
+                         m_simplex=2, n_free=0)
+        with pytest.raises(NotSymmetric):
+            SimplexQpProblem(Q=np.array([[scale, np.nextafter(at, 1.0)], [0.0, 1.0]]),
                              q_lin=np.zeros(2), m_simplex=2, n_free=0)
 
     def test_rejects_indefinite_free_block(self):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hybridkernel import experiments, thermo_vle as tv
+import oracles
+from hybridkernel import cli, experiments, thermo_vle as tv
 from hybridkernel.errors import DomainError
 
 
@@ -114,8 +115,8 @@ class TestDatasetGeneration:
 
     def test_csv_round_trip(self, tmp_path):
         pts = experiments.vle_points(5, 1)
-        tv.save_vle_csv(pts, tmp_path / "d.csv", seed=1)
-        loaded = tv.load_vle_csv(tmp_path / "d.csv")
+        cli.RunOutput(tmp_path).vle_data("d", 5, 1)
+        loaded = oracles.load_vle_csv(tmp_path / "d.csv")
         assert tuple(loaded) == pts
         assert (tmp_path / "d.csv.meta.json").exists()
 
