@@ -79,8 +79,12 @@ def _parse_lambda_grid(text: str) -> tuple:
 
 def read_config_file(path) -> dict:
     """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -171,7 +175,10 @@ VLE_DATA = {"vle-data": ("data",), "setting1": ("train", "val"), "setting2": ("t
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {config.output_dir}: {e}") from e
     out = RunOutput(config.output_dir)
     seeds = experiments.seeds(config.experiment, config.seed)
     sweep = {"n": config.n, "seed": config.seed, "lambda_grid": config.lambda_grid}
@@ -242,9 +249,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        config = parse_config(args.experiment, args)
-        experiments.worker_count()  # rejects a bad HYBRIDKERNEL_THREADS before any work
-        return run(config)
+        return run(parse_config(args.experiment, args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -70,18 +70,16 @@ def clf_rates_model(model: KoopmanHybridModel, x) -> tuple[float, float]:
     return a, b
 
 
-def lin_sontag(a: float, b: float, bound: float = 1.0) -> float:
-    """Bounded-control universal CLF formula, clamped to [-bound, bound];
+def lin_sontag(a: float, b: float) -> float:
+    """Bounded-control universal CLF formula for |u| <= 1, clamped to [-1, 1];
     raises NonFinite where b ** 4 overflows (|b| above about 1e77)."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
     if abs(b) < B_DEADBAND:
         return 0.0
     try:
         u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
     except OverflowError as e:
         raise NonFinite(f"Lin-Sontag formula overflows at b={b!r}") from e
-    return float(min(max(u, -bound), bound))
+    return float(min(max(u, -1.0), 1.0))
 
 
 def _floats(v):

@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import control, hybrid_static, koopman, thermo_vle
-from .errors import ConfigError
 from .hybrid_static import Dataset
 from .kernels import KernelSpec, gram
 
@@ -25,16 +24,12 @@ DEFAULT_LAMBDA_OMEGA = 0.0
 DEFAULT_LAMBDA_B = 1e-8
 DEFAULT_Q = 3
 DEFAULT_DT = 0.01
-THREADS_ENV = "HYBRIDKERNEL_THREADS"
 
 
 def worker_count() -> int:
-    cap = os.environ.get(THREADS_ENV, "").strip()
-    if not cap:
-        return min(4, os.cpu_count() or 1)
-    if not cap.isdecimal() or int(cap) < 1:
-        raise ConfigError(f"{THREADS_ENV}={cap!r} is not a positive integer")
-    return int(cap)
+    """Threads of the lambda pool: min(4, cores). A function only because the
+    benchmark (perfbench/sweep.py and its layer test) calls it."""
+    return min(4, os.cpu_count() or 1)
 
 
 def _map_grid(fn, grid):
@@ -104,9 +99,10 @@ def wilson_family(x, theta):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def sample_thetas(m: int, seed: int, dim: int = 2) -> np.ndarray:
+def sample_thetas(m: int, seed: int) -> np.ndarray:
+    """m parameter samples uniform on [0, 1]^2, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 1.0, size=(m, dim))
+    return rng.uniform(0.0, 1.0, size=(m, 2))
 
 
 def seeds(experiment: str, seed: int) -> dict:

@@ -239,17 +239,6 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float,
     return design.model(sol.b, sol.c_free)
 
 
-def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) -> float:
-    """Direct evaluation of ||F w + G c - y||^2 + w'Pw + lambda_r c'G c, where
-    the p x p weight penalty P is l_theta I (subspace) or l_omega G_theta
-    (mixture)."""
-    w = np.asarray(weights, dtype=float).ravel()
-    c = np.asarray(coeffs, dtype=float).ravel()
-    resid = design.F @ w + design.K @ c - design.y
-    return float(resid @ resid + w @ np.asarray(weight_penalty, dtype=float) @ w
-                 + lambda_r * (c @ design.K @ c))
-
-
 def rmse(model: HybridModel, design: Design) -> float:
     """RMS error of the model on the design's dataset, from its F and K blocks;
     the model must be fit on this design's feature map, anchors and kernel."""

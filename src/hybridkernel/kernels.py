@@ -29,29 +29,19 @@ class KernelSpec:
     """Gaussian kernel exp(-gamma * ||x - x'||^2)."""
 
     gamma: float
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
         if not self.gamma > 0:
             raise ValueError("bandwidth gamma must be positive")
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "gamma": self.gamma}
+        return {"family": "gaussian", "gamma": self.gamma}
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(gamma=float(d["gamma"]), family=d.get("family", "gaussian"))
-
-
-def kernel_eval(k: KernelSpec, a, b) -> float:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"point shapes differ: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.exp(-k.gamma * np.dot(d, d)))
+        if d.get("family", "gaussian") != "gaussian":
+            raise ValueError(f"unsupported kernel family {d['family']!r}")
+        return cls(gamma=float(d["gamma"]))
 
 
 def gram(k: KernelSpec, points) -> np.ndarray:

@@ -163,10 +163,10 @@ def cstr_f0_family(x, theta) -> np.ndarray:
     return np.stack([-x1 / 4.0 - kin, -3.0 * x2 / 4.0 + kin], axis=-1)
 
 
-def sample_states(n: int, seed: int, box: float = STATE_BOX) -> np.ndarray:
-    """n states uniform on [-box, box]^2, deterministic per seed."""
+def sample_states(n: int, seed: int) -> np.ndarray:
+    """n states uniform on X, deterministic per seed."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-box, box, size=(n, 2))
+    return rng.uniform(-STATE_BOX, STATE_BOX, size=(n, 2))
 
 
 def make_drift_sample(n: int, seed: int, field: Callable = cstr_f0_true) -> DriftSample:
@@ -262,9 +262,9 @@ def hybrid_prediction_rmse(design: GeneratorDesign, b, R) -> float:
     return float(np.sqrt(np.mean(np.square(design.residuals(b, R)))))
 
 
-def default_closure_grid(points_per_axis: int = 33, box: float = STATE_BOX) -> np.ndarray:
+def default_closure_grid(points_per_axis: int = 33) -> np.ndarray:
     """Deterministic dense lattice on X for closure regressions."""
-    axis = np.linspace(-box, box, points_per_axis)
+    axis = np.linspace(-STATE_BOX, STATE_BOX, points_per_axis)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([g1.ravel(), g2.ravel()])
 

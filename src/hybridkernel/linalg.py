@@ -1,4 +1,4 @@
-"""Dense linear algebra primitives: jittered SPD solves, least squares, vec.
+"""Dense linear algebra primitives: jittered SPD solves, least squares, unvec.
 
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
@@ -108,13 +108,8 @@ def solve_least_squares(A, B) -> np.ndarray:
     return X[:, 0] if was_1d else X
 
 
-def vec(A) -> np.ndarray:
-    """Column-major vectorization (stack columns)."""
-    return _as_2d(A).flatten(order="F")
-
-
 def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec for a rows x cols matrix."""
+    """The rows x cols matrix whose column-major vectorization is v."""
     v = np.asarray(v, dtype=float).ravel()
     if v.size != rows * cols:
         raise DimensionMismatch(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")

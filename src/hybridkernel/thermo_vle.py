@@ -1,6 +1,9 @@
 """Ethanol-toluene VLE ground truth (UNIQUAC + Antoine + ideal vapor) and the
 interpretable model families used in the static case studies.
 
+One system at 1 atm: every function reads the module constants below, and
+only excess_gibbs_from_txy takes P and the Antoine constants as arguments.
+
 Conventions:
   - temperatures are degrees Celsius at the API surface unless a function
     says Kelvin; pressure in mmHg.
@@ -59,13 +62,15 @@ class VlePoint:
     T: float  # degrees Celsius
 
 
+ETHANOL_MOLAR_VOLUME = 58.7  # mL/mol
+TOLUENE_MOLAR_VOLUME = 106.8  # mL/mol
+
+
 @dataclass(frozen=True)
 class WilsonParams:
     """Wilson model with parameters encoded on [0, 1]^2 via A = 10^(4 theta - 2)."""
 
     theta: tuple
-    V1: float = 58.7  # ethanol molar volume, mL/mol
-    V2: float = 106.8  # toluene molar volume, mL/mol
 
     @property
     def A12(self) -> float:
@@ -84,7 +89,7 @@ def antoine_psat(c: AntoineConstants, T: float) -> float:
     return 10.0 ** (c.A - c.B / denom)
 
 
-def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:
+def uniquac_gamma(x1: float, T: float) -> tuple[float, float]:
     """Activity coefficients (gamma1, gamma2) at liquid fraction x1, T in Kelvin.
 
     Evaluated in ratio form (phi_j/x_j etc.) so the pure-component endpoints
@@ -94,12 +99,13 @@ def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:
         raise DomainError(f"x1 = {x1} outside [0, 1]")
     if T <= 0:
         raise DomainError("temperature must be positive (Kelvin)")
-    return _uniquac_gamma_at(p, _uniquac_composition_terms(p, x1), T)
+    return _uniquac_gamma_at(_uniquac_composition_terms(x1), T)
 
 
-def _uniquac_composition_terms(p: UniquacParams, x1: float) -> tuple:
+def _uniquac_composition_terms(x1: float) -> tuple:
     """The T-independent part of uniquac_gamma: the area fractions (th1, th2)
     and the combinatorial part of each ln gamma."""
+    p = ETHANOL_TOLUENE_UNIQUAC
     x2 = 1.0 - x1
     sr = x1 * p.r1 + x2 * p.r2
     sq = x1 * p.q1 + x2 * p.q2
@@ -115,9 +121,10 @@ def _uniquac_composition_terms(p: UniquacParams, x1: float) -> tuple:
     return th1, th2, float(comb1), float(comb2)
 
 
-def _uniquac_gamma_at(p: UniquacParams, terms: tuple, T: float) -> tuple[float, float]:
+def _uniquac_gamma_at(terms: tuple, T: float) -> tuple[float, float]:
     """uniquac_gamma from the composition terms and T in Kelvin: numpy's exp and
     log (math's differ in the last bit), the rest on Python floats (same rounding)."""
+    p = ETHANOL_TOLUENE_UNIQUAC
     th1, th2, comb1, comb2 = terms
     tau12 = float(np.exp(-p.a12 / T))
     tau21 = float(np.exp(-p.a21 / T))
@@ -128,28 +135,21 @@ def _uniquac_gamma_at(p: UniquacParams, terms: tuple, T: float) -> tuple[float, 
     return float(np.exp(ln_g1)), float(np.exp(ln_g2))
 
 
-def bubble_point(
-    x1: float,
-    P: float = ATM_MMHG,
-    params: UniquacParams = ETHANOL_TOLUENE_UNIQUAC,
-    antoine1: AntoineConstants = ETHANOL_ANTOINE,
-    antoine2: AntoineConstants = TOLUENE_ANTOINE,
-) -> tuple[float, float]:
-    """Bubble temperature (degC) and vapor fraction y1 from modified Raoult's law.
+def bubble_point(x1: float) -> tuple[float, float]:
+    """Bubble temperature (degC) and vapor fraction y1 at 1 atm from modified
+    Raoult's law.
 
     Bisection on the fixed window T_WINDOW_C to |dT| < 1e-8 degC.
     """
     if not (0.0 <= x1 <= 1.0):
         raise DomainError(f"x1 = {x1} outside [0, 1]")
-    if P <= 0:
-        raise DomainError("pressure must be positive")
     x2 = 1.0 - x1
-    terms = _uniquac_composition_terms(params, x1)
+    terms = _uniquac_composition_terms(x1)
 
     def pressure_excess(T_c: float) -> float:
-        g1, g2 = _uniquac_gamma_at(params, terms, T_c + CELSIUS_TO_KELVIN)
-        return (x1 * g1 * antoine_psat(antoine1, T_c)
-                + x2 * g2 * antoine_psat(antoine2, T_c) - P)
+        g1, g2 = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
+        return (x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c)
+                + x2 * g2 * antoine_psat(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
 
     lo, hi = T_WINDOW_C
     f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
@@ -163,28 +163,22 @@ def bubble_point(
         else:
             lo, f_lo = mid, f_mid
     T_c = 0.5 * (lo + hi)
-    g1, _ = _uniquac_gamma_at(params, terms, T_c + CELSIUS_TO_KELVIN)
-    y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
+    g1, _ = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
+    y1 = x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c) / ATM_MMHG
     return T_c, float(np.clip(y1, 0.0, 1.0))
 
 
-def find_azeotrope(
-    P: float = ATM_MMHG,
-    params: UniquacParams = ETHANOL_TOLUENE_UNIQUAC,
-    antoine1: AntoineConstants = ETHANOL_ANTOINE,
-    antoine2: AntoineConstants = TOLUENE_ANTOINE,
-) -> VlePoint:
-    """Interior composition where y(x) = x, with its boiling temperature."""
+def find_azeotrope() -> VlePoint:
+    """Interior composition where y(x) = x at 1 atm, with its boiling temperature."""
 
     def gap(x: float) -> float:
-        _, y = bubble_point(x, P, params, antoine1, antoine2)
-        return y - x
+        return bubble_point(x)[1] - x
 
     lo, hi = 0.01, 0.99
     if gap(lo) * gap(hi) > 0:
         raise NoBracket("y(x) - x does not change sign on (0.01, 0.99)")
     x_az = brentq(gap, lo, hi, xtol=1e-10)
-    T_az, y_az = bubble_point(x_az, P, params, antoine1, antoine2)
+    T_az, y_az = bubble_point(x_az)
     return VlePoint(x=float(x_az), y=float(y_az), T=float(T_az))
 
 
@@ -236,8 +230,8 @@ def wilson_lambdas(w: WilsonParams, T: float) -> tuple[float, float]:
     """Wilson Lambda coefficients (Lambda12, Lambda21) at T in Kelvin."""
     if T <= 0:
         raise DomainError("temperature must be positive (Kelvin)")
-    lam12 = (w.V2 / w.V1) * np.exp(-w.A12 / (R_CAL * T))
-    lam21 = (w.V1 / w.V2) * np.exp(-w.A21 / (R_CAL * T))
+    lam12 = (TOLUENE_MOLAR_VOLUME / ETHANOL_MOLAR_VOLUME) * np.exp(-w.A12 / (R_CAL * T))
+    lam21 = (ETHANOL_MOLAR_VOLUME / TOLUENE_MOLAR_VOLUME) * np.exp(-w.A21 / (R_CAL * T))
     return float(lam12), float(lam21)
 
 

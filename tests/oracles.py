@@ -10,8 +10,9 @@ term at each bisection step, the symmetrized Gram matrix and the csv.writer
 trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
 the CLI's output layer replaced. ``load_vle_csv`` reads a CSV the CLI wrote;
 only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
-``closure_residual`` moved here from ``hybridkernel.koopman``, which has no
-caller for them.
+``closure_residual`` moved here from ``hybridkernel.koopman``, and
+``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
+``hybrid_static``: the package has no caller for them.
 """
 
 import csv
@@ -25,6 +26,7 @@ from hybridkernel import linalg, simplex_qp
 from hybridkernel.control import lin_sontag
 from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket, NonFinite,
                                  NotPositiveDefinite, NotSymmetric)
+from hybridkernel.hybrid_static import Design
 from hybridkernel.kernels import KernelSpec, _as_points
 from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis,
                                   _closure_targets, _matvec, cstr_f0_true, cstr_f1,
@@ -39,6 +41,32 @@ from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOIN
 def kron(A, B) -> np.ndarray:
     """Kronecker product; block (i, j) is a_ij * B."""
     return np.kron(_as_2d(A), _as_2d(B))
+
+
+def vec(A) -> np.ndarray:
+    """Column-major vectorization (stack columns); linalg.unvec inverts it."""
+    return _as_2d(A).flatten(order="F")
+
+
+def kernel_eval(k: KernelSpec, a, b) -> float:
+    """The Gaussian kernel at one pair of points."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"point shapes differ: {a.shape} vs {b.shape}")
+    d = a - b
+    return float(np.exp(-k.gamma * np.dot(d, d)))
+
+
+def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) -> float:
+    """Direct evaluation of ||F w + G c - y||^2 + w'Pw + lambda_r c'G c, where
+    the p x p weight penalty P is l_theta I (subspace) or l_omega G_theta
+    (mixture)."""
+    w = np.asarray(weights, dtype=float).ravel()
+    c = np.asarray(coeffs, dtype=float).ravel()
+    resid = design.F @ w + design.K @ c - design.y
+    return float(resid @ resid + w @ np.asarray(weight_penalty, dtype=float) @ w
+                 + lambda_r * (c @ design.K @ c))
 
 
 def solve_unconstrained(problem: simplex_qp.SimplexQpProblem):

@@ -91,13 +91,20 @@ class TestCliRuns:
         assert "did not converge" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_exit_code_2_on_bad_thread_cap(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv(experiments.THREADS_ENV, value)
-        for experiment in ("setting1", "control"):
-            assert run_cli([experiment, "--n", "12", "--out", str(tmp_path)]) == 2
-            assert experiments.THREADS_ENV in capsys.readouterr().err
-        assert not (tmp_path / "manifest.json").exists()
+    @pytest.mark.parametrize("experiment, path_args", [
+        ("setting1", lambda tmp: ["--config", tmp / "missing.cfg", "--out", tmp / "out"]),
+        ("setting1", lambda tmp: ["--config", tmp, "--out", tmp / "out"]),
+        ("setting1", lambda tmp: ["--config", _file(tmp / "c.cfg", b"seed=1\n\xff\n"),
+                                  "--out", tmp / "out"]),
+        ("vle-data", lambda tmp: ["--out", _file(tmp / "f", b"")]),
+        ("vle-data", lambda tmp: ["--out", _file(tmp / "f", b"") / "out"]),
+    ], ids=["config-missing", "config-directory", "config-undecodable", "out-file",
+            "out-under-file"])
+    def test_exit_code_2_on_unusable_path(self, tmp_path, capsys, experiment, path_args):
+        args = [experiment, "--n", "5", *map(str, path_args(tmp_path))]
+        assert run_cli(args) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("manifest.json"))
 
     @pytest.mark.parametrize("experiment, seed, via_config", [("setting1", "-1", False),
                                                               ("control", "-3", False),
@@ -153,18 +160,6 @@ class TestCliRuns:
 
 
 class TestExperiments:
-    def test_worker_count_env_cap(self, monkeypatch):
-        monkeypatch.setenv(experiments.THREADS_ENV, "1")
-        assert experiments.worker_count() == 1
-        monkeypatch.setenv(experiments.THREADS_ENV, "3")
-        assert experiments.worker_count() == 3
-        monkeypatch.delenv(experiments.THREADS_ENV)
-        assert experiments.worker_count() >= 1
-        for bad in ("abc", "0", "1.5"):
-            monkeypatch.setenv(experiments.THREADS_ENV, bad)
-            with pytest.raises(ConfigError, match=experiments.THREADS_ENV):
-                experiments.worker_count()
-
     @pytest.mark.parametrize("setting", ["setting2", "setting3"])
     def test_each_composition_is_solved_once(self, monkeypatch, setting):
         # n training and n validation compositions: 2n bubble points, although
@@ -193,7 +188,6 @@ class TestExperiments:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setenv(experiments.THREADS_ENV, "1")
         monkeypatch.setattr(koopman.MonomialBasis, "jacobian",
                             counted("jacobian", koopman.MonomialBasis.jacobian))
         monkeypatch.setattr(koopman, "cstr_f0_family",
@@ -297,9 +291,10 @@ class TestMalformedModelJson:
         (lambda t: _edited(t, anchors=[[0.1], [0.2, 0.3]]), MalformedModel),
         (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": 0.0}), MalformedModel),
         (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": -1.0}), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "laplacian", "gamma": 2.0}), MalformedModel),
         (lambda t: _edited(t, coeffs=[0.2, -0.3, 0.4]), DimensionMismatch),
     ], ids=["not-json", "missing-block", "ragged", "gamma-0", "gamma-negative",
-            "coeffs-per-anchor"])
+            "family-laplacian", "coeffs-per-anchor"])
     def test_hybrid_model(self, edit, error):
         features = thermo_vle.margules_features
         HybridModel.from_json(_hybrid_model_json(), features)  # the unedited one loads
@@ -316,6 +311,11 @@ class TestMalformedModelJson:
         koopman.KoopmanHybridModel.from_json(_koopman_model_json())
         with pytest.raises(MalformedModel):
             koopman.KoopmanHybridModel.from_json(edit(_koopman_model_json()))
+
+
+def _file(path, data: bytes):
+    path.write_bytes(data)
+    return path
 
 
 def _namespace(config=None, seed=None, out=None, lambda_grid=None, m=None, n=None):

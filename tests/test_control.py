@@ -113,10 +113,6 @@ class TestLinSontag:
             if abs(u) < 1.0:  # unclamped: the formula certifies decrease
                 assert a + b * u < 0.0
 
-    def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            ctl.lin_sontag(0.0, 1.0, bound=0.0)
-
     def test_overflow_is_non_finite(self):
         # b ** 4 on Python floats raises OverflowError where numpy returns inf
         with np.errstate(all="ignore"), pytest.raises(NonFinite):

@@ -10,6 +10,7 @@ from hybridkernel import simplex_qp
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.hybrid_static import Dataset
 from hybridkernel.kernels import KernelSpec, gram
+import oracles
 
 KX = KernelSpec(gamma=100.0)
 KTHETA = KernelSpec(gamma=10.0)
@@ -136,13 +137,13 @@ class TestSubspace:
         design = hs.design(data, fmap, KX, joint=True)
         model = hs.fit_subspace(design, lambda_theta=lt, lambda_r=lr)
         penalty = lt * np.eye(2)
-        opt = hs.objective(design, model.weights, model.coeffs, penalty, lr)
+        opt = oracles.objective(design, model.weights, model.coeffs, penalty, lr)
         rng = np.random.default_rng(3)
         for _ in range(20):
             theta_hat = rng.standard_normal(2)
             # best c for this fixed theta comes from a reference KRR around it
             fixed = fit_ref(data, lambda x, t=theta_hat: fmap(x) @ t, lr)
-            val = hs.objective(design, theta_hat, fixed.coeffs, penalty, lr)
+            val = oracles.objective(design, theta_hat, fixed.coeffs, penalty, lr)
             assert opt <= val + 1e-8
 
     def test_objective_matches_solution(self):
@@ -152,13 +153,13 @@ class TestSubspace:
         model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=1.0)
         # perturbing the solution can only increase the objective
         penalty = 1e-3 * np.eye(2)
-        base = hs.objective(design, model.weights, model.coeffs, penalty, 1.0)
+        base = oracles.objective(design, model.weights, model.coeffs, penalty, 1.0)
         rng = np.random.default_rng(5)
         for _ in range(10):
             dt = 1e-3 * rng.standard_normal(2)
             dc = 1e-3 * rng.standard_normal(data.size)
-            assert base <= hs.objective(design, model.weights + dt, model.coeffs + dc,
-                                        penalty, 1.0) + 1e-10
+            assert base <= oracles.objective(design, model.weights + dt, model.coeffs + dc,
+                                             penalty, 1.0) + 1e-10
 
 
 def fit_mix(data, family, thetas, lambda_omega, lambda_r):
@@ -203,7 +204,7 @@ class TestMixture:
         qp = simplex_qp.solve(simplex_qp.SimplexQpProblem(
             Q=Q, q_lin=-2.0 * design.Dty, m_simplex=6, n_free=data.size))
         np.testing.assert_array_equal(qp.b, mix.weights)
-        direct = hs.objective(design, mix.weights, mix.coeffs, 0.1 * theta_gram, 0.5)
+        direct = oracles.objective(design, mix.weights, mix.coeffs, 0.1 * theta_gram, 0.5)
         assert qp.objective + data.targets @ data.targets == pytest.approx(direct, abs=1e-8)
 
     def test_effective_parameter(self):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkernel.errors import DimensionMismatch
-from hybridkernel.kernels import KernelSpec, cross_gram, gram, kernel_eval
+from hybridkernel.kernels import KernelSpec, cross_gram, gram
 from hybridkernel.linalg import cholesky_with_jitter
+from oracles import kernel_eval
 
 GAMMA100 = KernelSpec(gamma=100.0)
 

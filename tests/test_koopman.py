@@ -8,8 +8,8 @@ import pytest
 
 from hybridkernel import koopman as kp
 from hybridkernel.errors import DimensionMismatch, DomainError
-from hybridkernel.linalg import vec
 import oracles
+from oracles import vec
 
 BASIS3 = kp.MonomialBasis(q=3)
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hybridkernel.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 from hybridkernel.kernels import KernelSpec, gram
 from hybridkernel.linalg import (JITTER_INIT, MAX_JITTER_RETRIES, cholesky_with_jitter,
-                                 solve_least_squares, solve_spd, unvec, vec)
-from oracles import kron
+                                 solve_least_squares, solve_spd, unvec)
+from oracles import kron, vec
 
 
 class TestSolveSpd:

@@ -36,28 +36,26 @@ class TestAntoine:
 
 
 class TestUniquacGamma:
-    P = tv.ETHANOL_TOLUENE_UNIQUAC
-
     def test_pure_ethanol_limit(self):
-        g1, _ = tv.uniquac_gamma(self.P, 1.0, 350.0)
+        g1, _ = tv.uniquac_gamma(1.0, 350.0)
         assert g1 == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_toluene_limit(self):
-        _, g2 = tv.uniquac_gamma(self.P, 0.0, 350.0)
+        _, g2 = tv.uniquac_gamma(0.0, 350.0)
         assert g2 == pytest.approx(1.0, abs=1e-12)
 
     def test_gibbs_duhem(self):
         # x1 dln(g1)/dx1 + x2 dln(g2)/dx1 = 0, central differences h = 1e-5
         x1, T, h = 0.5, 350.0, 1e-5
-        lg = lambda x: np.log(tv.uniquac_gamma(self.P, x, T))
+        lg = lambda x: np.log(tv.uniquac_gamma(x, T))
         d = (np.array(lg(x1 + h)) - np.array(lg(x1 - h))) / (2 * h)
         assert abs(x1 * d[0] + (1 - x1) * d[1]) < 1e-6
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            tv.uniquac_gamma(self.P, 1.5, 350.0)
+            tv.uniquac_gamma(1.5, 350.0)
         with pytest.raises(DomainError):
-            tv.uniquac_gamma(self.P, 0.5, -1.0)
+            tv.uniquac_gamma(0.5, -1.0)
 
 
 class TestBubblePoint:
@@ -127,7 +125,7 @@ class TestExcessGibbsTarget:
         # x ln(x g1) + (1-x) ln((1-x) g2) -- excess part plus ideal mixing.
         x = 0.5
         T, y = tv.bubble_point(x)
-        g1, g2 = tv.uniquac_gamma(tv.ETHANOL_TOLUENE_UNIQUAC, x, T + tv.CELSIUS_TO_KELVIN)
+        g1, g2 = tv.uniquac_gamma(x, T + tv.CELSIUS_TO_KELVIN)
         target = tv.excess_gibbs_from_txy(tv.VlePoint(x=x, y=y, T=T))
         expected = x * np.log(x * g1) + (1 - x) * np.log((1 - x) * g2)
         assert target == pytest.approx(expected, abs=1e-8)
