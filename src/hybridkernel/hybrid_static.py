@@ -8,10 +8,12 @@ feature map Phi and in how the weights w are fit:
   (iii) mixture: Phi = (h(x | theta_1), ..., h(x | theta_m)), w = b on the
         simplex.
 
-A ``Design`` holds the lambda-independent blocks of one dataset. Drivers
-build it once per sweep; each fit then does only the lambda-dependent solve,
-and ``rmse`` evaluates the design. ``HybridModel.predict`` is the only place
-that evaluates the features at new points.
+A ``Design`` holds the lambda-independent blocks of one dataset, the
+low-rank factor of the training Gram matrix among them. Drivers build it once
+per sweep, before the lambda pool starts, and the pool threads only read it;
+each fit then does only the lambda-dependent solve, and ``rmse`` evaluates
+the design. ``HybridModel.predict`` is the only place that evaluates the
+features at new points.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.spatial.distance import pdist
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel, NotConverged
 from .kernels import KernelSpec, cross_gram, gram
-from .linalg import solve_spd
+from .linalg import LowRankFactor, low_rank_psd_factor, solve_shifted, solve_spd
 
 DUPLICATE_TOL = 1e-9
 
@@ -133,8 +135,11 @@ class Design:
 
     F = Phi(X) and K = k(X, anchors): the Gram matrix G on the training set
     (anchors = X), the cross-Gram against the training inputs on any other
-    set. DtD and Dty are D'D and D'y of D = [F, G]; only the joint fits need
-    them. The arrays are read, never written, so pool threads share a design.
+    set. factor is the low-rank factor of G (linalg.low_rank_psd_factor),
+    from which the reference fit solves every lambda; a design on another set
+    has none. DtD and Dty are D'D and D'y of D = [F, G]; only the joint fits
+    need them. The arrays are read, never written, so pool threads share a
+    design.
     """
 
     features: Callable
@@ -144,6 +149,7 @@ class Design:
     F: np.ndarray
     K: np.ndarray
     y: np.ndarray
+    factor: LowRankFactor = None
     DtD: np.ndarray = None
     Dty: np.ndarray = None
 
@@ -151,19 +157,19 @@ class Design:
         """The same model space on another dataset, e.g. for validation RMSE."""
         return _design(self.features, self.kernel, data.inputs, self.anchors,
                        cross_gram(self.kernel, data.inputs, self.anchors),
-                       data.targets, joint=False)
+                       data.targets, None, joint=False)
 
     def with_features(self, features: Callable, joint: bool = False) -> "Design":
         """This design's data and kernel block under another feature map."""
         return _design(features, self.kernel, self.inputs, self.anchors, self.K,
-                       self.y, joint)
+                       self.y, self.factor, joint)
 
     def model(self, weights, coeffs) -> HybridModel:
         return HybridModel(features=self.features, weights=weights,
                            anchors=self.anchors, coeffs=coeffs, kernel=self.kernel)
 
 
-def _design(features, kernel, inputs, anchors, K, y, joint) -> Design:
+def _design(features, kernel, inputs, anchors, K, y, factor, joint) -> Design:
     F = feature_columns(features, inputs)
     DtD = Dty = None
     if joint:
@@ -171,15 +177,17 @@ def _design(features, kernel, inputs, anchors, K, y, joint) -> Design:
         DtD, Dty = D.T @ D, D.T @ y
         DtD = 0.5 * (DtD + DtD.T)
     return Design(features=features, kernel=kernel, inputs=inputs, anchors=anchors,
-                  F=F, K=K, y=y, DtD=DtD, Dty=Dty)
+                  F=F, K=K, y=y, factor=factor, DtD=DtD, Dty=Dty)
 
 
 def design(data: Dataset, features: Callable, kernel: KernelSpec,
            joint: bool = False) -> Design:
-    """Training design: feature columns and Gram matrix of `data`; with
-    joint=True also the normal blocks the subspace and mixture fits solve."""
-    return _design(features, kernel, data.inputs, data.inputs,
-                   gram(kernel, data.inputs), data.targets, joint)
+    """Training design: feature columns, Gram matrix and its low-rank factor
+    of `data`; with joint=True also the normal blocks the subspace and
+    mixture fits solve."""
+    G = gram(kernel, data.inputs)
+    return _design(features, kernel, data.inputs, data.inputs, G, data.targets,
+                   low_rank_psd_factor(G), joint)
 
 
 def _joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray:
@@ -188,21 +196,34 @@ def _joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray
     if design.DtD is None:
         raise DomainError("joint fits need a training design built with joint=True")
     p = design.F.shape[1]
-    M = design.DtD.copy()
+    M = np.empty_like(design.DtD)
+    M[:p] = design.DtD[:p]
+    M[p:, :p] = design.DtD[p:, :p]
     M[:p, :p] += weight_penalty
-    M[p:, p:] += lambda_r * design.K
+    # lambda_r G goes straight into its block: no n x n temporary
+    np.multiply(lambda_r, design.K, out=M[p:, p:])
+    M[p:, p:] += design.DtD[p:, p:]
     return M
 
 
 def fit_reference_krr(design: Design, lam: float) -> HybridModel:
     """Closed-form ridge fit of the residual around the fixed feature columns,
-    each with weight 1: c = (G + lam I)^-1 (y - F 1)."""
-    if lam <= 0:
-        raise DomainError("lambda must be positive")
+    each with weight 1: c = (G + lam I)^-1 (y - F 1).
+
+    The solve starts from the design's low-rank factor G ~ W diag(mu) W',
+    c = P r with P = W diag(1/(mu + lam)) W' + (I - W W')/lam, and refines
+    c += P (r - G c - lam c) against the exact G (linalg.solve_shifted). When
+    the factor's remainder trace is at least lam/10, refinement need not
+    converge and G + lam I is factored densely, as for lam = 1e-12 at
+    n = 2000 (remainder trace 3e-11).
+    """
+    if not (np.isfinite(lam) and lam > 0):
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
+    if design.factor is None:
+        raise DomainError("reference fits need a training design")
     w = np.ones(design.F.shape[1])
-    M = design.K.copy()
-    M.flat[::M.shape[0] + 1] += lam
-    return design.model(w, solve_spd(M, design.y - design.F @ w))
+    return design.model(w, solve_shifted(design.K, design.factor, lam,
+                                         design.y - design.F @ w))
 
 
 def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> HybridModel:
@@ -211,8 +232,10 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> Hybrid
     Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
     jittered SPD path.
     """
-    if lambda_theta <= 0 or lambda_r <= 0:
-        raise DomainError("regularization weights must be positive")
+    if not (np.isfinite(lambda_theta) and lambda_theta > 0
+            and np.isfinite(lambda_r) and lambda_r > 0):
+        raise DomainError("regularization weights must be finite and positive, got "
+                          f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
     p = design.F.shape[1]
     sol = solve_spd(_joint_matrix(design, lambda_theta * np.eye(p), lambda_r), design.Dty)
     return design.model(sol[:p], sol[p:])
@@ -226,8 +249,10 @@ def fit_mixture(design: Design, theta_gram, lambda_omega: float,
     the columns of F are the family members. Raises NotConverged if the QP
     stops at its iteration cap.
     """
-    if lambda_omega < 0 or lambda_r <= 0:
-        raise DomainError("need lambda_omega >= 0 and lambda_r > 0")
+    if not (np.isfinite(lambda_omega) and lambda_omega >= 0
+            and np.isfinite(lambda_r) and lambda_r > 0):
+        raise DomainError("need finite lambda_omega >= 0 and lambda_r > 0, got "
+                          f"lambda_omega={lambda_omega}, lambda_r={lambda_r}")
     m, n = design.F.shape[1], design.K.shape[1]
     Q = _joint_matrix(design, lambda_omega * np.asarray(theta_gram, dtype=float), lambda_r)
     problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,

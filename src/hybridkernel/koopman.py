@@ -230,8 +230,10 @@ def hybrid_generator_problem(design: GeneratorDesign, lambda_b: float, lambda_R:
     Returns (problem, constant) with the dropped constant term so that
     problem.objective(b, vec R) + constant equals the primal objective.
     """
-    if lambda_b < 0 or lambda_R <= 0:
-        raise DomainError("need lambda_b >= 0 and lambda_R > 0")
+    if not (np.isfinite(lambda_b) and lambda_b >= 0
+            and np.isfinite(lambda_R) and lambda_R > 0):
+        raise DomainError("need finite lambda_b >= 0 and lambda_R > 0, got "
+                          f"lambda_b={lambda_b}, lambda_R={lambda_R}")
     m, NN = design.G.shape[1], design.basis.N ** 2
     Q = design.CtC.copy()
     Q.flat[::m + NN + 1] += np.repeat([lambda_b, lambda_R], [m, NN])

@@ -1,4 +1,5 @@
-"""Dense linear algebra primitives: jittered SPD solves, least squares, unvec.
+"""Dense linear algebra primitives: jittered SPD solves, a low-rank factor of
+a PSD matrix with shifted solves from it, least squares, unvec.
 
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
@@ -6,10 +7,13 @@ exception types instead of letting numpy errors escape.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpstrf
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd, NotSymmetric
 
 # Jitter schedule for near-singular SPD systems: try no jitter, then
 # JITTER_INIT * trace/dim, multiplying by 10 on each of the MAX_JITTER_RETRIES
@@ -18,6 +22,12 @@ JITTER_INIT = 1e-12
 MAX_JITTER_RETRIES = 6
 SYMMETRY_RTOL = 1e-10
 SYMMETRY_TILE = 128  # the symmetry check compares 128 x 128 tiles, not whole matrices
+# A shifted solve refines against the exact matrix for at most this many
+# steps. Each one contracts the error by tail/lam < 1/10 or better, so the
+# cap takes even the slowest case from its first error (< 1/10) below eps;
+# refinement usually stops after two steps, once the correction has reached
+# rounding level and no longer halves.
+MAX_REFINEMENT_STEPS = 16
 
 
 def _as_2d(a) -> np.ndarray:
@@ -44,27 +54,36 @@ def _max_asymmetry(M: np.ndarray) -> float:
     return worst
 
 
-def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of M, escalating a diagonal jitter on failure.
-
-    Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
-    budget (1e-7 * trace/dim) is exhausted. M itself is never written.
-    """
+def _symmetric(M) -> tuple[np.ndarray, float]:
+    """M as a finite square float array that is symmetric to tolerance, and
+    its max |M - M'|."""
     M = _as_2d(M)
-    dim = M.shape[0]
-    if M.shape[1] != dim:
+    if M.shape[1] != M.shape[0]:
         raise DimensionMismatch(f"matrix is {M.shape}, not square")
     hi, lo = M.max(), M.min()
     _check_finite(np.array([hi, lo]), "matrix")  # NaN and +-Inf show up in max and min
     asymmetry = _max_asymmetry(M)
     if asymmetry > SYMMETRY_RTOL * max(hi, -lo, 1.0):
         raise NotSymmetric("matrix is not symmetric to tolerance")
+    return M, asymmetry
+
+
+def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of M, escalating a diagonal jitter on failure.
+
+    Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
+    budget (1e-7 * trace/dim) is exhausted. M itself is never written.
+    """
+    M, asymmetry = _symmetric(M)
+    dim = M.shape[0]
     base = JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
     jitter = 0.0
+    A = np.empty(M.shape, order="F")
     for attempt in range(MAX_JITTER_RETRIES + 1):
-        # LAPACK factors this private Fortran-ordered copy in place; an exactly
-        # symmetric M equals M', whose copy is plain, not transposing (faster)
-        A = np.array(M if asymmetry else M.T, order="F")
+        # LAPACK factors this private Fortran-ordered copy in place, and each
+        # attempt refills the same buffer; an exactly symmetric M equals M',
+        # whose copy is plain, not transposing (faster)
+        np.copyto(A, M if asymmetry else M.T)
         if jitter:
             A.flat[::dim + 1] += jitter
         try:
@@ -90,6 +109,86 @@ def solve_spd(M, rhs) -> np.ndarray:
     L, _ = cholesky_with_jitter(M)
     X = scipy.linalg.cho_solve((L, True), B, check_finite=False)
     return X[:, 0] if was_1d else X
+
+
+class LowRankFactor(NamedTuple):
+    """G ~ W diag(mu) W' with orthonormal columns W; tail is the trace of the
+    remainder, which bounds its 2-norm."""
+
+    W: np.ndarray
+    mu: np.ndarray
+    tail: float
+
+
+def low_rank_psd_factor(G) -> LowRankFactor:
+    """Low-rank factor of a symmetric positive semidefinite G.
+
+    LAPACK's pivoted Cholesky (dpstrf) stops once every remaining pivot is
+    below n * eps * max diag G; the thin SVD of its un-pivoted n x r factor
+    L = W diag(s) V' gives L L' = W diag(s^2) W'. The remainder G - L L' is
+    then PSD, so its trace, tail = sum(diag G - rowsum L^2), bounds its norm.
+    Only the remainder's diagonal is checked: NotPsd if an entry is below
+    -n * eps * max diag G. G itself is never written.
+    """
+    G, _ = _symmetric(G)
+    n = G.shape[0]
+    diag = G.diagonal()
+    tol = n * np.finfo(float).eps * max(diag.max(), 0.0)
+    # dpstrf reads the lower triangle of its (Fortran-ordered) copy of G',
+    # which is the upper triangle of G: a plain copy, not a transposing one
+    C, piv, rank, info = dpstrf(G.T, tol=tol, lower=1)
+    if info < 0:
+        raise DimensionMismatch(f"dpstrf rejected argument {-info}")
+    L = np.zeros((n, rank))
+    L[piv - 1] = np.tril(C[:, :rank])
+    remainder = diag - np.einsum("ij,ij->i", L, L)
+    if remainder.min() < -tol:
+        raise NotPsd(f"matrix is not positive semidefinite (remainder diagonal "
+                     f"{remainder.min():.3e})")
+    W, s, _ = scipy.linalg.svd(L, full_matrices=False, check_finite=False)
+    return LowRankFactor(W=W, mu=s * s, tail=float(remainder.sum()))
+
+
+def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
+    """Solve (G + lam I) x = rhs, for lam > 0, from the low-rank factor of G.
+
+    P = W diag(1/(mu + lam)) W' + (I - W W')/lam inverts W diag(mu) W' + lam I
+    exactly. x = P rhs is refined against the exact G, x += P (rhs - G x -
+    lam x), until the correction no longer halves (it is then rounding noise,
+    and is not applied) or MAX_REFINEMENT_STEPS steps have run. Each step
+    multiplies the error by a matrix of norm at most tail/lam; when
+    tail >= lam/10 refinement need not contract, and G + lam I is solved
+    densely by solve_spd instead.
+    """
+    if not (np.isfinite(lam) and lam > 0):
+        raise DomainError(f"shift must be finite and positive, got {lam}")
+    G = _as_2d(G)
+    b = np.asarray(rhs, dtype=float)
+    _check_finite(b, "rhs")
+    if b.shape != (G.shape[0],) or factor.W.shape[0] != b.size:
+        raise DimensionMismatch(f"rhs {b.shape} for matrix {G.shape} and factor "
+                                f"{factor.W.shape}")
+    if factor.tail >= lam / 10:
+        M = G.copy()
+        M.flat[::M.shape[0] + 1] += lam
+        return solve_spd(M, b)
+    W = factor.W
+    # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam)
+    shrink = factor.mu / (lam * (factor.mu + lam))
+
+    def apply_p(v):
+        return v / lam - W @ (shrink * (W.T @ v))
+
+    x = apply_p(b)
+    size = np.inf
+    for _ in range(MAX_REFINEMENT_STEPS):
+        dx = apply_p(b - G @ x - lam * x)
+        new = float(np.linalg.norm(dx))  # the norm the contraction bound holds in
+        if not new < size / 2:
+            break
+        x += dx
+        size = new
+    return x
 
 
 def solve_least_squares(A, B) -> np.ndarray:

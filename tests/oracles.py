@@ -8,8 +8,11 @@ is the path that ``control.simulate`` on Python floats replaced. Likewise
 the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
 term at each bisection step, the symmetrized Gram matrix and the csv.writer
 trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
-the CLI's output layer replaced. ``load_vle_csv`` reads a CSV the CLI wrote;
-only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
+the CLI's output layer replaced. ``fit_reference_krr`` (a dense Cholesky of
+G + lam I per lambda) and ``joint_matrix`` (with its n x n lambda_r G
+temporary) are the paths the low-rank shifted solve and
+``hybrid_static._joint_matrix`` replaced. ``load_vle_csv`` reads a CSV the
+CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
 ``closure_residual`` moved here from ``hybridkernel.koopman``, and
 ``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
 ``hybrid_static``: the package has no caller for them.
@@ -288,6 +291,23 @@ def closure_residual(field, basis: MonomialBasis, beta, Gamma, grid=None) -> flo
 
 
 # ---- the full-matrix SPD path, per-step UNIQUAC, symmetrized Gram, csv rows --
+
+def fit_reference_krr(design: Design, lam: float):
+    """c = (G + lam I)^-1 (y - F 1) from a dense jittered Cholesky of G + lam I."""
+    w = np.ones(design.F.shape[1])
+    M = design.K.copy()
+    M.flat[::M.shape[0] + 1] += lam
+    return design.model(w, linalg.solve_spd(M, design.y - design.F @ w))
+
+
+def joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray:
+    """D'D + blockdiag(weight_penalty, lambda_r G) from a copy of D'D."""
+    p = design.F.shape[1]
+    M = design.DtD.copy()
+    M[:p, :p] += weight_penalty
+    M[p:, p:] += lambda_r * design.K
+    return M
+
 
 def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M with full-matrix checks and scipy's own copy."""

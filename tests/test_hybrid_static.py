@@ -235,6 +235,44 @@ class TestMixture:
         assert model.predict(x) == pytest.approx(expected, abs=1e-12)
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+class TestRegularizationWeights:
+    """Every weight must be finite and positive (lambda_omega: non-negative);
+    a NaN weight passes a plain `lam <= 0` test."""
+
+    def setup_method(self):
+        data = toy_dataset(10, seed=16)
+        self.fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
+        self.design = hs.design(data, self.fmap, KX, joint=True)
+
+    @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
+    def test_reference_krr(self, lam):
+        with pytest.raises(DomainError):
+            hs.fit_reference_krr(self.design, lam)
+
+    @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
+    @pytest.mark.parametrize("name", ["lambda_theta", "lambda_r"])
+    def test_subspace(self, name, lam):
+        weights = {"lambda_theta": 1e-6, "lambda_r": 1.0, name: lam}
+        with pytest.raises(DomainError):
+            hs.fit_subspace(self.design, **weights)
+
+    @pytest.mark.parametrize("name, lam", [("lambda_r", lam) for lam in NON_FINITE + (0.0,)]
+                             + [("lambda_omega", lam) for lam in NON_FINITE])
+    def test_mixture(self, name, lam):
+        weights = {"lambda_omega": 0.0, "lambda_r": 1.0, name: lam}
+        with pytest.raises(DomainError):
+            hs.fit_mixture(self.design, np.eye(2), **weights)
+
+    def test_reference_fit_needs_a_training_design(self):
+        val = self.design.at(toy_dataset(10, seed=17))
+        assert val.factor is None
+        with pytest.raises(DomainError):
+            hs.fit_reference_krr(val, 1.0)
+
+
 class TestRmse:
     def test_perfect_model(self):
         data = toy_dataset()

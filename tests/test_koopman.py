@@ -162,6 +162,16 @@ class TestHybridGenerator:
         with pytest.raises(DomainError):
             kp.fit_hybrid_generator(design, lambda_b=0.0, lambda_R=0.0)
 
+    @pytest.mark.parametrize("name, lam", [("lambda_R", lam)
+                                           for lam in (np.nan, np.inf, -np.inf, 0.0)]
+                             + [("lambda_b", lam) for lam in (np.nan, np.inf, -np.inf)])
+    def test_rejects_non_finite_regularization(self, name, lam):
+        # NaN passes a plain `lam <= 0` test
+        design = self.design(kp.make_drift_sample(20, seed=8))
+        weights = {"lambda_b": 0.0, "lambda_R": 1.0, name: lam}
+        with pytest.raises(DomainError):
+            kp.hybrid_generator_problem(design, **weights)
+
 
 class TestClosures:
     def test_input_channel_affine_closure_is_exact(self):

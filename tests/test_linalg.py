@@ -1,14 +1,17 @@
-"""SPD solves with jitter escalation, least squares, kron/vec identities."""
+"""SPD solves with jitter escalation, the low-rank PSD factor and its shifted
+solves, least squares, kron/vec identities."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridkernel.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from hybridkernel.errors import (DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd,
+                                 NotSymmetric)
 from hybridkernel.kernels import KernelSpec, gram
-from hybridkernel.linalg import (JITTER_INIT, MAX_JITTER_RETRIES, cholesky_with_jitter,
-                                 solve_least_squares, solve_spd, unvec)
+from hybridkernel.linalg import (JITTER_INIT, MAX_JITTER_RETRIES, LowRankFactor,
+                                 cholesky_with_jitter, low_rank_psd_factor, solve_least_squares,
+                                 solve_shifted, solve_spd, unvec)
 from oracles import kron, vec
 
 
@@ -80,6 +83,54 @@ class TestSolveSpd:
     def test_preserves_1d_rhs(self):
         x = solve_spd(np.eye(2), np.array([1.0, 2.0]))
         assert x.shape == (2,)
+
+
+def gram_1d(n: int, seed: int) -> np.ndarray:
+    x = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))
+    return gram(KernelSpec(gamma=100.0), x)
+
+
+class TestShiftedSolve:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 120), st.floats(1e-3, 1.0), st.floats(1e-3, 5e-2),
+           st.integers(0, 2 ** 31 - 1))
+    def test_refinement_recovers_a_truncated_factor(self, n, lam, dropped, seed):
+        # drop the eigenpairs of the factor below `dropped` * lam: the first
+        # solve is off by up to 5 %, and refinement against the exact G must
+        # bring it to the dense solve's accuracy
+        G = gram_1d(n, seed)
+        W, mu, tail = low_rank_psd_factor(G)
+        keep = mu >= dropped * lam
+        crude = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
+        assert crude.tail < lam / 10
+        b = np.random.default_rng(seed).standard_normal(n)
+        x = solve_shifted(G, crude, lam, b)
+        x_dense = solve_spd(G + lam * np.eye(n), b)
+        assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
+
+    def test_full_rank_factor_is_exact(self):
+        M = np.diag([4.0, 2.0, 1.0])
+        factor = low_rank_psd_factor(M)
+        # the pivots are square roots, so the remainder is zero up to rounding
+        assert abs(factor.tail) <= 1e-15
+        np.testing.assert_allclose(sorted(factor.mu), [1.0, 2.0, 4.0], rtol=1e-15)
+        np.testing.assert_allclose(solve_shifted(M, factor, 1.0, np.array([5.0, 3.0, 2.0])),
+                                   [1.0, 1.0, 1.0], rtol=1e-15)
+
+    def test_rejects_an_indefinite_matrix(self):
+        with pytest.raises(NotPsd):
+            low_rank_psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_rejects_a_bad_shift(self, lam):
+        G = gram_1d(5, seed=1)
+        with pytest.raises(DomainError):
+            solve_shifted(G, low_rank_psd_factor(G), lam, np.ones(5))
+
+    def test_rejects_mismatched_rhs(self):
+        G = gram_1d(5, seed=2)
+        with pytest.raises(DimensionMismatch):
+            solve_shifted(G, low_rank_psd_factor(G), 1.0, np.ones(4))
 
 
 class TestLeastSquares:

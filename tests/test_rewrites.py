@@ -1,10 +1,14 @@
-"""The one-pass SPD checks, the split bubble point, the half-matrix Gram and the
-CLI's trajectory CSV against the paths they replaced (``tests/oracles.py``).
+"""The one-pass SPD checks, the split bubble point, the half-matrix Gram, the
+joint-fit matrix, the low-rank reference fit and the CLI's trajectory CSV
+against the paths they replaced (``tests/oracles.py``).
 
 Each result must equal the oracle's bit for bit, and each must raise where
 the oracle raises. The one allowed difference: the old jitter step added
 0 * I off the diagonal, which turns an entry -0.0 into +0.0; the factor is
-compared by value, so such a sign of zero would not count.
+compared by value, so such a sign of zero would not count. The reference
+fit is the exception: its low-rank path sums in another order, so its RMSEs
+are held to 1e-10 relative of the dense oracle, and at n = 2000 to 1e-11
+relative of an exact solve from a full eigendecomposition.
 """
 
 import os
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from hybridkernel import cli, control, kernels, linalg, thermo_vle
+from hybridkernel import cli, control, experiments, hybrid_static, kernels, linalg, thermo_vle
 from hybridkernel.errors import HybridKernelError, NotPositiveDefinite, NotSymmetric
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -168,3 +172,95 @@ def test_save_csv_matches_csv_writer(states_and_controls, one_per_step):
         oracles.save_csv(traj, old)
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()
+
+
+def point_set(n: int, d: int, seed: int) -> np.ndarray:
+    """n points uniform on the unit cube in d dimensions, as an (n, d) array."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, (n, d))
+
+
+def coordinate(x) -> np.ndarray:
+    """A 1-D feature input as it is, the coordinate sum of a 2-D one."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim == 1 else x.sum(axis=1)
+
+
+def reference_design(n: int, d: int, gamma: float, seed: int):
+    """Training and validation designs of a noisy sine around a linear reference."""
+    def targets(X):
+        noise = np.random.default_rng(seed + 7).normal(0.0, 0.05, X.shape[0])
+        return np.sin(2 * np.pi * X.sum(axis=1)) + noise
+
+    train, val = (hybrid_static.Dataset(inputs=X, targets=targets(X))
+                  for X in (point_set(n, d, seed), point_set(n, d, seed + 1)))
+    design = hybrid_static.design(train, lambda x: 0.5 * coordinate(x),
+                                  kernels.KernelSpec(gamma=gamma))
+    return design, design.at(val)
+
+
+dims = st.sampled_from([1, 2])
+
+
+@SETTINGS
+@given(st.integers(1, 60), dims, st.integers(1, 4), st.floats(1e-4, 1e2),
+       st.integers(0, 2 ** 32 - 1))
+def test_joint_matrix_matches_copy_and_add(n, d, p, lambda_r, seed):
+    X = point_set(n, d, seed)
+    data = hybrid_static.Dataset(inputs=X, targets=np.cos(X.sum(axis=1)))
+    features = lambda x: np.stack([coordinate(x) ** k for k in range(p)], axis=-1)
+    design = hybrid_static.design(data, features, kernels.KernelSpec(gamma=50.0), joint=True)
+    A = np.random.default_rng(seed).standard_normal((p, p))
+    penalty = A @ A.T
+    M = hybrid_static._joint_matrix(design, penalty, lambda_r)
+    assert M.tobytes() == oracles.joint_matrix(design, penalty, lambda_r).tobytes()
+
+
+@SETTINGS
+@given(st.integers(1, 300), dims, st.floats(10.0, 1e3), st.integers(0, 2 ** 32 - 1))
+def test_low_rank_factor_is_orthonormal_and_bounded_by_its_tail(n, d, gamma, seed):
+    G = kernels.gram(kernels.KernelSpec(gamma=gamma), point_set(n, d, seed))
+    W, mu, tail = linalg.low_rank_psd_factor(G)
+    r = mu.size
+    assert W.shape == (n, r) and np.all(mu > 0)
+    assert np.abs(W.T @ W - np.eye(r)).max() <= 1e-12
+    # the remainder is PSD, so its trace bounds its 2-norm; the slack covers
+    # rounding in the factor and in forming the remainder
+    remainder = np.linalg.norm(G - (W * mu) @ W.T, 2)
+    assert remainder <= tail + 10 * n * np.finfo(float).eps
+
+
+@SETTINGS
+@given(st.integers(5, 300), dims, st.floats(10.0, 1e3), st.floats(1e-3, 1e2),
+       st.integers(0, 2 ** 32 - 1))
+def test_reference_krr_matches_dense_solve(n, d, gamma, lam, seed):
+    train, val = reference_design(n, d, gamma, seed)
+    new, old = (fit(train, lam) for fit in (hybrid_static.fit_reference_krr,
+                                           oracles.fit_reference_krr))
+    for design in (train, val):
+        expected = hybrid_static.rmse(old, design)
+        assert hybrid_static.rmse(new, design) == pytest.approx(expected, rel=1e-10)
+
+
+def test_tiny_lambda_takes_the_dense_path():
+    train, _ = reference_design(300, 1, 100.0, seed=3)
+    lam = 1e-12
+    assert train.factor.tail >= lam / 10  # the dense path's condition
+    new = hybrid_static.fit_reference_krr(train, lam)
+    assert np.array_equal(new.coeffs, oracles.fit_reference_krr(train, lam).coeffs)
+
+
+@pytest.mark.parametrize("dataset, reference", [
+    (experiments.xy_dataset, experiments.relative_volatility_reference),
+    (experiments.gex_dataset, experiments.gex_reference)], ids=["xy", "gibbs"])
+def test_reference_krr_at_n2000_matches_an_eigendecomposition(dataset, reference):
+    train = hybrid_static.design(dataset(2000, 0), reference,
+                                 kernels.KernelSpec(gamma=experiments.DEFAULT_GAMMA_X))
+    val = train.at(dataset(2000, 1))
+    e, V = np.linalg.eigh(train.K)
+    Vr = V.T @ (train.y - train.F[:, 0])
+    for lam in experiments.DEFAULT_LAMBDA_GRID:
+        exact = train.model(np.ones(1), V @ (Vr / (np.maximum(e, 0.0) + lam)))
+        model = hybrid_static.fit_reference_krr(train, lam)
+        for design in (train, val):
+            expected = hybrid_static.rmse(exact, design)
+            assert hybrid_static.rmse(model, design) == pytest.approx(expected, rel=1e-11)
