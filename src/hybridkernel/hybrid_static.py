@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel, NotConverged
-from .kernels import KernelSpec, cross_gram, gram
+from .kernels import KernelSpec, cross_gram, gram, sq_distances
 from .linalg import LowRankFactor, low_rank_psd_factor, solve_shifted, solve_spd
 
 DUPLICATE_TOL = 1e-9
@@ -51,8 +50,9 @@ class Dataset:
             raise DimensionMismatch("empty dataset")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise DomainError("dataset contains NaN/Inf")
-        # for 1-D inputs the nearest pair is adjacent once sorted
-        gaps = np.diff(np.sort(X[:, 0])) if X.shape[1] == 1 else pdist(X)
+        # 1-D: the nearest pair is adjacent once sorted; else every pair once, as in pdist
+        gaps = (np.diff(np.sort(X[:, 0])) if X.shape[1] == 1
+                else np.sqrt(sq_distances(X, X)[np.triu_indices(X.shape[0], 1)]))
         if X.shape[0] > 1 and gaps.min() < DUPLICATE_TOL:
             raise DomainError("duplicate inputs (pairwise distance < 1e-9)")
         object.__setattr__(self, "inputs", X)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoBracket
 
@@ -166,20 +165,6 @@ def bubble_point(x1: float) -> tuple[float, float]:
     g1, _ = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c) / ATM_MMHG
     return T_c, float(np.clip(y1, 0.0, 1.0))
-
-
-def find_azeotrope() -> VlePoint:
-    """Interior composition where y(x) = x at 1 atm, with its boiling temperature."""
-
-    def gap(x: float) -> float:
-        return bubble_point(x)[1] - x
-
-    lo, hi = 0.01, 0.99
-    if gap(lo) * gap(hi) > 0:
-        raise NoBracket("y(x) - x does not change sign on (0.01, 0.99)")
-    x_az = brentq(gap, lo, hi, xtol=1e-10)
-    T_az, y_az = bubble_point(x_az)
-    return VlePoint(x=float(x_az), y=float(y_az), T=float(T_az))
 
 
 def vle_compositions(n: int, seed: int = 0) -> np.ndarray:

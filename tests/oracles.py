@@ -6,16 +6,19 @@ property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
 is the path that ``control.simulate`` on Python floats replaced. Likewise
 the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
-term at each bisection step, the symmetrized Gram matrix and the csv.writer
-trajectory file are the paths ``linalg``, ``thermo_vle``, ``kernels`` and
-the CLI's output layer replaced. ``fit_reference_krr`` (a dense Cholesky of
-G + lam I per lambda) and ``joint_matrix`` (with its n x n lambda_r G
-temporary) are the paths the low-rank shifted solve and
-``hybrid_static._joint_matrix`` replaced. ``load_vle_csv`` reads a CSV the
+term at each bisection step, the symmetrized Gram matrix, the cross-Gram
+matrix and least pairwise distance from scipy's ``cdist`` and ``pdist``, and
+the csv.writer trajectory file are the paths ``linalg``, ``thermo_vle``,
+``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
+``fit_reference_krr`` (a dense Cholesky of G + lam I per lambda) and
+``joint_matrix`` (with its n x n lambda_r G temporary) are the paths the
+low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced. ``load_vle_csv`` reads a CSV the
 CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
 ``closure_residual`` moved here from ``hybridkernel.koopman``, and
 ``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
-``hybrid_static``: the package has no caller for them.
+``hybrid_static``: the package has no caller for them. ``find_azeotrope``
+moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
+``scipy.optimize`` in the package's imports.
 """
 
 import csv
@@ -23,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist
+from scipy.optimize import brentq
+from scipy.spatial.distance import cdist, pdist
 
-from hybridkernel import linalg, simplex_qp
+from hybridkernel import linalg, simplex_qp, thermo_vle
 from hybridkernel.control import lin_sontag
 from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket, NonFinite,
                                  NotPositiveDefinite, NotSymmetric)
@@ -414,6 +418,31 @@ def gram(k: KernelSpec, points) -> np.ndarray:
     X = _as_points(points)
     G = np.exp(-k.gamma * cdist(X, X, metric="sqeuclidean"))
     return 0.5 * (G + G.T)
+
+
+def cross_gram(k: KernelSpec, a_points, b_points) -> np.ndarray:
+    """Rectangular kernel matrix from scipy's cdist distances."""
+    return np.exp(-k.gamma * cdist(_as_points(a_points), _as_points(b_points),
+                                   metric="sqeuclidean"))
+
+
+def nearest_distance(X) -> float:
+    """Least Euclidean distance between two rows of X, from scipy's pdist."""
+    return float(pdist(np.asarray(X, dtype=float)).min())
+
+
+def find_azeotrope() -> VlePoint:
+    """Interior composition where y(x) = x at 1 atm, with its boiling temperature."""
+
+    def gap(x: float) -> float:
+        return thermo_vle.bubble_point(x)[1] - x
+
+    lo, hi = 0.01, 0.99
+    if gap(lo) * gap(hi) > 0:
+        raise NoBracket("y(x) - x does not change sign on (0.01, 0.99)")
+    x_az = brentq(gap, lo, hi, xtol=1e-10)
+    T_az, y_az = thermo_vle.bubble_point(x_az)
+    return VlePoint(x=float(x_az), y=float(y_az), T=float(T_az))
 
 
 def load_vle_csv(path) -> list:

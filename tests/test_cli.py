@@ -1,6 +1,7 @@
 """Config parsing, experiment drivers, CLI artifacts, and determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel, family_features
-from hybridkernel.errors import ConfigError, DimensionMismatch, MalformedModel
+from hybridkernel.errors import ConfigError, DimensionMismatch, DomainError, MalformedModel
 from hybridkernel.kernels import KernelSpec
 
 
@@ -89,6 +90,19 @@ class TestCliRuns:
         with pytest.warns(RuntimeWarning, match="max_iter=2"):
             assert run_cli(list(call) + ["--lambda", "1", "--out", str(tmp_path)]) == 3
         assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name, replacement, message", [
+        ("cstr_plant", lambda x, u: (math.inf, 0.0), "state became non-finite"),
+        ("cstr_f0_true_at", lambda x: _raise(DomainError("drift undefined")),
+         "drift undefined"),
+    ], ids=["non-finite-velocity", "domain-error"])
+    def test_exit_code_3_on_closed_loop_failure(self, tmp_path, capsys, monkeypatch, name,
+                                                replacement, message):
+        monkeypatch.setattr(koopman, name, replacement)
+        assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "1",
+                        "--out", str(tmp_path)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("experiment, path_args", [
@@ -293,8 +307,13 @@ class TestMalformedModelJson:
         (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": -1.0}), MalformedModel),
         (lambda t: _edited(t, kernel={"family": "laplacian", "gamma": 2.0}), MalformedModel),
         (lambda t: _edited(t, coeffs=[0.2, -0.3, 0.4]), DimensionMismatch),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": np.inf}), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": 2.0}).replace(
+            '"gamma": 2.0', '"gamma": 1e400'), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": np.nan}), MalformedModel),
     ], ids=["not-json", "missing-block", "ragged", "gamma-0", "gamma-negative",
-            "family-laplacian", "coeffs-per-anchor"])
+            "family-laplacian", "coeffs-per-anchor", "gamma-infinity", "gamma-1e400",
+            "gamma-nan"])
     def test_hybrid_model(self, edit, error):
         features = thermo_vle.margules_features
         HybridModel.from_json(_hybrid_model_json(), features)  # the unedited one loads
@@ -311,6 +330,10 @@ class TestMalformedModelJson:
         koopman.KoopmanHybridModel.from_json(_koopman_model_json())
         with pytest.raises(MalformedModel):
             koopman.KoopmanHybridModel.from_json(edit(_koopman_model_json()))
+
+
+def _raise(error):
+    raise error
 
 
 def _file(path, data: bytes):

@@ -44,6 +44,12 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec(gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [np.inf, float("1e400"), np.nan])
+    def test_bandwidth_must_be_finite(self, gamma):
+        # an infinite gamma would give inf * 0 = NaN at every anchor
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(gamma=gamma)
+
     def test_round_trip_serialization(self):
         d = KernelSpec(gamma=100.0).to_dict()
         assert KernelSpec.from_dict(d) == KernelSpec(gamma=100.0)

@@ -1,6 +1,9 @@
 """The one-pass SPD checks, the split bubble point, the half-matrix Gram, the
+numpy distances behind the Gram matrices and the 2-D duplicate rule, the
 joint-fit matrix, the low-rank reference fit and the CLI's trajectory CSV
-against the paths they replaced (``tests/oracles.py``).
+against the paths they replaced (``tests/oracles.py`` and scipy's ``cdist``
+and ``pdist``). One more test checks that the package, once imported and run,
+has loaded no scipy subpackage but ``scipy.linalg``.
 
 Each result must equal the oracle's bit for bit, and each must raise where
 the oracle raises. The one allowed difference: the old jitter step added
@@ -11,7 +14,10 @@ are held to 1e-10 relative of the dense oracle, and at n = 2000 to 1e-11
 relative of an exact solve from a full eigendecomposition.
 """
 
+import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,10 +26,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 import oracles
 from hybridkernel import cli, control, experiments, hybrid_static, kernels, linalg, thermo_vle
-from hybridkernel.errors import HybridKernelError, NotPositiveDefinite, NotSymmetric
+from hybridkernel.errors import (DomainError, HybridKernelError, NotPositiveDefinite,
+                                 NotSymmetric)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 TILE = linalg.SYMMETRY_TILE
@@ -152,6 +160,80 @@ def test_gram_matches_symmetrized_full_gram_2d(gamma, X):
     k = kernels.KernelSpec(gamma=gamma)
     G = kernels.gram(k, X)
     assert G.tobytes() == oracles.gram(k, X).tobytes()
+
+
+@st.composite
+def point_pairs(draw):
+    """Two point sets of one dimension d = 1-3, each of 1-60 points, scaled
+    by one of 1e-6 ... 1e3."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+    return tuple(scale * draw(arrays(np.float64, (draw(st.integers(1, 60)), d),
+                                     elements=coords)) for _ in range(2))
+
+
+@SETTINGS
+@given(gammas, point_pairs())
+@example(1.0, (np.array([[0.25]]), np.array([[0.5]])))
+@example(1.0, (np.array([[0.1, 0.2, 0.3]]), np.linspace(-1.0, 1.0, 15).reshape(5, 3)))
+@example(1.0, (np.linspace(-1.0, 1.0, 10).reshape(5, 2), np.array([[0.1, 0.2]])))
+def test_cross_gram_and_distances_match_cdist(gamma, pair):
+    A, B = pair
+    k = kernels.KernelSpec(gamma=gamma)
+    assert kernels.sq_distances(A, B).tobytes() == cdist(A, B, "sqeuclidean").tobytes()
+    assert kernels.cross_gram(k, A, B).tobytes() == oracles.cross_gram(k, A, B).tobytes()
+
+
+@pytest.mark.parametrize("gap, duplicate", [(0.5e-9, True), (2e-9, False)])
+def test_duplicate_rule_in_2d_keeps_its_threshold(gap, duplicate):
+    X = np.random.default_rng(4).uniform(0.0, 1.0, (50, 2))
+    X[-1] = X[7] + gap * np.array([0.6, -0.8])
+    assert (oracles.nearest_distance(X) < hybrid_static.DUPLICATE_TOL) is duplicate
+    assert (outcome(hybrid_static.Dataset, X, np.zeros(50)) is DomainError) is duplicate
+
+
+@SETTINGS
+@given(st.integers(2, 3), st.floats(0.8e-9, 1.2e-9), st.integers(0, 2 ** 32 - 1))
+def test_duplicate_rule_matches_pdist(d, gap, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (30, d))
+    direction = rng.standard_normal(d)
+    X[-1] = X[0] + gap * direction / np.linalg.norm(direction)
+    duplicate = oracles.nearest_distance(X) < hybrid_static.DUPLICATE_TOL
+    assert (outcome(hybrid_static.Dataset, X, np.zeros(30)) is DomainError) is duplicate
+
+
+# every CLI experiment at a small size, in the interpreter that imported the CLI
+IMPORT_PROBE = """
+import json, sys, tempfile
+import hybridkernel.cli
+
+def scipy_subpackages():
+    return sorted({name.split(".")[1] for name, mod in list(sys.modules.items())
+                   if name.startswith("scipy.") and hasattr(mod, "__path__")
+                   and not name.split(".")[1].startswith("_")})
+
+after_import = scipy_subpackages()
+calls = [["vle-data", "--n", "5"], ["setting1", "--n", "12"], ["setting2", "--n", "12"],
+         ["setting3", "--n", "12", "--m", "3"], ["koopman", "--n", "30", "--m", "5"],
+         ["control", "--n", "30", "--m", "5", "--lambda", "1"]]
+with tempfile.TemporaryDirectory() as tmp:
+    codes = [hybridkernel.cli.main(call + ["--out", f"{tmp}/{i}"])
+             for i, call in enumerate(calls)]
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_runs": scipy_subpackages()}))
+"""
+
+
+def test_package_loads_no_scipy_subpackage_but_linalg():
+    src = str(Path(hybrid_static.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["after_import"] == ["linalg"]
+    assert seen["codes"] == [0] * 6
+    assert seen["after_runs"] == ["linalg"]
 
 
 values = st.floats(allow_nan=False, allow_infinity=False, width=64)

@@ -72,7 +72,7 @@ class TestBubblePoint:
         assert y == pytest.approx(1.0, abs=1e-9)
 
     def test_azeotrope(self):
-        az = tv.find_azeotrope()
+        az = oracles.find_azeotrope()
         assert az.y == pytest.approx(az.x, abs=1e-7)
         assert az.T == pytest.approx(76.7, abs=0.3)
 
