@@ -8,7 +8,10 @@
 # with PYTHONPATH set to that tree and BLAS on one thread, then compares the
 # outputs of each call with diff -r, leaving out manifest.json (it records a
 # timestamp and the output path). Prints one line per call and exits 1 if any
-# call differs.
+# call differs. Under a call that differs it lists each differing file with
+# the largest absolute and relative difference over its numeric cells (CSV
+# cells split at ',' and ';', JSON leaves), or says that non-numeric text or
+# the layout differs.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -42,6 +45,66 @@ for side in parent change; do
     done
 done
 
+# Largest differences over the numeric cells of the files that differ
+# between two output directories, one line per file.
+max_differences() {
+    python3 - "$1" "$2" <<'PY'
+import filecmp, json, math, sys
+from pathlib import Path
+
+def cells(path):
+    if path.suffix == ".json":
+        def leaves(v):
+            if isinstance(v, dict):
+                for k, x in v.items():
+                    yield k
+                    yield from leaves(x)
+            elif isinstance(v, list):
+                for x in v:
+                    yield from leaves(x)
+            else:
+                yield v
+        return list(leaves(json.loads(path.read_text())))
+    return [c for line in path.read_text().splitlines()
+            for cell in line.split(",") for c in cell.split(";")]
+
+def number(c):
+    if isinstance(c, bool) or c is None:
+        return None
+    try:
+        return float(c)
+    except (TypeError, ValueError):
+        return None
+
+a_root, b_root = Path(sys.argv[1]), Path(sys.argv[2])
+names = sorted({p.relative_to(r) for r in (a_root, b_root) for p in r.rglob("*")
+                if p.is_file() and p.name != "manifest.json"})
+for name in names:
+    a, b = a_root / name, b_root / name
+    if not (a.is_file() and b.is_file()):
+        print(f"           {name}: only in {'parent' if a.is_file() else 'change'}")
+        continue
+    if filecmp.cmp(a, b, shallow=False):
+        continue
+    ca, cb = cells(a), cells(b)
+    if len(ca) != len(cb):
+        print(f"           {name}: layout differs ({len(ca)} against {len(cb)} cells)")
+        continue
+    worst_abs = worst_rel = 0.0
+    text_differs = False
+    for x, y in zip(ca, cb):
+        fx, fy = number(x), number(y)
+        if fx is None or fy is None:
+            text_differs |= x != y
+        elif fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+            d = abs(fx - fy) if math.isfinite(fx) and math.isfinite(fy) else math.inf
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / max(abs(fx), abs(fy)))
+    note = "; non-numeric text differs" if text_differs else ""
+    print(f"           {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}{note}")
+PY
+}
+
 status=0
 for call in "${CALLS[@]}"; do
     read -r name _ <<< "$call"
@@ -49,6 +112,7 @@ for call in "${CALLS[@]}"; do
         echo "same       $name"
     else
         echo "DIFFERENT  $name"
+        max_differences "$WORK/parent/$name" "$WORK/change/$name"
         status=1
     fi
 done

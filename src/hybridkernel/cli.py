@@ -128,6 +128,19 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def csv_text(columns, rows) -> str:
+    """A header and one line per row of str cells, CRLF-ended: what
+    csv.writer writes for cells without commas, quotes or line breaks."""
+    return "\r\n".join([",".join(columns), *map(",".join, rows), ""])
+
+
+def trajectory_csv(traj) -> str:
+    """Rows t,x1,x2,u; u is empty where the trajectory has no control."""
+    columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
+    return csv_text(("t", "x1", "x2", "u"),
+                    zip_longest(*(map(repr, c) for c in columns), fillvalue=""))
+
+
 class RunOutput:
     """Every file one run writes, under one directory. Each write records the
     file's name, so the manifest lists exactly what the run wrote."""
@@ -135,21 +148,17 @@ class RunOutput:
     def __init__(self, root: Path):
         self.root, self.written = root, []
 
-    def _open(self, name: str):
+    def text(self, name: str, text: str) -> None:
         self.written.append(name)
-        return (self.root / name).open("w", newline="")
+        with (self.root / name).open("w", newline="") as fh:
+            fh.write(text)
 
     def json(self, name: str, doc) -> None:
         """doc is a JSON text (a model's to_json) or an object to dump with indent 2."""
-        with self._open(name) as fh:
-            fh.write((doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
+        self.text(name, (doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
 
     def csv(self, name: str, columns, rows) -> None:
-        """A header and one line per row of str cells, CRLF-ended: what
-        csv.writer writes for cells without commas, quotes or line breaks."""
-        with self._open(name) as fh:
-            fh.write(",".join(columns) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+        self.text(name, csv_text(columns, rows))
 
     def table(self, name: str, rows: list[dict], columns: tuple) -> None:
         self.csv(name, columns, ([_cell(row[c]) for c in columns] for row in rows))
@@ -161,12 +170,6 @@ class RunOutput:
                  (map(repr, (p.x, p.y, p.T, thermo_vle.excess_gibbs_from_txy(p))) for p in points))
         self.json(f"{name}.csv.meta.json",
                   {"pressure_mmHg": thermo_vle.ATM_MMHG, "seed": seed, "n": len(points)})
-
-    def trajectory(self, name: str, traj) -> None:
-        """Rows t,x1,x2,u; u is empty where the trajectory has no control."""
-        columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
-        self.csv(name, ("t", "x1", "x2", "u"),
-                 zip_longest(*(map(repr, c) for c in columns), fillvalue=""))
 
 
 RMSE_COLUMNS = ("lambda", "train_rmse", "val_rmse")
@@ -220,10 +223,17 @@ def run(config: ExperimentConfig) -> int:
         out.json("comparison.json", [{k: v for k, v in row.items()
                                       if not k.startswith("trajectory")} for row in rows])
         (out.root / "trajectories").mkdir(exist_ok=True)
+        # the rows of one initial state share its truth trajectory: format it
+        # once, and hold one such text at a time
+        runs = {}
         for i, row in enumerate(rows):
-            for kind in ("truth", "model"):
-                out.trajectory(f"trajectories/run{i:03d}_x{row['x0_index']}_{kind}.csv",
-                               row[f"trajectory_{kind}"])
+            runs.setdefault(id(row["trajectory_truth"]), []).append(i)
+        for run in runs.values():
+            truth_csv = trajectory_csv(rows[run[0]]["trajectory_truth"])
+            for i in run:
+                name = f"trajectories/run{i:03d}_x{rows[i]['x0_index']}"
+                out.text(f"{name}_truth.csv", truth_csv)
+                out.text(f"{name}_model.csv", trajectory_csv(rows[i]["trajectory_model"]))
 
     out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
                                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GridMismatch, NonFinite
-from .koopman import KoopmanHybridModel, MonomialBasis
+from .koopman import KoopmanHybridModel, MonomialBasis, polyval
 
 B_DEADBAND = 1e-12
 
@@ -50,24 +50,32 @@ def _point(x) -> tuple:
 def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
     """Lie derivatives of V along drift and input channel of the true plant;
     f0 and f1 receive the state as a tuple of floats. Raises NonFinite where
-    the Python-float powers of Dpsi overflow."""
+    the Python-float powers of x1 overflow."""
     x = _point(x)
-    psi = basis.eval_at(x)
+    x1, x2 = x
+    # grad V = 2 Dpsi' psi for V = sum_{i=1}^q x1^2i + x2^2 sum_{i<q} x1^2i:
+    # hi and lo sum i x1^(2i-1) over i <= q and i < q, w sums x1^2i over i < q
+    hi = lo = w = 0.0
+    prev = 1.0
     try:
-        J = basis.jacobian_at(x)
+        for i in range(1, basis.q + 1):
+            power = x1 ** i
+            lo, hi = hi, hi + i * prev * power
+            w += prev * prev
+            prev = power
     except OverflowError as e:
-        raise NonFinite(f"Dpsi overflows at x={x}") from e
-    a = 2.0 * float(psi @ (J @ np.asarray(f0(x), dtype=float).ravel()))
-    b = 2.0 * float(psi @ (J @ np.asarray(f1(x), dtype=float).ravel()))
-    return a, b
+        raise NonFinite(f"powers of x1 overflow at x={x}") from e
+    g1, g2 = 2.0 * (hi + x2 * x2 * lo), 2.0 * x2 * w
+    (f01, f02), (f11, f12) = f0(x), f1(x)
+    return float(g1 * f01 + g2 * f02), float(g1 * f11 + g2 * f12)
 
 
 def clf_rates_model(model: KoopmanHybridModel, x) -> tuple[float, float]:
-    """Lie derivatives of V computed on the bilinear lifted model at z = psi(x)."""
-    z = model.basis.eval_at(_point(x))
-    a = 2.0 * float(z @ (model.drift_matrix @ z))
-    b = 2.0 * float(z @ (model.input_beta + model.input_gamma @ z))
-    return a, b
+    """Lie derivatives of V computed on the bilinear lifted model at z = psi(x),
+    from the model's polynomials in (x1, x2)."""
+    x1, x2 = _point(x)
+    a, b = model.clf_rate_coeffs
+    return polyval(a, x1, x2), polyval(b, x1, x2)
 
 
 def lin_sontag(a: float, b: float) -> float:

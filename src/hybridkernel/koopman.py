@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,22 +37,17 @@ class MonomialBasis:
     def exponents(self) -> list[tuple[int, int]]:
         return [(k, 0) for k in range(1, self.q + 1)] + [(k, 1) for k in range(self.q)]
 
-    def _terms(self, x1, x2) -> list:
-        """psi's entries from the coordinates, floats or arrays. The array
-        ``**`` is x*x for squares and numpy's SIMD pow otherwise, which differs
-        from libm's (Python's ``**``) in the last bit; so squares are x1 * x1
-        and higher powers go through np.power on both paths."""
-        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
-        return powers + [x2] + [p * x2 for p in powers[:-1]]
-
     def eval(self, x) -> np.ndarray:
-        """psi at states of shape (..., 2), as an (..., N) array."""
-        x = np.asarray(x, dtype=float)
-        return np.stack(self._terms(x[..., 0], x[..., 1]), axis=-1)
+        """psi at states of shape (..., 2), as an (..., N) array.
 
-    def eval_at(self, x) -> np.ndarray:
-        """psi at one state given as (x1, x2) floats, bit for bit a row of eval."""
-        return np.array(self._terms(*x))
+        Squares are x1 * x1 and higher powers np.power, numpy's SIMD pow on
+        arrays, which differs from libm's (Python's ``**``) in the last bit;
+        every fitted model depends on these bits.
+        """
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
+        return np.stack(powers + [x2] + [p * x2 for p in powers[:-1]], axis=-1)
 
     def jacobian(self, x) -> np.ndarray:
         """Partial derivatives of psi at states of shape (..., 2), as (..., N, 2).
@@ -68,14 +63,26 @@ class MonomialBasis:
             J[..., row, 1] = pw(x1, i) * j * pw(x2, j - 1) if j >= 1 else 0.0
         return J
 
-    def jacobian_at(self, x) -> np.ndarray:
-        """Dpsi at one state given as (x1, x2) floats, bit for bit a row of
-        jacobian: Python's ``**`` on floats is libm's pow, as np.float_power is."""
-        x1, x2 = x
-        return np.array([d for i, j in self.exponents
-                         for d in (i * x1 ** (i - 1) * x2 ** j if i >= 1 else 0.0,
-                                   x1 ** i * j * x2 ** (j - 1) if j >= 1 else 0.0)]
-                        ).reshape(self.N, 2)
+    def quadratic_coeffs(self, M, v=None) -> tuple:
+        """psi(x)' M psi(x) + v' psi(x) as a polynomial for polyval: of degree
+        2q in x1 and 2 in x2, as (c0, c1, c2) per power of x1, highest first,
+        where c_j multiplies x2^j. Python floats: formed once, read per state."""
+        e, f = np.array(self.exponents).T
+        C = np.zeros((3, 2 * self.q + 1))
+        np.add.at(C, (f[:, None] + f, e[:, None] + e), np.asarray(M, dtype=float))
+        if v is not None:
+            np.add.at(C, (f, e), np.asarray(v, dtype=float))
+        return tuple(map(tuple, C[:, ::-1].T.tolist()))
+
+
+def polyval(coeffs, x1, x2):
+    """The quadratic_coeffs polynomial at (x1, x2) by Horner's rule in x1. It
+    uses only + and *, so floats and coordinate arrays give the same bits per
+    state."""
+    acc = 0.0
+    for c0, c1, c2 in coeffs:
+        acc = acc * x1 + (c0 + x2 * (c1 + x2 * c2))
+    return acc
 
 
 def _matvec(J: np.ndarray, v) -> np.ndarray:
@@ -271,11 +278,27 @@ def default_closure_grid(points_per_axis: int = 33) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
+@lru_cache(maxsize=None)
+def _default_lattice(basis: MonomialBasis) -> tuple:
+    """(grid, psi, Dpsi) on the default closure lattice, once per basis: every
+    closure fit of a sweep reads them, so they are read-only."""
+    lattice = default_closure_grid()
+    lattice = (lattice, basis.eval(lattice), basis.jacobian(lattice))
+    for a in lattice:
+        a.flags.writeable = False
+    return lattice
+
+
 def _closure_targets(field: Callable, basis: MonomialBasis, grid):
-    """(grid, Dpsi(x) f(x) on it); a field may return one (2,) vector for all x."""
-    grid = default_closure_grid() if grid is None else np.asarray(grid, dtype=float)
+    """(grid, psi on it, Dpsi(x) f(x) on it); a field may return one (2,)
+    vector for all x."""
+    if grid is None:
+        grid, Psi, J = _default_lattice(basis)
+    else:
+        grid = np.asarray(grid, dtype=float)
+        Psi, J = basis.eval(grid), basis.jacobian(grid)
     F = np.broadcast_to(np.asarray(field(grid), dtype=float), grid.shape)
-    return grid, _matvec(basis.jacobian(grid), F)
+    return grid, Psi, _matvec(J, F)
 
 
 def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
@@ -284,11 +307,10 @@ def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
 
     With affine=False, beta is returned as the zero vector and only Gamma is fit.
     """
-    grid, targets = _closure_targets(field, basis, grid)
+    grid, Psi, targets = _closure_targets(field, basis, grid)
     N = basis.N
     if grid.shape[0] < N + 1:
         raise DimensionMismatch("closure grid must have at least N + 1 points")
-    Psi = basis.eval(grid)
     if affine:
         design = np.hstack([np.ones((grid.shape[0], 1)), Psi])
         sol = solve_least_squares(design, targets)
@@ -328,8 +350,12 @@ class KoopmanHybridModel:
     def drift_matrix(self) -> np.ndarray:
         return np.tensordot(self.weights, self.closure_A, axes=1) + self.residual
 
-    def rhs(self, z, u: float) -> np.ndarray:
-        return self.drift_matrix @ z + u * (self.input_beta + self.input_gamma @ z)
+    @cached_property
+    def clf_rate_coeffs(self) -> tuple:
+        """quadratic_coeffs of a(x) = 2 psi' A psi and b(x) = 2 psi'(beta + Gamma psi),
+        A the drift matrix: dV/dt = a + u b along the model, for V = ||psi||^2."""
+        return (self.basis.quadratic_coeffs(2.0 * self.drift_matrix),
+                self.basis.quadratic_coeffs(2.0 * self.input_gamma, 2.0 * self.input_beta))
 
     def to_json(self, **meta) -> str:
         """The model's blocks as JSON, after the extra keys in `meta`."""

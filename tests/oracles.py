@@ -18,7 +18,11 @@ CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` a
 ``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
 ``hybrid_static``: the package has no caller for them. ``find_azeotrope``
 moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
-``scipy.optimize`` in the package's imports.
+``scipy.optimize`` in the package's imports. ``psi_at``, ``jacobian_at`` and
+``lifted_rhs`` moved here from ``MonomialBasis.eval_at``, ``jacobian_at`` and
+``KoopmanHybridModel.rhs`` once the controllers took V's rates from the
+gradient of V and from the model's polynomials; ``clf_rates_fields`` and
+``clf_rates_model`` are the numpy rates those replaced.
 """
 
 import csv
@@ -126,9 +130,48 @@ def jacobian(basis: MonomialBasis, x) -> np.ndarray:
     return J
 
 
+def psi_at(basis: MonomialBasis, x) -> np.ndarray:
+    """psi at one state given as (x1, x2) floats, bit for bit a row of eval:
+    squares are x1 * x1 and higher powers np.power, as there."""
+    x1, x2 = x
+    powers = [x1, x1 * x1][:basis.q] + [np.power(x1, k) for k in range(3, basis.q + 1)]
+    return np.array(powers + [x2] + [p * x2 for p in powers[:-1]])
+
+
+def jacobian_at(basis: MonomialBasis, x) -> np.ndarray:
+    """Dpsi at one state given as (x1, x2) floats, bit for bit a row of
+    jacobian: Python's ``**`` on floats is libm's pow, as np.float_power is."""
+    x1, x2 = x
+    return np.array([d for i, j in basis.exponents
+                     for d in (i * x1 ** (i - 1) * x2 ** j if i >= 1 else 0.0,
+                               x1 ** i * j * x2 ** (j - 1) if j >= 1 else 0.0)]
+                    ).reshape(basis.N, 2)
+
+
 def clf_value(basis: MonomialBasis, x) -> float:
     z = psi(basis, np.asarray(x, dtype=float))
     return float(z @ z)
+
+
+def clf_rates_fields(basis: MonomialBasis, f0, f1, x) -> tuple[float, float]:
+    """a = 2 psi' Dpsi f0 and b = 2 psi' Dpsi f1 from the batched eval and
+    jacobian at a (2,) state array."""
+    x = np.asarray(x, dtype=float).ravel()
+    z, J = basis.eval(x), basis.jacobian(x)
+    return (2.0 * float(z @ (J @ np.asarray(f0(x), dtype=float))),
+            2.0 * float(z @ (J @ np.asarray(f1(x), dtype=float))))
+
+
+def clf_rates_model(model, x) -> tuple[float, float]:
+    """a = 2 z' A z and b = 2 z'(beta + Gamma z) at z = psi(x), A the drift matrix."""
+    z = model.basis.eval(np.asarray(x, dtype=float).ravel())
+    return (2.0 * float(z @ (model.drift_matrix @ z)),
+            2.0 * float(z @ (model.input_beta + model.input_gamma @ z)))
+
+
+def lifted_rhs(model, z, u: float) -> np.ndarray:
+    """The bilinear model's velocity zdot = A z + u (beta + Gamma z)."""
+    return model.drift_matrix @ z + u * (model.input_beta + model.input_gamma @ z)
 
 
 def lifted_velocities(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
@@ -247,21 +290,14 @@ def truth_controller(basis: MonomialBasis):
     """The ground-truth CLF controller on a (2,) state array: psi and Dpsi
     from the batched eval and jacobian, the CSTR fields as arrays."""
     def controller(x):
-        x = np.asarray(x, dtype=float).ravel()
-        psi, J = basis.eval(x), basis.jacobian(x)
-        a = 2.0 * float(psi @ (J @ cstr_f0_true(x)))
-        b = 2.0 * float(psi @ (J @ cstr_f1(x)))
-        return lin_sontag(a, b)
+        return lin_sontag(*clf_rates_fields(basis, cstr_f0_true, cstr_f1, x))
     return controller
 
 
 def model_controller(model):
     """The hybrid-model CLF controller on a (2,) state array, psi from eval."""
     def controller(x):
-        z = model.basis.eval(np.asarray(x, dtype=float).ravel())
-        a = 2.0 * float(z @ (model.drift_matrix @ z))
-        b = 2.0 * float(z @ (model.input_beta + model.input_gamma @ z))
-        return lin_sontag(a, b)
+        return lin_sontag(*clf_rates_model(model, x))
     return controller
 
 
@@ -288,9 +324,8 @@ def hybrid_generator_objective(design: GeneratorDesign, lambda_b: float, lambda_
 
 def closure_residual(field, basis: MonomialBasis, beta, Gamma, grid=None) -> float:
     """Max abs deviation of the closure on the grid."""
-    grid, truth = _closure_targets(field, basis, grid)
-    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float),
-                                                  basis.eval(grid))
+    _, Psi, truth = _closure_targets(field, basis, grid)
+    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float), Psi)
     return float(np.max(np.abs(fit - truth)))
 
 

@@ -5,7 +5,9 @@ Every batched result must equal the per-point oracle bit for bit, except
 ``hybrid_generator_objective``: it sums the squared residuals with np.sum, not
 one point at a time, and matches the oracle to 1e-12 relative. The batched
 ``hybrid_generator_objective`` and ``closure_residual`` live in ``oracles``
-too, since only tests call them.
+too, since only tests call them. The float rates of V sum in another order
+than the numpy rates in ``oracles``; they, and closed loops run with them,
+match those to 1e-12 absolute.
 """
 
 import numpy as np
@@ -51,8 +53,9 @@ def test_eval_and_jacobian_match_single_states(q, X):
     assert_bit_equal(basis.eval(X[0]), oracles.psi(basis, X[0]))
     assert_bit_equal(basis.jacobian(X[0]), oracles.jacobian(basis, X[0]))
     points = list(map(tuple, X.tolist()))
-    assert_bit_equal(np.array([basis.eval_at(x) for x in points]), basis.eval(X))
-    assert_bit_equal(np.array([basis.jacobian_at(x) for x in points]), basis.jacobian(X))
+    assert_bit_equal(np.array([oracles.psi_at(basis, x) for x in points]), basis.eval(X))
+    assert_bit_equal(np.array([oracles.jacobian_at(basis, x) for x in points]),
+                     basis.jacobian(X))
 
 
 @SETTINGS
@@ -143,8 +146,59 @@ def test_point_eval_and_jacobian_match_batched_rows_on_random_states(q):
     basis = kp.MonomialBasis(q=q)
     X = np.random.default_rng(q).uniform(-1.0, 1.0, size=(2000, 2))
     psi, J = basis.eval(X), basis.jacobian(X)
-    assert_bit_equal(np.array([basis.eval_at(x) for x in map(tuple, X.tolist())]), psi)
-    assert_bit_equal(np.array([basis.jacobian_at(x) for x in map(tuple, X.tolist())]), J)
+    points = list(map(tuple, X.tolist()))
+    assert_bit_equal(np.array([oracles.psi_at(basis, x) for x in points]), psi)
+    assert_bit_equal(np.array([oracles.jacobian_at(basis, x) for x in points]), J)
+
+
+def random_model(q: int, seed: int = 0) -> kp.KoopmanHybridModel:
+    rng = np.random.default_rng(seed)
+    N = 2 * q
+    return kp.KoopmanHybridModel(kp.MonomialBasis(q=q), np.array([0.4, 0.6]),
+                                 rng.standard_normal((N, N)), rng.standard_normal((2, N, N)),
+                                 rng.standard_normal(N), rng.standard_normal((N, N)))
+
+
+@pytest.mark.parametrize("q", range(1, 6))
+def test_rates_match_numpy_rates_on_the_state_box(q):
+    # the float rates sum in another order than psi' (J f) and z' (A z): the
+    # same values to rounding
+    basis, model = kp.MonomialBasis(q=q), random_model(q, seed=q)
+    X = np.random.default_rng(q).uniform(-kp.STATE_BOX, kp.STATE_BOX, size=(500, 2))
+    X[:4] = [[0.0, 0.0], [kp.STATE_BOX, kp.STATE_BOX], [-kp.STATE_BOX, 0.0],
+             [0.0, -kp.STATE_BOX]]
+    for x, point in zip(X, map(tuple, X.tolist())):
+        new = control.clf_rates_fields(basis, kp.cstr_f0_true_at, kp.cstr_f1_at, point)
+        old = oracles.clf_rates_fields(basis, kp.cstr_f0_true, kp.cstr_f1, x)
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
+        new, old = control.clf_rates_model(model, point), oracles.clf_rates_model(model, x)
+        assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
+        assert all(type(r) is float for r in new)
+
+
+@SETTINGS
+@given(orders, state_arrays(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_model_polynomials_give_float_bits_on_coordinate_arrays(q, X, seed):
+    # a batched closed loop needs the per-state bits; Horner's rule has only
+    # + and *, which round alike on floats and on arrays
+    model = random_model(q, seed)
+    for coeffs in model.clf_rate_coeffs:
+        batched = kp.polyval(coeffs, X[:, 0], X[:, 1])
+        assert_bit_equal(batched, [kp.polyval(coeffs, *x) for x in map(tuple, X.tolist())])
+    a, b = model.clf_rate_coeffs
+    assert [control.clf_rates_model(model, x) for x in map(tuple, X.tolist())] == list(
+        zip(kp.polyval(a, X[:, 0], X[:, 1]).tolist(), kp.polyval(b, X[:, 0], X[:, 1]).tolist()))
+
+
+def test_model_polynomials_give_float_bits_on_random_states():
+    # 20 000 states meet the inputs on which a BLAS dot product and a
+    # per-state sum round apart; Horner's rule must not
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(20000, 2))
+    points = list(map(tuple, X.tolist()))
+    for q in (1, 3, 5):
+        for coeffs in random_model(q, seed=q).clf_rate_coeffs:
+            assert_bit_equal(kp.polyval(coeffs, X[:, 0], X[:, 1]),
+                             [kp.polyval(coeffs, *x) for x in points])
 
 
 @pytest.fixture(scope="module")
@@ -167,12 +221,17 @@ def test_float_loop_matches_array_loop(cstr_controllers, kind, x0, steps):
     new_ctrl, old_ctrl = cstr_controllers[kind]
     dt = 0.01
     traj = control.simulate(kp.cstr_plant, new_ctrl, x0, dt, steps * dt)
-    # the same callables on numpy states, then the array plant and controllers
-    for plant, ctrl in ((kp.cstr_plant, new_ctrl), (oracles.plant, old_ctrl)):
-        times, states, controls = oracles.simulate(plant, ctrl, x0, dt, steps * dt)
-        assert_bit_equal(traj.times, times)
-        assert_bit_equal(traj.states, states)
-        assert_bit_equal(traj.controls, controls)
+    # the same callables on numpy states: the same bits
+    times, states, controls = oracles.simulate(kp.cstr_plant, new_ctrl, x0, dt, steps * dt)
+    assert_bit_equal(traj.times, times)
+    assert_bit_equal(traj.states, states)
+    assert_bit_equal(traj.controls, controls)
+    # the array plant and the numpy-rate controllers: V's rates are summed in
+    # another order, so states and controls agree to rounding
+    times, states, controls = oracles.simulate(oracles.plant, old_ctrl, x0, dt, steps * dt)
+    assert_bit_equal(traj.times, times)
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert np.max(np.abs(traj.controls - controls)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["truth", "model"])
@@ -205,11 +264,8 @@ def test_simulate_matches_list_based_loop():
 
 
 def test_drift_matrix_is_formed_once():
-    rng = np.random.default_rng(0)
-    basis = kp.MonomialBasis(q=2)
-    model = kp.KoopmanHybridModel(basis, np.array([0.4, 0.6]), rng.standard_normal((4, 4)),
-                                  rng.standard_normal((2, 4, 4)), rng.standard_normal(4),
-                                  rng.standard_normal((4, 4)))
+    model = random_model(q=2)
     assert model.drift_matrix is model.drift_matrix
     assert_bit_equal(model.drift_matrix,
                      np.tensordot(model.weights, model.closure_A, axes=1) + model.residual)
+    assert model.clf_rate_coeffs is model.clf_rate_coeffs

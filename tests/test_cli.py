@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import oracles
 from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel, family_features
 from hybridkernel.errors import ConfigError, DimensionMismatch, DomainError, MalformedModel
@@ -274,7 +275,8 @@ class TestModelJson:
                 (tmp_path / f"koopman_model_{i:02d}.json").read_text())
             for x in states:
                 z = loaded.basis.eval(x)
-                np.testing.assert_allclose(loaded.rhs(z, 0.3), model.rhs(z, 0.3),
+                np.testing.assert_allclose(oracles.lifted_rhs(loaded, z, 0.3),
+                                           oracles.lifted_rhs(model, z, 0.3),
                                            rtol=1e-12, atol=1e-12)
 
 

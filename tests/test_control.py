@@ -59,7 +59,7 @@ class TestClfRates:
                 assert abs(dvdt - (a + b * u)) < 1e-5
 
     def test_field_rates_overflow_is_non_finite(self):
-        # the Python-float powers of jacobian_at overflow at |x1| = 1e200
+        # the Python-float powers of x1 in grad V overflow at |x1| = 1e200
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
             ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, (1e200, 0.0))
 
@@ -198,7 +198,7 @@ class TestCompareTrajectories:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "traj.csv"
-        cli.RunOutput(tmp_path).trajectory("traj.csv", self.make())
+        cli.RunOutput(tmp_path).text("traj.csv", cli.trajectory_csv(self.make()))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2,u"
         assert len(lines) == 6

@@ -208,16 +208,18 @@ class TestBilinearAssembly:
     def test_vertex_weight_drift(self):
         model, As, _, _ = self.make_model(np.array([0.0, 1.0, 0.0]))
         z = np.arange(1.0, 7.0)
-        np.testing.assert_allclose(model.rhs(z, 0.0), As[1] @ z, atol=1e-12)
+        np.testing.assert_allclose(oracles.lifted_rhs(model, z, 0.0), As[1] @ z,
+                                   atol=1e-12)
 
     def test_zero_state_input_response(self):
         model, _, beta, _ = self.make_model(np.array([0.3, 0.3, 0.4]))
-        np.testing.assert_allclose(model.rhs(np.zeros(6), 2.0), 2.0 * beta,
-                                   atol=1e-12)
+        np.testing.assert_allclose(oracles.lifted_rhs(model, np.zeros(6), 2.0),
+                                   2.0 * beta, atol=1e-12)
 
     def test_consistency_with_lifted_fields(self):
-        # rhs(psi(x), u) deviates from Dpsi(x)(sum_j b_j f0(x|theta_j) + u f1(x))
-        # + R psi(x) by no more than the summed closure residuals
+        # the lifted velocity at psi(x) deviates from
+        # Dpsi(x)(sum_j b_j f0(x|theta_j) + u f1(x)) + R psi(x) by no more than
+        # the summed closure residuals
         thetas = np.random.default_rng(10).uniform(0, 1, size=(4, 2))
         b = np.full(4, 0.25)
         rng = np.random.default_rng(11)
@@ -240,7 +242,7 @@ class TestBilinearAssembly:
             J = BASIS3.jacobian(x)
             mix = sum(bj * kp.cstr_f0_family(x, th) for bj, th in zip(b, thetas))
             direct = J @ (mix + u * kp.cstr_f1(x)) + R @ BASIS3.eval(x)
-            dev = np.max(np.abs(model.rhs(BASIS3.eval(x), u) - direct))
+            dev = np.max(np.abs(oracles.lifted_rhs(model, BASIS3.eval(x), u) - direct))
             assert dev <= bound
 
     def test_degrees_of_freedom_count(self):

@@ -250,7 +250,7 @@ def test_save_csv_matches_csv_writer(states_and_controls, one_per_step):
                               controls=controls[:-1] if one_per_step else controls)
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        cli.RunOutput(Path(tmp)).trajectory("new.csv", traj)
+        cli.RunOutput(Path(tmp)).text("new.csv", cli.trajectory_csv(traj))
         oracles.save_csv(traj, old)
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()
