@@ -128,17 +128,12 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def csv_text(columns, rows) -> str:
-    """A header and one line per row of str cells, CRLF-ended: what
-    csv.writer writes for cells without commas, quotes or line breaks."""
-    return "\r\n".join([",".join(columns), *map(",".join, rows), ""])
-
-
 def trajectory_csv(traj) -> str:
-    """Rows t,x1,x2,u; u is empty where the trajectory has no control."""
+    """A trajectory's CSV text in RunOutput.csv's format, built with one join:
+    rows t,x1,x2,u, u empty where the trajectory has no control."""
     columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
-    return csv_text(("t", "x1", "x2", "u"),
-                    zip_longest(*(map(repr, c) for c in columns), fillvalue=""))
+    rows = zip_longest(*(map(repr, c) for c in columns), fillvalue="")
+    return "\r\n".join(["t,x1,x2,u", *map(",".join, rows), ""])
 
 
 class RunOutput:
@@ -148,17 +143,25 @@ class RunOutput:
     def __init__(self, root: Path):
         self.root, self.written = root, []
 
-    def text(self, name: str, text: str) -> None:
+    def _open(self, name: str):
         self.written.append(name)
-        with (self.root / name).open("w", newline="") as fh:
+        return (self.root / name).open("w", newline="")
+
+    def text(self, name: str, text: str) -> None:
+        with self._open(name) as fh:
             fh.write(text)
 
     def json(self, name: str, doc) -> None:
         """doc is a JSON text (a model's to_json) or an object to dump with indent 2."""
-        self.text(name, (doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
+        with self._open(name) as fh:
+            fh.write((doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
 
     def csv(self, name: str, columns, rows) -> None:
-        self.text(name, csv_text(columns, rows))
+        """A header and one line per row of str cells, CRLF-ended: what
+        csv.writer writes for cells without commas, quotes or line breaks."""
+        with self._open(name) as fh:
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(",".join(row) + "\r\n" for row in rows)
 
     def table(self, name: str, rows: list[dict], columns: tuple) -> None:
         self.csv(name, columns, ([_cell(row[c]) for c in columns] for row in rows))
@@ -225,10 +228,10 @@ def run(config: ExperimentConfig) -> int:
         (out.root / "trajectories").mkdir(exist_ok=True)
         # the rows of one initial state share its truth trajectory: format it
         # once, and hold one such text at a time
-        runs = {}
+        by_state = {}
         for i, row in enumerate(rows):
-            runs.setdefault(id(row["trajectory_truth"]), []).append(i)
-        for run in runs.values():
+            by_state.setdefault(row["x0_index"], []).append(i)
+        for run in by_state.values():
             truth_csv = trajectory_csv(rows[run[0]]["trajectory_truth"])
             for i in run:
                 name = f"trajectories/run{i:03d}_x{rows[i]['x0_index']}"

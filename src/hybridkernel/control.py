@@ -50,22 +50,9 @@ def _point(x) -> tuple:
 def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
     """Lie derivatives of V along drift and input channel of the true plant;
     f0 and f1 receive the state as a tuple of floats. Raises NonFinite where
-    the Python-float powers of x1 overflow."""
+    grad V is not finite."""
     x = _point(x)
-    x1, x2 = x
-    # grad V = 2 Dpsi' psi for V = sum_{i=1}^q x1^2i + x2^2 sum_{i<q} x1^2i:
-    # hi and lo sum i x1^(2i-1) over i <= q and i < q, w sums x1^2i over i < q
-    hi = lo = w = 0.0
-    prev = 1.0
-    try:
-        for i in range(1, basis.q + 1):
-            power = x1 ** i
-            lo, hi = hi, hi + i * prev * power
-            w += prev * prev
-            prev = power
-    except OverflowError as e:
-        raise NonFinite(f"powers of x1 overflow at x={x}") from e
-    g1, g2 = 2.0 * (hi + x2 * x2 * lo), 2.0 * x2 * w
+    g1, g2 = basis.sq_norm_gradient_at(*x)
     (f01, f02), (f11, f12) = f0(x), f1(x)
     return float(g1 * f01 + g2 * f02), float(g1 * f11 + g2 * f12)
 
@@ -80,13 +67,16 @@ def clf_rates_model(model: KoopmanHybridModel, x) -> tuple[float, float]:
 
 def lin_sontag(a: float, b: float) -> float:
     """Bounded-control universal CLF formula for |u| <= 1, clamped to [-1, 1];
-    raises NonFinite where b ** 4 overflows (|b| above about 1e77)."""
+    raises NonFinite where b ** 4 overflows (|b| above about 1e77) or the
+    formula gives NaN (a NaN rate, or a = -inf)."""
     if abs(b) < B_DEADBAND:
         return 0.0
     try:
         u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
     except OverflowError as e:
         raise NonFinite(f"Lin-Sontag formula overflows at b={b!r}") from e
+    if math.isnan(u):
+        raise NonFinite(f"Lin-Sontag formula is NaN at a={a!r}, b={b!r}")
     return float(min(max(u, -1.0), 1.0))
 
 

@@ -247,7 +247,9 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     Both controllers drive the true plant (certainty equivalence); reported per
     (lambda_R, initial state): max state deviation and whether V decreased
     monotonically (1e-6 per-step tolerance) along both trajectories, with the
-    two trajectories under "trajectory_truth" and "trajectory_model".
+    two trajectories under "trajectory_truth" and "trajectory_model". The truth
+    loop does not depend on lambda_R: the rows of one "x0_index" share one
+    truth trajectory.
     """
     run_seeds = seeds("control", seed)
     basis = koopman.MonomialBasis(q=DEFAULT_Q)

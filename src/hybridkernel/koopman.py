@@ -6,6 +6,7 @@ parameterized drifts, affine closures, and the bilinear lifted model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -13,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError, MalformedModel, NotConverged
+from .errors import DimensionMismatch, DomainError, MalformedModel, NonFinite, NotConverged
 from .linalg import solve_least_squares, unvec
 
 STATE_BOX = 0.25  # X = [-1/4, 1/4]^2
@@ -62,6 +63,26 @@ class MonomialBasis:
             J[..., row, 0] = i * pw(x1, i - 1) * pw(x2, j) if i >= 1 else 0.0
             J[..., row, 1] = pw(x1, i) * j * pw(x2, j - 1) if j >= 1 else 0.0
         return J
+
+    def sq_norm_gradient_at(self, x1: float, x2: float) -> tuple[float, float]:
+        """grad ||psi||^2 = 2 Dpsi' psi at one state, on Python floats. Raises
+        NonFinite where the powers of x1 overflow or the gradient is not finite."""
+        # ||psi||^2 = sum_{i<=q} x1^2i + x2^2 sum_{i<q} x1^2i: hi and lo sum
+        # i x1^(2i-1) over i <= q and i < q, w sums x1^2i over i < q
+        hi = lo = w = 0.0
+        prev = 1.0
+        try:
+            for i in range(1, self.q + 1):
+                power = x1 ** i
+                lo, hi = hi, hi + i * prev * power
+                w += prev * prev
+                prev = power
+        except OverflowError as e:
+            raise NonFinite(f"powers of x1 overflow at x=({x1}, {x2})") from e
+        g1, g2 = 2.0 * (hi + x2 * x2 * lo), 2.0 * x2 * w
+        if not (math.isfinite(g1) and math.isfinite(g2)):
+            raise NonFinite(f"grad ||psi||^2 is not finite at x=({x1}, {x2})")
+        return g1, g2
 
     def quadratic_coeffs(self, M, v=None) -> tuple:
         """psi(x)' M psi(x) + v' psi(x) as a polynomial for polyval: of degree

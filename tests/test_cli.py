@@ -153,6 +153,21 @@ class TestCliRuns:
         assert len(listed) == len(set(listed))
         assert set(listed) == written - {"manifest.json"}
 
+    def test_control_trajectory_files(self, tmp_path):
+        # each run's pair of CSVs holds its own row's trajectories, although
+        # the truth text is formatted once per initial state
+        grid = (1e-2, 1.0)
+        assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "0.01,1",
+                        "--out", str(tmp_path)]) == 0
+        rows = experiments.run_control(n=30, m=5, lambda_grid=grid)
+        written = sorted(p.name for p in (tmp_path / "trajectories").iterdir())
+        assert len(written) == 2 * len(rows)
+        for i, row in enumerate(rows):
+            for kind in ("truth", "model"):
+                path = tmp_path / "trajectories" / f"run{i:03d}_x{row['x0_index']}_{kind}.csv"
+                assert path.read_bytes() == cli.trajectory_csv(
+                    row[f"trajectory_{kind}"]).encode()
+
     def test_exit_code_2_on_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("mystery=1\n")
@@ -219,6 +234,13 @@ class TestExperiments:
         assert seen[0] == seen[1]
         if driver == "koopman":  # one design per sample: training and validation
             assert seen[0] == {"jacobian": 2, "family": 2 * 5}
+
+    def test_control_rows_of_one_state_share_its_truth_trajectory(self):
+        rows = experiments.run_control(n=30, m=5, lambda_grid=(1e-2, 1.0, 1e2), n_states=2,
+                                       horizon=0.1)
+        assert [row["x0_index"] for row in rows] == [0, 1] * 3
+        for row in rows:
+            assert row["trajectory_truth"] is rows[row["x0_index"]]["trajectory_truth"]
 
     def test_setting1_rows_deterministic(self):
         grid = (1e-2, 1e0)

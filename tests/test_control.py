@@ -63,6 +63,13 @@ class TestClfRates:
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
             ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, (1e200, 0.0))
 
+    @pytest.mark.parametrize("x", [(1e100, 0.0), (-1e100, 0.0), (0.0, 1e200)])
+    def test_field_rates_float_overflow_is_non_finite(self, x):
+        # x1^3 is finite at |x1| = 1e100 but the products of powers in grad V
+        # overflow to inf without an OverflowError; so does x2 * x2 at 1e200
+        with pytest.raises(NonFinite):
+            ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, x)
+
     def test_model_rates_close_to_truth(self):
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
         rows = experiments.run_koopman(n=120, seed=0, m=10,
@@ -117,6 +124,16 @@ class TestLinSontag:
         # b ** 4 on Python floats raises OverflowError where numpy returns inf
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
             ctl.lin_sontag(0.0, 1e100)
+
+
+    @pytest.mark.parametrize("a, b", [(float("nan"), 0.5), (float("-inf"), 0.5),
+                                      (0.5, float("nan"))])
+    def test_nan_is_non_finite(self, a, b):
+        with pytest.raises(NonFinite):
+            ctl.lin_sontag(a, b)
+
+    def test_infinite_drift_rate_clamps(self):
+        assert ctl.lin_sontag(float("inf"), 0.5) == -1.0
 
 
 class TestSimulate:

@@ -50,6 +50,16 @@ class TestMonomialBasis:
             assert np.max(np.abs(J - fd)) < 1e-6
 
 
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_sq_norm_gradient_is_twice_jacobian_transpose_psi(self, q):
+        basis = kp.MonomialBasis(q=q)
+        for x in np.random.default_rng(q).uniform(-3.0, 3.0, size=(200, 2)):
+            want = 2.0 * basis.jacobian(x).T @ basis.eval(x)
+            got = basis.sq_norm_gradient_at(*x.tolist())
+            assert all(type(g) is float for g in got)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
+
+
 class TestCstrFields:
     def test_drift_steady_state_at_origin(self):
         np.testing.assert_allclose(kp.cstr_f0_true(np.zeros(2)), [0.0, 0.0],

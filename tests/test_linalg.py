@@ -3,7 +3,7 @@ solves, least squares, kron/vec identities."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridkernel.errors import (DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd,
@@ -97,15 +97,31 @@ class TestShiftedSolve:
     def test_refinement_recovers_a_truncated_factor(self, n, lam, dropped, seed):
         # drop the eigenpairs of the factor below `dropped` * lam: the first
         # solve is off by up to 5 %, and refinement against the exact G must
-        # bring it to the dense solve's accuracy
+        # bring it to the dense solve's accuracy. Where the dropped eigenvalues
+        # sum to lam / 10 or more, solve_shifted solves densely instead, so
+        # such a draw does not test refinement (n=35, lam=0.05078125,
+        # dropped=0.05, seed=35 is one)
         G = gram_1d(n, seed)
         W, mu, tail = low_rank_psd_factor(G)
         keep = mu >= dropped * lam
         crude = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
-        assert crude.tail < lam / 10
+        assume(crude.tail < lam / 10)
         b = np.random.default_rng(seed).standard_normal(n)
         x = solve_shifted(G, crude, lam, b)
         x_dense = solve_spd(G + lam * np.eye(n), b)
+        assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
+
+    def test_truncated_factor_with_a_large_tail_solves_densely(self):
+        # the draw named above: the dropped eigenvalues sum to just over lam / 10
+        n, lam, dropped, seed = 35, 0.05078125, 0.05, 35
+        G = gram_1d(n, seed)
+        W, mu, tail = low_rank_psd_factor(G)
+        keep = mu >= dropped * lam
+        crude = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
+        assert crude.tail >= lam / 10
+        b = np.random.default_rng(seed).standard_normal(n)
+        x_dense = solve_spd(G + lam * np.eye(n), b)
+        x = solve_shifted(G, crude, lam, b)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
     def test_full_rank_factor_is_exact(self):
