@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GridMismatch, NonFinite
-from .koopman import KoopmanHybridModel, MonomialBasis, polyval
+from .koopman import KoopmanHybridModel, MonomialBasis, cstr_fields, polyval
 
 B_DEADBAND = 1e-12
 
@@ -42,25 +42,17 @@ def clf_value(basis: MonomialBasis, x):
     return float(v) if v.ndim == 0 else v
 
 
-def _point(x) -> tuple:
-    """One state as a tuple of floats; simulate passes its states as such."""
-    return x if type(x) is tuple else tuple(np.asarray(x, dtype=float).ravel().tolist())
+def clf_rates_fields(basis: MonomialBasis, x1: float, x2: float) -> tuple[float, float]:
+    """Lie derivatives of V along the CSTR's drift and input channel at one
+    state of floats. Raises NonFinite where grad V is not finite."""
+    g1, g2 = basis.sq_norm_gradient_at(x1, x2)
+    (f01, f02), (f11, f12) = cstr_fields(x1, x2)
+    return g1 * f01 + g2 * f02, g1 * f11 + g2 * f12
 
 
-def clf_rates_fields(basis: MonomialBasis, f0: Callable, f1: Callable, x) -> tuple[float, float]:
-    """Lie derivatives of V along drift and input channel of the true plant;
-    f0 and f1 receive the state as a tuple of floats. Raises NonFinite where
-    grad V is not finite."""
-    x = _point(x)
-    g1, g2 = basis.sq_norm_gradient_at(*x)
-    (f01, f02), (f11, f12) = f0(x), f1(x)
-    return float(g1 * f01 + g2 * f02), float(g1 * f11 + g2 * f12)
-
-
-def clf_rates_model(model: KoopmanHybridModel, x) -> tuple[float, float]:
+def clf_rates_model(model: KoopmanHybridModel, x1: float, x2: float) -> tuple[float, float]:
     """Lie derivatives of V computed on the bilinear lifted model at z = psi(x),
     from the model's polynomials in (x1, x2)."""
-    x1, x2 = _point(x)
     a, b = model.clf_rate_coeffs
     return polyval(a, x1, x2), polyval(b, x1, x2)
 
@@ -80,41 +72,39 @@ def lin_sontag(a: float, b: float) -> float:
     return float(min(max(u, -1.0), 1.0))
 
 
-def _floats(v):
-    """A dynamics result as a sequence of floats; an array becomes a list."""
-    return v.tolist() if isinstance(v, np.ndarray) else v
-
-
 def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
              horizon: float) -> Trajectory:
     """Classical RK4 with zero-order-hold control over each step; the horizon
     must be a whole number of steps (to 1e-9 relative).
 
-    The state is carried as a tuple of Python floats: controller(x) and
-    dynamics(x, u) receive that tuple, and dynamics returns a sequence of
-    floats (an array is accepted). A state that overflows or turns NaN raises
-    NonFinite.
+    The state is carried as two Python floats: controller(x1, x2) gives u,
+    and dynamics(x1, x2, u) the velocity as a pair of floats. x0 must have
+    shape (2,), else DimensionMismatch. A state that overflows or turns NaN
+    raises NonFinite.
     """
     if not 0 < dt <= horizon < math.inf:
         raise DomainError(f"need 0 < dt <= horizon < inf, got dt={dt}, horizon={horizon}")
     steps = round(horizon / dt)
     if abs(horizon / dt - steps) > 1e-9 * steps:
         raise DomainError(f"horizon {horizon} is not a whole number of steps of {dt}")
-    x = tuple(np.asarray(x0, dtype=float).ravel().tolist())
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (2,):
+        raise DimensionMismatch(f"need a state of shape (2,), got {x0.shape}")
+    x1, x2 = x0.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
-    states, controls = [x], []
+    states, controls = [(x1, x2)], []
     for step in range(steps):
-        u = float(controller(x))
-        k1 = _floats(dynamics(x, u))
-        k2 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k1)]), u))
-        k3 = _floats(dynamics(tuple([xi + half * ki for xi, ki in zip(x, k2)]), u))
-        k4 = _floats(dynamics(tuple([xi + dt * ki for xi, ki in zip(x, k3)]), u))
-        x = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + d)
-                   for xi, a, b, c, d in zip(x, k1, k2, k3, k4)])
-        if not all(map(math.isfinite, x)):
+        u = float(controller(x1, x2))
+        a1, a2 = dynamics(x1, x2, u)
+        b1, b2 = dynamics(x1 + half * a1, x2 + half * a2, u)
+        c1, c2 = dynamics(x1 + half * b1, x2 + half * b2, u)
+        d1, d2 = dynamics(x1 + dt * c1, x2 + dt * c2, u)
+        x1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        if not (math.isfinite(x1) and math.isfinite(x2)):
             raise NonFinite(f"state became non-finite at step {step}")
         controls.append(u)
-        states.append(x)
+        states.append((x1, x2))
     return Trajectory(times=np.arange(steps + 1) * dt, states=np.array(states),
                       controls=np.array(controls))
 
@@ -126,15 +116,15 @@ def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:
     return float(np.max(np.linalg.norm(t1.states - t2.states, axis=1)))
 
 
-def make_truth_controller(basis: MonomialBasis, f0: Callable, f1: Callable) -> Callable:
-    def controller(x):
-        a, b = clf_rates_fields(basis, f0, f1, x)
+def make_truth_controller(basis: MonomialBasis) -> Callable:
+    def controller(x1, x2):
+        a, b = clf_rates_fields(basis, x1, x2)
         return lin_sontag(a, b)
     return controller
 
 
 def make_model_controller(model: KoopmanHybridModel) -> Callable:
-    def controller(x):
-        a, b = clf_rates_model(model, x)
+    def controller(x1, x2):
+        a, b = clf_rates_model(model, x1, x2)
         return lin_sontag(a, b)
     return controller

@@ -196,10 +196,11 @@ def cstr_design(n: int, seed: int, thetas, basis: koopman.MonomialBasis
 
 def fit_closures(thetas, basis: koopman.MonomialBasis) -> tuple:
     """The lambda-independent closures (A, beta, Gamma): A[j] is the Gamma of
-    family member f0(. | theta_j), (beta, Gamma) the affine one of the input
-    channel f1."""
-    A = np.stack([koopman.closure_fit(lambda x, th=th: koopman.cstr_f0_family(x, th), basis)[1]
-                  for th in np.asarray(thetas)])
+    family member f0(. | theta_j), all m fit by one solve, and (beta, Gamma)
+    the affine one of the input channel f1."""
+    _, A = koopman.closure_fit(
+        lambda x: np.stack([koopman.cstr_f0_family(x, th) for th in np.asarray(thetas)],
+                           axis=1), basis)
     return (A, *koopman.closure_fit(koopman.cstr_f1, basis, affine=True))
 
 
@@ -262,8 +263,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
         return bool(np.all(np.diff(control.clf_value(basis, traj.states)) <= 1e-6))
 
     # the ground-truth loop does not depend on lambda_R
-    truth_ctrl = control.make_truth_controller(basis, koopman.cstr_f0_true_at,
-                                               koopman.cstr_f1_at)
+    truth_ctrl = control.make_truth_controller(basis)
     truths = [control.simulate(koopman.cstr_plant, truth_ctrl, x0, DEFAULT_DT, horizon)
               for x0 in x0s]
     truth_monotone = [v_monotone(t) for t in truths]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -133,52 +133,45 @@ class DriftSample:
         return self.states.shape[0]
 
 
-def _f0_true(x):
-    """The CSTR drift formula at x = (x1, x2): floats or coordinate arrays."""
-    x1, x2 = x
-    rate = 9.0 * (1.0 + x1) / (4.0 * (3.0 + 2.0 * x1))
-    return (3.0 - x1) / 4.0 - rate, -3.0 * (1.0 + x2) / 4.0 + rate
+def cstr_fields(x1, x2) -> tuple:
+    """The CSTR's drift f0_true (fractional kinetics, steady state at the
+    origin) and known input channel f1 (throughput convection) at x = (x1, x2),
+    as ((f0_1, f0_2), (f1_1, f1_2)). One formula with + - * / only, so a state
+    of floats and coordinate arrays get the same bits per state. On floats it
+    raises DomainError at 3 + 2 x1 = 0; on arrays cstr_f0_true and cstr_f1 do.
+    """
+    try:
+        rate = 9.0 * (1.0 + x1) / (4.0 * (3.0 + 2.0 * x1))
+    except ZeroDivisionError as e:
+        raise DomainError("drift undefined at 3 + 2 x1 = 0") from e
+    f1_1 = (3.0 - x1) / 4.0
+    return (f1_1 - rate, -3.0 * (1.0 + x2) / 4.0 + rate), (f1_1, -(1.0 + x2) / 4.0)
 
 
-def _on_states(formula, x) -> np.ndarray:
-    """formula at the coordinate arrays of (..., 2) states, as an (..., 2) array."""
+def _on_states(x, k: int) -> np.ndarray:
+    """Field k of cstr_fields at states of shape (..., 2), as an (..., 2) array."""
     x = np.asarray(x, dtype=float)
+    if np.count_nonzero(3.0 + 2.0 * x[..., 0] == 0.0):
+        raise DomainError("drift undefined at 3 + 2 x1 = 0")
     out = np.empty(x.shape)
-    out[..., 0], out[..., 1] = formula((x[..., 0], x[..., 1]))
+    out[..., 0], out[..., 1] = cstr_fields(x[..., 0], x[..., 1])[k]
     return out
 
 
 def cstr_f0_true(x) -> np.ndarray:
-    """CSTR drift with fractional kinetics; steady state at the origin."""
-    x = np.asarray(x, dtype=float)
-    if np.count_nonzero(3.0 + 2.0 * x[..., 0] == 0.0):
-        raise DomainError("drift undefined at 3 + 2 x1 = 0")
-    return _on_states(_f0_true, x)
-
-
-def cstr_f0_true_at(x) -> tuple[float, float]:
-    """cstr_f0_true at one state given as (x1, x2) floats, as a tuple of floats."""
-    if 3.0 + 2.0 * x[0] == 0.0:
-        raise DomainError("drift undefined at 3 + 2 x1 = 0")
-    return _f0_true(x)
+    """CSTR drift at (..., 2) states."""
+    return _on_states(x, 0)
 
 
 def cstr_f1(x) -> np.ndarray:
-    """Known input channel (throughput convection)."""
-    return _on_states(cstr_f1_at, x)
+    """CSTR input channel at (..., 2) states."""
+    return _on_states(x, 1)
 
 
-def cstr_f1_at(x) -> tuple[float, float]:
-    """cstr_f1 at one state given as (x1, x2) floats, as a tuple of floats;
-    cstr_f1 runs the same formula on coordinate arrays."""
-    x1, x2 = x
-    return (3.0 - x1) / 4.0, -(1.0 + x2) / 4.0
-
-
-def cstr_plant(x, u: float) -> tuple[float, float]:
+def cstr_plant(x1: float, x2: float, u: float) -> tuple[float, float]:
     """The true plant f0_true(x) + u f1(x) at one state of floats; the
     closed-loop dynamics that control.simulate integrates."""
-    (a1, a2), (b1, b2) = cstr_f0_true_at(x), cstr_f1_at(x)
+    (a1, a2), (b1, b2) = cstr_fields(x1, x2)
     return a1 + u * b1, a2 + u * b2
 
 
@@ -209,8 +202,8 @@ class GeneratorDesign:
     Psi = psi(X) is (n, N), G[i, j] = Dpsi(x_i) f0(x_i | theta_j) is (n, m, N)
     and psidot[i] = Dpsi(x_i) xdot_i is (n, N). The stacked design C has row
     block i = [G[i]', psi_i' (x) I_N] acting on [b; vec R]; the design keeps
-    CtC = C'C (symmetrized once), Ct_psidot = C' vec(psidot) and psidot_sq =
-    ||psidot||^2. The arrays are read, never written, so pool threads share it.
+    CtC = C'C (symmetrized once) and Ct_psidot = C' vec(psidot). The arrays are
+    read, never written, so pool threads share it.
     """
 
     basis: MonomialBasis
@@ -219,7 +212,6 @@ class GeneratorDesign:
     psidot: np.ndarray
     CtC: np.ndarray
     Ct_psidot: np.ndarray
-    psidot_sq: float
 
     def residuals(self, b, R) -> np.ndarray:
         """Rows sum_j b_j G[i, j] + R psi_i - psidot_i."""
@@ -243,20 +235,16 @@ def generator_design(sample: DriftSample, family: Callable, theta_samples,
     C = np.empty((n * N, m + N * N))
     C[:, :m] = G.transpose(0, 2, 1).reshape(n * N, m)
     C[:, m:] = (Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
-    target = psidot.ravel()
     CtC = C.T @ C
     return GeneratorDesign(basis=basis, Psi=Psi, G=G, psidot=psidot,
-                           CtC=0.5 * (CtC + CtC.T), Ct_psidot=C.T @ target,
-                           psidot_sq=float(target @ target))
+                           CtC=0.5 * (CtC + CtC.T), Ct_psidot=C.T @ psidot.ravel())
 
 
 def hybrid_generator_problem(design: GeneratorDesign, lambda_b: float, lambda_R: float
-                             ) -> tuple[simplex_qp.SimplexQpProblem, float]:
+                             ) -> simplex_qp.SimplexQpProblem:
     """Stacked QP over (b, vec R) for the hybrid generator fit: the design's
     C'C with lambda_b and lambda_R added to the diagonals of the b and R blocks.
-
-    Returns (problem, constant) with the dropped constant term so that
-    problem.objective(b, vec R) + constant equals the primal objective.
+    Its objective is the primal objective less the constant ||psidot||^2.
     """
     if not (np.isfinite(lambda_b) and lambda_b >= 0
             and np.isfinite(lambda_R) and lambda_R > 0):
@@ -265,9 +253,8 @@ def hybrid_generator_problem(design: GeneratorDesign, lambda_b: float, lambda_R:
     m, NN = design.G.shape[1], design.basis.N ** 2
     Q = design.CtC.copy()
     Q.flat[::m + NN + 1] += np.repeat([lambda_b, lambda_R], [m, NN])
-    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Ct_psidot,
-                                          m_simplex=m, n_free=NN)
-    return problem, design.psidot_sq
+    return simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Ct_psidot,
+                                       m_simplex=m, n_free=NN)
 
 
 def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: float):
@@ -278,8 +265,7 @@ def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: flo
     with b on the simplex. Returns (b, R, QpSolution); raises NotConverged
     if the QP stops at its iteration cap.
     """
-    problem, _ = hybrid_generator_problem(design, lambda_b, lambda_R)
-    sol = simplex_qp.solve(problem)
+    sol = simplex_qp.solve(hybrid_generator_problem(design, lambda_b, lambda_R))
     if not sol.converged:
         raise NotConverged(f"hybrid generator QP at lambda_R={lambda_R} did not converge in "
                            f"{sol.iterations} iterations (KKT residual {sol.kkt_residual:.3e})")
@@ -299,45 +285,31 @@ def default_closure_grid(points_per_axis: int = 33) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-@lru_cache(maxsize=None)
-def _default_lattice(basis: MonomialBasis) -> tuple:
-    """(grid, psi, Dpsi) on the default closure lattice, once per basis: every
-    closure fit of a sweep reads them, so they are read-only."""
-    lattice = default_closure_grid()
-    lattice = (lattice, basis.eval(lattice), basis.jacobian(lattice))
-    for a in lattice:
-        a.flags.writeable = False
-    return lattice
-
-
-def _closure_targets(field: Callable, basis: MonomialBasis, grid):
-    """(grid, psi on it, Dpsi(x) f(x) on it); a field may return one (2,)
-    vector for all x."""
-    if grid is None:
-        grid, Psi, J = _default_lattice(basis)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        Psi, J = basis.eval(grid), basis.jacobian(grid)
-    F = np.broadcast_to(np.asarray(field(grid), dtype=float), grid.shape)
-    return grid, Psi, _matvec(J, F)
-
-
 def closure_fit(field: Callable, basis: MonomialBasis, grid=None,
                 affine: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares closure Dpsi(x) f(x) ~ beta + Gamma psi(x) on a state lattice.
+    """Least-squares closure Dpsi(x) f(x) ~ beta + Gamma psi(x) on a state
+    lattice, the default one if grid is None.
 
-    With affine=False, beta is returned as the zero vector and only Gamma is fit.
+    field maps the (n, 2) lattice to (n, 2) velocities, or to (n, m, 2) for m
+    fields at once, which one solve fits: beta is then (m, N) and Gamma
+    (m, N, N). A field may return one (2,) vector for all x. With
+    affine=False, beta is returned as zeros and only Gamma is fit.
     """
-    grid, Psi, targets = _closure_targets(field, basis, grid)
-    N = basis.N
-    if grid.shape[0] < N + 1:
+    grid = default_closure_grid() if grid is None else np.asarray(grid, dtype=float)
+    n, N = grid.shape[0], basis.N
+    if n < N + 1:
         raise DimensionMismatch("closure grid must have at least N + 1 points")
+    F = np.asarray(field(grid), dtype=float)
+    if F.ndim == 1:
+        F = np.broadcast_to(F, grid.shape)
+    targets = _matvec(basis.jacobian(grid).reshape((n,) + (1,) * (F.ndim - 2) + (N, 2)), F)
+    design = basis.eval(grid)
     if affine:
-        design = np.hstack([np.ones((grid.shape[0], 1)), Psi])
-        sol = solve_least_squares(design, targets)
-        return sol[0].copy(), sol[1:].T
-    sol = solve_least_squares(Psi, targets)
-    return np.zeros(N), sol.T
+        design = np.hstack([np.ones((n, 1)), design])
+    sol = solve_least_squares(design, targets.reshape(n, -1)).reshape(
+        (design.shape[1],) + targets.shape[1:])
+    beta = sol[0].copy() if affine else np.zeros(targets.shape[1:])
+    return beta, np.moveaxis(sol[int(affine):], 0, -1)
 
 
 _BLOCKS = ("weights", "residual", "closure_A", "input_beta", "input_gamma")

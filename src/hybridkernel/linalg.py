@@ -126,8 +126,9 @@ def low_rank_psd_factor(G) -> LowRankFactor:
     LAPACK's pivoted Cholesky (dpstrf) stops once every remaining pivot is
     below n * eps * max diag G; the thin SVD of its un-pivoted n x r factor
     L = W diag(s) V' gives L L' = W diag(s^2) W'. The remainder G - L L' is
-    then PSD, so its trace, tail = sum(diag G - rowsum L^2), bounds its norm.
-    Only the remainder's diagonal is checked: NotPsd if an entry is below
+    then PSD up to rounding of order n * eps * ||G||_2, so its trace, tail =
+    sum(diag G - rowsum L^2), bounds its norm up to that rounding. Only the
+    remainder's diagonal is checked: NotPsd if an entry is below
     -n * eps * max diag G. G itself is never written.
     """
     G, _ = _symmetric(G)

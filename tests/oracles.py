@@ -22,7 +22,8 @@ moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
 ``lifted_rhs`` moved here from ``MonomialBasis.eval_at``, ``jacobian_at`` and
 ``KoopmanHybridModel.rhs`` once the controllers took V's rates from the
 gradient of V and from the model's polynomials; ``clf_rates_fields`` and
-``clf_rates_model`` are the numpy rates those replaced.
+``clf_rates_model`` are the numpy rates those replaced. ``psidot_sq`` is the
+constant ``hybrid_generator_problem`` drops; only tests read it.
 """
 
 import csv
@@ -39,9 +40,8 @@ from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket, NonF
                                  NotPositiveDefinite, NotSymmetric)
 from hybridkernel.hybrid_static import Design
 from hybridkernel.kernels import KernelSpec, _as_points
-from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis,
-                                  _closure_targets, _matvec, cstr_f0_true, cstr_f1,
-                                  default_closure_grid)
+from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis, _matvec,
+                                  cstr_f0_true, cstr_f1, default_closure_grid)
 from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
@@ -312,6 +312,13 @@ def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     return solve_least_squares(Psi, Psidot).T
 
 
+def psidot_sq(design: GeneratorDesign) -> float:
+    """||psidot||^2, the constant that hybrid_generator_problem's objective
+    leaves out of the primal objective."""
+    target = design.psidot.ravel()
+    return float(target @ target)
+
+
 def hybrid_generator_objective(design: GeneratorDesign, lambda_b: float, lambda_R: float,
                                b, R) -> float:
     """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
@@ -323,9 +330,12 @@ def hybrid_generator_objective(design: GeneratorDesign, lambda_b: float, lambda_
 
 
 def closure_residual(field, basis: MonomialBasis, beta, Gamma, grid=None) -> float:
-    """Max abs deviation of the closure on the grid."""
-    _, Psi, truth = _closure_targets(field, basis, grid)
-    fit = np.asarray(beta, dtype=float) + _matvec(np.asarray(Gamma, dtype=float), Psi)
+    """Max abs deviation of the closure on the grid (the default lattice if None)."""
+    grid = default_closure_grid() if grid is None else np.asarray(grid, dtype=float)
+    truth = _matvec(basis.jacobian(grid),
+                    np.broadcast_to(np.asarray(field(grid), dtype=float), grid.shape))
+    fit = (np.asarray(beta, dtype=float)
+           + _matvec(np.asarray(Gamma, dtype=float), basis.eval(grid)))
     return float(np.max(np.abs(fit - truth)))
 
 

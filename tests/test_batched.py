@@ -74,10 +74,12 @@ def test_fields_match_single_states(X, u):
     for field in (kp.cstr_f0_true, kp.cstr_f1, lambda x: kp.cstr_f0_family(x, (0.3, 0.8))):
         assert_bit_equal(field(X), np.stack([field(x) for x in X]))
     # the float fields and plant that the closed loop runs on
-    points = list(map(tuple, X.tolist()))
-    for field, at in ((kp.cstr_f0_true, kp.cstr_f0_true_at), (kp.cstr_f1, kp.cstr_f1_at)):
-        assert_bit_equal(np.array([at(x) for x in points]), field(X))
-    assert_bit_equal(np.array([kp.cstr_plant(x, u) for x in points]), oracles.plant(X, u))
+    points = X.tolist()
+    fields = [kp.cstr_fields(*x) for x in points]
+    assert all(type(v) is float for f in fields for pair in f for v in pair)
+    assert_bit_equal(np.array([f0 for f0, _ in fields]), kp.cstr_f0_true(X))
+    assert_bit_equal(np.array([f1 for _, f1 in fields]), kp.cstr_f1(X))
+    assert_bit_equal(np.array([kp.cstr_plant(*x, u) for x in points]), oracles.plant(X, u))
 
 
 @SETTINGS
@@ -88,12 +90,12 @@ def test_hybrid_generator_matches_per_point_assembly(q, X, thetas, lam):
     sample = kp.DriftSample(states=X, drift_velocities=kp.cstr_f1(X))
     family = kp.cstr_f0_family
     design = kp.generator_design(sample, family, thetas, basis)
-    problem, const = kp.hybrid_generator_problem(design, 1e-8, lam)
-    Q, q_lin, const_old = oracles.hybrid_generator_problem(sample, family, thetas, basis,
-                                                           1e-8, lam)
+    problem = kp.hybrid_generator_problem(design, 1e-8, lam)
+    Q, q_lin, const = oracles.hybrid_generator_problem(sample, family, thetas, basis,
+                                                       1e-8, lam)
     assert_bit_equal(problem.Q, Q)
     assert_bit_equal(problem.q_lin, q_lin)
-    assert const == const_old
+    assert oracles.psidot_sq(design) == const
     assert_bit_equal(design.psidot, oracles.lifted_velocities(sample, basis))
     assert_bit_equal(design.Psi, oracles.psi(basis, X))
     assert_bit_equal(design.G, np.stack([[oracles.jacobian(basis, x) @ family(x, th)
@@ -127,6 +129,21 @@ def test_closures_match_per_point_fit(q, X, theta, affine):
         assert_bit_equal(gamma, gamma_old)
         assert (oracles.closure_residual(field, basis, beta, gamma, grid=grid)
                 == oracles.closure_residual_per_point(field, basis, beta, gamma, grid=grid))
+
+
+def test_family_closures_fit_in_one_solve_match_per_member_fits():
+    # fit_closures stacks the m family fields into one least-squares solve;
+    # each closure has the bits of that member's own fit
+    basis = kp.MonomialBasis(q=3)
+    thetas = np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 2))
+    A, beta, gamma = experiments.fit_closures(thetas, basis)
+    assert_bit_equal(A, np.stack([oracles.closure_fit(
+        lambda x, th=th: kp.cstr_f0_family(x, th), basis)[1] for th in thetas]))
+    for new, old in zip((beta, gamma), oracles.closure_fit(kp.cstr_f1, basis, affine=True)):
+        assert_bit_equal(new, old)
+    beta0, _ = kp.closure_fit(lambda x: np.stack([kp.cstr_f0_family(x, th) for th in thetas],
+                                                 axis=1), basis)
+    assert_bit_equal(beta0, np.zeros((7, basis.N)))
 
 
 def test_default_closures_match_per_point_fit():
@@ -167,11 +184,12 @@ def test_rates_match_numpy_rates_on_the_state_box(q):
     X = np.random.default_rng(q).uniform(-kp.STATE_BOX, kp.STATE_BOX, size=(500, 2))
     X[:4] = [[0.0, 0.0], [kp.STATE_BOX, kp.STATE_BOX], [-kp.STATE_BOX, 0.0],
              [0.0, -kp.STATE_BOX]]
-    for x, point in zip(X, map(tuple, X.tolist())):
-        new = control.clf_rates_fields(basis, kp.cstr_f0_true_at, kp.cstr_f1_at, point)
+    for x, point in zip(X, X.tolist()):
+        new = control.clf_rates_fields(basis, *point)
         old = oracles.clf_rates_fields(basis, kp.cstr_f0_true, kp.cstr_f1, x)
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
-        new, old = control.clf_rates_model(model, point), oracles.clf_rates_model(model, x)
+        assert all(type(r) is float for r in new)
+        new, old = control.clf_rates_model(model, *point), oracles.clf_rates_model(model, x)
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
         assert all(type(r) is float for r in new)
 
@@ -186,7 +204,7 @@ def test_model_polynomials_give_float_bits_on_coordinate_arrays(q, X, seed):
         batched = kp.polyval(coeffs, X[:, 0], X[:, 1])
         assert_bit_equal(batched, [kp.polyval(coeffs, *x) for x in map(tuple, X.tolist())])
     a, b = model.clf_rate_coeffs
-    assert [control.clf_rates_model(model, x) for x in map(tuple, X.tolist())] == list(
+    assert [control.clf_rates_model(model, *x) for x in X.tolist()] == list(
         zip(kp.polyval(a, X[:, 0], X[:, 1]).tolist(), kp.polyval(b, X[:, 0], X[:, 1]).tolist()))
 
 
@@ -208,10 +226,15 @@ def cstr_controllers():
     rows = experiments.run_koopman(n=60, seed=0, m=5, lambda_grid=(1e-4,))
     (model,) = experiments.koopman_models(rows)
     return {
-        "truth": (control.make_truth_controller(basis, kp.cstr_f0_true_at, kp.cstr_f1_at),
-                  oracles.truth_controller(basis)),
+        "truth": (control.make_truth_controller(basis), oracles.truth_controller(basis)),
         "model": (control.make_model_controller(model), oracles.model_controller(model)),
     }
+
+
+def on_arrays(controller):
+    """A float controller and the float plant as the array loop calls them: on
+    (2,) state arrays, whose coordinates they get as Python floats."""
+    return (lambda x: controller(*x.tolist())), (lambda x, u: kp.cstr_plant(*x.tolist(), u))
 
 
 @pytest.mark.parametrize("kind", ["truth", "model"])
@@ -221,8 +244,10 @@ def test_float_loop_matches_array_loop(cstr_controllers, kind, x0, steps):
     new_ctrl, old_ctrl = cstr_controllers[kind]
     dt = 0.01
     traj = control.simulate(kp.cstr_plant, new_ctrl, x0, dt, steps * dt)
-    # the same callables on numpy states: the same bits
-    times, states, controls = oracles.simulate(kp.cstr_plant, new_ctrl, x0, dt, steps * dt)
+    # the same callables in the loop on numpy states: the same bits
+    ctrl_on_arrays, plant_on_arrays = on_arrays(new_ctrl)
+    times, states, controls = oracles.simulate(plant_on_arrays, ctrl_on_arrays, x0, dt,
+                                               steps * dt)
     assert_bit_equal(traj.times, times)
     assert_bit_equal(traj.states, states)
     assert_bit_equal(traj.controls, controls)
@@ -250,14 +275,13 @@ def test_float_loop_raises_as_array_loop(cstr_controllers, kind, x0, error):
 
 
 def test_simulate_matches_list_based_loop():
-    basis = kp.MonomialBasis(q=3)
-    ctrl = control.make_truth_controller(basis, kp.cstr_f0_true, kp.cstr_f1)
-
-    def plant(x, u):
-        return kp.cstr_f0_true(x) + u * kp.cstr_f1(x)
-
-    traj = control.simulate(plant, ctrl, [0.2, -0.15], 0.01, 2.0)
-    times, states, controls = oracles.simulate(plant, ctrl, [0.2, -0.15], 0.01, 2.0)
+    # the float loop on the float plant against the array loop on the array
+    # plant, both under the truth controller: the same bits
+    ctrl = control.make_truth_controller(kp.MonomialBasis(q=3))
+    traj = control.simulate(kp.cstr_plant, ctrl, [0.2, -0.15], 0.01, 2.0)
+    ctrl_on_arrays, _ = on_arrays(ctrl)
+    times, states, controls = oracles.simulate(oracles.plant, ctrl_on_arrays, [0.2, -0.15],
+                                               0.01, 2.0)
     assert_bit_equal(traj.times, times)
     assert_bit_equal(traj.states, states)
     assert_bit_equal(traj.controls, controls)

@@ -94,8 +94,8 @@ class TestCliRuns:
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("name, replacement, message", [
-        ("cstr_plant", lambda x, u: (math.inf, 0.0), "state became non-finite"),
-        ("cstr_f0_true_at", lambda x: _raise(DomainError("drift undefined")),
+        ("cstr_plant", lambda x1, x2, u: (math.inf, 0.0), "state became non-finite"),
+        ("cstr_fields", lambda x1, x2: _raise(DomainError("drift undefined")),
          "drift undefined"),
     ], ids=["non-finite-velocity", "domain-error"])
     def test_exit_code_3_on_closed_loop_failure(self, tmp_path, capsys, monkeypatch, name,

@@ -5,10 +5,14 @@ import pytest
 
 from hybridkernel import control as ctl
 from hybridkernel import cli, experiments, koopman as kp
-from hybridkernel.errors import DomainError, GridMismatch, NonFinite
+from hybridkernel.errors import DimensionMismatch, DomainError, GridMismatch, NonFinite
 from oracles import clf_value_closed_form
 
 BASIS3 = kp.MonomialBasis(q=3)
+
+
+def zero_field(x1, x2, u):
+    return 0.0, 0.0
 
 
 class TestClfValue:
@@ -40,35 +44,34 @@ class TestClfValue:
 
 class TestClfRates:
     def test_zero_at_origin(self):
-        a, b = ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true, kp.cstr_f1, np.zeros(2))
+        a, b = ctl.clf_rates_fields(BASIS3, 0.0, 0.0)
         assert a == 0.0 and b == 0.0
 
     def test_matches_finite_difference_dvdt(self):
         # a + b u equals dV/dt along the constant-u flow, checked for u = 0, 1
         rng = np.random.default_rng(1)
         h = 1e-4
-        plant = lambda x, u: kp.cstr_f0_true(x) + u * kp.cstr_f1(x)
+        backward = lambda x1, x2, u: tuple(-v for v in kp.cstr_plant(x1, x2, u))
         for _ in range(10):
             x0 = rng.uniform(-0.2, 0.2, size=2)
-            a, b = ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true, kp.cstr_f1, x0)
+            a, b = ctl.clf_rates_fields(BASIS3, *x0.tolist())
             for u in (0.0, 1.0):
-                fwd = ctl.simulate(plant, lambda x: u, x0, h, h).states[-1]
-                bwd = ctl.simulate(lambda x, uu: -plant(x, uu), lambda x: u,
-                                   x0, h, h).states[-1]
+                fwd = ctl.simulate(kp.cstr_plant, lambda x1, x2: u, x0, h, h).states[-1]
+                bwd = ctl.simulate(backward, lambda x1, x2: u, x0, h, h).states[-1]
                 dvdt = (ctl.clf_value(BASIS3, fwd) - ctl.clf_value(BASIS3, bwd)) / (2 * h)
                 assert abs(dvdt - (a + b * u)) < 1e-5
 
     def test_field_rates_overflow_is_non_finite(self):
         # the Python-float powers of x1 in grad V overflow at |x1| = 1e200
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
-            ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, (1e200, 0.0))
+            ctl.clf_rates_fields(BASIS3, 1e200, 0.0)
 
     @pytest.mark.parametrize("x", [(1e100, 0.0), (-1e100, 0.0), (0.0, 1e200)])
     def test_field_rates_float_overflow_is_non_finite(self, x):
         # x1^3 is finite at |x1| = 1e100 but the products of powers in grad V
         # overflow to inf without an OverflowError; so does x2 * x2 at 1e200
         with pytest.raises(NonFinite):
-            ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true_at, kp.cstr_f1_at, x)
+            ctl.clf_rates_fields(BASIS3, *x)
 
     def test_model_rates_close_to_truth(self):
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
@@ -76,9 +79,9 @@ class TestClfRates:
                                        lambda_grid=(1e-4,))
         (model,) = experiments.koopman_models(rows)
         worst = 0.0
-        for x in kp.sample_states(30, seed=2):
-            at, bt = ctl.clf_rates_fields(BASIS3, kp.cstr_f0_true, kp.cstr_f1, x)
-            am, bm = ctl.clf_rates_model(model, x)
+        for x in kp.sample_states(30, seed=2).tolist():
+            at, bt = ctl.clf_rates_fields(BASIS3, *x)
+            am, bm = ctl.clf_rates_model(model, *x)
             worst = max(worst, abs(at - am), abs(bt - bm))
         assert worst < 0.05
 
@@ -138,14 +141,14 @@ class TestLinSontag:
 
 class TestSimulate:
     def test_constant_trajectory_for_zero_field(self):
-        traj = ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.7,
+        traj = ctl.simulate(zero_field, lambda x1, x2: 0.7,
                             np.array([0.1, -0.2]), 0.1, 1.0)
         np.testing.assert_allclose(traj.states, np.tile([0.1, -0.2], (11, 1)),
                                    atol=1e-15)
         np.testing.assert_array_equal(traj.controls, np.full(10, 0.7))
 
     def test_exponential_decay(self):
-        traj = ctl.simulate(lambda x, u: -np.asarray(x), lambda x: 0.0,
+        traj = ctl.simulate(lambda x1, x2, u: (-x1, -x2), lambda x1, x2: 0.0,
                             np.array([1.0, 1.0]), 0.01, 1.0)
         np.testing.assert_allclose(traj.states[-1], np.exp(-1.0) * np.ones(2),
                                    atol=1e-8)
@@ -155,7 +158,7 @@ class TestSimulate:
         exact = np.exp(-1.0) * np.ones(2)
         errs = []
         for dt in (0.1, 0.05):
-            traj = ctl.simulate(lambda x, u: -np.asarray(x), lambda x: 0.0,
+            traj = ctl.simulate(lambda x1, x2, u: (-x1, -x2), lambda x1, x2: 0.0,
                                 np.ones(2), dt, 1.0)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
@@ -164,31 +167,35 @@ class TestSimulate:
     @pytest.mark.parametrize("dt, horizon", [(0.3, 1.0), (0.01, 10.005), (0.1, 1.0 + 1e-6)])
     def test_rejects_horizon_not_whole_steps(self, dt, horizon):
         with pytest.raises(DomainError):
-            ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+            ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
 
     @pytest.mark.parametrize("dt, horizon", [(0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0),
                                              (0.1, float("nan")), (0.1, float("inf")),
                                              (0.5, 0.2)])
     def test_rejects_bad_step_or_horizon(self, dt, horizon):
         with pytest.raises(DomainError):
-            ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+            ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
 
     @pytest.mark.parametrize("dt, horizon, steps", [(0.01, 10.0, 1000), (0.1, 0.3, 3)])
     def test_whole_steps_up_to_rounding(self, dt, horizon, steps):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
-        traj = ctl.simulate(lambda x, u: np.zeros(2), lambda x: 0.0, np.ones(2), dt, horizon)
+        traj = ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
         assert traj.controls.size == steps and traj.times.size == steps + 1
 
     def test_nonfinite_escape_detected(self):
-        with np.errstate(over="ignore"), pytest.raises(NonFinite):
-            ctl.simulate(lambda x, u: 100.0 * np.asarray(x), lambda x: 0.0,
+        with pytest.raises(NonFinite):
+            ctl.simulate(lambda x1, x2, u: (100.0 * x1, 100.0 * x2), lambda x1, x2: 0.0,
                          np.ones(2), 0.5, 50.0)
 
+    @pytest.mark.parametrize("x0", [np.ones(3), np.ones(1), np.ones((1, 2)), 0.5, []])
+    def test_rejects_a_state_not_of_shape_2(self, x0):
+        with pytest.raises(DimensionMismatch):
+            ctl.simulate(zero_field, lambda x1, x2: 0.0, x0, 0.1, 1.0)
+
     def test_lyapunov_decrease_under_truth_controller(self):
-        plant = lambda x, u: kp.cstr_f0_true(x) + u * kp.cstr_f1(x)
-        controller = ctl.make_truth_controller(BASIS3, kp.cstr_f0_true, kp.cstr_f1)
+        controller = ctl.make_truth_controller(BASIS3)
         for x0 in kp.sample_states(3, seed=6):
-            traj = ctl.simulate(plant, controller, x0, 0.01, 10.0)
+            traj = ctl.simulate(kp.cstr_plant, controller, x0, 0.01, 10.0)
             v = np.array([ctl.clf_value(BASIS3, x) for x in traj.states])
             assert np.all(np.diff(v) <= 1e-6)
             assert np.linalg.norm(traj.states[-1]) < np.linalg.norm(x0)

@@ -64,10 +64,12 @@ class TestCstrFields:
     def test_drift_steady_state_at_origin(self):
         np.testing.assert_allclose(kp.cstr_f0_true(np.zeros(2)), [0.0, 0.0],
                                    atol=1e-15)
+        assert kp.cstr_fields(0.0, 0.0)[0] == (0.0, 0.0)
 
     def test_input_channel_at_origin(self):
         np.testing.assert_allclose(kp.cstr_f1(np.zeros(2)), [0.75, -0.25],
                                    atol=1e-15)
+        assert kp.cstr_fields(0.0, 0.0)[1] == (0.75, -0.25)
 
     def test_family_at_zero_parameter(self):
         x = np.array([0.2, -0.1])
@@ -83,6 +85,11 @@ class TestCstrFields:
     def test_drift_rejects_singular_point(self):
         with pytest.raises(DomainError):
             kp.cstr_f0_true(np.array([-1.5, 0.0]))
+        # f1 comes from the same formula, so it is undefined there too
+        with pytest.raises(DomainError):
+            kp.cstr_f1(np.array([-1.5, 0.0]))
+        with pytest.raises(DomainError):
+            kp.cstr_fields(-1.5, 0.0)
 
 
 class TestGedmd:
@@ -143,7 +150,8 @@ class TestHybridGenerator:
         sample = kp.make_drift_sample(40, seed=5)
         lam_b, lam_R = 1e-4, 0.3
         design = self.design(sample)
-        problem, const = kp.hybrid_generator_problem(design, lam_b, lam_R)
+        problem = kp.hybrid_generator_problem(design, lam_b, lam_R)
+        const = oracles.psidot_sq(design)
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.exponential(size=10)
