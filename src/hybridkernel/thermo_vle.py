@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,33 +139,92 @@ def bubble_point(x1: float) -> tuple[float, float]:
     """Bubble temperature (degC) and vapor fraction y1 at 1 atm from modified
     Raoult's law.
 
-    Bisection on the fixed window T_WINDOW_C to |dT| < 1e-8 degC.
+    The temperature is the bisection of the fixed window T_WINDOW_C to
+    |dT| < 1e-8 degC, bit for bit: a regula falsi search locates the root
+    first, and the bisection is then replayed, evaluating only the midpoints
+    that lie within 1e-10 degC of that root (see _bubble_temperature).
     """
     if not (0.0 <= x1 <= 1.0):
         raise DomainError(f"x1 = {x1} outside [0, 1]")
-    x2 = 1.0 - x1
     terms = _uniquac_composition_terms(x1)
+    T_c = _bubble_temperature(lambda T: _pressure_excess(x1, terms, T))
+    g1, _ = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
+    y1 = x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c) / ATM_MMHG
+    return T_c, float(min(max(y1, 0.0), 1.0))
 
-    def pressure_excess(T_c: float) -> float:
-        g1, g2 = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
-        return (x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c)
-                + x2 * g2 * antoine_psat(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
 
+def _pressure_excess(x1: float, terms: tuple, T_c: float) -> float:
+    """Bubble pressure minus 1 atm (mmHg) at liquid fraction x1 and T_c degC,
+    from x1's composition terms."""
+    g1, g2 = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
+    return (x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c)
+            + (1.0 - x1) * g2 * antoine_psat(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
+
+
+def _bubble_temperature(pressure_excess) -> float:
+    """The bisection of T_WINDOW_C to |dT| < 1e-8 degC on pressure_excess, bit
+    for bit, with the midpoints far from a located root decided unevaluated."""
     lo, hi = T_WINDOW_C
     f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
     if f_lo * f_hi > 0:
         raise NoBracket(f"pressure equation does not change sign on {T_WINDOW_C}")
+    # Why a skipped midpoint goes where the bisection would send it: on the
+    # window the computed pressure excess increases in T, with a slope of at
+    # least 5.5 mmHg/K (its least value, at x1 = 0 and T = 60 degC). The root
+    # search ends on a computed-sign bracket narrower than 1e-11 degC, or on
+    # an excess of exactly 0, so a midpoint more than 1e-10 below (above) the
+    # root has an excess below -5e-10 (above 5e-10) mmHg, far beyond its
+    # rounding error of about 1e-12 mmHg. Only midpoints inside that band are
+    # evaluated. The root is trusted only if the search converged, f(60) < 0
+    # and every value it met is finite; otherwise it is NaN, every comparison
+    # with it is false, and every midpoint is evaluated, as in the plain
+    # bisection.
+    root = math.nan
+    if f_lo < 0 and math.isfinite(f_lo) and math.isfinite(f_hi):
+        root = _illinois_root(pressure_excess, lo, f_lo, hi, f_hi)
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        f_mid = pressure_excess(mid)
-        if f_mid * f_lo <= 0:
+        if mid < root - 1e-10:
+            lo = mid  # f_lo keeps a negative value: only its sign is read
+        elif mid > root + 1e-10:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
-    T_c = 0.5 * (lo + hi)
-    g1, _ = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
-    y1 = x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c) / ATM_MMHG
-    return T_c, float(np.clip(y1, 0.0, 1.0))
+            f_mid = pressure_excess(mid)
+            if f_mid * f_lo <= 0:
+                hi = mid
+            else:
+                lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _illinois_root(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f in [a, b], given f(a) < 0 <= f(b), by Illinois regula falsi
+    (Dowell & Jarratt 1971): the midpoint of a computed-sign bracket narrower
+    than 1e-11 or a point where f is 0; NaN if 100 steps do not get there or
+    a value of f is not finite."""
+    side = 0
+    for _ in range(100):
+        if b - a < 1e-11:
+            return 0.5 * (a + b)
+        # at least 5e-12 inside the bracket, so a last step next to an end
+        # closes it instead of moving that end by a rounding error
+        c = min(max(b - fb * (b - a) / (fb - fa), a + 5e-12), b - 5e-12)
+        fc = f(c)
+        if not math.isfinite(fc):
+            return math.nan
+        if fc == 0:
+            return c
+        if fc < 0:
+            a, fa = c, fc
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return math.nan
 
 
 def vle_compositions(n: int, seed: int = 0) -> np.ndarray:

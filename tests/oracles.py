@@ -6,7 +6,8 @@ property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
 is the path that ``control.simulate`` on Python floats replaced. Likewise
 the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
-term at each bisection step, the symmetrized Gram matrix, the cross-Gram
+term at each step of a plain bisection (``bisect_window``, which evaluates
+every midpoint), the symmetrized Gram matrix, the cross-Gram
 matrix and least pairwise distance from scipy's ``cdist`` and ``pdist``, and
 the csv.writer trajectory file are the paths ``linalg``, ``thermo_vle``,
 ``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
@@ -441,6 +442,14 @@ def bubble_point(x1: float, P: float = ATM_MMHG,
         return (x1 * g1 * antoine_psat(antoine1, T_c)
                 + x2 * g2 * antoine_psat(antoine2, T_c) - P)
 
+    T_c = bisect_window(pressure_excess)
+    g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+    y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
+    return T_c, float(np.clip(y1, 0.0, 1.0))
+
+
+def bisect_window(pressure_excess) -> float:
+    """Plain bisection of T_WINDOW_C to |dT| < 1e-8, evaluating every midpoint."""
     lo, hi = T_WINDOW_C
     f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
     if f_lo * f_hi > 0:
@@ -452,10 +461,7 @@ def bubble_point(x1: float, P: float = ATM_MMHG,
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    T_c = 0.5 * (lo + hi)
-    g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
-    y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
-    return T_c, float(np.clip(y1, 0.0, 1.0))
+    return 0.5 * (lo + hi)
 
 
 def gram(k: KernelSpec, points) -> np.ndarray:

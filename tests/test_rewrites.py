@@ -1,9 +1,10 @@
-"""The one-pass SPD checks, the split bubble point, the half-matrix Gram, the
-numpy distances behind the Gram matrices and the 2-D duplicate rule, the
-joint-fit matrix, the low-rank reference fit and the CLI's trajectory CSV
-against the paths they replaced (``tests/oracles.py`` and scipy's ``cdist``
-and ``pdist``). One more test checks that the package, once imported and run,
-has loaded no scipy subpackage but ``scipy.linalg``.
+"""The one-pass SPD checks, the split bubble point and its replayed
+bisection, the half-matrix Gram, the numpy distances behind the Gram matrices
+and the 2-D duplicate rule, the joint-fit matrix, the low-rank reference fit
+and the CLI's trajectory CSV against the paths they replaced
+(``tests/oracles.py`` and scipy's ``cdist`` and ``pdist``). One more test
+checks that the package, once imported and run, has loaded no scipy
+subpackage but ``scipy.linalg``.
 
 Each result must equal the oracle's bit for bit, and each must raise where
 the oracle raises. The one allowed difference: the old jitter step added
@@ -15,6 +16,7 @@ relative of an exact solve from a full eigendecomposition.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,8 +32,8 @@ from scipy.spatial.distance import cdist
 
 import oracles
 from hybridkernel import cli, control, experiments, hybrid_static, kernels, linalg, thermo_vle
-from hybridkernel.errors import (DomainError, HybridKernelError, NotPositiveDefinite,
-                                 NotSymmetric)
+from hybridkernel.errors import (DomainError, HybridKernelError, NoBracket,
+                                 NotPositiveDefinite, NotSymmetric)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 TILE = linalg.SYMMETRY_TILE
@@ -128,8 +130,114 @@ unit = st.floats(0.0, 1.0, allow_nan=False, width=64)
 @example(0.0)
 @example(1.0)
 @example(5e-324)
+# a replayed midpoint lies within 1e-10 of the located root, is evaluated,
+# and takes the other branch than its side of the root would give
+@example(0.8459850273806627)
+@example(0.08008205388819944)
 def test_bubble_point_matches_per_step_uniquac(x1):
     assert thermo_vle.bubble_point(x1) == oracles.bubble_point(x1)
+
+
+def pressure_excess(x1):
+    terms = thermo_vle._uniquac_composition_terms(x1)
+    return lambda T: thermo_vle._pressure_excess(x1, terms, T)
+
+
+def test_pressure_excess_rises_along_the_window():
+    # the premise of skipping midpoints: a slope of at least 5.5 mmHg/K
+    T = np.linspace(*thermo_vle.T_WINDOW_C, 551)
+    for x1 in np.linspace(0.0, 1.0, 101):
+        excess = pressure_excess(float(x1))
+        f = np.array([excess(float(t)) for t in T])
+        assert (np.diff(f) / np.diff(T)).min() >= 5.5, x1
+
+
+def test_bubble_point_evaluates_about_a_third_of_the_bisection(monkeypatch):
+    # the plain bisection calls the UNIQUAC terms 2 + 33 + 1 = 36 times a point
+    calls = [0]
+    gamma_at = thermo_vle._uniquac_gamma_at
+
+    def counted(terms, T):
+        calls[0] += 1
+        return gamma_at(terms, T)
+
+    monkeypatch.setattr(thermo_vle, "_uniquac_gamma_at", counted)
+    per_point = []
+    for x1 in thermo_vle.vle_compositions(2000, 0):
+        before = calls[0]
+        thermo_vle.bubble_point(float(x1))
+        per_point.append(calls[0] - before)
+    assert np.mean(per_point) <= 13 and max(per_point) <= 18
+
+
+def recorded(f):
+    """f, and the list of the temperatures it is called at."""
+    calls = []
+
+    def g(T):
+        calls.append(T)
+        return f(T)
+    return g, calls
+
+
+@pytest.mark.parametrize("f", [
+    lambda T: math.nan if T == 115.0 else T - 80.0,
+    lambda T: math.inf if T == 115.0 else T - 80.0,
+    lambda T: math.nan if T == 60.0 else T - 80.0,
+    lambda T: -math.inf if T == 60.0 else T - 80.0,
+    lambda T: (80.0 - T) ** 3,  # positive at the low end
+    lambda T: 0.0 if T == 60.0 else T - 80.0,  # zero at the low end
+])
+def test_window_ends_that_fail_the_guard_give_the_plain_bisection(f):
+    new, new_calls = recorded(f)
+    old, old_calls = recorded(f)
+    assert thermo_vle._bubble_temperature(new) == oracles.bisect_window(old)
+    assert new_calls == old_calls
+
+
+def test_root_search_ends_on_a_bracket_narrower_than_1e_11():
+    for x1 in np.linspace(0.0, 1.0, 101):
+        excess = pressure_excess(float(x1))
+        f, calls = recorded(excess)
+        root = thermo_vle._illinois_root(f, 60.0, f(60.0), 115.0, f(115.0))
+        values = [(T, excess(T)) for T in calls]
+        a = max(T for T, v in values if v < 0)
+        b = min(T for T, v in values if v >= 0)
+        assert a <= root <= b and (b - a < 1e-11 or excess(root) == 0), x1
+
+
+def stalls(T):
+    # a step from -1 to 1e12: regula falsi creeps from the low end
+    return -1.0 if T < 80.0 else 1e12
+
+
+@pytest.mark.parametrize("f", [
+    stalls,
+    lambda T: math.nan if 79.0 < T < 81.0 else T - 80.0,
+    lambda T: -math.inf if 79.0 < T < 81.0 else T - 80.0,
+])
+def test_failed_root_search_gives_the_plain_bisection(f):
+    assert thermo_vle._bubble_temperature(f) == oracles.bisect_window(f)
+
+
+def test_root_search_gives_up_after_100_steps_or_a_nonfinite_value():
+    f, calls = recorded(stalls)
+    assert math.isnan(thermo_vle._illinois_root(f, 60.0, -1.0, 115.0, 1e12))
+    assert len(calls) == 100
+    f, calls = recorded(lambda T: math.nan if 79.0 < T < 81.0 else T - 80.0)
+    assert math.isnan(thermo_vle._illinois_root(f, 60.0, -20.0, 115.0, 35.0))
+    assert calls == [80.0]
+
+
+def test_bubble_point_errors_are_unchanged(monkeypatch):
+    for x1 in (-0.1, 1.1, math.nan):
+        assert outcome(thermo_vle.bubble_point, x1) is DomainError
+        assert outcome(oracles.bubble_point, x1) is DomainError
+    for f in (lambda T: T + 1.0, lambda T: -1.0):
+        assert outcome(thermo_vle._bubble_temperature, f) is NoBracket
+        assert outcome(oracles.bisect_window, f) is NoBracket
+    monkeypatch.setattr(thermo_vle, "ATM_MMHG", 1e6)  # no bubble point below 115 degC
+    assert outcome(thermo_vle.bubble_point, 0.5) is NoBracket
 
 
 @SETTINGS
