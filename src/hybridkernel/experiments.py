@@ -27,9 +27,10 @@ DEFAULT_DT = 0.01
 
 
 def worker_count() -> int:
-    """Threads of the lambda pool: min(4, cores). A function only because the
-    benchmark (perfbench/sweep.py and its layer test) calls it."""
-    return min(4, os.cpu_count() or 1)
+    """Threads of the lambda pool: min(4, usable CPUs). A function only because
+    the benchmark (perfbench/sweep.py and its layer test) calls it."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
 
 
 def _map_grid(fn, grid):

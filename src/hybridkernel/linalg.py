@@ -3,14 +3,20 @@ a PSD matrix with shifted solves from it, least squares, unvec.
 
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
+
+The SPD factorization and solve call scipy's own LAPACK (dpotrf, dpotrs)
+through ctypes, which releases the GIL during the call, so threads solve on
+separate cores; scipy's f2py wrappers of the same routines hold the GIL.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dpstrf
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd, NotSymmetric
@@ -28,6 +34,34 @@ SYMMETRY_TILE = 128  # the symmetry check compares 128 x 128 tiles, not whole ma
 # refinement usually stops after two steps, once the correction has reached
 # rounding level and no longer halves.
 MAX_REFINEMENT_STEPS = 16
+
+
+def _lapack(name: str, *argtypes):
+    """scipy's LAPACK routine `name` (from the C pointer cython_lapack exports)
+    as a ctypes foreign function; a CFUNCTYPE call releases the GIL."""
+    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
+
+
+# dpotrf(uplo, n, a, lda, info), dlaset(uplo, m, n, alpha, beta, a, lda) and
+# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info): arrays by address, scalars by pointer
+_CHAR, _INT, _DBL, _ADDR = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+                            ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
+_dpotrf = _lapack("dpotrf", _CHAR, _INT, _ADDR, _INT, _INT)
+_dlaset = _lapack("dlaset", _CHAR, _INT, _INT, _DBL, _DBL, _ADDR, _INT)
+_dpotrs = _lapack("dpotrs", _CHAR, _INT, _INT, _ADDR, _INT, _ADDR, _INT, _INT)
+
+
+def _lapack_info(routine, name: str, *args) -> int:
+    """Call routine(*args, &info) and return info; info < 0 names a bad argument."""
+    info = ctypes.c_int()
+    routine(*args, ctypes.byref(info))
+    if info.value < 0:
+        raise DimensionMismatch(f"{name} rejected argument {-info.value}")
+    return info.value
 
 
 def _as_2d(a) -> np.ndarray:
@@ -79,6 +113,9 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     base = JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
     jitter = 0.0
     A = np.empty(M.shape, order="F")
+    a = A.ctypes.data
+    n, n1 = ctypes.byref(ctypes.c_int(dim)), ctypes.byref(ctypes.c_int(dim - 1))
+    zero = ctypes.byref(ctypes.c_double(0.0))
     for attempt in range(MAX_JITTER_RETRIES + 1):
         # LAPACK factors this private Fortran-ordered copy in place, and each
         # attempt refills the same buffer; an exactly symmetric M equals M',
@@ -86,11 +123,12 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
         np.copyto(A, M if asymmetry else M.T)
         if jitter:
             A.flat[::dim + 1] += jitter
-        try:
-            L = scipy.linalg.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
-            return L, jitter
-        except scipy.linalg.LinAlgError:
-            jitter = base * 10.0**attempt
+        if _lapack_info(_dpotrf, "dpotrf", b"L", n, a, n) == 0:
+            # dpotrf leaves the strict upper triangle of A as it was; it is
+            # the upper triangle of A[:-1, 1:], which dlaset sets to 0
+            _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n)
+            return A, jitter
+        jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
@@ -107,7 +145,9 @@ def solve_spd(M, rhs) -> np.ndarray:
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
     L, _ = cholesky_with_jitter(M)
-    X = scipy.linalg.cho_solve((L, True), B, check_finite=False)
+    X = np.array(B, order="F")  # dpotrs overwrites its right-hand side with X
+    n, k = (ctypes.byref(ctypes.c_int(d)) for d in B.shape)
+    _lapack_info(_dpotrs, "dpotrs", b"L", n, k, L.ctypes.data, n, X.ctypes.data, n)
     return X[:, 0] if was_1d else X
 
 

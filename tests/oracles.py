@@ -5,7 +5,9 @@ in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
 property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
 is the path that ``control.simulate`` on Python floats replaced. Likewise
-the full-matrix SPD solve, the bubble point that re-evaluates every UNIQUAC
+the full-matrix SPD solve and the SPD solve through scipy's f2py LAPACK
+wrappers (``f2py_cholesky_with_jitter`` and ``f2py_solve_spd``, which hold
+the GIL), the bubble point that re-evaluates every UNIQUAC
 term at each step of a plain bisection (``bisect_window``, which evaluates
 every midpoint), the symmetrized Gram matrix, the cross-Gram
 matrix and least pairwise distance from scipy's ``cdist`` and ``pdist``, and
@@ -380,7 +382,8 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
-def solve_spd(M, rhs) -> np.ndarray:
+def _cho_solve_spd(cholesky, M, rhs) -> np.ndarray:
+    """solve_spd from the factor cholesky(M) and scipy's cho_solve."""
     M = _as_2d(M)
     rhs_arr = np.asarray(rhs, dtype=float)
     was_1d = rhs_arr.ndim == 1
@@ -388,9 +391,38 @@ def solve_spd(M, rhs) -> np.ndarray:
     _check_finite(B, "rhs")
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
-    L, _ = cholesky_with_jitter(M)
+    L, _ = cholesky(M)
     X = scipy.linalg.cho_solve((L, True), B)
     return X[:, 0] if was_1d else X
+
+
+def solve_spd(M, rhs) -> np.ndarray:
+    return _cho_solve_spd(cholesky_with_jitter, M, rhs)
+
+
+def f2py_cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
+    """linalg.cholesky_with_jitter through scipy's f2py dpotrf wrapper
+    (scipy.linalg.cholesky), which holds the GIL during the factorization."""
+    M, asymmetry = linalg._symmetric(M)
+    dim = M.shape[0]
+    base = linalg.JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
+    jitter = 0.0
+    A = np.empty(M.shape, order="F")
+    for attempt in range(linalg.MAX_JITTER_RETRIES + 1):
+        np.copyto(A, M if asymmetry else M.T)
+        if jitter:
+            A.flat[::dim + 1] += jitter
+        try:
+            L = scipy.linalg.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
+            return L, jitter
+        except scipy.linalg.LinAlgError:
+            jitter = base * 10.0**attempt
+    raise NotPositiveDefinite("Cholesky failed after jitter escalation")
+
+
+def f2py_solve_spd(M, rhs) -> np.ndarray:
+    """linalg.solve_spd through f2py_cholesky_with_jitter and scipy's cho_solve."""
+    return _cho_solve_spd(f2py_cholesky_with_jitter, M, rhs)
 
 
 def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:

@@ -1,11 +1,14 @@
 """SPD solves with jitter escalation, the low-rank PSD factor and its shifted
 solves, least squares, kron/vec identities."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hybridkernel import linalg
 from hybridkernel.errors import (DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd,
                                  NotSymmetric)
 from hybridkernel.kernels import KernelSpec, gram
@@ -83,6 +86,24 @@ class TestSolveSpd:
     def test_preserves_1d_rhs(self):
         x = solve_spd(np.eye(2), np.array([1.0, 2.0]))
         assert x.shape == (2,)
+
+
+class TestLapackBridge:
+    @pytest.mark.parametrize("name", ["_dpotrf", "_dlaset", "_dpotrs"])
+    def test_routines_release_the_gil(self, name):
+        # a CFUNCTYPE foreign call releases the GIL while it runs; a
+        # PYFUNCTYPE one (the pythonapi flag) would hold it
+        routine = getattr(linalg, name)
+        assert isinstance(routine, ctypes._CFuncPtr)
+        assert routine._flags_ == ctypes.CFUNCTYPE(None)._flags_
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_rejected_argument_raises(self, capfd):  # capfd keeps xerbla's message quiet
+        A = np.eye(2, order="F")
+        two, one = ctypes.byref(ctypes.c_int(2)), ctypes.byref(ctypes.c_int(1))
+        with pytest.raises(DimensionMismatch, match="dpotrf rejected argument 4"):
+            linalg._lapack_info(linalg._dpotrf, "dpotrf", b"L", two, A.ctypes.data, one)
+        np.testing.assert_array_equal(A, np.eye(2))
 
 
 def gram_1d(n: int, seed: int) -> np.ndarray:

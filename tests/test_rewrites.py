@@ -1,4 +1,5 @@
-"""The one-pass SPD checks, the split bubble point and its replayed
+"""The one-pass SPD checks, the ctypes LAPACK calls behind the SPD solve
+(against scipy's f2py wrappers), the split bubble point and its replayed
 bisection, the half-matrix Gram, the numpy distances behind the Gram matrices
 and the 2-D duplicate rule, the joint-fit matrix, the low-rank reference fit
 and the CLI's trajectory CSV against the paths they replaced
@@ -120,6 +121,57 @@ def test_nonfinite_matrix_rejected_like_the_oracle(bad):
     M = np.eye(3)
     M[1, 2] = bad
     assert outcome(linalg.cholesky_with_jitter, M) is outcome(oracles.cholesky_with_jitter, M)
+
+
+def bridge_case(dim: int, kind: str, seed: int) -> np.ndarray:
+    """A dim x dim symmetric matrix: "spd" factors with no jitter,
+    "semidefinite" (rank dim // 2, shifted down by half a jitter step) needs
+    one of the steps, and "indefinite" (one eigenvalue -1) fails them all."""
+    rng = np.random.default_rng(seed)
+    if kind == "spd":
+        return spd_matrix(dim, dim + 2, seed)
+    if kind == "semidefinite":
+        M = spd_matrix(dim, dim // 2, seed)
+        base = linalg.JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
+        return M - 0.5 * base * 10.0 ** rng.integers(0, linalg.MAX_JITTER_RETRIES) * np.eye(dim)
+    V, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    d = rng.uniform(1.0, 2.0, dim)
+    d[rng.integers(dim)] = -1.0
+    return (V * d) @ V.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 200), st.sampled_from(["spd", "semidefinite", "indefinite"]),
+       st.sampled_from(["C", "F"]), st.booleans(), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, "spd", "C", False, 1, 0)
+@example(1, "semidefinite", "F", True, 1, 0)  # the 1 x 1 zero matrix
+@example(200, "semidefinite", "F", False, 3, 1)
+def test_lapack_bridge_matches_f2py_wrappers(dim, kind, order, exact, k, seed):
+    """Bits, jitter and errors of the ctypes dpotrf/dpotrs bridge equal
+    those of scipy's f2py wrappers of the same routines."""
+    M = bridge_case(dim, kind, seed)
+    if not exact and dim > 1:  # an asymmetry below tolerance: the factored copy is M, not M'
+        M[-1, 0] += 1e-3 * linalg.SYMMETRY_RTOL * max(np.abs(M).max(), 1.0)
+    M = np.asarray(M, order=order)
+    before = M.copy()
+    new, old = (outcome(linalg.cholesky_with_jitter, M),
+                outcome(oracles.f2py_cholesky_with_jitter, M))
+    assert_same_factor(new, old)
+    assert (old is NotPositiveDefinite) == (kind == "indefinite")
+    if old is not NotPositiveDefinite:
+        L, jitter = new
+        assert (jitter == 0.0) == (kind == "spd")
+        assert L.flags.f_contiguous and not np.triu(L, 1).any()
+    rhs = np.random.default_rng(seed + 1).standard_normal((dim, k))
+    for b in (rhs, rhs[:, 0]):
+        x, x_old = outcome(linalg.solve_spd, M, b), outcome(oracles.f2py_solve_spd, M, b)
+        if isinstance(x_old, type):
+            assert x is x_old
+        else:
+            assert x.shape == b.shape and x.flags.f_contiguous
+            assert np.array_equal(x, x_old)
+    np.testing.assert_array_equal(M, before)
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False, width=64)
