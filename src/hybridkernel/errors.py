@@ -46,4 +46,4 @@ class MalformedModel(HybridKernelError):
 
 
 class NotConverged(HybridKernelError):
-    """An iterative solver stopped at its iteration cap above its tolerance."""
+    """A solver reached its step cap before it met its stopping test."""

@@ -2,23 +2,26 @@
 
 Objective convention: f(b, c) = z^T Q z + q_lin^T z with z = [b; c] (no 1/2
 factor, constant terms dropped). The free block c is eliminated analytically
-through a Schur complement; the reduced problem in b is solved by accelerated
-projected gradient with adaptive restart.
+through a Schur complement; the reduced problem in b is solved exactly by a
+primal active-set method, which ends after finitely many steps.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import DimensionMismatch, NotPsd, NotPositiveDefinite, NotSymmetric
-from .linalg import SYMMETRY_RTOL, _check_finite, _max_asymmetry, cholesky_with_jitter
+from .errors import (DimensionMismatch, NotConverged, NotPositiveDefinite, NotPsd,
+                     NotSymmetric)
+from .linalg import SYMMETRY_RTOL, _check_finite, _max_asymmetry, solve_spd
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 50_000
+# The active-set method takes at most this many steps per simplex weight
+# before it raises NotConverged. The paper's QPs take at most 1 step in all,
+# random ones (m <= 40, singular S included) at most 1.2 per weight.
+MAX_STEPS_PER_WEIGHT = 10
+# Gradient gaps and curvatures below this fraction of max(|S|, |s|) count as 0.
+GAP_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,6 @@ class QpSolution:
     kkt_residual: float
     iterations: int
     converged: bool = True
-    kkt_history: list = field(default_factory=list, repr=False)
-    objective_history: list = field(default_factory=list, repr=False)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -89,23 +90,6 @@ def _split(problem: SimplexQpProblem):
     return Qbb, Qbc, Qcc, qb, qc
 
 
-def _free_solver(problem: SimplexQpProblem):
-    """Return a map b -> argmin_c f(b, c), backed by one Cholesky of Qcc."""
-    Qbb, Qbc, Qcc, qb, qc = _split(problem)
-    if problem.n_free == 0:
-        return lambda b: np.empty(0)
-    try:
-        L, _ = cholesky_with_jitter(Qcc)
-    except (NotPositiveDefinite, NotSymmetric) as e:
-        raise NotPsd(f"free block of Q is not positive semidefinite: {e}") from e
-
-    def solve_c(b):
-        rhs = -(Qbc.T @ b + 0.5 * qc)
-        return scipy.linalg.cho_solve((L, True), rhs)
-
-    return solve_c
-
-
 def kkt_residual(problem: SimplexQpProblem, b, c_free) -> float:
     """max of free-block gradient norm and simplex stationarity violation."""
     b = np.asarray(b, dtype=float).ravel()
@@ -122,92 +106,73 @@ def kkt_residual(problem: SimplexQpProblem, b, c_free) -> float:
     return max(free_norm, simplex_viol)
 
 
-def _reduced_problem(problem: SimplexQpProblem, solve_c):
-    """Schur complement after eliminating the free block: min b'Sb + s'b.
+def _active_set(S, s) -> tuple[np.ndarray, int]:
+    """Minimize f(b) = b'Sb + s'b (S PSD) over the simplex; returns (b, steps).
 
-    With c*(b) = W b + c0 (W = -Qcc^{-1}Qbc', c0 = -Qcc^{-1}qc/2), the
-    cross terms cancel and f(b, c*(b)) = b'(Qbb + Qbc W)b + (qb + 2 Qbc c0)'b
-    up to a constant.
+    Lawson & Hanson's NNLS scheme (1974, "Solving Least Squares Problems",
+    ch. 23) with the simplex equality, as in Nocedal & Wright (2006,
+    "Numerical Optimization", sec. 16.5). b starts at the best vertex. Once the
+    gradient g is constant on the support P, the weight with the most negative
+    gap g_i - g_P (the smallest index on ties) joins P; b is optimal when no
+    gap is negative. Each step is the Newton step on the face of P, from the
+    eigendecomposition of S centred on the face with its eigenvalues raised to
+    at least the tolerance (S is singular in setting3, and f may be linear
+    along its null space); the raised step still lowers f. b steps to the
+    face's minimizer, or back to the face's boundary, where a weight that
+    reaches 0 leaves P.
+    """
+    m = s.size
+    tol = GAP_RTOL * max(abs(S).max(), abs(s).max())
+    b = np.zeros(m)
+    b[np.argmin(S.diagonal() + s)] = 1.0
+    for step in range(MAX_STEPS_PER_WEIGHT * m):
+        support = b > 0
+        g = 2.0 * (S @ b) + s
+        gap = g - g[support].mean()
+        if np.abs(gap[support]).max() <= tol:
+            j = np.argmin(np.where(support, np.inf, gap))
+            if gap[j] >= -tol:
+                return b, step
+            support[j] = True
+        P = np.flatnonzero(support)
+        H = S[np.ix_(P, P)]
+        w, V = np.linalg.eigh(H - H.mean(axis=0) - H.mean(axis=1)[:, None] + H.mean())
+        d = -V @ ((V.T @ (g[P] - g[P].mean())) / np.maximum(2.0 * w, tol))
+        d -= d.mean()  # the ones vector is the centred matrix's null space: sum b stays 1
+        shrinking = d < 0
+        ratios = b[P][shrinking] / -d[shrinking]
+        t = min(1.0, ratios.min(initial=np.inf))
+        bP = b[P] + t * d
+        if t < 1.0:
+            bP[np.flatnonzero(shrinking)[np.argmin(ratios)]] = 0.0
+        b[P] = np.maximum(bP, 0.0)
+    raise NotConverged(f"simplex QP did not converge in {MAX_STEPS_PER_WEIGHT * m} steps")
+
+
+def solve(problem: SimplexQpProblem) -> QpSolution:
+    """Solve the simplex-constrained QP exactly.
+
+    The free block is eliminated through its Schur complement: one SPD solve
+    X = Qcc^{-1} [Qbc' | qc/2] gives c*(b) = W b + c0 with W = -X[:, :m] and
+    c0 = -X[:, m], and f(b, c*(b)) = b'Sb + s'b up to a constant, with
+    S = Qbb + Qbc W and s = qb + 2 Qbc c0. NotPsd if Qcc is not positive
+    definite or S has an eigenvalue below -1e-8 max(|S|, 1); NotConverged if
+    the active-set method takes more than MAX_STEPS_PER_WEIGHT steps per weight.
     """
     Qbb, Qbc, Qcc, qb, qc = _split(problem)
-    if problem.n_free == 0:
-        return Qbb, qb
-    c0 = solve_c(np.zeros(problem.m_simplex))
-    W = np.column_stack([solve_c(e) for e in np.eye(problem.m_simplex)]) - c0[:, None]
+    m = problem.m_simplex
+    X = np.empty((0, m + 1))
+    if problem.n_free:
+        try:
+            X = solve_spd(Qcc, np.column_stack([Qbc.T, 0.5 * qc]))
+        except (NotPositiveDefinite, NotSymmetric) as e:
+            raise NotPsd(f"free block of Q is not positive semidefinite: {e}") from e
+    W, c0 = -X[:, :m], -X[:, m]
     S = Qbb + Qbc @ W
     S = 0.5 * (S + S.T)
-    s = qb + 2.0 * (Qbc @ c0)
-    return S, s
-
-
-def solve(problem: SimplexQpProblem, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER) -> QpSolution:
-    """Solve the simplex-constrained QP.
-
-    Free block is eliminated exactly; b is found by FISTA with restart on
-    non-monotone objective, stopping when the KKT residual drops below tol.
-    If max_iter is hit, the best iterate is returned with converged=False
-    and a warning is emitted.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    m = problem.m_simplex
-    solve_c = _free_solver(problem)
-
-    if m == 1:
-        b = np.ones(1)
-        c = solve_c(b)
-        return QpSolution(b=b, c_free=c, objective=problem.objective(b, c),
-                          kkt_residual=kkt_residual(problem, b, c), iterations=0)
-
-    S, s = _reduced_problem(problem, solve_c)
-
-    def red_obj(b):
-        return float(b @ S @ b + s @ b)
-
-    def red_grad(b):
-        return 2.0 * (S @ b) + s
-
-    eigmax = float(np.linalg.eigvalsh(S)[-1])
-    if eigmax < -1e-8 * max(abs(S).max(), 1.0):
+    if np.linalg.eigvalsh(S)[0] < -1e-8 * max(abs(S).max(), 1.0):
         raise NotPsd("reduced Hessian has a significantly negative eigenvalue")
-    L = max(2.0 * eigmax, 1e-12)
-    step = 1.0 / L
-
-    b = np.full(m, 1.0 / m)
-    y = b.copy()
-    t = 1.0
-    f_prev = red_obj(b)
-    best_b, best_kkt = b.copy(), np.inf
-    history = []
-    obj_history = [f_prev]
-    it = 0
-    for it in range(1, max_iter + 1):
-        b_new = project_simplex(y - step * red_grad(y))
-        f_new = red_obj(b_new)
-        if f_new > f_prev:  # restart momentum on non-monotonicity
-            y = b.copy()
-            t = 1.0
-            b_new = project_simplex(y - step * red_grad(y))
-            f_new = red_obj(b_new)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = b_new + ((t - 1.0) / t_new) * (b_new - b)
-        b, t, f_prev = b_new, t_new, f_new
-        kkt = float(np.linalg.norm(b - project_simplex(b - red_grad(b))))
-        history.append(kkt)
-        obj_history.append(f_new)
-        if kkt < best_kkt:
-            best_kkt, best_b = kkt, b.copy()
-        if kkt <= tol:
-            break
-
-    converged = best_kkt <= tol
-    if not converged:
-        warnings.warn(f"simplex QP hit max_iter={max_iter} with KKT residual {best_kkt:.3e}",
-                      RuntimeWarning)
-    b = best_b
-    c = solve_c(b)
+    b, steps = _active_set(S, qb + 2.0 * (Qbc @ c0))
+    c = W @ b + c0
     return QpSolution(b=b, c_free=c, objective=problem.objective(b, c),
-                      kkt_residual=kkt_residual(problem, b, c), iterations=it,
-                      converged=converged, kkt_history=history,
-                      objective_history=obj_history)
+                      kkt_residual=kkt_residual(problem, b, c), iterations=steps)

@@ -15,7 +15,11 @@ the csv.writer trajectory file are the paths ``linalg``, ``thermo_vle``,
 ``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
 ``fit_reference_krr`` (a dense Cholesky of G + lam I per lambda) and
 ``joint_matrix`` (with its n x n lambda_r G temporary) are the paths the
-low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced. ``load_vle_csv`` reads a CSV the
+low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced. ``fista_solve``
+(accelerated projected gradient, stopped at a KKT tolerance) is the simplex
+QP solve that the exact active-set method in ``simplex_qp.solve`` replaced;
+the tests hold the exact solve to an objective no higher than FISTA's.
+``load_vle_csv`` reads a CSV the
 CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
 ``closure_residual`` moved here from ``hybridkernel.koopman``, and
 ``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
@@ -93,6 +97,65 @@ def solve_unconstrained(problem: simplex_qp.SimplexQpProblem):
     z = scipy.linalg.cho_solve((L, True), -0.5 * problem.q_lin)
     m = problem.m_simplex
     return z[:m], z[m:], problem.objective(z[:m], z[m:])
+
+
+def fista_solve(problem: simplex_qp.SimplexQpProblem, tol: float = 1e-8,
+                max_iter: int = 50_000) -> simplex_qp.QpSolution:
+    """The simplex QP by accelerated projected gradient (FISTA) on the reduced
+    problem, restarting momentum when the objective rises.
+
+    The free block is eliminated through one Cholesky factor of Qcc and m + 1
+    single solves. Stops at a KKT residual of the reduced problem <= tol and
+    returns the best iterate, with converged=False if max_iter was reached.
+    """
+    m = problem.m_simplex
+    Qbb, Qbc, Qcc, qb, qc = simplex_qp._split(problem)
+    S, s, solve_c = Qbb, qb, lambda b: np.empty(0)
+    if problem.n_free:
+        L, _ = linalg.cholesky_with_jitter(Qcc)
+
+        def solve_c(b):
+            return scipy.linalg.cho_solve((L, True), -(Qbc.T @ b + 0.5 * qc))
+
+        c0 = solve_c(np.zeros(m))
+        W = np.column_stack([solve_c(e) for e in np.eye(m)]) - c0[:, None]
+        S = Qbb + Qbc @ W
+        S = 0.5 * (S + S.T)
+        s = qb + 2.0 * (Qbc @ c0)
+
+    def red_obj(b):
+        return float(b @ S @ b + s @ b)
+
+    def red_grad(b):
+        return 2.0 * (S @ b) + s
+
+    step = 1.0 / max(2.0 * float(np.linalg.eigvalsh(S)[-1]), 1e-12)
+    b = np.full(m, 1.0 / m)
+    y = b.copy()
+    t = 1.0
+    f_prev = red_obj(b)
+    best_b, best_kkt = b.copy(), np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        b_new = simplex_qp.project_simplex(y - step * red_grad(y))
+        f_new = red_obj(b_new)
+        if f_new > f_prev:  # restart momentum on non-monotonicity
+            y = b.copy()
+            t = 1.0
+            b_new = simplex_qp.project_simplex(y - step * red_grad(y))
+            f_new = red_obj(b_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = b_new + ((t - 1.0) / t_new) * (b_new - b)
+        b, t, f_prev = b_new, t_new, f_new
+        kkt = float(np.linalg.norm(b - simplex_qp.project_simplex(b - red_grad(b))))
+        if kkt < best_kkt:
+            best_kkt, best_b = kkt, b.copy()
+        if kkt <= tol:
+            break
+    c = solve_c(best_b)
+    return simplex_qp.QpSolution(b=best_b, c_free=c, objective=problem.objective(best_b, c),
+                                 kkt_residual=simplex_qp.kkt_residual(problem, best_b, c),
+                                 iterations=it, converged=best_kkt <= tol)
 
 
 def clf_value_closed_form(basis: MonomialBasis, x) -> float:

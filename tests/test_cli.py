@@ -87,9 +87,8 @@ class TestCliRuns:
     @pytest.mark.parametrize("call", [("control", "--n", "30", "--m", "5"),
                                       ("setting3", "--n", "12", "--m", "5")])
     def test_exit_code_3_on_unconverged_qp(self, tmp_path, capsys, monkeypatch, call):
-        monkeypatch.setattr(simplex_qp.solve, "__defaults__", (simplex_qp.DEFAULT_TOL, 2))
-        with pytest.warns(RuntimeWarning, match="max_iter=2"):
-            assert run_cli(list(call) + ["--lambda", "1", "--out", str(tmp_path)]) == 3
+        monkeypatch.setattr(simplex_qp, "MAX_STEPS_PER_WEIGHT", 0)
+        assert run_cli(list(call) + ["--lambda", "1", "--out", str(tmp_path)]) == 3
         assert "did not converge" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 

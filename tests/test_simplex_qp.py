@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridkernel import experiments, koopman, simplex_qp
 from hybridkernel.errors import DimensionMismatch, NotPsd, NotSymmetric
-from hybridkernel.simplex_qp import (QpSolution, SimplexQpProblem, kkt_residual,
-                                     project_simplex, solve)
-from oracles import solve_unconstrained
+from hybridkernel.simplex_qp import SimplexQpProblem, kkt_residual, project_simplex, solve
+from oracles import fista_solve, solve_unconstrained
 
 
 def random_problem(rng, m, n_free, strictly_convex=True):
@@ -93,6 +93,11 @@ class TestProblemValidation:
         with pytest.raises(NotPsd):
             solve(SimplexQpProblem(Q=Q, q_lin=np.zeros(2), m_simplex=1, n_free=1))
 
+    def test_rejects_indefinite_reduced_hessian(self):
+        Q = np.diag([1.0, -1.0])
+        with pytest.raises(NotPsd, match="reduced Hessian"):
+            solve(SimplexQpProblem(Q=Q, q_lin=np.zeros(2), m_simplex=2, n_free=0))
+
     def test_objective_convention(self):
         # f(b, c) = z'Qz + q'z with no 1/2 factor
         prob = SimplexQpProblem(Q=2.0 * np.eye(2), q_lin=np.array([-1.0, -1.0]),
@@ -151,6 +156,20 @@ class TestSolve:
         sol = solve(prob)
         np.testing.assert_allclose(sol.b, g, atol=1e-8)
 
+    def test_small_negative_gap_is_followed(self):
+        # f = 1 + 2 b1^2 - 1e-9 b1 on the simplex: the start vertex (1, 0) has
+        # gap -1e-9 for weight 1, and the minimizer is b1 = 1e-9 / 4
+        prob = SimplexQpProblem(Q=np.eye(2), q_lin=np.array([0.0, 2.0 - 1e-9]),
+                                m_simplex=2, n_free=0)
+        assert solve(prob).b[1] == pytest.approx(2.5e-10, rel=1e-6)
+
+    def test_ties_go_to_the_smallest_index(self):
+        # f = b0 is minimized by every point with b0 = 0; of the best
+        # vertices e1 and e2 the solve stays at the first
+        prob = SimplexQpProblem(Q=np.zeros((3, 3)), q_lin=np.array([1.0, 0.0, 0.0]),
+                                m_simplex=3, n_free=0)
+        np.testing.assert_array_equal(solve(prob).b, [0.0, 1.0, 0.0])
+
     def test_unconstrained_hook_matches_closed_form(self):
         rng = np.random.default_rng(5)
         prob = random_problem(rng, m=4, n_free=3)
@@ -159,20 +178,57 @@ class TestSolve:
         np.testing.assert_allclose(np.concatenate([b, c]), z, atol=1e-8)
         assert obj == pytest.approx(prob.objective(z[:4], z[4:]), abs=1e-10)
 
-    def test_objective_history_monotone(self):
-        rng = np.random.default_rng(6)
-        sol = solve(random_problem(rng, m=8, n_free=4))
-        hist = np.array(sol.objective_history)
-        assert np.all(np.diff(hist) <= 1e-12 * max(1.0, np.abs(hist[0])))
 
-    def test_max_iter_returns_flagged_best_iterate(self):
-        rng = np.random.default_rng(7)
-        prob = random_problem(rng, m=10, n_free=0)
-        with pytest.warns(RuntimeWarning):
-            sol = solve(prob, tol=1e-14, max_iter=3)
-        assert not sol.converged
-        assert isinstance(sol, QpSolution)
-        assert np.all(sol.b >= -1e-12)
+def _paper_problems():
+    """The closed-loop workload's 3 Koopman QPs and the 13 QPs of setting3 at
+    seed 2, m = 25, as the experiments build them."""
+    basis = koopman.MonomialBasis(q=experiments.DEFAULT_Q)
+    thetas = experiments.sample_thetas(25, experiments.seeds("control", 0)["theta_seed"])
+    design = experiments.cstr_design(200, 0, thetas, basis)
+    problems = [koopman.hybrid_generator_problem(design, experiments.DEFAULT_LAMBDA_B, lam)
+                for lam in (1e-4, 0.1, 100.0)]
+    exact = simplex_qp.solve
+
+    def record(problem):
+        problems.append(problem)
+        return exact(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_qp, "solve", record)
+        experiments.run_setting3(n=50, seed=2, m=25)
+    return problems
+
+
+class TestAgainstFista:
+    """The exact solve is no worse than the FISTA oracle, and stationary."""
+
+    @staticmethod
+    def check(problem):
+        sol, oracle = solve(problem), fista_solve(problem)
+        assert sol.objective <= oracle.objective + 1e-12 * max(1.0, abs(sol.objective))
+        assert sol.kkt_residual <= 1e-10
+        assert np.all(sol.b >= 0.0) and abs(sol.b.sum() - 1.0) <= 1e-12
+
+    # rank < m makes the reduced Hessian singular, as in setting3 at m = 100,
+    # n = 50; a random linear term (not -2 A'y) makes f linear along its null space
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), n_free=st.integers(0, 6),
+           rank=st.integers(1, 40), least_squares=st.booleans())
+    @example(seed=0, m=100, n_free=50, rank=50, least_squares=True)
+    def test_random_problems(self, seed, m, n_free, rank, least_squares):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((rank, m + n_free))
+        Q = A.T @ A
+        Q[m:, m:] += np.eye(n_free)  # the free block stays positive definite
+        q = -2.0 * A.T @ rng.standard_normal(rank) if least_squares \
+            else rng.standard_normal(m + n_free)
+        self.check(SimplexQpProblem(Q=Q, q_lin=q, m_simplex=m, n_free=n_free))
+
+    def test_paper_problems(self):
+        problems = _paper_problems()
+        assert len(problems) == 3 + 13
+        for problem in problems:
+            self.check(problem)
 
 
 class TestKktResidual:
@@ -187,10 +243,3 @@ class TestKktResidual:
                                 m_simplex=2, n_free=0)
         # optimum is (1, 0); a shifted feasible point must violate stationarity
         assert kkt_residual(prob, [0.5, 0.5], []) > 1e-8
-
-    def test_best_kkt_nonincreasing_over_accepted_iterates(self):
-        rng = np.random.default_rng(8)
-        sol = solve(random_problem(rng, m=6, n_free=3))
-        best = np.minimum.accumulate(sol.kkt_history)
-        assert np.all(np.diff(best) <= 0.0)
-        assert sol.kkt_residual <= 1e-8
