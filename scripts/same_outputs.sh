@@ -27,8 +27,10 @@ CALLS=(
     "setting2-s0 setting2 --n 50 --seed 0"
     "setting2-s1 setting2 --n 50 --seed 1"
     "setting3 setting3 --m 25"
+    "setting3-m100-s1 setting3 --m 100 --seed 1"
     "vle-data vle-data"
     "koopman koopman"
+    "koopman-s1 koopman --seed 1"
     "control control --n 200 --m 25 --lambda 0.0001,0.1,100"
 )
 

@@ -209,8 +209,7 @@ def run(config: ExperimentConfig) -> int:
         out.table("summary.csv", rows, RMSE_COLUMNS + ("theta_star",))
         for i, row in enumerate(rows):
             out.json(f"mixture_model_{i:02d}.json", row["model"].to_json(
-                lambda_r=row["lambda"], lambda_omega=experiments.DEFAULT_LAMBDA_OMEGA,
-                theta_samples=row["theta_samples"].tolist(),
+                lambda_r=row["lambda"], theta_samples=row["theta_samples"].tolist(),
                 theta_star=_cell(row["theta_star"]), seed=config.seed,
                 theta_seed=seeds["theta_seed"]))
 

@@ -13,14 +13,12 @@ import numpy as np
 
 from . import control, hybrid_static, koopman, thermo_vle
 from .hybrid_static import Dataset
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 2, 13))
 DEFAULT_LAMBDA_R_GRID = tuple(np.logspace(-4, 2, 7))
 DEFAULT_GAMMA_X = 100.0
-DEFAULT_GAMMA_THETA = 10.0
 DEFAULT_LAMBDA_THETA = 1e-6
-DEFAULT_LAMBDA_OMEGA = 0.0
 DEFAULT_LAMBDA_B = 1e-8
 DEFAULT_Q = 3
 DEFAULT_DT = 0.01
@@ -170,13 +168,11 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     thetas = sample_thetas(m, run_seeds["theta_seed"])
     train = hybrid_static.design(gex_dataset(n, seed),
                                  hybrid_static.family_features(wilson_family, thetas),
-                                 KernelSpec(gamma=DEFAULT_GAMMA_X), joint=True)
+                                 KernelSpec(gamma=DEFAULT_GAMMA_X))
     val = train.at(gex_dataset(n, run_seeds["validation_seed"]))
-    theta_gram = gram(KernelSpec(gamma=DEFAULT_GAMMA_THETA), thetas)
 
     def one(lam):
-        model = hybrid_static.fit_mixture(train, theta_gram,
-                                          lambda_omega=DEFAULT_LAMBDA_OMEGA, lambda_r=lam)
+        model = hybrid_static.fit_mixture(train, lambda_r=lam)
         return {"lambda": float(lam),
                 "train_rmse": hybrid_static.rmse(model, train),
                 "val_rmse": hybrid_static.rmse(model, val),

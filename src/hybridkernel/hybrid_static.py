@@ -6,7 +6,8 @@ feature map Phi and in how the weights w are fit:
   (i)   reference KRR: Phi = h_ref, one column with fixed weight 1;
   (ii)  subspace: Phi = interpretable features, w = theta by ridge;
   (iii) mixture: Phi = (h(x | theta_1), ..., h(x | theta_m)), w = b on the
-        simplex.
+        simplex, by a simplex QP in b alone: the kernel coefficients are
+        eliminated through the Gram factor.
 
 A ``Design`` holds the lambda-independent blocks of one dataset, the
 low-rank factor of the training Gram matrix among them. Drivers build it once
@@ -137,8 +138,8 @@ class Design:
     (anchors = X), the cross-Gram against the training inputs on any other
     set. factor is the low-rank factor of G (linalg.low_rank_psd_factor),
     from which the reference fit solves every lambda; a design on another set
-    has none. DtD and Dty are D'D and D'y of D = [F, G]; only the joint fits
-    need them. The arrays are read, never written, so pool threads share a
+    has none. DtD and Dty are D'D and D'y of D = [F, G]; only the subspace
+    fit reads them. The arrays are read, never written, so pool threads share a
     design.
     """
 
@@ -183,23 +184,23 @@ def _design(features, kernel, inputs, anchors, K, y, factor, joint) -> Design:
 def design(data: Dataset, features: Callable, kernel: KernelSpec,
            joint: bool = False) -> Design:
     """Training design: feature columns, Gram matrix and its low-rank factor
-    of `data`; with joint=True also the normal blocks the subspace and
-    mixture fits solve."""
+    of `data`; with joint=True also the normal blocks the subspace fit
+    solves."""
     G = gram(kernel, data.inputs)
     return _design(features, kernel, data.inputs, data.inputs, G, data.targets,
                    low_rank_psd_factor(G), joint)
 
 
-def _joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray:
-    """D'D + blockdiag(weight_penalty, lambda_r G); exactly symmetric when the
-    penalty is, since D'D is symmetrized when the design is built."""
+def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
+    """D'D + blockdiag(lambda_theta I, lambda_r G); exactly symmetric, since
+    D'D is symmetrized when the design is built."""
     if design.DtD is None:
-        raise DomainError("joint fits need a training design built with joint=True")
-    p = design.F.shape[1]
+        raise DomainError("subspace fits need a training design built with joint=True")
+    p, dim = design.F.shape[1], design.DtD.shape[0]
     M = np.empty_like(design.DtD)
     M[:p] = design.DtD[:p]
     M[p:, :p] = design.DtD[p:, :p]
-    M[:p, :p] += weight_penalty
+    M.flat[:p * (dim + 1):dim + 1] += lambda_theta
     # lambda_r G goes straight into its block: no n x n temporary
     np.multiply(lambda_r, design.K, out=M[p:, p:])
     M[p:, p:] += design.DtD[p:, p:]
@@ -237,28 +238,31 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> Hybrid
         raise DomainError("regularization weights must be finite and positive, got "
                           f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
     p = design.F.shape[1]
-    sol = solve_spd(_joint_matrix(design, lambda_theta * np.eye(p), lambda_r), design.Dty)
+    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r), design.Dty)
     return design.model(sol[:p], sol[p:])
 
 
-def fit_mixture(design: Design, theta_gram, lambda_omega: float,
-                lambda_r: float) -> HybridModel:
-    """Simplex-constrained QP fit of mixture weights plus kernel residual.
+def fit_mixture(design: Design, lambda_r: float) -> HybridModel:
+    """Simplex-constrained fit of mixture weights b plus kernel residual c.
 
-    Objective: ||F b + G c - y||^2 + l_omega b'G_theta b + l_r c'G c, where
-    the columns of F are the family members. Raises NotConverged if the QP's
-    active-set method reaches its step cap.
+    Minimizes ||F b + G c - y||^2 + l_r c'G c with b on the simplex, where
+    the columns of F are the family members. With A = (G + l_r I)^-1,
+    c = A (y - F b) minimizes over c for any b, and leaves l_r (y - F b)'
+    A (y - F b): the partial-spline elimination (Wahba 1990, "Spline Models
+    for Observational Data"). So b solves the simplex QP S = l_r F'AF,
+    s = -2 l_r F'Ay, where A [F, y] is one shifted solve from the design's
+    Gram factor. Raises NotConverged if the QP's active-set method reaches
+    its step cap.
     """
-    if not (np.isfinite(lambda_omega) and lambda_omega >= 0
-            and np.isfinite(lambda_r) and lambda_r > 0):
-        raise DomainError("need finite lambda_omega >= 0 and lambda_r > 0, got "
-                          f"lambda_omega={lambda_omega}, lambda_r={lambda_r}")
-    m, n = design.F.shape[1], design.K.shape[1]
-    Q = _joint_matrix(design, lambda_omega * np.asarray(theta_gram, dtype=float), lambda_r)
-    problem = simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Dty,
-                                          m_simplex=m, n_free=n)
-    sol = simplex_qp.solve(problem)
-    return design.model(sol.b, sol.c_free)
+    if not (np.isfinite(lambda_r) and lambda_r > 0):
+        raise DomainError(f"lambda_r must be finite and positive, got {lambda_r}")
+    if design.factor is None:
+        raise DomainError("mixture fits need a training design")
+    AFy = solve_shifted(design.K, design.factor, lambda_r,
+                        np.column_stack([design.F, design.y]))
+    AF, Ay = AFy[:, :-1], AFy[:, -1]
+    sol = simplex_qp.solve(lambda_r * (design.F.T @ AF), -2.0 * lambda_r * (design.F.T @ Ay))
+    return design.model(sol.b, Ay - AF @ sol.b)
 
 
 def rmse(model: HybridModel, design: Design) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel, NonFinite
-from .linalg import solve_least_squares, unvec
+from .linalg import solve_least_squares, solve_spd
 
 STATE_BOX = 0.25  # X = [-1/4, 1/4]^2
 
@@ -200,18 +200,20 @@ class GeneratorDesign:
     """The lambda-independent blocks of the hybrid generator fit on one sample.
 
     Psi = psi(X) is (n, N), G[i, j] = Dpsi(x_i) f0(x_i | theta_j) is (n, m, N)
-    and psidot[i] = Dpsi(x_i) xdot_i is (n, N). The stacked design C has row
-    block i = [G[i]', psi_i' (x) I_N] acting on [b; vec R]; the design keeps
-    CtC = C'C (symmetrized once) and Ct_psidot = C' vec(psidot). The arrays are
-    read, never written, so pool threads share it.
+    and psidot[i] = Dpsi(x_i) xdot_i is (n, N). Of the (n, N) blocks
+    Z_j = G[:, j] (j < m) and Z_m = psidot the fit reads only the inner
+    products ZtZ[j, k] = <Z_j, Z_k>, PtZ = Psi'[Z_0, ..., Z_m] (N x (m + 1) N)
+    and PtP = Psi'Psi. The arrays are read, never written, so pool threads
+    share it.
     """
 
     basis: MonomialBasis
     Psi: np.ndarray
     G: np.ndarray
     psidot: np.ndarray
-    CtC: np.ndarray
-    Ct_psidot: np.ndarray
+    PtP: np.ndarray
+    PtZ: np.ndarray
+    ZtZ: np.ndarray
 
     def residuals(self, b, R) -> np.ndarray:
         """Rows sum_j b_j G[i, j] + R psi_i - psidot_i."""
@@ -231,30 +233,37 @@ def generator_design(sample: DriftSample, family: Callable, theta_samples,
     F = np.stack([family(sample.states, th) for th in thetas], axis=1)
     G = _matvec(J[:, None], F)
     psidot = _matvec(J, sample.drift_velocities)
-
-    C = np.empty((n * N, m + N * N))
-    C[:, :m] = G.transpose(0, 2, 1).reshape(n * N, m)
-    C[:, m:] = (Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
-    CtC = C.T @ C
-    return GeneratorDesign(basis=basis, Psi=Psi, G=G, psidot=psidot,
-                           CtC=0.5 * (CtC + CtC.T), Ct_psidot=C.T @ psidot.ravel())
+    Z = np.concatenate([G, psidot[:, None]], axis=1)
+    Zj = Z.transpose(1, 0, 2).reshape(m + 1, n * N)
+    return GeneratorDesign(basis=basis, Psi=Psi, G=G, psidot=psidot, PtP=Psi.T @ Psi,
+                           PtZ=Psi.T @ Z.reshape(n, (m + 1) * N), ZtZ=Zj @ Zj.T)
 
 
 def hybrid_generator_problem(design: GeneratorDesign, lambda_b: float, lambda_R: float
-                             ) -> simplex_qp.SimplexQpProblem:
-    """Stacked QP over (b, vec R) for the hybrid generator fit: the design's
-    C'C with lambda_b and lambda_R added to the diagonals of the b and R blocks.
-    Its objective is the primal objective less the constant ||psidot||^2.
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hybrid generator fit as a simplex QP in b alone: (S, s, X).
+
+    For fixed b the best R solves the ridge problem M R' = E - sum_j b_j H_j
+    with M = Psi'Psi + lambda_R I, H_j = Psi'Z_j and E = H_m = Psi'psidot:
+    in the stacked design over (b, vec R) the R block's Gram matrix is
+    (Psi'Psi) (x) I (Van Loan 2000, "The ubiquitous Kronecker product"), so
+    one N x N solve X = M^-1 PtZ, with the blocks X_j = M^-1 H_j, eliminates
+    R. With K[j, k] = ZtZ[j, k] - <H_j, X_k>, S = K[:m, :m] + lambda_b I and
+    s = -2 K[:m, m]; b'Sb + s'b + K[m, m] is the primal objective at
+    (b, R(b)). X is returned as (N, m + 1, N), X_j = X[:, j], so that
+    R(b)' = X_m - sum_j b_j X_j.
     """
     if not (np.isfinite(lambda_b) and lambda_b >= 0
             and np.isfinite(lambda_R) and lambda_R > 0):
         raise DomainError("need finite lambda_b >= 0 and lambda_R > 0, got "
                           f"lambda_b={lambda_b}, lambda_R={lambda_R}")
-    m, NN = design.G.shape[1], design.basis.N ** 2
-    Q = design.CtC.copy()
-    Q.flat[::m + NN + 1] += np.repeat([lambda_b, lambda_R], [m, NN])
-    return simplex_qp.SimplexQpProblem(Q=Q, q_lin=-2.0 * design.Ct_psidot,
-                                       m_simplex=m, n_free=NN)
+    m, N = design.G.shape[1], design.basis.N
+    M = design.PtP.copy()
+    M.flat[::N + 1] += lambda_R
+    H = design.PtZ.reshape(N, m + 1, N)
+    X = solve_spd(M, design.PtZ).reshape(N, m + 1, N)
+    K = design.ZtZ - np.tensordot(H, X, axes=([0, 2], [0, 2]))
+    return K[:m, :m] + lambda_b * np.eye(m), -2.0 * K[:m, m], X
 
 
 def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: float):
@@ -265,9 +274,9 @@ def fit_hybrid_generator(design: GeneratorDesign, lambda_b: float, lambda_R: flo
     with b on the simplex. Returns (b, R, QpSolution); raises NotConverged
     if the QP's active-set method reaches its step cap.
     """
-    sol = simplex_qp.solve(hybrid_generator_problem(design, lambda_b, lambda_R))
-    N = design.basis.N
-    return sol.b, unvec(sol.c_free, N, N), sol
+    S, s, X = hybrid_generator_problem(design, lambda_b, lambda_R)
+    sol = simplex_qp.solve(S, s)
+    return sol.b, (np.append(-sol.b, 1.0) @ X).T, sol
 
 
 def hybrid_prediction_rmse(design: GeneratorDesign, b, R) -> float:

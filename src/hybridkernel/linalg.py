@@ -1,5 +1,5 @@
 """Dense linear algebra primitives: jittered SPD solves, a low-rank factor of
-a PSD matrix with shifted solves from it, least squares, unvec.
+a PSD matrix with shifted solves from it, least squares.
 
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
@@ -191,22 +191,23 @@ def low_rank_psd_factor(G) -> LowRankFactor:
 
 
 def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
-    """Solve (G + lam I) x = rhs, for lam > 0, from the low-rank factor of G.
+    """Solve (G + lam I) x = rhs, for lam > 0, from the low-rank factor of G;
+    rhs is (n,) or (n, k), and x has its shape.
 
     P = W diag(1/(mu + lam)) W' + (I - W W')/lam inverts W diag(mu) W' + lam I
     exactly. x = P rhs is refined against the exact G, x += P (rhs - G x -
-    lam x), until the correction no longer halves (it is then rounding noise,
-    and is not applied) or MAX_REFINEMENT_STEPS steps have run. Each step
-    multiplies the error by a matrix of norm at most tail/lam; when
-    tail >= lam/10 refinement need not contract, and G + lam I is solved
-    densely by solve_spd instead.
+    lam x), column by column until the column's correction no longer halves
+    (it is then rounding noise, and is not applied), or for
+    MAX_REFINEMENT_STEPS steps. Each step multiplies the error by a matrix of
+    norm at most tail/lam; when tail >= lam/10 refinement need not contract,
+    and G + lam I is solved densely by solve_spd instead.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError(f"shift must be finite and positive, got {lam}")
     G = _as_2d(G)
     b = np.asarray(rhs, dtype=float)
     _check_finite(b, "rhs")
-    if b.shape != (G.shape[0],) or factor.W.shape[0] != b.size:
+    if b.ndim not in (1, 2) or b.shape[0] != G.shape[0] or factor.W.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"rhs {b.shape} for matrix {G.shape} and factor "
                                 f"{factor.W.shape}")
     if factor.tail >= lam / 10:
@@ -216,19 +217,23 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     W = factor.W
     # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam)
     shrink = factor.mu / (lam * (factor.mu + lam))
+    if b.ndim == 2:
+        shrink = shrink[:, None]
 
     def apply_p(v):
         return v / lam - W @ (shrink * (W.T @ v))
 
     x = apply_p(b)
-    size = np.inf
+    size = np.full(b.shape[1:], np.inf)  # a column that has stopped has size 0
     for _ in range(MAX_REFINEMENT_STEPS):
         dx = apply_p(b - G @ x - lam * x)
-        new = float(np.linalg.norm(dx))  # the norm the contraction bound holds in
-        if not new < size / 2:
+        # per column, the norm the contraction bound holds in
+        new = np.linalg.norm(dx, axis=0) if b.ndim == 2 else np.linalg.norm(dx)
+        halves = new < size / 2
+        if not halves.any():
             break
-        x += dx
-        size = new
+        x += np.where(halves, dx, 0.0)
+        size = np.where(halves, new, 0.0)
     return x
 
 
@@ -246,11 +251,3 @@ def solve_least_squares(A, B) -> np.ndarray:
         raise DimensionMismatch(f"B has {B2.shape[0]} rows, A has {A.shape[0]}")
     X = solve_spd(A.T @ A, A.T @ B2)
     return X[:, 0] if was_1d else X
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """The rows x cols matrix whose column-major vectorization is v."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != rows * cols:
-        raise DimensionMismatch(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
-    return v.reshape((rows, cols), order="F")

@@ -1,9 +1,11 @@
-"""Quadratic programs with a probability-simplex block and an unconstrained block.
+"""The simplex-constrained QP min b'Sb + s'b over {b >= 0, sum b = 1}, S PSD.
 
-Objective convention: f(b, c) = z^T Q z + q_lin^T z with z = [b; c] (no 1/2
-factor, constant terms dropped). The free block c is eliminated analytically
-through a Schur complement; the reduced problem in b is solved exactly by a
-primal active-set method, which ends after finitely many steps.
+Objective convention: no 1/2 factor, constant terms dropped. The callers
+hand over the reduced problem: each eliminates its unconstrained block by the
+structure it has (hybrid_static.fit_mixture through the Gram factor,
+koopman.hybrid_generator_problem through one N x N solve). The problem is
+solved exactly by a primal active-set method, which ends after finitely many
+steps.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NotConverged, NotPositiveDefinite, NotPsd,
-                     NotSymmetric)
-from .linalg import SYMMETRY_RTOL, _check_finite, _max_asymmetry, solve_spd
+from .errors import DimensionMismatch, NotConverged, NotPsd, NotSymmetric
+from .linalg import SYMMETRY_RTOL, _check_finite, _max_asymmetry
 
 # The active-set method takes at most this many steps per simplex weight
 # before it raises NotConverged. The paper's QPs take at most 1 step in all,
@@ -24,42 +25,9 @@ MAX_STEPS_PER_WEIGHT = 10
 GAP_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class SimplexQpProblem:
-    """min z'Qz + q_lin'z over z = [b; c], b on the simplex, c free."""
-
-    Q: np.ndarray
-    q_lin: np.ndarray
-    m_simplex: int
-    n_free: int
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        q = np.asarray(self.q_lin, dtype=float).ravel()
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "q_lin", q)
-        dim = self.m_simplex + self.n_free
-        if self.m_simplex < 1 or self.n_free < 0:
-            raise DimensionMismatch("need m_simplex >= 1 and n_free >= 0")
-        if Q.shape != (dim, dim):
-            raise DimensionMismatch(f"Q is {Q.shape}, expected {(dim, dim)}")
-        if q.size != dim:
-            raise DimensionMismatch(f"q_lin has length {q.size}, expected {dim}")
-        _check_finite(Q, "Q")
-        _check_finite(q, "q_lin")
-        if _max_asymmetry(Q) > SYMMETRY_RTOL * max(Q.max(), -Q.min(), 1.0):
-            raise NotSymmetric("Q must be symmetric")
-
-    def objective(self, b, c_free=None) -> float:
-        z = np.concatenate([np.asarray(b, float).ravel(),
-                            np.asarray(c_free, float).ravel() if self.n_free else np.empty(0)])
-        return float(z @ self.Q @ z + self.q_lin @ z)
-
-
 @dataclass
 class QpSolution:
     b: np.ndarray
-    c_free: np.ndarray
     objective: float
     kkt_residual: float
     iterations: int
@@ -80,30 +48,10 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _split(problem: SimplexQpProblem):
-    m = problem.m_simplex
-    Qbb = problem.Q[:m, :m]
-    Qbc = problem.Q[:m, m:]
-    Qcc = problem.Q[m:, m:]
-    qb = problem.q_lin[:m]
-    qc = problem.q_lin[m:]
-    return Qbb, Qbc, Qcc, qb, qc
-
-
-def kkt_residual(problem: SimplexQpProblem, b, c_free) -> float:
-    """max of free-block gradient norm and simplex stationarity violation."""
+def kkt_residual(S, s, b) -> float:
+    """Simplex stationarity violation ||b - proj(b - grad f(b))|| of f = b'Sb + s'b."""
     b = np.asarray(b, dtype=float).ravel()
-    c = np.asarray(c_free, dtype=float).ravel()
-    Qbb, Qbc, Qcc, qb, qc = _split(problem)
-    g_b = 2.0 * (Qbb @ b) + qb
-    if problem.n_free:
-        g_b = g_b + 2.0 * (Qbc @ c)
-        g_c = 2.0 * (Qbc.T @ b + Qcc @ c) + qc
-        free_norm = float(np.linalg.norm(g_c))
-    else:
-        free_norm = 0.0
-    simplex_viol = float(np.linalg.norm(b - project_simplex(b - g_b)))
-    return max(free_norm, simplex_viol)
+    return float(np.linalg.norm(b - project_simplex(b - (2.0 * (S @ b) + s))))
 
 
 def _active_set(S, s) -> tuple[np.ndarray, int]:
@@ -149,30 +97,25 @@ def _active_set(S, s) -> tuple[np.ndarray, int]:
     raise NotConverged(f"simplex QP did not converge in {MAX_STEPS_PER_WEIGHT * m} steps")
 
 
-def solve(problem: SimplexQpProblem) -> QpSolution:
-    """Solve the simplex-constrained QP exactly.
+def solve(S, s) -> QpSolution:
+    """Solve min b'Sb + s'b over the simplex exactly.
 
-    The free block is eliminated through its Schur complement: one SPD solve
-    X = Qcc^{-1} [Qbc' | qc/2] gives c*(b) = W b + c0 with W = -X[:, :m] and
-    c0 = -X[:, m], and f(b, c*(b)) = b'Sb + s'b up to a constant, with
-    S = Qbb + Qbc W and s = qb + 2 Qbc c0. NotPsd if Qcc is not positive
-    definite or S has an eigenvalue below -1e-8 max(|S|, 1); NotConverged if
-    the active-set method takes more than MAX_STEPS_PER_WEIGHT steps per weight.
+    S must be finite, m x m for the m entries of s, and symmetric to
+    SYMMETRY_RTOL * max(|S|, 1); it is symmetrized. NotPsd if S has an
+    eigenvalue below -1e-8 max(|S|, 1); NotConverged if the active-set method
+    takes more than MAX_STEPS_PER_WEIGHT steps per weight.
     """
-    Qbb, Qbc, Qcc, qb, qc = _split(problem)
-    m = problem.m_simplex
-    X = np.empty((0, m + 1))
-    if problem.n_free:
-        try:
-            X = solve_spd(Qcc, np.column_stack([Qbc.T, 0.5 * qc]))
-        except (NotPositiveDefinite, NotSymmetric) as e:
-            raise NotPsd(f"free block of Q is not positive semidefinite: {e}") from e
-    W, c0 = -X[:, :m], -X[:, m]
-    S = Qbb + Qbc @ W
+    S = np.asarray(S, dtype=float)
+    s = np.asarray(s, dtype=float).ravel()
+    if s.size < 1 or S.shape != (s.size, s.size):
+        raise DimensionMismatch(f"S is {S.shape} for s of length {s.size}")
+    _check_finite(S, "S")
+    _check_finite(s, "s")
+    if _max_asymmetry(S) > SYMMETRY_RTOL * max(S.max(), -S.min(), 1.0):
+        raise NotSymmetric("S must be symmetric")
     S = 0.5 * (S + S.T)
     if np.linalg.eigvalsh(S)[0] < -1e-8 * max(abs(S).max(), 1.0):
-        raise NotPsd("reduced Hessian has a significantly negative eigenvalue")
-    b, steps = _active_set(S, qb + 2.0 * (Qbc @ c0))
-    c = W @ b + c0
-    return QpSolution(b=b, c_free=c, objective=problem.objective(b, c),
-                      kkt_residual=kkt_residual(problem, b, c), iterations=steps)
+        raise NotPsd("S has a significantly negative eigenvalue")
+    b, steps = _active_set(S, s)
+    return QpSolution(b=b, objective=float(b @ S @ b + s @ b),
+                      kkt_residual=kkt_residual(S, s, b), iterations=steps)

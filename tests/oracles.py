@@ -19,21 +19,27 @@ low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced. ``fista_sol
 (accelerated projected gradient, stopped at a KKT tolerance) is the simplex
 QP solve that the exact active-set method in ``simplex_qp.solve`` replaced;
 the tests hold the exact solve to an objective no higher than FISTA's.
+``SimplexQpProblem``, ``eliminate_free_block`` and ``solve_full`` are the
+generic QP over a simplex block and a free block, reduced by a dense Schur
+complement, that ``simplex_qp`` took before each caller eliminated its free
+block by structure; ``mixture_problem`` and ``stacked_generator_problem``
+are the two callers' full problems, from which the tests reduce the
+structured ones' oracles.
 ``load_vle_csv`` reads a CSV the
 CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` and
 ``closure_residual`` moved here from ``hybridkernel.koopman``, and
-``kernel_eval``, ``vec`` and ``objective`` from ``kernels``, ``linalg`` and
-``hybrid_static``: the package has no caller for them. ``find_azeotrope``
+``kernel_eval``, ``vec``, ``unvec`` and ``objective`` from ``kernels``,
+``linalg`` and ``hybrid_static``: the package has no caller for them. ``find_azeotrope``
 moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
 ``scipy.optimize`` in the package's imports. ``psi_at``, ``jacobian_at`` and
 ``lifted_rhs`` moved here from ``MonomialBasis.eval_at``, ``jacobian_at`` and
 ``KoopmanHybridModel.rhs`` once the controllers took V's rates from the
 gradient of V and from the model's polynomials; ``clf_rates_fields`` and
-``clf_rates_model`` are the numpy rates those replaced. ``psidot_sq`` is the
-constant ``hybrid_generator_problem`` drops; only tests read it.
+``clf_rates_model`` are the numpy rates those replaced.
 """
 
 import csv
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +50,7 @@ from scipy.spatial.distance import cdist, pdist
 from hybridkernel import linalg, simplex_qp, thermo_vle
 from hybridkernel.control import lin_sontag
 from hybridkernel.errors import (DimensionMismatch, DomainError, NoBracket, NonFinite,
-                                 NotPositiveDefinite, NotSymmetric)
+                                 NotPositiveDefinite, NotPsd, NotSymmetric)
 from hybridkernel.hybrid_static import Design
 from hybridkernel.kernels import KernelSpec, _as_points
 from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis, _matvec,
@@ -62,8 +68,16 @@ def kron(A, B) -> np.ndarray:
 
 
 def vec(A) -> np.ndarray:
-    """Column-major vectorization (stack columns); linalg.unvec inverts it."""
+    """Column-major vectorization (stack columns); unvec inverts it."""
     return _as_2d(A).flatten(order="F")
+
+
+def unvec(v, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix whose column-major vectorization is v."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size != rows * cols:
+        raise DimensionMismatch(f"vector of length {v.size} cannot fill a {rows}x{cols} matrix")
+    return v.reshape((rows, cols), order="F")
 
 
 def kernel_eval(k: KernelSpec, a, b) -> float:
@@ -78,8 +92,7 @@ def kernel_eval(k: KernelSpec, a, b) -> float:
 
 def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) -> float:
     """Direct evaluation of ||F w + G c - y||^2 + w'Pw + lambda_r c'G c, where
-    the p x p weight penalty P is l_theta I (subspace) or l_omega G_theta
-    (mixture)."""
+    the p x p weight penalty P is l_theta I (subspace) or 0 (mixture)."""
     w = np.asarray(weights, dtype=float).ravel()
     c = np.asarray(coeffs, dtype=float).ravel()
     resid = design.F @ w + design.K @ c - design.y
@@ -87,7 +100,81 @@ def objective(design: Design, weights, coeffs, weight_penalty, lambda_r: float) 
                  + lambda_r * (c @ design.K @ c))
 
 
-def solve_unconstrained(problem: simplex_qp.SimplexQpProblem):
+# ---- the generic simplex QP with a free block, reduced by a dense Schur step --
+
+@dataclass(frozen=True)
+class SimplexQpProblem:
+    """min z'Qz + q_lin'z over z = [b; c], b on the simplex, c free."""
+
+    Q: np.ndarray
+    q_lin: np.ndarray
+    m_simplex: int
+    n_free: int
+
+    def objective(self, b, c_free=None) -> float:
+        z = np.concatenate([np.asarray(b, float).ravel(),
+                            np.asarray(c_free, float).ravel() if self.n_free else np.empty(0)])
+        return float(z @ self.Q @ z + self.q_lin @ z)
+
+
+def eliminate_free_block(problem: SimplexQpProblem):
+    """The reduced problem (S, s) and the map c*(b) = W b + c0, as (S, s, W, c0).
+
+    One SPD solve X = Qcc^{-1} [Qbc' | qc/2] gives W = -X[:, :m] and
+    c0 = -X[:, m]; then f(b, c*(b)) = b'Sb + s'b up to a constant, with
+    S = Qbb + Qbc W (symmetrized) and s = qb + 2 Qbc c0. NotPsd if Qcc is
+    not positive definite.
+    """
+    m, Q, q = problem.m_simplex, np.asarray(problem.Q, float), np.asarray(problem.q_lin, float)
+    Qbc, Qcc = Q[:m, m:], Q[m:, m:]
+    X = np.empty((0, m + 1))
+    if problem.n_free:
+        try:
+            X = linalg.solve_spd(Qcc, np.column_stack([Qbc.T, 0.5 * q[m:]]))
+        except (NotPositiveDefinite, NotSymmetric) as e:
+            raise NotPsd(f"free block of Q is not positive semidefinite: {e}") from e
+    W, c0 = -X[:, :m], -X[:, m]
+    S = Q[:m, :m] + Qbc @ W
+    return 0.5 * (S + S.T), q[:m] + 2.0 * (Qbc @ c0), W, c0
+
+
+def solve_full(problem: SimplexQpProblem):
+    """(b, c, objective) of the full problem: the free block eliminated by
+    eliminate_free_block, b from simplex_qp.solve."""
+    S, s, W, c0 = eliminate_free_block(problem)
+    b = simplex_qp.solve(S, s).b
+    c = W @ b + c0
+    return b, c, problem.objective(b, c)
+
+
+def mixture_problem(design: Design, lambda_r: float) -> SimplexQpProblem:
+    """The mixture fit as one QP over [b; c]: D'D + blockdiag(0, lambda_r G)
+    and -2 D'y with D = [F, G]; its objective is the primal one less ||y||^2."""
+    D = np.hstack([design.F, design.K])
+    Q = D.T @ D
+    m = design.F.shape[1]
+    Q[m:, m:] += lambda_r * design.K
+    return SimplexQpProblem(Q=0.5 * (Q + Q.T), q_lin=-2.0 * (D.T @ design.y),
+                            m_simplex=m, n_free=design.K.shape[1])
+
+
+def stacked_generator_problem(design: GeneratorDesign, lambda_b: float,
+                              lambda_R: float) -> SimplexQpProblem:
+    """The hybrid generator fit as one QP over [b; vec R]: the stacked design C
+    has row block i = [G[i]', psi_i' (x) I_N]; Q = C'C plus lambda_b and
+    lambda_R on the diagonals of the b and R blocks, q_lin = -2 C' vec(psidot).
+    Its objective is the primal one less ||psidot||^2."""
+    n, m, N = design.G.shape
+    C = np.empty((n * N, m + N * N))
+    C[:, :m] = design.G.transpose(0, 2, 1).reshape(n * N, m)
+    C[:, m:] = (design.Psi[:, None, :, None] * np.eye(N)[:, None, :]).reshape(n * N, N * N)
+    Q = C.T @ C
+    Q.flat[::m + N * N + 1] += np.repeat([lambda_b, lambda_R], [m, N * N])
+    return SimplexQpProblem(Q=0.5 * (Q + Q.T), q_lin=-2.0 * (C.T @ design.psidot.ravel()),
+                            m_simplex=m, n_free=N * N)
+
+
+def solve_unconstrained(problem: SimplexQpProblem):
     """Minimizer with the simplex constraint dropped (full space).
 
     Returns (b, c_free, objective) from the stacked closed form
@@ -99,29 +186,16 @@ def solve_unconstrained(problem: simplex_qp.SimplexQpProblem):
     return z[:m], z[m:], problem.objective(z[:m], z[m:])
 
 
-def fista_solve(problem: simplex_qp.SimplexQpProblem, tol: float = 1e-8,
-                max_iter: int = 50_000) -> simplex_qp.QpSolution:
-    """The simplex QP by accelerated projected gradient (FISTA) on the reduced
-    problem, restarting momentum when the objective rises.
+def fista_solve(S, s, tol: float = 1e-8, max_iter: int = 50_000) -> simplex_qp.QpSolution:
+    """min b'Sb + s'b over the simplex by accelerated projected gradient
+    (FISTA), restarting momentum when the objective rises.
 
-    The free block is eliminated through one Cholesky factor of Qcc and m + 1
-    single solves. Stops at a KKT residual of the reduced problem <= tol and
-    returns the best iterate, with converged=False if max_iter was reached.
+    Stops at a KKT residual <= tol and returns the best iterate, with
+    converged=False if max_iter was reached.
     """
-    m = problem.m_simplex
-    Qbb, Qbc, Qcc, qb, qc = simplex_qp._split(problem)
-    S, s, solve_c = Qbb, qb, lambda b: np.empty(0)
-    if problem.n_free:
-        L, _ = linalg.cholesky_with_jitter(Qcc)
-
-        def solve_c(b):
-            return scipy.linalg.cho_solve((L, True), -(Qbc.T @ b + 0.5 * qc))
-
-        c0 = solve_c(np.zeros(m))
-        W = np.column_stack([solve_c(e) for e in np.eye(m)]) - c0[:, None]
-        S = Qbb + Qbc @ W
-        S = 0.5 * (S + S.T)
-        s = qb + 2.0 * (Qbc @ c0)
+    S, s = np.asarray(S, dtype=float), np.asarray(s, dtype=float)
+    S = 0.5 * (S + S.T)
+    m = s.size
 
     def red_obj(b):
         return float(b @ S @ b + s @ b)
@@ -147,14 +221,12 @@ def fista_solve(problem: simplex_qp.SimplexQpProblem, tol: float = 1e-8,
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = b_new + ((t - 1.0) / t_new) * (b_new - b)
         b, t, f_prev = b_new, t_new, f_new
-        kkt = float(np.linalg.norm(b - simplex_qp.project_simplex(b - red_grad(b))))
+        kkt = simplex_qp.kkt_residual(S, s, b)
         if kkt < best_kkt:
             best_kkt, best_b = kkt, b.copy()
         if kkt <= tol:
             break
-    c = solve_c(best_b)
-    return simplex_qp.QpSolution(b=best_b, c_free=c, objective=problem.objective(best_b, c),
-                                 kkt_residual=simplex_qp.kkt_residual(problem, best_b, c),
+    return simplex_qp.QpSolution(b=best_b, objective=red_obj(best_b), kkt_residual=best_kkt,
                                  iterations=it, converged=best_kkt <= tol)
 
 
@@ -378,13 +450,6 @@ def gedmd(sample: DriftSample, basis: MonomialBasis) -> np.ndarray:
     return solve_least_squares(Psi, Psidot).T
 
 
-def psidot_sq(design: GeneratorDesign) -> float:
-    """||psidot||^2, the constant that hybrid_generator_problem's objective
-    leaves out of the primal objective."""
-    target = design.psidot.ravel()
-    return float(target @ target)
-
-
 def hybrid_generator_objective(design: GeneratorDesign, lambda_b: float, lambda_R: float,
                                b, R) -> float:
     """Direct evaluation of the hybrid-generator objective at a given (b, R)."""
@@ -415,11 +480,11 @@ def fit_reference_krr(design: Design, lam: float):
     return design.model(w, linalg.solve_spd(M, design.y - design.F @ w))
 
 
-def joint_matrix(design: Design, weight_penalty, lambda_r: float) -> np.ndarray:
-    """D'D + blockdiag(weight_penalty, lambda_r G) from a copy of D'D."""
+def joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
+    """D'D + blockdiag(lambda_theta I, lambda_r G) from a copy of D'D."""
     p = design.F.shape[1]
     M = design.DtD.copy()
-    M[:p, :p] += weight_penalty
+    M[np.arange(p), np.arange(p)] += lambda_theta
     M[p:, p:] += lambda_r * design.K
     return M
 

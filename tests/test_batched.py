@@ -90,12 +90,19 @@ def test_hybrid_generator_matches_per_point_assembly(q, X, thetas, lam):
     sample = kp.DriftSample(states=X, drift_velocities=kp.cstr_f1(X))
     family = kp.cstr_f0_family
     design = kp.generator_design(sample, family, thetas, basis)
-    problem = kp.hybrid_generator_problem(design, 1e-8, lam)
+    S, s, _ = kp.hybrid_generator_problem(design, 1e-8, lam)
     Q, q_lin, const = oracles.hybrid_generator_problem(sample, family, thetas, basis,
                                                        1e-8, lam)
-    assert_bit_equal(problem.Q, Q)
-    assert_bit_equal(problem.q_lin, q_lin)
-    assert oracles.psidot_sq(design) == const
+    S_dense, s_dense, _, _ = oracles.eliminate_free_block(oracles.SimplexQpProblem(
+        Q=Q, q_lin=q_lin, m_simplex=len(thetas), n_free=basis.N ** 2))
+    # relative to the stacked problem's scale: eliminating R cancels, and at
+    # lam = 1e-6 leaves entries up to 1e8 times smaller than the terms they
+    # are the difference of; both reductions agree with a QR-based one to
+    # about 1e-15 of that scale
+    scale = np.abs(Q).max()
+    assert np.abs(S - S_dense).max() <= 1e-10 * scale
+    assert np.abs(s - s_dense).max() <= 1e-10 * scale
+    assert design.ZtZ[-1, -1] == pytest.approx(const, rel=1e-12)
     assert_bit_equal(design.psidot, oracles.lifted_velocities(sample, basis))
     assert_bit_equal(design.Psi, oracles.psi(basis, X))
     assert_bit_equal(design.G, np.stack([[oracles.jacobian(basis, x) @ family(x, th)

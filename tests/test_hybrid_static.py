@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from hybridkernel import hybrid_static as hs
-from hybridkernel import simplex_qp
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.hybrid_static import Dataset
-from hybridkernel.kernels import KernelSpec, gram
+from hybridkernel.kernels import KernelSpec
 import oracles
 
 KX = KernelSpec(gamma=100.0)
-KTHETA = KernelSpec(gamma=10.0)
 
 
 def toy_dataset(n=12, seed=0, fn=np.sin):
@@ -162,9 +160,8 @@ class TestSubspace:
                                              penalty, 1.0) + 1e-10
 
 
-def fit_mix(data, family, thetas, lambda_omega, lambda_r):
-    design = hs.design(data, hs.family_features(family, thetas), KX, joint=True)
-    return hs.fit_mixture(design, gram(KTHETA, thetas), lambda_omega, lambda_r)
+def fit_mix(data, family, thetas, lambda_r):
+    return hs.fit_mixture(hs.design(data, hs.family_features(family, thetas), KX), lambda_r)
 
 
 class TestMixture:
@@ -173,7 +170,7 @@ class TestMixture:
         hbar = lambda x: 0.2 + 0.5 * np.asarray(x)
         family = lambda x, theta: hbar(x)
         thetas = np.random.default_rng(7).uniform(0, 1, size=(8, 2))
-        mix = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=0.5)
+        mix = fit_mix(data, family, thetas, lambda_r=0.5)
         ref = fit_ref(data, hbar, 0.5)
         grid = np.linspace(0, 1, 50)
         np.testing.assert_allclose(mix.predict(grid), ref.predict(grid), atol=1e-6)
@@ -181,8 +178,7 @@ class TestMixture:
     def test_single_parameter_sample(self):
         data = toy_dataset(12, seed=8)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
-        mix = fit_mix(data, family, np.array([[0.4, 0.0]]),
-                         lambda_omega=0.0, lambda_r=1.0)
+        mix = fit_mix(data, family, np.array([[0.4, 0.0]]), lambda_r=1.0)
         np.testing.assert_array_equal(mix.weights, [1.0])
         ref = fit_ref(data, lambda x: 0.4 * np.asarray(x), 1.0)
         grid = np.linspace(0, 1, 50)
@@ -193,19 +189,17 @@ class TestMixture:
         family = lambda x, theta: float(theta[0]) * np.asarray(x) \
             + float(theta[1]) * np.asarray(x) ** 2
         thetas = np.random.default_rng(10).uniform(0, 1, size=(6, 2))
-        design = hs.design(data, hs.family_features(family, thetas), KX, joint=True)
-        theta_gram = gram(KTHETA, thetas)
-        mix = hs.fit_mixture(design, theta_gram, lambda_omega=0.1, lambda_r=0.5)
+        design = hs.design(data, hs.family_features(family, thetas), KX)
+        mix = hs.fit_mixture(design, lambda_r=0.5)
         assert np.all(mix.weights >= -1e-12)
         assert abs(mix.weights.sum() - 1.0) <= 1e-10
-        # the QP that fit_mixture solves, built by hand from the normal blocks
-        Q = design.DtD + np.block([[0.1 * theta_gram, np.zeros((6, data.size))],
-                                   [np.zeros((data.size, 6)), 0.5 * design.K]])
-        qp = simplex_qp.solve(simplex_qp.SimplexQpProblem(
-            Q=Q, q_lin=-2.0 * design.Dty, m_simplex=6, n_free=data.size))
-        np.testing.assert_array_equal(qp.b, mix.weights)
-        direct = oracles.objective(design, mix.weights, mix.coeffs, 0.1 * theta_gram, 0.5)
-        assert qp.objective + data.targets @ data.targets == pytest.approx(direct, abs=1e-8)
+        # the full QP over [b; c], reduced by the oracles' dense Schur step
+        problem = oracles.mixture_problem(design, 0.5)
+        b, c, full = oracles.solve_full(problem)
+        np.testing.assert_allclose(b, mix.weights, atol=1e-10)
+        direct = oracles.objective(design, mix.weights, mix.coeffs, np.zeros((6, 6)), 0.5)
+        assert full + data.targets @ data.targets == pytest.approx(direct, abs=1e-8)
+        assert problem.objective(mix.weights, mix.coeffs) <= full + 1e-12
 
     def test_effective_parameter(self):
         thetas = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -218,7 +212,7 @@ class TestMixture:
         data = toy_dataset(12, seed=11)
         family = lambda x, theta: float(theta[0]) * np.asarray(x)
         thetas = np.random.default_rng(12).uniform(0.2, 0.8, size=(5, 2))
-        mix = fit_mix(data, family, thetas, lambda_omega=0.0, lambda_r=1.0)
+        mix = fit_mix(data, family, thetas, lambda_r=1.0)
         eff = hs.effective_parameter(mix.weights, thetas)
         assert np.all(eff >= thetas.min(axis=0) - 1e-9)
         assert np.all(eff <= thetas.max(axis=0) + 1e-9)
@@ -239,8 +233,8 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 class TestRegularizationWeights:
-    """Every weight must be finite and positive (lambda_omega: non-negative);
-    a NaN weight passes a plain `lam <= 0` test."""
+    """Every weight must be finite and positive; a NaN weight passes a plain
+    `lam <= 0` test."""
 
     def setup_method(self):
         data = toy_dataset(10, seed=16)
@@ -259,12 +253,14 @@ class TestRegularizationWeights:
         with pytest.raises(DomainError):
             hs.fit_subspace(self.design, **weights)
 
-    @pytest.mark.parametrize("name, lam", [("lambda_r", lam) for lam in NON_FINITE + (0.0,)]
-                             + [("lambda_omega", lam) for lam in NON_FINITE])
+    @pytest.mark.parametrize("name, lam", [("lambda_r", lam) for lam in NON_FINITE + (0.0,)])
     def test_mixture(self, name, lam):
-        weights = {"lambda_omega": 0.0, "lambda_r": 1.0, name: lam}
         with pytest.raises(DomainError):
-            hs.fit_mixture(self.design, np.eye(2), **weights)
+            hs.fit_mixture(self.design, **{name: lam})
+
+    def test_mixture_fit_needs_a_training_design(self):
+        with pytest.raises(DomainError):
+            hs.fit_mixture(self.design.at(toy_dataset(10, seed=17)), 1.0)
 
     def test_reference_fit_needs_a_training_design(self):
         val = self.design.at(toy_dataset(10, seed=17))

@@ -150,16 +150,25 @@ class TestHybridGenerator:
         sample = kp.make_drift_sample(40, seed=5)
         lam_b, lam_R = 1e-4, 0.3
         design = self.design(sample)
-        problem = kp.hybrid_generator_problem(design, lam_b, lam_R)
-        const = oracles.psidot_sq(design)
+        stacked = oracles.stacked_generator_problem(design, lam_b, lam_R)
+        const = float(design.psidot.ravel() @ design.psidot.ravel())
+        S, s, X = kp.hybrid_generator_problem(design, lam_b, lam_R)
         rng = np.random.default_rng(6)
+        gaps = []
         for _ in range(20):
             v = rng.exponential(size=10)
             b = v / v.sum()
             R = rng.standard_normal((6, 6))
             direct = oracles.hybrid_generator_objective(design, lam_b, lam_R, b, R)
-            quad = problem.objective(b, vec(R)) + const
+            quad = stacked.objective(b, vec(R)) + const
             assert quad == pytest.approx(direct, rel=1e-8)
+            # the reduced objective is the primal one at the best R for b,
+            # less a constant that does not depend on b
+            best = (np.append(-b, 1.0) @ X).T
+            at_best = oracles.hybrid_generator_objective(design, lam_b, lam_R, b, best)
+            assert at_best <= direct
+            gaps.append(at_best - (b @ S @ b + s @ b))
+        np.testing.assert_allclose(gaps, gaps[0], rtol=1e-8)
 
     def test_planted_truth_recovered(self):
         # the true drift is a sampled family member at a hull vertex

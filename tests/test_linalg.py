@@ -14,8 +14,8 @@ from hybridkernel.errors import (DimensionMismatch, DomainError, NotPositiveDefi
 from hybridkernel.kernels import KernelSpec, gram
 from hybridkernel.linalg import (JITTER_INIT, MAX_JITTER_RETRIES, LowRankFactor,
                                  cholesky_with_jitter, low_rank_psd_factor, solve_least_squares,
-                                 solve_shifted, solve_spd, unvec)
-from oracles import kron, vec
+                                 solve_shifted, solve_spd)
+from oracles import kron, unvec, vec
 
 
 class TestSolveSpd:
@@ -132,6 +132,29 @@ class TestShiftedSolve:
         x_dense = solve_spd(G + lam * np.eye(n), b)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 80), st.floats(1e-3, 1.0), st.sampled_from([0.0, 1e-2, 5e-2]),
+           st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+    def test_columns_match_their_1d_solves(self, n, lam, dropped, k, seed):
+        # columns of scales 1e-8 to 1e8 converge at their own rates: one in
+        # the factor's span at once, one where the factor was cut slowest;
+        # each stops refining on its own, as its 1-D solve does
+        G = gram_1d(n, seed)
+        W, mu, tail = low_rank_psd_factor(G)
+        keep = mu >= dropped * lam
+        factor = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, k))
+        if not keep.all():
+            B[:, 0::2] = W[:, keep] @ rng.standard_normal((np.count_nonzero(keep), (k + 1) // 2))
+            B[:, 1::2] = W[:, ~keep] @ rng.standard_normal((np.count_nonzero(~keep), k // 2))
+        B *= 10.0 ** rng.uniform(-8, 8, size=k)
+        X = solve_shifted(G, factor, lam, B)
+        assert X.shape == (n, k)
+        for j in range(k):
+            x = solve_shifted(G, factor, lam, B[:, j])
+            assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
     def test_truncated_factor_with_a_large_tail_solves_densely(self):
         # the draw named above: the dropped eigenvalues sum to just over lam / 10
         n, lam, dropped, seed = 35, 0.05078125, 0.05, 35
@@ -166,8 +189,9 @@ class TestShiftedSolve:
 
     def test_rejects_mismatched_rhs(self):
         G = gram_1d(5, seed=2)
-        with pytest.raises(DimensionMismatch):
-            solve_shifted(G, low_rank_psd_factor(G), 1.0, np.ones(4))
+        for rhs in (np.ones(4), np.ones((4, 2)), np.ones((5, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                solve_shifted(G, low_rank_psd_factor(G), 1.0, rhs)
 
 
 class TestLeastSquares:

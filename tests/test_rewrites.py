@@ -451,10 +451,9 @@ def test_joint_matrix_matches_copy_and_add(n, d, p, lambda_r, seed):
     data = hybrid_static.Dataset(inputs=X, targets=np.cos(X.sum(axis=1)))
     features = lambda x: np.stack([coordinate(x) ** k for k in range(p)], axis=-1)
     design = hybrid_static.design(data, features, kernels.KernelSpec(gamma=50.0), joint=True)
-    A = np.random.default_rng(seed).standard_normal((p, p))
-    penalty = A @ A.T
-    M = hybrid_static._joint_matrix(design, penalty, lambda_r)
-    assert M.tobytes() == oracles.joint_matrix(design, penalty, lambda_r).tobytes()
+    lambda_theta = 10.0 ** np.random.default_rng(seed).uniform(-8, 2)
+    M = hybrid_static._joint_matrix(design, lambda_theta, lambda_r)
+    assert M.tobytes() == oracles.joint_matrix(design, lambda_theta, lambda_r).tobytes()
 
 
 @SETTINGS
