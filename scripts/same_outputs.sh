@@ -28,6 +28,7 @@ CALLS=(
     "setting2-s1 setting2 --n 50 --seed 1"
     "setting3 setting3 --m 25"
     "setting3-m100-s1 setting3 --m 100 --seed 1"
+    "setting3-m50-s2 setting3 --m 50 --seed 2"
     "vle-data vle-data"
     "koopman koopman"
     "koopman-s1 koopman --seed 1"

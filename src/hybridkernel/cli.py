@@ -268,6 +268,9 @@ def main(argv=None) -> int:
     except (HybridKernelError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"numerical failure: out of memory ({e})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -88,14 +88,12 @@ def gex_reference(x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def wilson_family(x, theta):
-    """Wilson Gibbs-energy model h(x | theta) evaluated at the bubble temperature."""
-    w = thermo_vle.WilsonParams(theta=(float(theta[0]), float(theta[1])))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([thermo_vle.wilson_gex(w, float(xi),
-                                          _vle_point(float(xi)).T + thermo_vle.CELSIUS_TO_KELVIN)
-                    for xi in xs])
-    return float(out[0]) if np.ndim(x) == 0 else out
+def wilson_family(x, thetas) -> np.ndarray:
+    """The Wilson Gibbs-energy models h(x | theta_j) of every parameter sample
+    at the bubble temperature of every x, as an (n, m) array."""
+    xs = np.asarray(x, dtype=float)
+    T = np.array([_vle_point(float(xi)).T for xi in xs.ravel()]).reshape(xs.shape)
+    return thermo_vle.wilson_gex(thetas, xs, T + thermo_vle.CELSIUS_TO_KELVIN)
 
 
 def sample_thetas(m: int, seed: int) -> np.ndarray:
@@ -166,8 +164,7 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     """Wilson-manifold mixture fit on Gibbs-energy data."""
     run_seeds = seeds("setting3", seed)
     thetas = sample_thetas(m, run_seeds["theta_seed"])
-    train = hybrid_static.design(gex_dataset(n, seed),
-                                 hybrid_static.family_features(wilson_family, thetas),
+    train = hybrid_static.design(gex_dataset(n, seed), partial(wilson_family, thetas=thetas),
                                  KernelSpec(gamma=DEFAULT_GAMMA_X))
     val = train.at(gex_dataset(n, run_seeds["validation_seed"]))
 
@@ -195,9 +192,7 @@ def fit_closures(thetas, basis: koopman.MonomialBasis) -> tuple:
     """The lambda-independent closures (A, beta, Gamma): A[j] is the Gamma of
     family member f0(. | theta_j), all m fit by one solve, and (beta, Gamma)
     the affine one of the input channel f1."""
-    _, A = koopman.closure_fit(
-        lambda x: np.stack([koopman.cstr_f0_family(x, th) for th in np.asarray(thetas)],
-                           axis=1), basis)
+    _, A = koopman.closure_fit(lambda x: koopman.cstr_f0_family(x, thetas), basis)
     return (A, *koopman.closure_fit(koopman.cstr_f1, basis, affine=True))
 
 

@@ -73,18 +73,6 @@ def feature_columns(features: Callable, X: np.ndarray) -> np.ndarray:
     return np.asarray(features(xs), dtype=float).reshape(X.shape[0], -1)
 
 
-def family_features(family: Callable, theta_samples) -> Callable:
-    """Phi(x) = (h(x | theta_1), ..., h(x | theta_m)) for a family h(x, theta)."""
-    thetas = np.asarray(theta_samples, dtype=float)
-    thetas = thetas.reshape(thetas.shape[0], -1)
-
-    def features(x):
-        return np.column_stack([np.asarray(family(x, th), dtype=float).ravel()
-                                for th in thetas])
-
-    return features
-
-
 def effective_parameter(weights, theta_samples) -> np.ndarray:
     """Weighted average of the sampled parameters; lies in their convex hull."""
     return np.asarray(weights, dtype=float) @ np.asarray(theta_samples, dtype=float)

@@ -175,12 +175,12 @@ def cstr_plant(x1: float, x2: float, u: float) -> tuple[float, float]:
     return a1 + u * b1, a2 + u * b2
 
 
-def cstr_f0_family(x, theta) -> np.ndarray:
-    """Polynomial drift family f0(x|theta), theta in [0, 1]^2."""
-    x = np.asarray(x, dtype=float)
-    t1, t2 = float(theta[0]), float(theta[1])
-    x1, x2 = x[..., 0], x[..., 1]
-    kin = t1 * x1 + t2 * x1 * x1
+def cstr_f0_family(x, thetas) -> np.ndarray:
+    """Polynomial drift family f0(x | theta) of every row of an (m, 2) array of
+    thetas in [0, 1]^2, at states of shape (..., 2), as an (..., m, 2) array."""
+    x, t = np.asarray(x, dtype=float), np.asarray(thetas, dtype=float)
+    x1, x2 = x[..., 0, None], x[..., 1, None]
+    kin = t[:, 0] * x1 + t[:, 1] * x1 * x1
     return np.stack([-x1 / 4.0 - kin, -3.0 * x2 / 4.0 + kin], axis=-1)
 
 
@@ -225,13 +225,12 @@ class GeneratorDesign:
 def generator_design(sample: DriftSample, family: Callable, theta_samples,
                      basis: MonomialBasis) -> GeneratorDesign:
     """Evaluate psi, Dpsi and the family velocities on the sample once; drivers
-    build one design per sample and sweep lambda_R over it."""
-    thetas = np.asarray(theta_samples, dtype=float)
-    m, N, n = thetas.shape[0], basis.N, sample.size
+    build one design per sample and sweep lambda_R over it. family(X, thetas)
+    returns every member's velocities at the (n, 2) states as (n, m, 2)."""
+    m, N, n = len(theta_samples), basis.N, sample.size
     Psi = basis.eval(sample.states)
     J = basis.jacobian(sample.states)
-    F = np.stack([family(sample.states, th) for th in thetas], axis=1)
-    G = _matvec(J[:, None], F)
+    G = _matvec(J[:, None], family(sample.states, theta_samples))
     psidot = _matvec(J, sample.drift_velocities)
     Z = np.concatenate([G, psidot[:, None]], axis=1)
     Zj = Z.transpose(1, 0, 2).reshape(m + 1, n * N)

@@ -215,8 +215,10 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
         M.flat[::M.shape[0] + 1] += lam
         return solve_spd(M, b)
     W = factor.W
-    # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam)
-    shrink = factor.mu / (lam * (factor.mu + lam))
+    # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam); past
+    # lam = 1e150, lam (mu + lam) would overflow, and mu/lam is divided first
+    shrink = (factor.mu / (lam * (factor.mu + lam)) if lam < 1e150
+              else factor.mu / lam / (factor.mu + lam))
     if b.ndim == 2:
         shrink = shrink[:, None]
 

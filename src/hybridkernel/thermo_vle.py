@@ -66,21 +66,6 @@ ETHANOL_MOLAR_VOLUME = 58.7  # mL/mol
 TOLUENE_MOLAR_VOLUME = 106.8  # mL/mol
 
 
-@dataclass(frozen=True)
-class WilsonParams:
-    """Wilson model with parameters encoded on [0, 1]^2 via A = 10^(4 theta - 2)."""
-
-    theta: tuple
-
-    @property
-    def A12(self) -> float:
-        return 10.0 ** (4.0 * self.theta[0] - 2.0)
-
-    @property
-    def A21(self) -> float:
-        return 10.0 ** (4.0 * self.theta[1] - 2.0)
-
-
 def antoine_psat(c: AntoineConstants, T: float) -> float:
     """Saturated vapor pressure in mmHg at T degrees Celsius."""
     denom = T + c.C
@@ -271,26 +256,28 @@ def margules_features(x) -> np.ndarray:
     return np.stack([x * x * (1.0 - x), x * (1.0 - x) ** 2], axis=-1)
 
 
-def wilson_lambdas(w: WilsonParams, T: float) -> tuple[float, float]:
-    """Wilson Lambda coefficients (Lambda12, Lambda21) at T in Kelvin."""
-    if T <= 0:
+def wilson_gex(thetas, x1, T) -> np.ndarray:
+    """Wilson excess Gibbs energy / RT of every parameter pair at every liquid
+    fraction, T in Kelvin: for (m, 2) thetas and x1, T that broadcast to shape
+    s, an array of shape s + (m,). It is 0 at the pure components x1 = 0 and 1.
+
+    A pair theta on [0, 1]^2 encodes A = 10^(4 theta - 2) cal/mol. The power
+    is np.float_power, libm's pow per element like Python's ``**`` on floats;
+    the array ``**`` (numpy's SIMD pow) differs in the last bit.
+    """
+    A = np.float_power(10.0, 4.0 * np.asarray(thetas, dtype=float) - 2.0)
+    x1 = np.asarray(x1, dtype=float)[..., None]
+    T = np.asarray(T, dtype=float)[..., None]
+    bad = x1[~((0.0 <= x1) & (x1 <= 1.0))]
+    if bad.size:
+        raise DomainError(f"x1 = {bad[0]} outside [0, 1]")
+    if np.any(T <= 0):
         raise DomainError("temperature must be positive (Kelvin)")
-    lam12 = (TOLUENE_MOLAR_VOLUME / ETHANOL_MOLAR_VOLUME) * np.exp(-w.A12 / (R_CAL * T))
-    lam21 = (ETHANOL_MOLAR_VOLUME / TOLUENE_MOLAR_VOLUME) * np.exp(-w.A21 / (R_CAL * T))
-    return float(lam12), float(lam21)
-
-
-def wilson_gex(w: WilsonParams, x1: float, T: float) -> float:
-    """Wilson excess Gibbs energy / RT at liquid fraction x1, T in Kelvin."""
-    return wilson_gex_from_lambdas(*wilson_lambdas(w, T), x1)
-
-
-def wilson_gex_from_lambdas(lam12: float, lam21: float, x1: float) -> float:
-    """Wilson excess Gibbs energy / RT with the Lambda coefficients supplied
-    directly; 0 at the pure components x1 = 0 and x1 = 1."""
-    if not (0.0 <= x1 <= 1.0):
-        raise DomainError(f"x1 = {x1} outside [0, 1]")
-    if x1 == 0.0 or x1 == 1.0:
-        return 0.0
+    lam12 = (TOLUENE_MOLAR_VOLUME / ETHANOL_MOLAR_VOLUME) * np.exp(-A[:, 0] / (R_CAL * T))
+    lam21 = (ETHANOL_MOLAR_VOLUME / TOLUENE_MOLAR_VOLUME) * np.exp(-A[:, 1] / (R_CAL * T))
     x2 = 1.0 - x1
-    return float(-x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21))
+    # at x1 in {0, 1} a Lambda that underflowed to 0 gives log(0); those
+    # entries are replaced by 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gex = -x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21)
+    return np.where((x1 == 0.0) | (x1 == 1.0), 0.0, gex)

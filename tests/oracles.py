@@ -35,7 +35,12 @@ moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
 ``lifted_rhs`` moved here from ``MonomialBasis.eval_at``, ``jacobian_at`` and
 ``KoopmanHybridModel.rhs`` once the controllers took V's rates from the
 gradient of V and from the model's polynomials; ``clf_rates_fields`` and
-``clf_rates_model`` are the numpy rates those replaced.
+``clf_rates_model`` are the numpy rates those replaced. ``WilsonParams``,
+``wilson_lambdas``, ``wilson_gex`` and ``wilson_gex_from_lambdas`` are the
+scalar Wilson model, one parameter pair at one point, and ``cstr_f0_member``
+the CSTR drift family at one parameter pair: the per-sample paths that the
+array families ``thermo_vle.wilson_gex`` and ``koopman.cstr_f0_family``
+replaced.
 """
 
 import csv
@@ -57,7 +62,8 @@ from hybridkernel.koopman import (DriftSample, GeneratorDesign, MonomialBasis, _
                                   cstr_f0_true, cstr_f1, default_closure_grid)
 from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
-                                     ETHANOL_TOLUENE_UNIQUAC, T_WINDOW_C, TOLUENE_ANTOINE,
+                                     ETHANOL_MOLAR_VOLUME, ETHANOL_TOLUENE_UNIQUAC, R_CAL,
+                                     T_WINDOW_C, TOLUENE_ANTOINE, TOLUENE_MOLAR_VOLUME,
                                      AntoineConstants, UniquacParams, VlePoint,
                                      antoine_psat)
 
@@ -622,6 +628,55 @@ def bisect_window(pressure_excess) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class WilsonParams:
+    """Wilson model with parameters encoded on [0, 1]^2 via A = 10^(4 theta - 2)."""
+
+    theta: tuple
+
+    @property
+    def A12(self) -> float:
+        return 10.0 ** (4.0 * self.theta[0] - 2.0)
+
+    @property
+    def A21(self) -> float:
+        return 10.0 ** (4.0 * self.theta[1] - 2.0)
+
+
+def wilson_lambdas(w: WilsonParams, T: float) -> tuple[float, float]:
+    """Wilson Lambda coefficients (Lambda12, Lambda21) at T in Kelvin."""
+    if T <= 0:
+        raise DomainError("temperature must be positive (Kelvin)")
+    lam12 = (TOLUENE_MOLAR_VOLUME / ETHANOL_MOLAR_VOLUME) * np.exp(-w.A12 / (R_CAL * T))
+    lam21 = (ETHANOL_MOLAR_VOLUME / TOLUENE_MOLAR_VOLUME) * np.exp(-w.A21 / (R_CAL * T))
+    return float(lam12), float(lam21)
+
+
+def wilson_gex(w: WilsonParams, x1: float, T: float) -> float:
+    """Wilson excess Gibbs energy / RT at liquid fraction x1, T in Kelvin."""
+    return wilson_gex_from_lambdas(*wilson_lambdas(w, T), x1)
+
+
+def wilson_gex_from_lambdas(lam12: float, lam21: float, x1: float) -> float:
+    """Wilson excess Gibbs energy / RT with the Lambda coefficients supplied
+    directly; 0 at the pure components x1 = 0 and x1 = 1."""
+    if not (0.0 <= x1 <= 1.0):
+        raise DomainError(f"x1 = {x1} outside [0, 1]")
+    if x1 == 0.0 or x1 == 1.0:
+        return 0.0
+    x2 = 1.0 - x1
+    return float(-x1 * np.log(x1 + x2 * lam12) - x2 * np.log(x2 + x1 * lam21))
+
+
+def cstr_f0_member(x, theta) -> np.ndarray:
+    """The CSTR drift family member f0(x|theta) of one theta at (..., 2) states."""
+    x = np.asarray(x, dtype=float)
+    t1, t2 = float(theta[0]), float(theta[1])
+    x1, x2 = x[..., 0], x[..., 1]
+    kin = t1 * x1 + t2 * x1 * x1
+    return np.stack([-x1 / 4.0 - kin, -3.0 * x2 / 4.0 + kin], axis=-1)
 
 
 def gram(k: KernelSpec, points) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_criterion_08_koopman_recoverability(criterion):
     jbar = int(np.argmax(thetas.sum(axis=1)))
     theta_bar = thetas[jbar]
     sample = koopman.make_drift_sample(
-        200, seed=0, field=lambda x: koopman.cstr_f0_family(x, theta_bar))
+        200, seed=0, field=lambda x: koopman.cstr_f0_family(x, [theta_bar])[:, 0])
     design = koopman.generator_design(sample, koopman.cstr_f0_family, thetas, basis)
     b, R, _ = koopman.fit_hybrid_generator(design, lambda_b=1e-8, lambda_R=1e2)
     frob = float(np.linalg.norm(R, "fro"))

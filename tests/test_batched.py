@@ -71,7 +71,7 @@ def test_clf_value_of_a_batch_matches_single_states(q, X):
 @SETTINGS
 @given(state_arrays(), st.floats(min_value=-1.0, max_value=1.0))
 def test_fields_match_single_states(X, u):
-    for field in (kp.cstr_f0_true, kp.cstr_f1, lambda x: kp.cstr_f0_family(x, (0.3, 0.8))):
+    for field in (kp.cstr_f0_true, kp.cstr_f1, lambda x: kp.cstr_f0_family(x, [(0.3, 0.8)])):
         assert_bit_equal(field(X), np.stack([field(x) for x in X]))
     # the float fields and plant that the closed loop runs on
     points = X.tolist()
@@ -83,13 +83,24 @@ def test_fields_match_single_states(X, u):
 
 
 @SETTINGS
+@given(state_arrays(), unit_thetas())
+def test_family_of_all_thetas_matches_per_theta_stack(X, thetas):
+    expected = np.stack([oracles.cstr_f0_member(X, th) for th in thetas], axis=1)
+    assert_bit_equal(kp.cstr_f0_family(X, thetas), expected)
+    assert_bit_equal(kp.cstr_f0_family(X[0], thetas), expected[0])
+    grid = kp.default_closure_grid()
+    assert_bit_equal(kp.cstr_f0_family(grid, thetas),
+                     np.stack([oracles.cstr_f0_member(grid, th) for th in thetas], axis=1))
+
+
+@SETTINGS
 @given(orders, state_arrays(min_n=12, max_n=60), unit_thetas(),
        st.floats(min_value=1e-6, max_value=10.0))
 def test_hybrid_generator_matches_per_point_assembly(q, X, thetas, lam):
     basis = kp.MonomialBasis(q=q)
     sample = kp.DriftSample(states=X, drift_velocities=kp.cstr_f1(X))
-    family = kp.cstr_f0_family
-    design = kp.generator_design(sample, family, thetas, basis)
+    design = kp.generator_design(sample, kp.cstr_f0_family, thetas, basis)
+    family = oracles.cstr_f0_member
     S, s, _ = kp.hybrid_generator_problem(design, 1e-8, lam)
     Q, q_lin, const = oracles.hybrid_generator_problem(sample, family, thetas, basis,
                                                        1e-8, lam)
@@ -127,7 +138,7 @@ def test_closures_match_per_point_fit(q, X, theta, affine):
     basis = kp.MonomialBasis(q=q)
     # a 7 x 7 lattice keeps the regression well posed for any X and q <= 5
     grid = np.vstack([X, kp.default_closure_grid(points_per_axis=7)])
-    fields = (lambda x: kp.cstr_f0_family(x, theta), kp.cstr_f1,
+    fields = (lambda x: kp.cstr_f0_family(x, [theta])[..., 0, :], kp.cstr_f1,
               lambda x: np.array([0.25, -0.5]))  # a constant field returns one (2,)
     for field in fields:
         beta, gamma = kp.closure_fit(field, basis, grid=grid, affine=affine)
@@ -145,18 +156,17 @@ def test_family_closures_fit_in_one_solve_match_per_member_fits():
     thetas = np.random.default_rng(0).uniform(0.0, 1.0, size=(7, 2))
     A, beta, gamma = experiments.fit_closures(thetas, basis)
     assert_bit_equal(A, np.stack([oracles.closure_fit(
-        lambda x, th=th: kp.cstr_f0_family(x, th), basis)[1] for th in thetas]))
+        lambda x, th=th: oracles.cstr_f0_member(x, th), basis)[1] for th in thetas]))
     for new, old in zip((beta, gamma), oracles.closure_fit(kp.cstr_f1, basis, affine=True)):
         assert_bit_equal(new, old)
-    beta0, _ = kp.closure_fit(lambda x: np.stack([kp.cstr_f0_family(x, th) for th in thetas],
-                                                 axis=1), basis)
+    beta0, _ = kp.closure_fit(lambda x: kp.cstr_f0_family(x, thetas), basis)
     assert_bit_equal(beta0, np.zeros((7, basis.N)))
 
 
 def test_default_closures_match_per_point_fit():
     basis = kp.MonomialBasis(q=3)
-    for field, affine in ((kp.cstr_f1, True), (lambda x: kp.cstr_f0_family(x, (0.6, 0.2)),
-                                               False)):
+    for field, affine in ((kp.cstr_f1, True),
+                          (lambda x: kp.cstr_f0_family(x, [(0.6, 0.2)])[..., 0, :], False)):
         for new, old in zip(kp.closure_fit(field, basis, affine=affine),
                             oracles.closure_fit(field, basis, affine=affine)):
             assert_bit_equal(new, old)

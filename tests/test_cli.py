@@ -3,13 +3,14 @@
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 import oracles
 from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
-from hybridkernel.hybrid_static import HybridModel, family_features
+from hybridkernel.hybrid_static import HybridModel
 from hybridkernel.errors import ConfigError, DimensionMismatch, DomainError, MalformedModel
 from hybridkernel.kernels import KernelSpec
 
@@ -103,6 +104,19 @@ class TestCliRuns:
         assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "1",
                         "--out", str(tmp_path)]) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_exit_code_3_on_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # the driver raises as numpy does when an allocation fails; nothing
+        # large is allocated
+        def out_of_memory(**kwargs):
+            raise MemoryError("Unable to allocate 37.3 GiB for an array")
+
+        monkeypatch.setattr(experiments, "run_setting1", out_of_memory)
+        assert run_cli(["setting1", "--n", "20", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: out of memory (Unable to allocate 37.3 GiB")
+        assert err.count("\n") == 1
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("experiment, path_args", [
@@ -232,7 +246,7 @@ class TestExperiments:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         if driver == "koopman":  # one design per sample: training and validation
-            assert seen[0] == {"jacobian": 2, "family": 2 * 5}
+            assert seen[0] == {"jacobian": 2, "family": 2}
 
     def test_control_rows_of_one_state_share_its_truth_trajectory(self):
         rows = experiments.run_control(n=30, m=5, lambda_grid=(1e-2, 1.0, 1e2), n_states=2,
@@ -283,7 +297,7 @@ class TestModelJson:
             text = (tmp_path / f"mixture_model_{i:02d}.json").read_text()
             thetas = np.array(json.loads(text)["theta_samples"])
             loaded = HybridModel.from_json(
-                text, family_features(experiments.wilson_family, thetas))
+                text, partial(experiments.wilson_family, thetas=thetas))
             np.testing.assert_allclose(loaded.predict(self.XS), row["model"].predict(self.XS),
                                        rtol=1e-12, atol=1e-12)
 

@@ -161,14 +161,15 @@ class TestSubspace:
 
 
 def fit_mix(data, family, thetas, lambda_r):
-    return hs.fit_mixture(hs.design(data, hs.family_features(family, thetas), KX), lambda_r)
+    """Mixture fit of an array family: family(x, thetas) is (n, m)."""
+    return hs.fit_mixture(hs.design(data, lambda x: family(x, thetas), KX), lambda_r)
 
 
 class TestMixture:
     def test_theta_independent_family_reduces_to_reference_krr(self):
         data = toy_dataset(15, seed=6, fn=lambda t: np.sin(t) + 0.3)
         hbar = lambda x: 0.2 + 0.5 * np.asarray(x)
-        family = lambda x, theta: hbar(x)
+        family = lambda x, thetas: np.add.outer(hbar(x), np.zeros(len(thetas)))
         thetas = np.random.default_rng(7).uniform(0, 1, size=(8, 2))
         mix = fit_mix(data, family, thetas, lambda_r=0.5)
         ref = fit_ref(data, hbar, 0.5)
@@ -177,7 +178,7 @@ class TestMixture:
 
     def test_single_parameter_sample(self):
         data = toy_dataset(12, seed=8)
-        family = lambda x, theta: float(theta[0]) * np.asarray(x)
+        family = lambda x, thetas: np.multiply.outer(x, thetas[:, 0])
         mix = fit_mix(data, family, np.array([[0.4, 0.0]]), lambda_r=1.0)
         np.testing.assert_array_equal(mix.weights, [1.0])
         ref = fit_ref(data, lambda x: 0.4 * np.asarray(x), 1.0)
@@ -186,10 +187,10 @@ class TestMixture:
 
     def test_weights_feasible_and_objective_matches(self):
         data = toy_dataset(15, seed=9)
-        family = lambda x, theta: float(theta[0]) * np.asarray(x) \
-            + float(theta[1]) * np.asarray(x) ** 2
+        family = lambda x, thetas: (np.multiply.outer(x, thetas[:, 0])
+                                    + np.multiply.outer(x ** 2, thetas[:, 1]))
         thetas = np.random.default_rng(10).uniform(0, 1, size=(6, 2))
-        design = hs.design(data, hs.family_features(family, thetas), KX)
+        design = hs.design(data, lambda x: family(x, thetas), KX)
         mix = hs.fit_mixture(design, lambda_r=0.5)
         assert np.all(mix.weights >= -1e-12)
         assert abs(mix.weights.sum() - 1.0) <= 1e-10
@@ -210,7 +211,7 @@ class TestMixture:
 
     def test_effective_parameter_in_bounding_box(self):
         data = toy_dataset(12, seed=11)
-        family = lambda x, theta: float(theta[0]) * np.asarray(x)
+        family = lambda x, thetas: np.multiply.outer(x, thetas[:, 0])
         thetas = np.random.default_rng(12).uniform(0.2, 0.8, size=(5, 2))
         mix = fit_mix(data, family, thetas, lambda_r=1.0)
         eff = hs.effective_parameter(mix.weights, thetas)
@@ -219,8 +220,7 @@ class TestMixture:
 
     def test_vertex_weight_prediction(self):
         thetas = np.array([[0.2, 0.0], [0.9, 0.0]])
-        family = lambda x, theta: float(theta[0]) * np.asarray(x)
-        model = hs.HybridModel(features=hs.family_features(family, thetas),
+        model = hs.HybridModel(features=lambda x: np.multiply.outer(x, thetas[:, 0]),
                                weights=np.array([0.0, 1.0]),
                                anchors=np.array([[0.5]]), coeffs=np.array([0.3]),
                                kernel=KX)

@@ -73,14 +73,14 @@ class TestCstrFields:
 
     def test_family_at_zero_parameter(self):
         x = np.array([0.2, -0.1])
-        np.testing.assert_allclose(kp.cstr_f0_family(x, [0.0, 0.0]),
-                                   [-x[0] / 4, -3 * x[1] / 4], atol=1e-15)
+        np.testing.assert_allclose(kp.cstr_f0_family(x, [[0.0, 0.0]]),
+                                   [[-x[0] / 4, -3 * x[1] / 4]], atol=1e-15)
 
     def test_family_hand_value(self):
         x = np.array([0.1, 0.2])
         kin = 0.5 * 0.1 + 1.0 * 0.01
-        np.testing.assert_allclose(kp.cstr_f0_family(x, [0.5, 1.0]),
-                                   [-0.025 - kin, -0.15 + kin], atol=1e-14)
+        np.testing.assert_allclose(kp.cstr_f0_family(x, [[0.5, 1.0], [0.0, 0.0]]),
+                                   [[-0.025 - kin, -0.15 + kin], [-0.025, -0.15]], atol=1e-14)
 
     def test_drift_rejects_singular_point(self):
         with pytest.raises(DomainError):
@@ -141,7 +141,7 @@ class TestHybridGenerator:
         # closed-form ridge for R: residual targets around f0(.|theta_1)
         Psi = BASIS3.eval(sample.states)
         targets = oracles.lifted_velocities(sample, BASIS3) - np.stack(
-            [BASIS3.jacobian(x) @ self.family(x, theta[0]) for x in sample.states])
+            [BASIS3.jacobian(x) @ self.family(x, theta)[0] for x in sample.states])
         R_ridge = np.linalg.solve(Psi.T @ Psi + lam_R * np.eye(6),
                                   Psi.T @ targets).T
         np.testing.assert_allclose(R, R_ridge, atol=1e-6)
@@ -175,7 +175,7 @@ class TestHybridGenerator:
         jbar = int(np.argmax(self.thetas.sum(axis=1)))
         theta_bar = self.thetas[jbar]
         sample = kp.make_drift_sample(120, seed=7,
-                                      field=lambda x: self.family(x, theta_bar))
+                                      field=lambda x: self.family(x, [theta_bar])[:, 0])
         design = self.design(sample)
         b, R, _ = kp.fit_hybrid_generator(design, lambda_b=1e-8, lambda_R=1e2)
         assert b[jbar] >= 0.99
@@ -207,7 +207,7 @@ class TestClosures:
 
     def test_linear_family_member_has_exact_linear_closure(self):
         # theta2 = 0 keeps the lifted dynamics inside the degree-q span
-        field = lambda x: kp.cstr_f0_family(x, [0.7, 0.0])
+        field = lambda x: kp.cstr_f0_family(x, [[0.7, 0.0]])[..., 0, :]
         beta, gamma = kp.closure_fit(field, BASIS3)
         np.testing.assert_array_equal(beta, np.zeros(6))
         assert oracles.closure_residual(field, BASIS3, beta, gamma) < 1e-10
@@ -253,7 +253,7 @@ class TestBilinearAssembly:
         R = 0.1 * rng.standard_normal((6, 6))
         As, residuals = [], []
         for th in thetas:
-            field = lambda x, th=th: kp.cstr_f0_family(x, th)
+            field = lambda x, th=th: kp.cstr_f0_family(x, [th])[..., 0, :]
             _, A = kp.closure_fit(field, BASIS3)
             As.append(A)
             residuals.append(oracles.closure_residual(field, BASIS3, np.zeros(6), A))
@@ -267,7 +267,7 @@ class TestBilinearAssembly:
         u = 0.7
         for x in kp.sample_states(25, seed=12):
             J = BASIS3.jacobian(x)
-            mix = sum(bj * kp.cstr_f0_family(x, th) for bj, th in zip(b, thetas))
+            mix = b @ kp.cstr_f0_family(x, thetas)
             direct = J @ (mix + u * kp.cstr_f1(x)) + R @ BASIS3.eval(x)
             dev = np.max(np.abs(oracles.lifted_rhs(model, BASIS3.eval(x), u) - direct))
             assert dev <= bound

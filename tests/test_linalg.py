@@ -168,6 +168,18 @@ class TestShiftedSolve:
         x = solve_shifted(G, crude, lam, b)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
+    @pytest.mark.parametrize("lam", [1e200, 1e300])
+    def test_huge_shift_gives_rhs_over_shift(self, lam):
+        # lam (mu + lam) overflows past about 1.3e154; the shrink term
+        # 1/lam - 1/(mu + lam) < mu/lam^2 is then lost next to 1/lam
+        G = gram_1d(30, seed=3)
+        factor = low_rank_psd_factor(G)
+        B = np.random.default_rng(3).standard_normal((30, 3))
+        for rhs in (B[:, 0], B):
+            x = solve_shifted(G, factor, lam, rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, rhs / lam, rtol=1e-14)
+
     def test_full_rank_factor_is_exact(self):
         M = np.diag([4.0, 2.0, 1.0])
         factor = low_rank_psd_factor(M)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from hybridkernel import cli, experiments, thermo_vle as tv
@@ -183,47 +186,103 @@ class TestMargulesFeatures:
                                    tv.margules_features(xs)[..., ::-1], atol=1e-15)
 
 
+THETAS = np.array([[0.3, 0.7], [0.0, 1.0], [0.4, 0.6]])
+unit = st.floats(min_value=0.0, max_value=1.0, width=64)
+
+
+@st.composite
+def wilson_cases(draw):
+    """(thetas, x1, T): up to 6 pairs on [0, 1]^2 and up to 8 points with
+    endpoints likely, each at its own T from 300 to 420 K."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    return (draw(arrays(np.float64, (m, 2), elements=unit)),
+            draw(arrays(np.float64, n, elements=unit | st.sampled_from([0.0, 1.0]))),
+            draw(arrays(np.float64, n, elements=st.floats(min_value=300.0, max_value=420.0))))
+
+
+def scalar_gex(thetas, xs, Ts) -> np.ndarray:
+    """The oracle at every (point, pair), one scalar call each."""
+    return np.array([[oracles.wilson_gex(oracles.WilsonParams(theta=(float(a), float(b))),
+                                         float(x), float(T)) for a, b in thetas]
+                     for x, T in zip(xs, Ts)])
+
+
 class TestWilson:
     def test_purity_limits(self):
-        w = tv.WilsonParams(theta=(0.3, 0.7))
-        assert tv.wilson_gex(w, 0.0, 350.0) == 0.0
-        assert tv.wilson_gex(w, 1.0, 350.0) == 0.0
-        assert tv.wilson_gex_from_lambdas(0.4, 2.0, 0.0) == 0.0
-        assert tv.wilson_gex_from_lambdas(0.4, 2.0, 1.0) == 0.0
+        gex = tv.wilson_gex(THETAS, [0.0, 1.0], 350.0)
+        assert gex.tobytes() == np.zeros((2, 3)).tobytes()  # +0.0, not -0.0
+        # Lambda12 underflows to 0 at A12 = 10^10: log(0) at x1 = 0, but no warning
+        assert tv.wilson_gex([[3.0, 0.5]], [0.0, 0.5, 1.0], 350.0)[[0, 2]].tolist() == [[0.0]] * 2
 
     @pytest.mark.parametrize("x1", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, float("nan")])
     def test_rejects_x_outside_unit_interval(self, x1):
         with pytest.raises(DomainError):
-            tv.wilson_gex_from_lambdas(0.4, 2.0, x1)
+            tv.wilson_gex(THETAS, x1, 350.0)
         with pytest.raises(DomainError):
-            tv.wilson_gex(tv.WilsonParams(theta=(0.3, 0.7)), x1, 350.0)
+            tv.wilson_gex(THETAS, [0.2, x1, 0.5], [350.0, 360.0, 370.0])
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, -np.inf])
+    def test_rejects_non_positive_temperature(self, T):
+        with pytest.raises(DomainError):
+            tv.wilson_gex(THETAS, [0.2, 0.5], [350.0, T])
+
+    def test_shapes(self):
+        assert tv.wilson_gex(THETAS, np.linspace(0.1, 0.9, 7), 350.0).shape == (7, 3)
+        assert tv.wilson_gex(THETAS, 0.5, 350.0).shape == (3,)
+        assert tv.wilson_gex(np.empty((0, 2)), [0.5, 0.6], 350.0).shape == (2, 0)
 
     def test_theta_encoding(self):
-        w = tv.WilsonParams(theta=(0.0, 1.0))
-        assert w.A12 == pytest.approx(1e-2)
-        assert w.A21 == pytest.approx(1e2)
+        # theta = (0, 1) encodes A12 = 1e-2 and A21 = 1e2 cal/mol
+        T, x1, RT = 350.0, 0.4, 1.987 * 350.0
+        l12 = 106.8 / 58.7 * np.exp(-1e-2 / RT)
+        l21 = 58.7 / 106.8 * np.exp(-1e2 / RT)
+        expected = -x1 * np.log(x1 + (1 - x1) * l12) - (1 - x1) * np.log(1 - x1 + x1 * l21)
+        assert tv.wilson_gex([[0.0, 1.0]], x1, T)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_hand_value_with_direct_lambdas(self):
         # Analytic A -> 0 limit: Lambda12 = V2/V1, Lambda21 = V1/V2
         l12, l21 = 106.8 / 58.7, 58.7 / 106.8
         expected = -(0.5 * np.log(0.5 + 0.5 * l12) + 0.5 * np.log(0.5 + 0.5 * l21))
-        assert tv.wilson_gex_from_lambdas(l12, l21, 0.5) == pytest.approx(expected,
-                                                                          abs=1e-12)
+        assert oracles.wilson_gex_from_lambdas(l12, l21, 0.5) == pytest.approx(expected,
+                                                                               abs=1e-12)
 
     def test_lambdas_consistent_with_gex(self):
-        w = tv.WilsonParams(theta=(0.4, 0.6))
-        l12, l21 = tv.wilson_lambdas(w, 350.0)
-        assert tv.wilson_gex(w, 0.3, 350.0) == pytest.approx(
-            tv.wilson_gex_from_lambdas(l12, l21, 0.3), abs=1e-14)
+        w = oracles.WilsonParams(theta=(0.4, 0.6))
+        l12, l21 = oracles.wilson_lambdas(w, 350.0)
+        assert tv.wilson_gex([w.theta], 0.3, 350.0)[0] == \
+            oracles.wilson_gex_from_lambdas(l12, l21, 0.3)
 
     def test_doubling_a_decreases_lambda(self):
         T = 350.0
         for theta in ([0.2, 0.2], [0.5, 0.5], [0.8, 0.3]):
-            w = tv.WilsonParams(theta=tuple(theta))
-            l12, l21 = tv.wilson_lambdas(w, T)
+            w = oracles.WilsonParams(theta=tuple(theta))
+            l12, l21 = oracles.wilson_lambdas(w, T)
             # doubling A means adding log10(2)/4 to theta under A = 10^(4t-2)
             shift = np.log10(2.0) / 4.0
-            w2 = tv.WilsonParams(theta=(theta[0] + shift, theta[1] + shift))
-            d12, d21 = tv.wilson_lambdas(w2, T)
+            w2 = oracles.WilsonParams(theta=(theta[0] + shift, theta[1] + shift))
+            d12, d21 = oracles.wilson_lambdas(w2, T)
             assert d12 < l12
             assert d21 < l21
+
+    @settings(max_examples=80, deadline=None)
+    @given(wilson_cases())
+    def test_array_gex_matches_scalar_oracle_bit_for_bit(self, case):
+        thetas, xs, Ts = case
+        gex = tv.wilson_gex(thetas, xs, Ts)
+        expected = scalar_gex(thetas, xs, Ts)
+        assert gex.shape == expected.shape
+        assert gex.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(wilson_cases(), st.data())
+    def test_array_gex_rejects_what_the_oracle_rejects(self, case, data):
+        thetas, xs, Ts = case
+        i = data.draw(st.integers(0, xs.size - 1))
+        if data.draw(st.booleans()):
+            xs[i] = data.draw(st.floats().filter(lambda v: not 0.0 <= v <= 1.0))
+        else:
+            Ts[i] = data.draw(st.floats(max_value=0.0))
+        with pytest.raises(DomainError):
+            scalar_gex(thetas, xs, Ts)
+        with pytest.raises(DomainError):
+            tv.wilson_gex(thetas, xs, Ts)
