@@ -2,10 +2,16 @@
 # Rerun every experiment with the default (reproduction) settings.
 # Outputs land in out/<experiment>/; each run writes a manifest.json with the
 # seeds consumed, and reruns are byte-identical except for timestamps.
+# Runs the package from this checkout's src/, so it needs no install.
 set -euo pipefail
 
 OUT="${1:-out}"
 SEED="${SEED:-0}"
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+
+hybridkernel() {
+    PYTHONPATH="$SRC" python3 -m hybridkernel.cli "$@"
+}
 
 hybridkernel vle-data --n 50 --seed "$SEED" --out "$OUT/vle-data"
 hybridkernel setting1 --n 50 --seed "$SEED" --out "$OUT/setting1"

@@ -216,8 +216,8 @@ def run(config: ExperimentConfig) -> int:
     elif config.experiment == "koopman":
         rows = experiments.run_koopman(m=config.m, **sweep)
         out.table("sweep.csv", rows, ("lambda_R", "train_rmse", "val_rmse", "frob_R"))
-        for i, (row, model) in enumerate(zip(rows, experiments.koopman_models(rows))):
-            out.json(f"koopman_model_{i:02d}.json", model.to_json(
+        for i, row in enumerate(rows):
+            out.json(f"koopman_model_{i:02d}.json", row["model"].to_json(
                 lambda_b=experiments.DEFAULT_LAMBDA_B, lambda_R=row["lambda_R"], seeds=seeds))
 
     elif config.experiment == "control":

@@ -47,10 +47,9 @@ def _vle_point(x: float) -> thermo_vle.VlePoint:
     return thermo_vle.VlePoint(x=x, y=y, T=T)
 
 
-@lru_cache(maxsize=None)
 def vle_points(n: int, seed: int) -> tuple:
-    """The VLE points of one dataset; cached, so the CLI writes the points a
-    sweep fitted without solving their bubble points again."""
+    """The VLE points of one dataset; the CLI writes the points a sweep fitted
+    from _vle_point's cache, without solving their bubble points again."""
     return tuple(_vle_point(float(x)) for x in thermo_vle.vle_compositions(n, seed))
 
 
@@ -104,9 +103,11 @@ def sample_thetas(m: int, seed: int) -> np.ndarray:
 
 def seeds(experiment: str, seed: int) -> dict:
     """The seeds a run of `experiment` at `seed` draws from, named as
-    manifest.json records them: data, validation, theta samples (setting3,
-    koopman, control) and initial states (control)."""
-    out = {"data_seed": seed, "validation_seed": seed + 1}
+    manifest.json records them: data, validation (all but vle-data), theta
+    samples (setting3, koopman, control) and initial states (control)."""
+    out = {"data_seed": seed}
+    if experiment != "vle-data":
+        out["validation_seed"] = seed + 1
     if experiment in ("setting3", "koopman", "control"):
         out["theta_seed"] = seed + 1000
     if experiment == "control":
@@ -181,13 +182,6 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     return _map_grid(one, list(lambda_grid))
 
 
-def cstr_design(n: int, seed: int, thetas, basis: koopman.MonomialBasis
-                ) -> koopman.GeneratorDesign:
-    """Hybrid generator design on n CSTR drift states drawn at `seed`."""
-    return koopman.generator_design(koopman.make_drift_sample(n, seed),
-                                    koopman.cstr_f0_family, thetas, basis)
-
-
 def fit_closures(thetas, basis: koopman.MonomialBasis) -> tuple:
     """The lambda-independent closures (A, beta, Gamma): A[j] is the Gamma of
     family member f0(. | theta_j), all m fit by one solve, and (beta, Gamma)
@@ -204,38 +198,33 @@ def build_hybrid_model(b, R, thetas, basis: koopman.MonomialBasis,
 
 def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID) -> list[dict]:
-    """Hybrid generator identification sweep over lambda_R; each row carries
-    the fitted "b" and "R" and the sweep's "basis" and "theta_samples", from
-    which koopman_models assembles the bilinear models."""
+    """Hybrid generator identification sweep over lambda_R; each row carries its
+    bilinear model under "model", built from closures fit once per sweep."""
     run_seeds = seeds("koopman", seed)
     basis = koopman.MonomialBasis(q=DEFAULT_Q)
     thetas = sample_thetas(m, run_seeds["theta_seed"])
-    train, val = (cstr_design(n, s, thetas, basis)
+    train, val = (koopman.generator_design(koopman.make_drift_sample(n, s),
+                                           koopman.cstr_f0_family, thetas, basis)
                   for s in (seed, run_seeds["validation_seed"]))
+    closures = fit_closures(thetas, basis)
 
     def one(lam):
         b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=DEFAULT_LAMBDA_B,
                                                lambda_R=lam)
+        # the scores read R itself: the model's contiguous copy rounds differently
         return {"lambda_R": float(lam),
                 "train_rmse": koopman.hybrid_prediction_rmse(train, b, R),
                 "val_rmse": koopman.hybrid_prediction_rmse(val, b, R),
                 "frob_R": float(np.linalg.norm(R, "fro")),
-                "b": b, "R": R, "basis": basis, "theta_samples": thetas}
+                "model": build_hybrid_model(b, R, thetas, basis, closures)}
 
     return _map_grid(one, list(lambda_grid))
-
-
-def koopman_models(rows: list[dict]) -> list[koopman.KoopmanHybridModel]:
-    """The bilinear model of each run_koopman row; the closures are fit once."""
-    basis, thetas = rows[0]["basis"], rows[0]["theta_samples"]
-    closures = fit_closures(thetas, basis)
-    return [build_hybrid_model(r["b"], r["R"], thetas, basis, closures) for r in rows]
 
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID, n_states: int = 5,
                 horizon: float = 10.0) -> list[dict]:
-    """Closed-loop comparison: ground-truth CLF controller vs hybrid-model one.
+    """Closed-loop comparison: ground-truth CLF controller vs each run_koopman model.
 
     Both controllers drive the true plant (certainty equivalence); reported per
     (lambda_R, initial state): max state deviation and whether V decreased
@@ -244,12 +233,9 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     loop does not depend on lambda_R: the rows of one "x0_index" share one
     truth trajectory.
     """
-    run_seeds = seeds("control", seed)
-    basis = koopman.MonomialBasis(q=DEFAULT_Q)
-    thetas = sample_thetas(m, run_seeds["theta_seed"])
-    train = cstr_design(n, seed, thetas, basis)
-    x0s = koopman.sample_states(n_states, run_seeds["state_seed"])
-    closures = fit_closures(thetas, basis)
+    fits = run_koopman(n, seed, m, lambda_grid)
+    basis = fits[0]["model"].basis
+    x0s = koopman.sample_states(n_states, seeds("control", seed)["state_seed"])
 
     def v_monotone(traj):
         return bool(np.all(np.diff(control.clf_value(basis, traj.states)) <= 1e-6))
@@ -261,16 +247,13 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     truth_monotone = [v_monotone(t) for t in truths]
 
     rows = []
-    for lam in lambda_grid:
-        b, R, _ = koopman.fit_hybrid_generator(train, lambda_b=DEFAULT_LAMBDA_B,
-                                               lambda_R=lam)
-        model_ctrl = control.make_model_controller(
-            build_hybrid_model(b, R, thetas, basis, closures))
+    for fit in fits:
+        model_ctrl = control.make_model_controller(fit["model"])
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
             t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, DEFAULT_DT,
                                        horizon)
             rows.append({
-                "lambda_R": float(lam),
+                "lambda_R": fit["lambda_R"],
                 "x0_index": i,
                 "max_deviation": control.compare_trajectories(t_truth, t_model),
                 "v_monotone_truth": truth_monotone[i],

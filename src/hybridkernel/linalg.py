@@ -199,8 +199,9 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     lam x), column by column until the column's correction no longer halves
     (it is then rounding noise, and is not applied), or for
     MAX_REFINEMENT_STEPS steps. Each step multiplies the error by a matrix of
-    norm at most tail/lam; when tail >= lam/10 refinement need not contract,
-    and G + lam I is solved densely by solve_spd instead.
+    norm at most tail/lam, plus the factor's rounding (of order n eps max(mu))
+    over lam; when the two reach lam/10 refinement need not contract, and
+    G + lam I is solved densely by solve_spd instead.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError(f"shift must be finite and positive, got {lam}")
@@ -210,7 +211,7 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != G.shape[0] or factor.W.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"rhs {b.shape} for matrix {G.shape} and factor "
                                 f"{factor.W.shape}")
-    if factor.tail >= lam / 10:
+    if factor.tail + b.shape[0] * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10:
         M = G.copy()
         M.flat[::M.shape[0] + 1] += lam
         return solve_spd(M, b)

@@ -240,8 +240,8 @@ def test_model_polynomials_give_float_bits_on_random_states():
 def cstr_controllers():
     """(new, oracle) controller pairs: the truth controller and a fitted model's."""
     basis = kp.MonomialBasis(q=3)
-    rows = experiments.run_koopman(n=60, seed=0, m=5, lambda_grid=(1e-4,))
-    (model,) = experiments.koopman_models(rows)
+    (row,) = experiments.run_koopman(n=60, seed=0, m=5, lambda_grid=(1e-4,))
+    model = row["model"]
     return {
         "truth": (control.make_truth_controller(basis), oracles.truth_controller(basis)),
         "model": (control.make_model_controller(model), oracles.model_controller(model)),

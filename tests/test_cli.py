@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from hybridkernel import cli, experiments, koopman, simplex_qp, thermo_vle
+from hybridkernel import cli, control, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel
 from hybridkernel.errors import ConfigError, DimensionMismatch, DomainError, MalformedModel
 from hybridkernel.kernels import KernelSpec
@@ -71,7 +71,19 @@ class TestCliRuns:
         assert len(rows) == 11
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
-        assert "data_seed" in manifest["seeds"]
+        # vle-data writes one dataset and draws no validation or theta seed
+        assert manifest["seeds"] == {"data_seed": 3}
+
+    @pytest.mark.parametrize("call", [("setting1", "--n", "5", "--lambda", "1e-200"),
+                                      ("setting3", "--n", "5", "--m", "3", "--lambda", "1e-200"),
+                                      ("setting1", "--n", "2", "--lambda", "1e-320")])
+    def test_tiny_lambda_writes_finite_rmses(self, tmp_path, call):
+        # at small n the Gram factor is exact, and the low-rank shifted solve
+        # would scale its rounding by 1/lambda; pytest turns the RuntimeWarning
+        # an overflow gives into an error
+        assert run_cli(list(call) + ["--out", str(tmp_path)]) == 0
+        (row,) = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(cell)) for cell in row.split(",")[:3])
 
     def test_setting1_row_count_matches_grid(self, tmp_path):
         out = tmp_path / "out"
@@ -212,7 +224,6 @@ class TestExperiments:
         monkeypatch.setattr(thermo_vle, "bubble_point",
                             lambda x, *a, **kw: calls.append(x) or solve(x, *a, **kw))
         experiments._vle_point.cache_clear()
-        experiments.vle_points.cache_clear()
         run = getattr(experiments, f"run_{setting}")
         extra = {"m": 3} if setting == "setting3" else {}
         run(n=15, seed=4, lambda_grid=(0.1, 1.0), **extra)
@@ -245,8 +256,9 @@ class TestExperiments:
                                         horizon=0.1)
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        if driver == "koopman":  # one design per sample: training and validation
-            assert seen[0] == {"jacobian": 2, "family": 2}
+        # one design per sample (training and validation) and the closures:
+        # the family's and the input channel's
+        assert seen[0] == {"jacobian": 4, "family": 3}
 
     def test_control_rows_of_one_state_share_its_truth_trajectory(self):
         rows = experiments.run_control(n=30, m=5, lambda_grid=(1e-2, 1.0, 1e2), n_states=2,
@@ -305,7 +317,7 @@ class TestModelJson:
         self._cli(tmp_path, "koopman", "--n", "30", "--m", "5")
         rows = experiments.run_koopman(n=30, seed=0, m=5, lambda_grid=self.GRID)
         states = koopman.sample_states(20, seed=3)
-        for i, model in enumerate(experiments.koopman_models(rows)):
+        for i, model in enumerate(row["model"] for row in rows):
             loaded = koopman.KoopmanHybridModel.from_json(
                 (tmp_path / f"koopman_model_{i:02d}.json").read_text())
             for x in states:
@@ -313,6 +325,22 @@ class TestModelJson:
                 np.testing.assert_allclose(oracles.lifted_rhs(loaded, z, 0.3),
                                            oracles.lifted_rhs(model, z, 0.3),
                                            rtol=1e-12, atol=1e-12)
+
+    def test_control_drives_the_written_koopman_models(self, tmp_path, monkeypatch):
+        # one fit path: the models the control comparison simulates are the
+        # ones the koopman CLI writes, bit for bit
+        self._cli(tmp_path, "koopman", "--n", "30", "--m", "5")
+        driven, make = [], control.make_model_controller
+        monkeypatch.setattr(control, "make_model_controller",
+                            lambda model: driven.append(model) or make(model))
+        experiments.run_control(n=30, m=5, lambda_grid=self.GRID, n_states=1, horizon=0.1)
+        assert len(driven) == len(self.GRID)
+        for i, model in enumerate(driven):
+            doc = json.loads((tmp_path / f"koopman_model_{i:02d}.json").read_text())
+            assert doc["q"] == model.basis.q
+            for name in ("weights", "residual", "closure_A", "input_beta", "input_gamma",
+                         "theta_samples"):
+                assert np.array(doc[name]).tobytes() == getattr(model, name).tobytes(), name
 
 
 def _hybrid_model_json() -> str:

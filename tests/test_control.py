@@ -75,9 +75,8 @@ class TestClfRates:
 
     def test_model_rates_close_to_truth(self):
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
-        rows = experiments.run_koopman(n=120, seed=0, m=10,
-                                       lambda_grid=(1e-4,))
-        (model,) = experiments.koopman_models(rows)
+        (row,) = experiments.run_koopman(n=120, seed=0, m=10, lambda_grid=(1e-4,))
+        model = row["model"]
         worst = 0.0
         for x in kp.sample_states(30, seed=2).tolist():
             at, bt = ctl.clf_rates_fields(BASIS3, *x)

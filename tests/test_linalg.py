@@ -180,6 +180,17 @@ class TestShiftedSolve:
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, rhs / lam, rtol=1e-14)
 
+    @pytest.mark.parametrize("n, lam", [(5, 1e-200), (2, 1e-320)])
+    def test_tiny_shift_of_an_exact_factor_solves_densely(self, n, lam):
+        # the factor's tail is 0 here, below lam / 10, but its rounding, of
+        # order n eps max(mu), is not: (I - W W')/lam would scale it by 1/lam
+        G = gram_1d(n, seed=3)
+        factor = low_rank_psd_factor(G)
+        assert factor.tail < lam / 10
+        b = np.random.default_rng(3).standard_normal(n)
+        M = G + lam * np.eye(n)
+        np.testing.assert_array_equal(solve_shifted(G, factor, lam, b), solve_spd(M, b))
+
     def test_full_rank_factor_is_exact(self):
         M = np.diag([4.0, 2.0, 1.0])
         factor = low_rank_psd_factor(M)

@@ -200,13 +200,9 @@ def _paper_problems():
         problems.append((S, s))
         return exact(S, s)
 
-    basis = koopman.MonomialBasis(q=experiments.DEFAULT_Q)
-    thetas = experiments.sample_thetas(25, experiments.seeds("control", 0)["theta_seed"])
-    design = experiments.cstr_design(200, 0, thetas, basis)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex_qp, "solve", record)
-        for lam in (1e-4, 0.1, 100.0):
-            koopman.fit_hybrid_generator(design, experiments.DEFAULT_LAMBDA_B, lam)
+        experiments.run_koopman(n=200, seed=0, m=25, lambda_grid=(1e-4, 0.1, 100.0))
         experiments.run_setting3(n=50, seed=2, m=25)
     return problems
 
