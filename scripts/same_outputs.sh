@@ -7,11 +7,13 @@
 # checkout's src/). For each tree the script runs a fixed list of CLI calls
 # with PYTHONPATH set to that tree and BLAS on one thread, then compares the
 # outputs of each call with diff -r, leaving out manifest.json (it records a
-# timestamp and the output path). Prints one line per call and exits 1 if any
-# call differs. Under a call that differs it lists each differing file with
-# the largest absolute and relative difference over its numeric cells (CSV
-# cells split at ',' and ';', JSON leaves), or says that non-numeric text or
-# the layout differs.
+# timestamp and the output path). A call that fails on either side does not
+# stop the run: it is reported as FAILED with each failing side's exit
+# status, and the other calls are still compared. Prints one line per call
+# and exits 1 if any call failed or differs. Under a call that differs it
+# lists each differing file with the largest absolute and relative difference
+# over its numeric cells (CSV cells split at ',' and ';', JSON leaves), or
+# says that non-numeric text or the layout differs.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -38,13 +40,16 @@ CALLS=(
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
+declare -A EXIT_STATUS  # "side/name" -> the call's exit status
 for side in parent change; do
     if [ "$side" = parent ]; then src="$(cd "$1" && pwd)"; else src="$(cd "$2" && pwd)"; fi
     for call in "${CALLS[@]}"; do
         read -r name args <<< "$call"
+        code=0
         # shellcheck disable=SC2086  # args is a word list
         PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 \
-            python3 -m hybridkernel.cli $args --out "$WORK/$side/$name" >/dev/null
+            python3 -m hybridkernel.cli $args --out "$WORK/$side/$name" >/dev/null || code=$?
+        EXIT_STATUS["$side/$name"]=$code
     done
 done
 
@@ -111,7 +116,15 @@ PY
 status=0
 for call in "${CALLS[@]}"; do
     read -r name _ <<< "$call"
-    if diff -r -x manifest.json "$WORK/parent/$name" "$WORK/change/$name" >/dev/null; then
+    failed=""
+    for side in parent change; do
+        code=${EXIT_STATUS["$side/$name"]}
+        if [ "$code" -ne 0 ]; then failed="${failed:+$failed, }$side exit $code"; fi
+    done
+    if [ -n "$failed" ]; then
+        echo "FAILED     $name  ($failed)"
+        status=1
+    elif diff -r -x manifest.json "$WORK/parent/$name" "$WORK/change/$name" >/dev/null; then
         echo "same       $name"
     else
         echo "DIFFERENT  $name"

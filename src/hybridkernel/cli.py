@@ -54,6 +54,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(l) and l > 0 for l in self.lambda_grid):
             raise ConfigError("lambda grid entries must be finite and positive")
+        # Path("") is ".": an empty --out (an unset shell variable) would write
+        # into the working directory
+        if not str(self.output_dir):
+            raise ConfigError("output directory is empty")
         self.output_dir = Path(self.output_dir)
 
     def echo(self) -> dict:
@@ -110,7 +114,7 @@ def parse_config(experiment: str, args: argparse.Namespace) -> ExperimentConfig:
                                   (args.lambda_grid, "lambda", _parse_lambda_grid,
                                    "lambda_grid"),
                                   (args.m, "m", int, "m"), (args.n, "n", int, "n"),
-                                  (args.out, "out", Path, "output_dir")):
+                                  (args.out, "out", str, "output_dir")):
         if flag is not None:
             kwargs[name] = cast(flag)
         elif key in file_values:
@@ -168,11 +172,13 @@ class RunOutput:
 
     def vle_data(self, name: str, n: int, seed: int) -> None:
         """name.csv with the points x,y,T,gex_rt, and a sidecar with P and the seed."""
-        points = experiments.vle_points(n, seed)
+        x = thermo_vle.vle_compositions(n, seed)
+        T, y = experiments.vle_table(x)
+        gex = thermo_vle.excess_gibbs_from_txy(x, y, T)
         self.csv(f"{name}.csv", ("x", "y", "T", "gex_rt"),
-                 (map(repr, (p.x, p.y, p.T, thermo_vle.excess_gibbs_from_txy(p))) for p in points))
+                 zip(*(map(repr, c.tolist()) for c in (x, y, T, gex))))
         self.json(f"{name}.csv.meta.json",
-                  {"pressure_mmHg": thermo_vle.ATM_MMHG, "seed": seed, "n": len(points)})
+                  {"pressure_mmHg": thermo_vle.ATM_MMHG, "seed": seed, "n": n})
 
 
 RMSE_COLUMNS = ("lambda", "train_rmse", "val_rmse")
@@ -251,7 +257,7 @@ def main(argv=None) -> int:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=Path, default=None)
+        p.add_argument("--out", type=str, default=None)
         p.add_argument("--lambda", dest="lambda_grid", type=str, default=None,
                        help="comma-separated regularization grid")
         p.add_argument("--m", type=int, default=None)

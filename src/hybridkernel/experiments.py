@@ -40,31 +40,31 @@ def _map_grid(fn, grid):
 
 
 @lru_cache(maxsize=None)
-def _vle_point(x: float) -> thermo_vle.VlePoint:
-    """The bubble point at x, at 1 atm; the datasets and the features share
-    this cache, so a sweep solves each composition once."""
-    T, y = thermo_vle.bubble_point(x)
-    return thermo_vle.VlePoint(x=x, y=y, T=T)
+def _vle_point(x: float) -> tuple[float, float]:
+    """bubble_point's (T, y) at x; the datasets, the features and the CLI's
+    data files share this cache, so a sweep solves each composition once."""
+    return thermo_vle.bubble_point(x)
 
 
-def vle_points(n: int, seed: int) -> tuple:
-    """The VLE points of one dataset; the CLI writes the points a sweep fitted
-    from _vle_point's cache, without solving their bubble points again."""
-    return tuple(_vle_point(float(x)) for x in thermo_vle.vle_compositions(n, seed))
+def vle_table(x) -> tuple[np.ndarray, np.ndarray]:
+    """The bubble temperatures (degC) and vapor fractions at the compositions
+    x, as two arrays of x's shape, read from _vle_point's cache."""
+    xs = np.asarray(x, dtype=float)
+    table = np.array([_vle_point(xi) for xi in xs.ravel().tolist()]).reshape(-1, 2)
+    return tuple(table.T.copy().reshape(2, *xs.shape))
 
 
 def xy_dataset(n: int, seed: int) -> Dataset:
     """(x, y) pairs from the VLE ground truth."""
-    pts = vle_points(n, seed)
-    return Dataset(inputs=np.array([p.x for p in pts]),
-                   targets=np.array([p.y for p in pts]))
+    x = thermo_vle.vle_compositions(n, seed)
+    return Dataset(inputs=x, targets=vle_table(x)[1])
 
 
 def gex_dataset(n: int, seed: int) -> Dataset:
     """(x, Gibbs-energy target) pairs converted from simulated T-x-y data."""
-    pts = vle_points(n, seed)
-    return Dataset(inputs=np.array([p.x for p in pts]),
-                   targets=np.array([thermo_vle.excess_gibbs_from_txy(p) for p in pts]))
+    x = thermo_vle.vle_compositions(n, seed)
+    T, y = vle_table(x)
+    return Dataset(inputs=x, targets=thermo_vle.excess_gibbs_from_txy(x, y, T))
 
 
 def relative_volatility_reference(x):
@@ -77,22 +77,14 @@ def gex_reference(x):
     y is replaced by the reference prediction; T comes from the ground-truth
     bubble point at x (the temperature is measured data in this setting).
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        y_ref = thermo_vle.rel_volatility_model(thermo_vle.REL_VOLATILITY_ALPHA, float(xi))
-        T = _vle_point(float(xi)).T
-        out[i] = thermo_vle.excess_gibbs_from_txy(
-            thermo_vle.VlePoint(x=float(xi), y=y_ref, T=T))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return thermo_vle.excess_gibbs_from_txy(x, relative_volatility_reference(x),
+                                            vle_table(x)[0])
 
 
 def wilson_family(x, thetas) -> np.ndarray:
     """The Wilson Gibbs-energy models h(x | theta_j) of every parameter sample
     at the bubble temperature of every x, as an (n, m) array."""
-    xs = np.asarray(x, dtype=float)
-    T = np.array([_vle_point(float(xi)).T for xi in xs.ravel()]).reshape(xs.shape)
-    return thermo_vle.wilson_gex(thetas, xs, T + thermo_vle.CELSIUS_TO_KELVIN)
+    return thermo_vle.wilson_gex(thetas, x, vle_table(x)[0] + thermo_vle.CELSIUS_TO_KELVIN)
 
 
 def sample_thetas(m: int, seed: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel
-from .kernels import KernelSpec, cross_gram, gram, sq_distances
+from .kernels import KernelSpec, _as_points, cross_gram, gram, sq_distances
 from .linalg import LowRankFactor, low_rank_psd_factor, solve_shifted, solve_spd
 
 DUPLICATE_TOL = 1e-9
@@ -106,16 +106,24 @@ class HybridModel:
     @classmethod
     def from_json(cls, text: str, features: Callable) -> "HybridModel":
         """Inverse of to_json; the caller supplies the feature map. Raises
-        MalformedModel, or DimensionMismatch unless coeffs match the anchors."""
+        MalformedModel, also for a non-finite entry, or DimensionMismatch unless
+        coeffs match the anchors and weights match the feature columns."""
         try:
             doc = json.loads(text)
-            anchors, coeffs = (np.asarray(doc[k], dtype=float) for k in ("anchors", "coeffs"))
-            if coeffs.shape != anchors.shape[:1]:
-                raise DimensionMismatch(f"coeffs {coeffs.shape} for anchors {anchors.shape}")
-            return cls(features=features, weights=np.asarray(doc["weights"], dtype=float),
-                       anchors=anchors, coeffs=coeffs, kernel=KernelSpec.from_dict(doc["kernel"]))
+            weights, anchors, coeffs = (np.asarray(doc[k], dtype=float)
+                                        for k in ("weights", "anchors", "coeffs"))
+            kernel = KernelSpec.from_dict(doc["kernel"])
         except (ValueError, KeyError, TypeError) as e:
             raise MalformedModel(f"not a HybridModel document: {e!r}") from e
+        if not all(np.isfinite(a).all() for a in (weights, anchors, coeffs)):
+            raise MalformedModel("HybridModel document holds a non-finite entry")
+        if coeffs.shape != anchors.shape[:1]:
+            raise DimensionMismatch(f"coeffs {coeffs.shape} for anchors {anchors.shape}")
+        p = feature_columns(features, _as_points(anchors)[:1]).shape[1]
+        if weights.shape != (p,):
+            raise DimensionMismatch(f"weights {weights.shape} for {p} feature columns")
+        return cls(features=features, weights=weights, anchors=anchors, coeffs=coeffs,
+                   kernel=kernel)
 
 
 @dataclass(frozen=True)

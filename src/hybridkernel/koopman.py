@@ -341,8 +341,11 @@ class KoopmanHybridModel:
                 raise DimensionMismatch(f"{name} has shape {block.shape}, expected {shape}")
             object.__setattr__(self, name, block)
         if self.theta_samples is not None:
-            object.__setattr__(self, "theta_samples",
-                               np.asarray(self.theta_samples, dtype=float))
+            thetas = np.asarray(self.theta_samples, dtype=float)
+            if thetas.shape != (m, 2):
+                raise DimensionMismatch(f"theta_samples has shape {thetas.shape}, "
+                                        f"expected {(m, 2)}")
+            object.__setattr__(self, "theta_samples", thetas)
 
     @cached_property
     def drift_matrix(self) -> np.ndarray:
@@ -365,11 +368,19 @@ class KoopmanHybridModel:
 
     @classmethod
     def from_json(cls, text: str) -> "KoopmanHybridModel":
-        """Inverse of to_json; the extra keys are not kept. A malformed document
-        raises MalformedModel, blocks of the wrong shape DimensionMismatch."""
+        """Inverse of to_json; the extra keys are not kept. A malformed document,
+        a non-finite entry or a q that is not an integer >= 1 raises
+        MalformedModel, blocks of the wrong shape DimensionMismatch."""
         try:
             doc = json.loads(text)
-            return cls(MonomialBasis(q=int(doc["q"])), *(doc[name] for name in _BLOCKS),
-                       theta_samples=doc.get("theta_samples"))
+            q = doc["q"]
+            names = _BLOCKS + (("theta_samples",) if doc.get("theta_samples") is not None
+                               else ())
+            blocks = {name: np.asarray(doc[name], dtype=float) for name in names}
         except (ValueError, KeyError, TypeError) as e:
             raise MalformedModel(f"not a KoopmanHybridModel document: {e!r}") from e
+        if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+            raise MalformedModel(f"q must be an integer >= 1, got {q!r}")
+        if not all(np.isfinite(block).all() for block in blocks.values()):
+            raise MalformedModel("KoopmanHybridModel document holds a non-finite entry")
+        return cls(MonomialBasis(q=q), **blocks)

@@ -1,8 +1,8 @@
 """Ethanol-toluene VLE ground truth (UNIQUAC + Antoine + ideal vapor) and the
 interpretable model families used in the static case studies.
 
-One system at 1 atm: every function reads the module constants below, and
-only excess_gibbs_from_txy takes P and the Antoine constants as arguments.
+One system at 1 atm: every function reads the module constants below; only
+antoine_psat and excess_gibbs_from_txy take Antoine constants (the latter P too).
 
 Conventions:
   - temperatures are degrees Celsius at the API surface unless a function
@@ -53,13 +53,6 @@ class UniquacParams:
 ETHANOL_TOLUENE_UNIQUAC = UniquacParams(
     r1=2.1055, r2=3.9228, q1=1.972, q2=2.968, a12=-76.1573, a21=438.005
 )
-
-
-@dataclass(frozen=True)
-class VlePoint:
-    x: float  # liquid ethanol mole fraction
-    y: float  # vapor ethanol mole fraction
-    T: float  # degrees Celsius
 
 
 ETHANOL_MOLAR_VOLUME = 58.7  # mL/mol
@@ -219,23 +212,24 @@ def vle_compositions(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).uniform(0.01, 0.99, size=n)
 
 
-def excess_gibbs_from_txy(
-    pt: VlePoint,
-    P: float = ATM_MMHG,
-    antoine1: AntoineConstants = ETHANOL_ANTOINE,
-    antoine2: AntoineConstants = TOLUENE_ANTOINE,
-) -> float:
-    """Gibbs-energy target x ln(Py/Psat1) + (1-x) ln(P(1-y)/Psat2) at the point's T.
+def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
+                          antoine1: AntoineConstants = ETHANOL_ANTOINE,
+                          antoine2: AntoineConstants = TOLUENE_ANTOINE):
+    """Gibbs-energy target x ln(Py/Psat1) + (1-x) ln(P(1-y)/Psat2) at liquid and
+    vapor fractions x, y and T degC that broadcast; a float if all are scalars.
 
     Under modified Raoult's law with ideal vapor this equals
     x ln(x gamma1) + (1-x) ln((1-x) gamma2), i.e. the excess part plus the
-    ideal-mixing term; it vanishes at both composition endpoints.
+    ideal-mixing term; it vanishes at both composition endpoints. The vapor
+    pressures are antoine_psat's, one call per temperature.
     """
-    if not (0.0 < pt.x < 1.0) or not (0.0 < pt.y < 1.0):
+    x, y, T = (np.asarray(v, dtype=float) for v in (x, y, T))
+    if not np.all((0.0 < x) & (x < 1.0) & (0.0 < y) & (y < 1.0)):
         raise DomainError("x and y must lie strictly inside (0, 1)")
-    p1 = antoine_psat(antoine1, pt.T)
-    p2 = antoine_psat(antoine2, pt.T)
-    return float(pt.x * np.log(P * pt.y / p1) + (1.0 - pt.x) * np.log(P * (1.0 - pt.y) / p2))
+    p1, p2 = (np.array([antoine_psat(c, t) for t in T.ravel().tolist()]).reshape(T.shape)
+              for c in (antoine1, antoine2))
+    g = x * np.log(P * y / p1) + (1.0 - x) * np.log(P * (1.0 - y) / p2)
+    return float(g) if g.ndim == 0 else g
 
 
 def rel_volatility_model(alpha: float, x) -> np.ndarray | float:

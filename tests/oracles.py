@@ -31,10 +31,14 @@ CLI wrote; only tests read one back. ``gedmd``, ``hybrid_generator_objective`` a
 ``kernel_eval``, ``vec``, ``unvec`` and ``objective`` from ``kernels``,
 ``linalg`` and ``hybrid_static``: the package has no caller for them. ``find_azeotrope``
 moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
-``scipy.optimize`` in the package's imports. ``psi_at``, ``jacobian_at`` and
-``lifted_rhs`` moved here from ``MonomialBasis.eval_at``, ``jacobian_at`` and
-``KoopmanHybridModel.rhs`` once the controllers took V's rates from the
-gradient of V and from the model's polynomials; ``clf_rates_fields`` and
+``scipy.optimize`` in the package's imports. ``excess_gibbs_from_txy`` at one
+``VlePoint`` is the per-point Gibbs conversion that the array
+``thermo_vle.excess_gibbs_from_txy`` replaced; ``VlePoint`` moved here with it,
+as the point type that ``find_azeotrope`` and ``load_vle_csv`` return.
+``psi_at``, ``jacobian_at`` and ``lifted_rhs`` moved here from
+``MonomialBasis.eval_at``, ``jacobian_at`` and ``KoopmanHybridModel.rhs`` once
+the controllers took V's rates from the gradient of V and from the model's
+polynomials; ``clf_rates_fields`` and
 ``clf_rates_model`` are the numpy rates those replaced. ``WilsonParams``,
 ``wilson_lambdas``, ``wilson_gex`` and ``wilson_gex_from_lambdas`` are the
 scalar Wilson model, one parameter pair at one point, and ``cstr_f0_member``
@@ -64,8 +68,7 @@ from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_MOLAR_VOLUME, ETHANOL_TOLUENE_UNIQUAC, R_CAL,
                                      T_WINDOW_C, TOLUENE_ANTOINE, TOLUENE_MOLAR_VOLUME,
-                                     AntoineConstants, UniquacParams, VlePoint,
-                                     antoine_psat)
+                                     AntoineConstants, UniquacParams, antoine_psat)
 
 
 def kron(A, B) -> np.ndarray:
@@ -628,6 +631,24 @@ def bisect_window(pressure_excess) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class VlePoint:
+    x: float  # liquid ethanol mole fraction
+    y: float  # vapor ethanol mole fraction
+    T: float  # degrees Celsius
+
+
+def excess_gibbs_from_txy(pt: VlePoint, P: float = ATM_MMHG,
+                          antoine1: AntoineConstants = ETHANOL_ANTOINE,
+                          antoine2: AntoineConstants = TOLUENE_ANTOINE) -> float:
+    """The Gibbs-energy target x ln(Py/Psat1) + (1-x) ln(P(1-y)/Psat2) at one point."""
+    if not (0.0 < pt.x < 1.0) or not (0.0 < pt.y < 1.0):
+        raise DomainError("x and y must lie strictly inside (0, 1)")
+    p1 = antoine_psat(antoine1, pt.T)
+    p2 = antoine_psat(antoine2, pt.T)
+    return float(pt.x * np.log(P * pt.y / p1) + (1.0 - pt.x) * np.log(P * (1.0 - pt.y) / p2))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,19 @@ class TestCliRuns:
         assert "config error" in capsys.readouterr().err
         assert not list(tmp_path.rglob("manifest.json"))
 
+    def test_exit_code_2_on_empty_out_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["vle-data", "--n", "3", "--out", ""]) == 2
+        assert "config error: output directory is empty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_exit_code_2_on_empty_out_config_key(self, tmp_path, monkeypatch, capsys):
+        cfg = _file(tmp_path / "c.cfg", b"out=\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["vle-data", "--n", "3", "--config", str(cfg)]) == 2
+        assert "config error: output directory is empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("experiment, seed, via_config", [("setting1", "-1", False),
                                                               ("control", "-3", False),
                                                               ("setting1", "-1", True)])
@@ -344,13 +357,16 @@ class TestModelJson:
 
 
 def _hybrid_model_json() -> str:
-    return HybridModel(features=None, weights=np.array([1.0]), anchors=np.array([[0.1], [0.5]]),
-                       coeffs=np.array([0.2, -0.3]), kernel=KernelSpec(gamma=2.0)).to_json()
+    # the weights of the two Margules columns
+    return HybridModel(features=None, weights=np.array([1.0, -0.5]),
+                       anchors=np.array([[0.1], [0.5]]), coeffs=np.array([0.2, -0.3]),
+                       kernel=KernelSpec(gamma=2.0)).to_json()
 
 
 def _koopman_model_json() -> str:
     return koopman.KoopmanHybridModel(koopman.MonomialBasis(q=1), np.ones(1), np.eye(2),
-                                      np.ones((1, 2, 2)), np.ones(2), np.eye(2)).to_json()
+                                      np.ones((1, 2, 2)), np.ones(2), np.eye(2),
+                                      theta_samples=[[0.5, 0.5]]).to_json()
 
 
 def _edited(text: str, **blocks) -> str:
@@ -376,24 +392,37 @@ class TestMalformedModelJson:
         (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": 2.0}).replace(
             '"gamma": 2.0', '"gamma": 1e400'), MalformedModel),
         (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": np.nan}), MalformedModel),
+        (lambda t: _edited(t, weights=[np.nan, -0.5]), MalformedModel),
+        (lambda t: _edited(t, coeffs=[np.inf, -0.3]), MalformedModel),
+        (lambda t: _edited(t, anchors=[[0.1], [-np.inf]]), MalformedModel),
+        (lambda t: _edited(t, weights=[1.0, -0.5, 0.2]), DimensionMismatch),
     ], ids=["not-json", "missing-block", "ragged", "gamma-0", "gamma-negative",
             "family-laplacian", "coeffs-per-anchor", "gamma-infinity", "gamma-1e400",
-            "gamma-nan"])
+            "gamma-nan", "weights-nan", "coeffs-infinity", "anchors-infinity",
+            "weights-per-feature-column"])
     def test_hybrid_model(self, edit, error):
         features = thermo_vle.margules_features
         HybridModel.from_json(_hybrid_model_json(), features)  # the unedited one loads
         with pytest.raises(error):
             HybridModel.from_json(edit(_hybrid_model_json()), features)
 
-    @pytest.mark.parametrize("edit", [
-        lambda t: t[:-2],
-        lambda t: _edited(t, residual=None),
-        lambda t: _edited(t, input_gamma=[[1.0, 0.0], [0.0]]),
-        lambda t: _edited(t, q="one"),
-    ], ids=["not-json", "missing-block", "ragged", "bad-q"])
-    def test_koopman_model(self, edit):
+    @pytest.mark.parametrize("edit, error", [
+        (lambda t: t[:-2], MalformedModel),
+        (lambda t: _edited(t, residual=None), MalformedModel),
+        (lambda t: _edited(t, input_gamma=[[1.0, 0.0], [0.0]]), MalformedModel),
+        (lambda t: _edited(t, q="one"), MalformedModel),
+        (lambda t: _edited(t, q=1.5), MalformedModel),
+        (lambda t: _edited(t, q=0), MalformedModel),
+        (lambda t: _edited(t, weights=[np.nan]), MalformedModel),
+        (lambda t: _edited(t, residual=[[np.inf, 0.0], [0.0, 1.0]]), MalformedModel),
+        (lambda t: _edited(t, theta_samples=[[0.5, -np.inf]]), MalformedModel),
+        (lambda t: _edited(t, theta_samples=[[0.1, 0.2, 0.3]]), DimensionMismatch),
+    ], ids=["not-json", "missing-block", "ragged", "bad-q", "q-fraction", "q-zero",
+            "weights-nan", "residual-infinity", "theta-samples-infinity",
+            "theta-samples-shape"])
+    def test_koopman_model(self, edit, error):
         koopman.KoopmanHybridModel.from_json(_koopman_model_json())
-        with pytest.raises(MalformedModel):
+        with pytest.raises(error):
             koopman.KoopmanHybridModel.from_json(edit(_koopman_model_json()))
 
 

@@ -10,6 +10,8 @@ import oracles
 from hybridkernel import cli, experiments, thermo_vle as tv
 from hybridkernel.errors import DomainError
 
+unit = st.floats(min_value=0.0, max_value=1.0, width=64)
+
 
 def antoine_inversion_temperature(c: tv.AntoineConstants, P: float = 760.0) -> float:
     """T solving the Antoine equation at pressure P (oracle for boiling points)."""
@@ -95,30 +97,68 @@ class TestBubblePoint:
 
 class TestDatasetGeneration:
     def test_bounds(self):
-        pts = experiments.vle_points(50, 0)
-        assert len(pts) == 50
-        for p in pts:
-            assert 0.0 <= p.y <= 1.0
-            assert 76.0 <= p.T <= 111.0
+        x = tv.vle_compositions(50, 0)
+        T, y = experiments.vle_table(x)
+        assert T.shape == y.shape == (50,)
+        assert np.all((0.0 <= y) & (y <= 1.0))
+        assert np.all((76.0 <= T) & (T <= 111.0))
 
     def test_determinism(self):
         runs = []
         for _ in range(2):
             # clear the per-composition cache, so that each call solves the points
             experiments._vle_point.cache_clear()
-            runs.append(experiments.vle_points(10, 3))
-        assert runs[0] == runs[1]
+            runs.append(np.stack(experiments.vle_table(tv.vle_compositions(10, 3))))
+        assert runs[0].tobytes() == runs[1].tobytes()
 
     def test_single_point(self):
-        (pt,) = experiments.vle_points(1, 0)
-        assert 0.01 <= pt.x <= 0.99
+        (x,) = tv.vle_compositions(1, 0)
+        assert 0.01 <= x <= 0.99
+        T, y = experiments.vle_table(x)
+        assert T.shape == y.shape == ()
+        assert (float(T), float(y)) == tv.bubble_point(x)
 
     def test_csv_round_trip(self, tmp_path):
-        pts = experiments.vle_points(5, 1)
+        x = tv.vle_compositions(5, 1)
+        T, y = experiments.vle_table(x)
         cli.RunOutput(tmp_path).vle_data("d", 5, 1)
         loaded = oracles.load_vle_csv(tmp_path / "d.csv")
-        assert tuple(loaded) == pts
+        assert loaded == [oracles.VlePoint(x=a, y=b, T=c)
+                          for a, b, c in zip(x.tolist(), y.tolist(), T.tolist())]
         assert (tmp_path / "d.csv.meta.json").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rows: arrays(
+        np.float64, st.tuples(st.just(rows), st.integers(0, 4)),
+        elements=unit | st.sampled_from([0.0, 1.0]))))
+    def test_table_matches_per_composition_bubble_points_bit_for_bit(self, x):
+        T, y = experiments.vle_table(x)
+        expected = [tv.bubble_point(xi) for xi in x.ravel().tolist()]
+        assert T.shape == y.shape == x.shape
+        assert T.ravel().tobytes() == np.array([p[0] for p in expected]).tobytes()
+        assert y.ravel().tobytes() == np.array([p[1] for p in expected]).tobytes()
+
+
+@st.composite
+def txy_cases(draw):
+    """(x, y, T, P, antoine): up to 8 points with x, y in (0, 1) and T from 60 to
+    115 degC, a pressure other than 760 mmHg, and the two species' Antoine
+    constants in either order."""
+    n = draw(st.integers(1, 8))
+    inside = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True,
+                       allow_subnormal=False)
+    return (draw(arrays(np.float64, n, elements=inside)),
+            draw(arrays(np.float64, n, elements=inside)),
+            draw(arrays(np.float64, n, elements=st.floats(min_value=60.0, max_value=115.0))),
+            draw(st.floats(min_value=100.0, max_value=2000.0).filter(lambda P: P != 760.0)),
+            draw(st.sampled_from([(tv.ETHANOL_ANTOINE, tv.TOLUENE_ANTOINE),
+                                  (tv.TOLUENE_ANTOINE, tv.ETHANOL_ANTOINE)])))
+
+
+def scalar_txy(x, y, T, P, antoine) -> np.ndarray:
+    """The oracle at every point, one scalar call each."""
+    return np.array([oracles.excess_gibbs_from_txy(oracles.VlePoint(x=a, y=b, T=c), P, *antoine)
+                     for a, b, c in zip(x.tolist(), y.tolist(), T.tolist())])
 
 
 class TestExcessGibbsTarget:
@@ -128,7 +168,7 @@ class TestExcessGibbsTarget:
         x = 0.5
         T, y = tv.bubble_point(x)
         g1, g2 = tv.uniquac_gamma(x, T + tv.CELSIUS_TO_KELVIN)
-        target = tv.excess_gibbs_from_txy(tv.VlePoint(x=x, y=y, T=T))
+        target = tv.excess_gibbs_from_txy(x, y, T)
         expected = x * np.log(x * g1) + (1 - x) * np.log((1 - x) * g2)
         assert target == pytest.approx(expected, abs=1e-8)
 
@@ -140,20 +180,51 @@ class TestExcessGibbsTarget:
         p2 = tv.antoine_psat(tv.TOLUENE_ANTOINE, T)
         P = x * p1 + (1 - x) * p2
         y = x * p1 / P
-        val = tv.excess_gibbs_from_txy(tv.VlePoint(x=x, y=y, T=T), P=P)
+        val = tv.excess_gibbs_from_txy(x, y, T, P=P)
         assert val == pytest.approx(x * np.log(x) + (1 - x) * np.log(1 - x), abs=1e-10)
 
     def test_species_relabeling_symmetry(self):
-        pt = tv.VlePoint(x=0.3, y=0.55, T=85.0)
-        direct = tv.excess_gibbs_from_txy(pt)
-        swapped = tv.excess_gibbs_from_txy(
-            tv.VlePoint(x=1 - pt.x, y=1 - pt.y, T=pt.T),
-            antoine1=tv.TOLUENE_ANTOINE, antoine2=tv.ETHANOL_ANTOINE)
+        x, y, T = 0.3, 0.55, 85.0
+        direct = tv.excess_gibbs_from_txy(x, y, T)
+        swapped = tv.excess_gibbs_from_txy(1 - x, 1 - y, T, antoine1=tv.TOLUENE_ANTOINE,
+                                           antoine2=tv.ETHANOL_ANTOINE)
         assert swapped == pytest.approx(direct, abs=1e-12)
 
     def test_endpoint_rejection(self):
         with pytest.raises(DomainError):
-            tv.excess_gibbs_from_txy(tv.VlePoint(x=0.0, y=0.0, T=90.0))
+            tv.excess_gibbs_from_txy(0.0, 0.0, 90.0)
+        with pytest.raises(DomainError):
+            tv.excess_gibbs_from_txy([0.3, 1.0], [0.5, 0.6], 90.0)
+
+    def test_shapes(self):
+        assert type(tv.excess_gibbs_from_txy(0.3, 0.5, 90.0)) is float
+        assert tv.excess_gibbs_from_txy([0.3], 0.5, 90.0).shape == (1,)
+        assert tv.excess_gibbs_from_txy([[0.3], [0.4]], [0.5, 0.6], 90.0).shape == (2, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(txy_cases())
+    def test_array_conversion_matches_scalar_oracle_bit_for_bit(self, case):
+        x, y, T, P, antoine = case
+        g = tv.excess_gibbs_from_txy(x, y, T, P, *antoine)
+        expected = scalar_txy(*case)
+        assert g.shape == expected.shape
+        assert g.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(txy_cases(), st.data())
+    def test_array_conversion_rejects_what_the_oracle_rejects(self, case, data):
+        x, y, T, P, antoine = case
+        i = data.draw(st.integers(0, x.size - 1))
+        which = data.draw(st.sampled_from(["x", "y", "T"]))
+        if which == "T":
+            T[i] = data.draw(st.floats(max_value=-antoine[0].C))  # T + C1 <= 0
+        else:
+            (x if which == "x" else y)[i] = data.draw(
+                st.floats().filter(lambda v: not 0.0 < v < 1.0))
+        with pytest.raises(DomainError):
+            scalar_txy(x, y, T, P, antoine)
+        with pytest.raises(DomainError):
+            tv.excess_gibbs_from_txy(x, y, T, P, *antoine)
 
 
 class TestRelativeVolatility:
@@ -186,7 +257,6 @@ class TestMargulesFeatures:
 
 
 THETAS = np.array([[0.3, 0.7], [0.0, 1.0], [0.4, 0.6]])
-unit = st.floats(min_value=0.0, max_value=1.0, width=64)
 
 
 @st.composite
