@@ -28,6 +28,7 @@ from .errors import ConfigError, HybridKernelError
 
 EXPERIMENTS = ("vle-data", "setting1", "setting2", "setting3", "koopman", "control")
 CONFIG_KEYS = ("experiment", "seed", "lambda", "m", "n", "out")
+LAPACK_BUILD = "{name} {version}".format(**np.__config__.CONFIG["Build Dependencies"]["lapack"])
 
 
 @dataclass
@@ -244,6 +245,7 @@ def run(config: ExperimentConfig) -> int:
                 out.text(f"{name}_model.csv", trajectory_csv(rows[i]["trajectory_model"]))
 
     out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
+                               "numpy_lapack": LAPACK_BUILD,
                                "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                                "config": config.echo(), "seeds": seeds,
                                "files": sorted(out.written)})

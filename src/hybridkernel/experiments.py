@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import control, hybrid_static, koopman, thermo_vle
 from .hybrid_static import Dataset
@@ -89,7 +90,7 @@ def wilson_family(x, thetas) -> np.ndarray:
 
 def sample_thetas(m: int, seed: int) -> np.ndarray:
     """m parameter samples uniform on [0, 1]^2, deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     return rng.uniform(0.0, 1.0, size=(m, 2))
 
 

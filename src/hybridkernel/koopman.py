@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel, NonFinite
@@ -186,7 +187,7 @@ def cstr_f0_family(x, thetas) -> np.ndarray:
 
 def sample_states(n: int, seed: int) -> np.ndarray:
     """n states uniform on X, deterministic per seed."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     return rng.uniform(-STATE_BOX, STATE_BOX, size=(n, 2))
 
 

@@ -4,9 +4,9 @@ a PSD matrix with shifted solves from it, least squares.
 All solvers validate finiteness and shape up front and raise the shared
 exception types instead of letting numpy errors escape.
 
-The SPD factorization and solve call scipy's own LAPACK (dpotrf, dpotrs)
-through ctypes, which releases the GIL during the call, so threads solve on
-separate cores; scipy's f2py wrappers of the same routines hold the GIL.
+The SPD factorization and solve (dpotrf, dpotrs) and the pivoted Cholesky
+(dpstrf) call the LAPACK in numpy's own OpenBLAS through ctypes, which
+releases the GIL during the call, so threads solve on separate cores.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import ctypes
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dpstrf
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotPsd, NotSymmetric
 
@@ -35,30 +33,34 @@ SYMMETRY_TILE = 128  # the symmetry check compares 128 x 128 tiles, not whole ma
 # rounding level and no longer halves.
 MAX_REFINEMENT_STEPS = 16
 
-
 def _lapack(name: str, *argtypes):
-    """scipy's LAPACK routine `name` (from the C pointer cython_lapack exports)
-    as a ctypes foreign function; a CFUNCTYPE call releases the GIL."""
-    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
-    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))
-    return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, capsule_name(capsule)))
+    """numpy's LAPACK routine `name` (looked up through numpy's linalg extension,
+    which links it) as a CDLL function, whose calls release the GIL; Fortran's
+    hidden length of the character argument comes last (C routines ignore it)."""
+    symbol = f"scipy_{name}_64_"
+    routine = getattr(ctypes.CDLL(_umath_linalg.__file__), symbol, None)
+    if routine is None:
+        raise ImportError(f"hybridkernel needs the ILP64 scipy-openblas64 LAPACK of numpy's "
+                          f"wheels; numpy {np.__version__} has no {symbol}")
+    routine.argtypes, routine.restype = (*argtypes, ctypes.c_size_t), None
+    return routine
 
 
-# dpotrf(uplo, n, a, lda, info), dlaset(uplo, m, n, alpha, beta, a, lda) and
-# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info): arrays by address, scalars by pointer
-_CHAR, _INT, _DBL, _ADDR = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int),
+# dpotrf(uplo, n, a, lda, info), dlaset(uplo, m, n, alpha, beta, a, lda),
+# dpotrs(uplo, n, nrhs, a, lda, b, ldb, info), dpstrf(uplo, n, a, lda, piv,
+# rank, tol, work, info): arrays by address, scalars by pointer, 64-bit integers
+_CHAR, _INT, _DBL, _ADDR = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64),
                             ctypes.POINTER(ctypes.c_double), ctypes.c_void_p)
 _dpotrf = _lapack("dpotrf", _CHAR, _INT, _ADDR, _INT, _INT)
 _dlaset = _lapack("dlaset", _CHAR, _INT, _INT, _DBL, _DBL, _ADDR, _INT)
 _dpotrs = _lapack("dpotrs", _CHAR, _INT, _INT, _ADDR, _INT, _ADDR, _INT, _INT)
+_dpstrf = _lapack("dpstrf", _CHAR, _INT, _ADDR, _INT, _ADDR, _INT, _DBL, _ADDR, _INT)
 
 
 def _lapack_info(routine, name: str, *args) -> int:
-    """Call routine(*args, &info) and return info; info < 0 names a bad argument."""
-    info = ctypes.c_int()
-    routine(*args, ctypes.byref(info))
+    """Call routine(*args, &info, 1) and return info; info < 0 names a bad argument."""
+    info = ctypes.c_int64()
+    routine(*args, ctypes.byref(info), 1)
     if info.value < 0:
         raise DimensionMismatch(f"{name} rejected argument {-info.value}")
     return info.value
@@ -114,7 +116,7 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     jitter = 0.0
     A = np.empty(M.shape, order="F")
     a = A.ctypes.data
-    n, n1 = ctypes.byref(ctypes.c_int(dim)), ctypes.byref(ctypes.c_int(dim - 1))
+    n, n1 = (ctypes.byref(ctypes.c_int64(d)) for d in (dim, dim - 1))
     zero = ctypes.byref(ctypes.c_double(0.0))
     for attempt in range(MAX_JITTER_RETRIES + 1):
         # LAPACK factors this private Fortran-ordered copy in place, and each
@@ -126,7 +128,7 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
         if _lapack_info(_dpotrf, "dpotrf", b"L", n, a, n) == 0:
             # dpotrf leaves the strict upper triangle of A as it was; it is
             # the upper triangle of A[:-1, 1:], which dlaset sets to 0
-            _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n)
+            _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n, 1)
             return A, jitter
         jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
@@ -146,7 +148,7 @@ def solve_spd(M, rhs) -> np.ndarray:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
     L, _ = cholesky_with_jitter(M)
     X = np.array(B, order="F")  # dpotrs overwrites its right-hand side with X
-    n, k = (ctypes.byref(ctypes.c_int(d)) for d in B.shape)
+    n, k = (ctypes.byref(ctypes.c_int64(d)) for d in B.shape)
     _lapack_info(_dpotrs, "dpotrs", b"L", n, k, L.ctypes.data, n, X.ctypes.data, n)
     return X[:, 0] if was_1d else X
 
@@ -175,18 +177,19 @@ def low_rank_psd_factor(G) -> LowRankFactor:
     n = G.shape[0]
     diag = G.diagonal()
     tol = n * np.finfo(float).eps * max(diag.max(), 0.0)
-    # dpstrf reads the lower triangle of its (Fortran-ordered) copy of G',
-    # which is the upper triangle of G: a plain copy, not a transposing one
-    C, piv, rank, info = dpstrf(G.T, tol=tol, lower=1)
-    if info < 0:
-        raise DimensionMismatch(f"dpstrf rejected argument {-info}")
-    L = np.zeros((n, rank))
-    L[piv - 1] = np.tril(C[:, :rank])
+    # dpstrf factors the lower triangle of a Fortran-ordered copy of G', which
+    # is the upper triangle of G: a plain copy, not a transposing one
+    C, piv, work = np.array(G.T, order="F"), np.empty(n, dtype=np.int64), np.empty(2 * n)
+    rank, size = ctypes.c_int64(), ctypes.byref(ctypes.c_int64(n))
+    _lapack_info(_dpstrf, "dpstrf", b"L", size, C.ctypes.data, size, piv.ctypes.data,
+                 ctypes.byref(rank), ctypes.byref(ctypes.c_double(tol)), work.ctypes.data)
+    L = np.zeros((n, rank.value))
+    L[piv - 1] = np.tril(C[:, :rank.value])
     remainder = diag - np.einsum("ij,ij->i", L, L)
     if remainder.min() < -tol:
         raise NotPsd(f"matrix is not positive semidefinite (remainder diagonal "
                      f"{remainder.min():.3e})")
-    W, s, _ = scipy.linalg.svd(L, full_matrices=False, check_finite=False)
+    W, s, _ = np.linalg.svd(L, full_matrices=False)
     return LowRankFactor(W=W, mu=s * s, tail=float(remainder.sum()))
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import DomainError, NoBracket
 
@@ -209,7 +210,7 @@ def vle_compositions(n: int, seed: int = 0) -> np.ndarray:
     """n liquid fractions uniform on [0.01, 0.99], deterministic per seed."""
     if n < 1:
         raise DomainError("need n >= 1")
-    return np.random.default_rng(seed).uniform(0.01, 0.99, size=n)
+    return default_rng(seed).uniform(0.01, 0.99, size=n)
 
 
 def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
@@ -224,11 +225,12 @@ def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
     pressures are antoine_psat's, one call per temperature.
     """
     x, y, T = (np.asarray(v, dtype=float) for v in (x, y, T))
-    if not np.all((0.0 < x) & (x < 1.0) & (0.0 < y) & (y < 1.0)):
-        raise DomainError("x and y must lie strictly inside (0, 1)")
     p1, p2 = (np.array([antoine_psat(c, t) for t in T.ravel().tolist()]).reshape(T.shape)
               for c in (antoine1, antoine2))
-    g = x * np.log(P * y / p1) + (1.0 - x) * np.log(P * (1.0 - y) / p2)
+    r1, r2 = P * y / p1, P * (1.0 - y) / p2  # with P > 0: > 0 iff 0 < y < 1, short of underflow
+    if not np.all((0.0 < x) & (x < 1.0) & (r1 > 0.0) & (r2 > 0.0)):
+        raise DomainError("x and y must lie inside (0, 1), y where P y / Psat1 > 0")
+    g = x * np.log(r1) + (1.0 - x) * np.log(r2)
     return float(g) if g.ndim == 0 else g
 
 

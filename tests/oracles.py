@@ -5,9 +5,11 @@ in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
 property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
 is the path that ``control.simulate`` on Python floats replaced. Likewise
-the full-matrix SPD solve and the SPD solve through scipy's f2py LAPACK
-wrappers (``f2py_cholesky_with_jitter`` and ``f2py_solve_spd``, which hold
-the GIL), the bubble point that re-evaluates every UNIQUAC
+the full-matrix SPD factor and the factor of ``linalg``'s private copy, both
+from ``np.linalg.cholesky`` (the same ``dpotrf`` as the ctypes bridge), with
+solves through scipy's ``cho_solve`` (``copy_cholesky_with_jitter`` and
+``copy_solve_spd``), the low-rank factor from scipy's f2py ``dpstrf`` and
+``svd`` (``low_rank_psd_factor``), the bubble point that re-evaluates every UNIQUAC
 term at each step of a plain bisection (``bisect_window``, which evaluates
 every midpoint), the symmetrized Gram matrix, the cross-Gram
 matrix and least pairwise distance from scipy's ``cdist`` and ``pdist``, and
@@ -499,7 +501,7 @@ def joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.nda
 
 
 def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of M with full-matrix checks and scipy's own copy."""
+    """Lower Cholesky factor of M with full-matrix checks and numpy's own copy."""
     M = _as_2d(M)
     _check_finite(M, "matrix")
     dim = M.shape[0]
@@ -512,15 +514,16 @@ def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
     jitter = 0.0
     for attempt in range(linalg.MAX_JITTER_RETRIES + 1):
         try:
-            L = scipy.linalg.cholesky(M + jitter * np.eye(dim) if jitter else M, lower=True)
+            L = np.linalg.cholesky(M + jitter * np.eye(dim) if jitter else M)
             return L, jitter
-        except scipy.linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
 def _cho_solve_spd(cholesky, M, rhs) -> np.ndarray:
-    """solve_spd from the factor cholesky(M) and scipy's cho_solve."""
+    """solve_spd from the factor cholesky(M) and scipy's cho_solve (scipy's
+    own dpotrs, in scipy's copy of OpenBLAS)."""
     M = _as_2d(M)
     rhs_arr = np.asarray(rhs, dtype=float)
     was_1d = rhs_arr.ndim == 1
@@ -537,9 +540,9 @@ def solve_spd(M, rhs) -> np.ndarray:
     return _cho_solve_spd(cholesky_with_jitter, M, rhs)
 
 
-def f2py_cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
-    """linalg.cholesky_with_jitter through scipy's f2py dpotrf wrapper
-    (scipy.linalg.cholesky), which holds the GIL during the factorization."""
+def copy_cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
+    """linalg.cholesky_with_jitter's private copy (M' when M is exactly
+    symmetric, jitter added on the diagonal only) factored by np.linalg.cholesky."""
     M, asymmetry = linalg._symmetric(M)
     dim = M.shape[0]
     base = linalg.JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
@@ -550,16 +553,30 @@ def f2py_cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
         if jitter:
             A.flat[::dim + 1] += jitter
         try:
-            L = scipy.linalg.cholesky(A, lower=True, overwrite_a=True, check_finite=False)
-            return L, jitter
-        except scipy.linalg.LinAlgError:
+            return np.linalg.cholesky(A), jitter
+        except np.linalg.LinAlgError:
             jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
-def f2py_solve_spd(M, rhs) -> np.ndarray:
-    """linalg.solve_spd through f2py_cholesky_with_jitter and scipy's cho_solve."""
-    return _cho_solve_spd(f2py_cholesky_with_jitter, M, rhs)
+def copy_solve_spd(M, rhs) -> np.ndarray:
+    """linalg.solve_spd through copy_cholesky_with_jitter and scipy's cho_solve."""
+    return _cho_solve_spd(copy_cholesky_with_jitter, M, rhs)
+
+
+def low_rank_psd_factor(G) -> linalg.LowRankFactor:
+    """linalg.low_rank_psd_factor through scipy's f2py dpstrf and svd (scipy's
+    own copy of OpenBLAS)."""
+    G, _ = linalg._symmetric(G)
+    n = G.shape[0]
+    diag = G.diagonal()
+    tol = n * np.finfo(float).eps * max(diag.max(), 0.0)
+    C, piv, rank, _ = scipy.linalg.lapack.dpstrf(G.T, tol=tol, lower=1)
+    L = np.zeros((n, rank))
+    L[piv - 1] = np.tril(C[:, :rank])
+    W, s, _ = scipy.linalg.svd(L, full_matrices=False)
+    return linalg.LowRankFactor(W=W, mu=s * s,
+                                tail=float((diag - np.einsum("ij,ij->i", L, L)).sum()))
 
 
 def uniquac_gamma(p: UniquacParams, x1: float, T: float) -> tuple[float, float]:

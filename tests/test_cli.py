@@ -73,6 +73,9 @@ class TestCliRuns:
         assert manifest["config"]["seed"] == 3
         # vle-data writes one dataset and draws no validation or theta seed
         assert manifest["seeds"] == {"data_seed": 3}
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["numpy_lapack"] == f"{lapack['name']} {lapack['version']}"
 
     @pytest.mark.parametrize("call", [("setting1", "--n", "5", "--lambda", "1e-200"),
                                       ("setting3", "--n", "5", "--m", "3", "--lambda", "1e-200"),

@@ -89,10 +89,10 @@ class TestSolveSpd:
 
 
 class TestLapackBridge:
-    @pytest.mark.parametrize("name", ["_dpotrf", "_dlaset", "_dpotrs"])
+    @pytest.mark.parametrize("name", ["_dpotrf", "_dlaset", "_dpotrs", "_dpstrf"])
     def test_routines_release_the_gil(self, name):
-        # a CFUNCTYPE foreign call releases the GIL while it runs; a
-        # PYFUNCTYPE one (the pythonapi flag) would hold it
+        # a CDLL (CFUNCTYPE) foreign call releases the GIL while it runs; a
+        # PyDLL (PYFUNCTYPE) one, with the pythonapi flag, would hold it
         routine = getattr(linalg, name)
         assert isinstance(routine, ctypes._CFuncPtr)
         assert routine._flags_ == ctypes.CFUNCTYPE(None)._flags_
@@ -100,10 +100,14 @@ class TestLapackBridge:
 
     def test_rejected_argument_raises(self, capfd):  # capfd keeps xerbla's message quiet
         A = np.eye(2, order="F")
-        two, one = ctypes.byref(ctypes.c_int(2)), ctypes.byref(ctypes.c_int(1))
+        two, one = ctypes.byref(ctypes.c_int64(2)), ctypes.byref(ctypes.c_int64(1))
         with pytest.raises(DimensionMismatch, match="dpotrf rejected argument 4"):
             linalg._lapack_info(linalg._dpotrf, "dpotrf", b"L", two, A.ctypes.data, one)
         np.testing.assert_array_equal(A, np.eye(2))
+
+    def test_missing_routine_is_an_import_error(self):
+        with pytest.raises(ImportError, match="scipy-openblas64.*numpy.*no scipy_dnosuch_64_"):
+            linalg._lapack("dnosuch")
 
 
 def gram_1d(n: int, seed: int) -> np.ndarray:

@@ -196,6 +196,11 @@ class TestExcessGibbsTarget:
         with pytest.raises(DomainError):
             tv.excess_gibbs_from_txy([0.3, 1.0], [0.5, 0.6], 90.0)
 
+    def test_vapor_fraction_that_underflows_the_ratio_is_rejected(self):
+        # y = 5e-324 lies inside (0, 1), but P y / Psat1 underflows to 0
+        with pytest.raises(DomainError):
+            tv.excess_gibbs_from_txy(0.5, 5e-324, 60.0, P=100.0)
+
     def test_shapes(self):
         assert type(tv.excess_gibbs_from_txy(0.3, 0.5, 90.0)) is float
         assert tv.excess_gibbs_from_txy([0.3], 0.5, 90.0).shape == (1,)
