@@ -12,8 +12,10 @@
 # status, and the other calls are still compared. Prints one line per call
 # and exits 1 if any call failed or differs. Under a call that differs it
 # lists each differing file with the largest absolute and relative difference
-# over its numeric cells (CSV cells split at ',' and ';', JSON leaves), or
-# says that non-numeric text or the layout differs.
+# over its numeric cells (CSV cells split at ',' and ';', JSON leaves) and the
+# file's max-norm difference, max |delta| over the largest |value| in either
+# file (which a near-zero cell cannot inflate), or says that non-numeric text
+# or the layout differs.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -98,18 +100,22 @@ for name in names:
     if len(ca) != len(cb):
         print(f"           {name}: layout differs ({len(ca)} against {len(cb)} cells)")
         continue
-    worst_abs = worst_rel = 0.0
+    worst_abs = worst_rel = largest = 0.0
     text_differs = False
     for x, y in zip(ca, cb):
         fx, fy = number(x), number(y)
         if fx is None or fy is None:
             text_differs |= x != y
-        elif fx != fy and not (math.isnan(fx) and math.isnan(fy)):
+            continue
+        largest = max([largest] + [abs(v) for v in (fx, fy) if math.isfinite(v)])
+        if fx != fy and not (math.isnan(fx) and math.isnan(fy)):
             d = abs(fx - fy) if math.isfinite(fx) and math.isfinite(fy) else math.inf
             worst_abs = max(worst_abs, d)
             worst_rel = max(worst_rel, d / max(abs(fx), abs(fy)))
+    norm = worst_abs / largest if largest else (math.inf if worst_abs else 0.0)
     note = "; non-numeric text differs" if text_differs else ""
-    print(f"           {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}{note}")
+    print(f"           {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "
+          f"max-norm {norm:.3g}{note}")
 PY
 }
 

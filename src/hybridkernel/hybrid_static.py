@@ -136,7 +136,7 @@ class Design:
     from which the reference fit solves every lambda; a design on another set
     has none. DtD and Dty are D'D and D'y of D = [F, G]; only the subspace
     fit reads them. The arrays are read, never written, so pool threads share a
-    design.
+    design: the subspace fit factors a joint matrix it builds, not these.
     """
 
     features: Callable
@@ -227,14 +227,14 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> Hybrid
     """Joint fit of linear parameters theta and the kernel residual.
 
     Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
-    jittered SPD path.
+    jittered SPD path, which factors the joint matrix in its own memory.
     """
     if not (np.isfinite(lambda_theta) and lambda_theta > 0
             and np.isfinite(lambda_r) and lambda_r > 0):
         raise DomainError("regularization weights must be finite and positive, got "
                           f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
     p = design.F.shape[1]
-    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r), design.Dty)
+    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r), design.Dty, overwrite=True)
     return design.model(sol[:p], sol[p:])
 
 

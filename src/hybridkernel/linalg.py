@@ -80,14 +80,25 @@ def _check_finite(a: np.ndarray, name: str) -> None:
         raise DimensionMismatch(f"{name} contains NaN/Inf entries")
 
 
-def _max_asymmetry(M: np.ndarray) -> float:
-    """max |M - M'|, from the tiles on and above the diagonal against the
-    transposed tiles below it, without an n x n temporary."""
-    t, worst = SYMMETRY_TILE, 0.0
+def _tile_pairs(M: np.ndarray):
+    """Each tile of M on and above the diagonal, its mirror tile below it, and
+    whether the two are the same diagonal tile."""
+    t = SYMMETRY_TILE
     for i in range(0, M.shape[0], t):
         for j in range(i, M.shape[0], t):
-            worst = max(worst, float(np.abs(M[i:i + t, j:j + t] - M[j:j + t, i:i + t].T).max()))
-    return worst
+            yield M[i:i + t, j:j + t], M[j:j + t, i:i + t], i == j
+
+
+def _max_asymmetry(M: np.ndarray) -> float:
+    """max |M - M'|, tile against mirror tile, without an n x n temporary."""
+    return max(float(np.abs(up - low.T).max()) for up, low, _ in _tile_pairs(M))
+
+
+def _mirror(A: np.ndarray) -> None:
+    """Copy A's strict upper triangle onto its strict lower one, tile by tile,
+    without an n x n temporary (A' for the other way)."""
+    for up, low, diagonal in _tile_pairs(A):
+        np.copyto(low, up.T, where=np.tri(*low.shape, -1, dtype=bool) if diagonal else True)
 
 
 def _symmetric(M) -> tuple[np.ndarray, float]:
@@ -104,40 +115,50 @@ def _symmetric(M) -> tuple[np.ndarray, float]:
     return M, asymmetry
 
 
-def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
+def cholesky_with_jitter(M, overwrite: bool = False) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M, escalating a diagonal jitter on failure.
 
     Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
-    budget (1e-7 * trace/dim) is exhausted. M itself is never written.
+    budget (1e-7 * trace/dim) is exhausted. LAPACK factors one n x n
+    Fortran-ordered buffer in place. With overwrite=False it is a private
+    copy and M is never written. With overwrite=True it is M's own memory
+    when M is a writeable C- or F-contiguous float64 array (L then shares
+    M's memory, and M's values are lost, also on error); otherwise a private
+    copy.
     """
     M, asymmetry = _symmetric(M)
     dim = M.shape[0]
     base = JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
-    jitter = 0.0
-    A = np.empty(M.shape, order="F")
+    # the buffer holds M or, when M is not F-contiguous, M' (the same values
+    # when M is exactly symmetric); dpotrf factors M's lower triangle
+    S = M if M.flags.f_contiguous else M.T
+    A = S if overwrite and S.flags.f_contiguous and S.flags.writeable else np.array(S, order="F")
+    if asymmetry:  # within tolerance: mirror M's lower triangle onto the other
+        _mirror(A.T if S is M else A)
+    diagonal, jitter = A.diagonal().copy(), 0.0
     a = A.ctypes.data
     n, n1 = (ctypes.byref(ctypes.c_int64(d)) for d in (dim, dim - 1))
     zero = ctypes.byref(ctypes.c_double(0.0))
     for attempt in range(MAX_JITTER_RETRIES + 1):
-        # LAPACK factors this private Fortran-ordered copy in place, and each
-        # attempt refills the same buffer; an exactly symmetric M equals M',
-        # whose copy is plain, not transposing (faster)
-        np.copyto(A, M if asymmetry else M.T)
-        if jitter:
-            A.flat[::dim + 1] += jitter
+        if jitter:  # dpotrf('L') never writes the strict upper triangle: restore from it
+            _mirror(A)
+            A.flat[::dim + 1] = diagonal + jitter
         if _lapack_info(_dpotrf, "dpotrf", b"L", n, a, n) == 0:
-            # dpotrf leaves the strict upper triangle of A as it was; it is
-            # the upper triangle of A[:-1, 1:], which dlaset sets to 0
+            # the strict upper triangle of A is that of A[:-1, 1:], which
+            # dlaset sets to 0
             _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n, 1)
             return A, jitter
         jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
-def solve_spd(M, rhs) -> np.ndarray:
+def solve_spd(M, rhs, overwrite: bool = False) -> np.ndarray:
     """Solve M X = rhs for symmetric (near-)positive-definite M.
 
-    Output shape matches rhs (a 1-D rhs yields a 1-D solution).
+    Output shape matches rhs (a 1-D rhs yields a 1-D solution). M is
+    factored by cholesky_with_jitter with the same `overwrite`: False never
+    writes M; True lets the factorization use M's memory, for a caller that
+    built M for this one call.
     """
     M = _as_2d(M)
     rhs_arr = np.asarray(rhs, dtype=float)
@@ -146,7 +167,7 @@ def solve_spd(M, rhs) -> np.ndarray:
     _check_finite(B, "rhs")
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
-    L, _ = cholesky_with_jitter(M)
+    L, _ = cholesky_with_jitter(M, overwrite)
     X = np.array(B, order="F")  # dpotrs overwrites its right-hand side with X
     n, k = (ctypes.byref(ctypes.c_int64(d)) for d in B.shape)
     _lapack_info(_dpotrs, "dpotrs", b"L", n, k, L.ctypes.data, n, X.ctypes.data, n)
@@ -217,7 +238,7 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     if factor.tail + b.shape[0] * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10:
         M = G.copy()
         M.flat[::M.shape[0] + 1] += lam
-        return solve_spd(M, b)
+        return solve_spd(M, b, overwrite=True)
     W = factor.W
     # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam); past
     # lam = 1e150, lam (mu + lam) would overflow, and mu/lam is divided first

@@ -227,7 +227,8 @@ def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
     x, y, T = (np.asarray(v, dtype=float) for v in (x, y, T))
     p1, p2 = (np.array([antoine_psat(c, t) for t in T.ravel().tolist()]).reshape(T.shape)
               for c in (antoine1, antoine2))
-    r1, r2 = P * y / p1, P * (1.0 - y) / p2  # with P > 0: > 0 iff 0 < y < 1, short of underflow
+    with np.errstate(over="ignore"):  # a y of huge magnitude gives +-inf, rejected below
+        r1, r2 = P * y / p1, P * (1.0 - y) / p2  # with P > 0: > 0 iff 0 < y < 1, short of underflow
     if not np.all((0.0 < x) & (x < 1.0) & (r1 > 0.0) & (r2 > 0.0)):
         raise DomainError("x and y must lie inside (0, 1), y where P y / Psat1 > 0")
     g = x * np.log(r1) + (1.0 - x) * np.log(r2)

@@ -46,10 +46,12 @@ polynomials; ``clf_rates_fields`` and
 scalar Wilson model, one parameter pair at one point, and ``cstr_f0_member``
 the CSTR drift family at one parameter pair: the per-sample paths that the
 array families ``thermo_vle.wilson_gex`` and ``koopman.cstr_f0_family``
-replaced.
+replaced. ``peak_traced_bytes`` is the memory check of the in-place SPD solves:
+numpy reports its buffers to ``tracemalloc``.
 """
 
 import csv
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -541,8 +543,10 @@ def solve_spd(M, rhs) -> np.ndarray:
 
 
 def copy_cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
-    """linalg.cholesky_with_jitter's private copy (M' when M is exactly
-    symmetric, jitter added on the diagonal only) factored by np.linalg.cholesky."""
+    """The Fortran-ordered copy of M that linalg.cholesky_with_jitter refilled
+    on each attempt before it factored one buffer in place (M' when M is
+    exactly symmetric, jitter added on the diagonal only), factored by
+    np.linalg.cholesky."""
     M, asymmetry = linalg._symmetric(M)
     dim = M.shape[0]
     base = linalg.JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
@@ -765,3 +769,13 @@ def save_csv(traj, path) -> None:
             u = traj.controls[i] if i < traj.controls.size else ""
             writer.writerow([repr(float(t)), repr(float(traj.states[i, 0])),
                              repr(float(traj.states[i, 1])), repr(float(u)) if u != "" else ""])
+
+
+def peak_traced_bytes(fn, *args) -> int:
+    """The most memory that fn(*args) held at once, as tracemalloc saw it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

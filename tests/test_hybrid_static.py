@@ -144,6 +144,16 @@ class TestSubspace:
             val = oracles.objective(design, theta_hat, fixed.coeffs, penalty, lr)
             assert opt <= val + 1e-8
 
+    def test_joint_matrix_is_factored_in_its_own_memory(self):
+        # one (n + 2)^2 buffer: building the joint matrix and factoring a
+        # private copy of it held two
+        n = 400
+        design = hs.design(toy_dataset(n, seed=6),
+                           lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1),
+                           KX, joint=True)
+        peak = oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0)
+        assert peak < 1.5 * 8 * (n + 2) ** 2
+
     def test_objective_matches_solution(self):
         data = toy_dataset(15, seed=4)
         fmap = lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)

@@ -15,6 +15,7 @@ from hybridkernel.kernels import KernelSpec, gram
 from hybridkernel.linalg import (JITTER_INIT, MAX_JITTER_RETRIES, LowRankFactor,
                                  cholesky_with_jitter, low_rank_psd_factor, solve_least_squares,
                                  solve_shifted, solve_spd)
+import oracles
 from oracles import kron, unvec, vec
 
 
@@ -82,6 +83,17 @@ class TestSolveSpd:
         before = M.copy()
         cholesky_with_jitter(M)
         np.testing.assert_array_equal(M, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_overwrite_factors_in_the_input_memory(self, order):
+        M = np.asarray(np.diag([4.0, 2.0, 1.0]) + 0.5, order=order)
+        b = np.array([1.0, 2.0, 3.0])
+        expected_L, expected_x = cholesky_with_jitter(M)[0], solve_spd(M, b)
+        A = M.copy(order="K")
+        L, _ = cholesky_with_jitter(A, overwrite=True)
+        assert np.shares_memory(L, A) and np.array_equal(L, expected_L)
+        np.testing.assert_array_equal(solve_spd(M.copy(order="K"), b, overwrite=True),
+                                      expected_x)
 
     def test_preserves_1d_rhs(self):
         x = solve_spd(np.eye(2), np.array([1.0, 2.0]))
@@ -194,6 +206,16 @@ class TestShiftedSolve:
         b = np.random.default_rng(3).standard_normal(n)
         M = G + lam * np.eye(n)
         np.testing.assert_array_equal(solve_shifted(G, factor, lam, b), solve_spd(M, b))
+
+    def test_dense_fallback_factors_in_one_n_by_n_buffer(self):
+        # the shifted copy of G is factored in place: a private copy of it
+        # for the factorization held a second n x n buffer
+        n, lam = 400, 1e-12
+        G = gram_1d(n, seed=4)
+        factor = low_rank_psd_factor(G)
+        assert factor.tail + n * np.finfo(float).eps * factor.mu.max() >= lam / 10
+        b = np.random.default_rng(4).standard_normal(n)
+        assert oracles.peak_traced_bytes(solve_shifted, G, factor, lam, b) < 1.5 * 8 * n * n
 
     def test_full_rank_factor_is_exact(self):
         M = np.diag([4.0, 2.0, 1.0])

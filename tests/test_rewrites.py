@@ -21,6 +21,7 @@ oracle, and at n = 2000 to 1e-11 relative of an exact solve from a full
 eigendecomposition.
 """
 
+import ctypes
 import json
 import math
 import os
@@ -194,6 +195,54 @@ def test_lapack_bridge_matches_f2py_wrappers(dim, kind, order, exact, k, seed):
         if not isinstance(x, type):
             assert x.flags.f_contiguous
     np.testing.assert_array_equal(M, before)
+
+
+def late_failure_case(seed: int) -> np.ndarray:
+    """600 x 600, rank 500, shifted down by half the fifth jitter step: its
+    leading 500 x 500 block is positive definite (eigenvalues in about
+    [1, 9]), so dpotrf fails only past column 500, beyond a LAPACK block,
+    once it has written most of the lower triangle; the steps before the
+    fifth fail the same way."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((600, 500)) / np.sqrt(500)
+    X[:500] += 2.0 * np.eye(500)
+    M = X @ X.T
+    base = linalg.JITTER_INIT * np.trace(M) / 600
+    return M - 0.5 * base * 1e4 * np.eye(600)
+
+
+def as_layout(M: np.ndarray, layout: str) -> np.ndarray:
+    """M in C or F order, read-only, or as a strided (non-contiguous) view."""
+    if layout == "strided":
+        return np.repeat(M, 2, axis=0)[::2]
+    A = np.array(M, order="F" if layout == "F" else "C")
+    A.setflags(write=layout != "readonly")
+    return A
+
+
+@pytest.mark.parametrize("kind", ["late", "spd", "semidefinite", "indefinite"])
+@pytest.mark.parametrize("overwrite", [False, True])
+@pytest.mark.parametrize("layout", ["C", "F", "readonly", "strided"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_in_place_jitter_loop_matches_full_matrix_path(kind, overwrite, layout, exact):
+    """Each jitter attempt restores the lower triangle from the strict upper
+    one and a saved diagonal; the factor and jitter equal those of the oracle,
+    which adds the jitter to a fresh M each attempt, bit for bit. M is written
+    only with overwrite=True, and only when it is writeable and contiguous."""
+    M = late_failure_case(0) if kind == "late" else bridge_case(2 * TILE + 3, kind, 0)
+    if not exact:  # an asymmetry below tolerance: dpotrf factors M's lower triangle
+        M[-1, 0] += 1e-3 * linalg.SYMMETRY_RTOL * np.abs(M).max()
+    if kind == "late":
+        A, n = np.array(M, order="F"), ctypes.byref(ctypes.c_int64(600))
+        assert linalg._lapack_info(linalg._dpotrf, "dpotrf", b"L", n, A.ctypes.data, n) > 500
+    M = as_layout(M, layout)
+    before = M.copy()
+    expected = outcome(oracles.cholesky_with_jitter, M)
+    assert_same_factor(outcome(linalg.cholesky_with_jitter, M, overwrite), expected)
+    if kind == "late":
+        assert expected[1] == linalg.JITTER_INIT * (np.trace(before) / 600) * 10.0 ** 4
+    if not overwrite or layout in ("readonly", "strided"):
+        np.testing.assert_array_equal(M, before)
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False, width=64)
