@@ -12,10 +12,14 @@
 # end-to-end metric in the parent's BENCHMARK.json, the script prints the
 # median and quartiles of each side (statistics.quantiles, inclusive method),
 # the number of pairs in which the change is better (ties count for neither
-# side) and the median relative change; then each side's count of correct
-# runs and its attempted and failed samples. A run that exits nonzero or
-# prints no result counts as not correct, and its pair is not counted. Uses
-# the Python standard library only.
+# side), the median relative change and a verdict against the metric's
+# bound (a share of the parent's median): "worse than bound" when the change's
+# median is worse than the parent's by more than the bound; else "unresolved"
+# when the parent's interquartile range is wider than the bound and not every
+# change run beats every parent run; else "within bound". Then it prints each
+# side's count of correct runs and its attempted and failed samples. A run
+# that exits nonzero or prints no result counts as not correct, and its pair
+# is not counted. Uses the Python standard library only.
 set -euo pipefail
 
 if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
@@ -103,11 +107,21 @@ for metric in json.load(open(benchmark_path))["end_to_end"]:
     ties = sum(c[s] == p[s] for s in both)
     (pm, p1, p3), (cm, c1, c3) = spread(list(p.values())), spread(list(c.values()))
     rel = (cm - pm) / pm if pm else float("nan")
+    limit = metric["bound"] * abs(pm)
+    beats_all = (max(c.values()) < min(p.values()) if lower
+                 else min(c.values()) > max(p.values()))
+    if (cm - pm if lower else pm - cm) > limit:
+        verdict = "worse than bound"
+    elif p3 - p1 > limit and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     print(f"{name:12s} parent {pm!r} [{p1!r} - {p3!r}]")
     print(f"{'':12s} change {cm!r} [{c1!r} - {c3!r}]  {metric['unit']}, "
           f"{metric['better']} is better")
     print(f"{'':12s} change better in {better} of {len(seeds)} pairs ({ties} ties, "
           f"{len(seeds) - len(both)} without a value); median change {rel:+.2%}")
+    print(f"{'':12s} {verdict} (bound {metric['bound']:g} of the parent's median)")
 for side in ("parent", "change"):
     docs = list(runs[side].values())
     done = [d for d in docs if d is not None]

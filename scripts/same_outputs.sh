@@ -12,10 +12,14 @@
 # status, and the other calls are still compared. Prints one line per call
 # and exits 1 if any call failed or differs. Under a call that differs it
 # lists each differing file with the largest absolute and relative difference
-# over its numeric cells (CSV cells split at ',' and ';', JSON leaves) and the
-# file's max-norm difference, max |delta| over the largest |value| in either
-# file (which a near-zero cell cannot inflate), or says that non-numeric text
-# or the layout differs.
+# over its numeric cells (CSV cells split at ',' and ';', JSON leaves, string
+# leaves split at ';') and the file's max-norm difference with the field that
+# sets it, or says that the layout differs. A field is a CSV column or a JSON
+# key path; its max-norm is its max |delta| over its largest |value| in either
+# file (which a near-zero cell cannot inflate), and the file's is the largest
+# over its fields. Integer JSON leaves (seeds, indices) are compared exactly and
+# stay out of every scale; the line names each field whose text or integers
+# differ.
 set -euo pipefail
 
 if [ "$#" -ne 2 ]; then
@@ -63,23 +67,31 @@ import filecmp, json, math, sys
 from pathlib import Path
 
 def cells(path):
+    """(field, cell) pairs: each cell of a CSV column under the column's header,
+    each leaf of a JSON document under its key path (list indices left out),
+    and each JSON key as a text cell of its parent's path."""
     if path.suffix == ".json":
-        def leaves(v):
+        def leaves(v, field):
             if isinstance(v, dict):
                 for k, x in v.items():
-                    yield k
-                    yield from leaves(x)
+                    yield field or "(top level)", k
+                    yield from leaves(x, f"{field}.{k}" if field else k)
             elif isinstance(v, list):
                 for x in v:
-                    yield from leaves(x)
+                    yield from leaves(x, field)
+            elif isinstance(v, str):
+                yield from ((field, c) for c in v.split(";"))
             else:
-                yield v
-        return list(leaves(json.loads(path.read_text())))
-    return [c for line in path.read_text().splitlines()
-            for cell in line.split(",") for c in cell.split(";")]
+                yield field, v
+        return list(leaves(json.loads(path.read_text()), ""))
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",") if lines else []
+    return [(header[j] if j < len(header) else f"column {j}", c)
+            for line in lines for j, cell in enumerate(line.split(","))
+            for c in cell.split(";")]
 
 def number(c):
-    if isinstance(c, bool) or c is None:
+    if isinstance(c, int) or c is None:  # bool is an int
         return None
     try:
         return float(c)
@@ -100,22 +112,27 @@ for name in names:
     if len(ca) != len(cb):
         print(f"           {name}: layout differs ({len(ca)} against {len(cb)} cells)")
         continue
-    worst_abs = worst_rel = largest = 0.0
-    text_differs = False
-    for x, y in zip(ca, cb):
+    worst_abs = worst_rel = 0.0
+    largest, delta, text_fields = {}, {}, set()
+    for (field, x), (_, y) in zip(ca, cb):
         fx, fy = number(x), number(y)
         if fx is None or fy is None:
-            text_differs |= x != y
+            if x != y:
+                text_fields.add(field)
             continue
-        largest = max([largest] + [abs(v) for v in (fx, fy) if math.isfinite(v)])
+        largest[field] = max([largest.get(field, 0.0)]
+                             + [abs(v) for v in (fx, fy) if math.isfinite(v)])
         if fx != fy and not (math.isnan(fx) and math.isnan(fy)):
             d = abs(fx - fy) if math.isfinite(fx) and math.isfinite(fy) else math.inf
             worst_abs = max(worst_abs, d)
             worst_rel = max(worst_rel, d / max(abs(fx), abs(fy)))
-    norm = worst_abs / largest if largest else (math.inf if worst_abs else 0.0)
-    note = "; non-numeric text differs" if text_differs else ""
+            delta[field] = max(delta.get(field, 0.0), d)
+    norms = {f: d / largest[f] if largest[f] else math.inf for f, d in delta.items()}
+    worst = max(norms, key=norms.get, default=None)
+    norm = f"{norms[worst]:.3g} ({worst})" if worst is not None else "0"
+    note = f"; text or integers differ in {', '.join(sorted(text_fields))}" if text_fields else ""
     print(f"           {name}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g}, "
-          f"max-norm {norm:.3g}{note}")
+          f"max-norm {norm}{note}")
 PY
 }
 

@@ -232,17 +232,12 @@ def run(config: ExperimentConfig) -> int:
         out.json("comparison.json", [{k: v for k, v in row.items()
                                       if not k.startswith("trajectory")} for row in rows])
         (out.root / "trajectories").mkdir(exist_ok=True)
-        # the rows of one initial state share its truth trajectory: format it
-        # once, and hold one such text at a time
-        by_state = {}
+        # the rows of one initial state share its truth trajectory
+        for k, traj in {row["x0_index"]: row["trajectory_truth"] for row in rows}.items():
+            out.text(f"trajectories/truth_x{k}.csv", trajectory_csv(traj))
         for i, row in enumerate(rows):
-            by_state.setdefault(row["x0_index"], []).append(i)
-        for run in by_state.values():
-            truth_csv = trajectory_csv(rows[run[0]]["trajectory_truth"])
-            for i in run:
-                name = f"trajectories/run{i:03d}_x{rows[i]['x0_index']}"
-                out.text(f"{name}_truth.csv", truth_csv)
-                out.text(f"{name}_model.csv", trajectory_csv(rows[i]["trajectory_model"]))
+            out.text(f"trajectories/run{i:03d}_x{row['x0_index']}_model.csv",
+                     trajectory_csv(row["trajectory_model"]))
 
     out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
                                "numpy_lapack": LAPACK_BUILD,

@@ -108,19 +108,20 @@ def seeds(experiment: str, seed: int) -> dict:
     return out
 
 
+def _row(lam, fitted, train, val, **extra) -> dict:
+    """One static sweep row: lambda, the fit's training and validation RMSE,
+    then the setting's extra entries."""
+    return {"lambda": float(lam), "train_rmse": hybrid_static.rmse(fitted, train),
+            "val_rmse": hybrid_static.rmse(fitted, val), **extra}
+
+
 def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[dict]:
     """KRR around the relative-volatility reference on (x, y) data."""
     train = hybrid_static.design(xy_dataset(n, seed), relative_volatility_reference,
                                  KernelSpec(gamma=DEFAULT_GAMMA_X))
     val = train.at(xy_dataset(n, seeds("setting1", seed)["validation_seed"]))
-
-    def one(lam):
-        model = hybrid_static.fit_reference_krr(train, lam)
-        return {"lambda": float(lam),
-                "train_rmse": hybrid_static.rmse(model, train),
-                "val_rmse": hybrid_static.rmse(model, val)}
-
-    return _map_grid(one, list(lambda_grid))
+    return _map_grid(lambda lam: _row(lam, hybrid_static.fit_reference_krr(train, lam),
+                                      train, val), list(lambda_grid))
 
 
 def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> dict:
@@ -138,16 +139,8 @@ def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
         ref = hybrid_static.fit_reference_krr(ref_train, lam)
         sub = hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
                                          lambda_r=lam)
-        return (
-            {"lambda": float(lam),
-             "train_rmse": hybrid_static.rmse(ref, ref_train),
-             "val_rmse": hybrid_static.rmse(ref, ref_val)},
-            {"lambda": float(lam),
-             "train_rmse": hybrid_static.rmse(sub, sub_train),
-             "val_rmse": hybrid_static.rmse(sub, sub_val),
-             "theta_star": sub.weights,
-             "model": sub},
-        )
+        return (_row(lam, ref, ref_train, ref_val),
+                _row(lam, sub, sub_train, sub_val, theta_star=sub.weights, model=sub))
 
     rows = _map_grid(one, list(lambda_grid))
     return {"reference": [r[0] for r in rows], "margules": [r[1] for r in rows]}
@@ -164,13 +157,9 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
 
     def one(lam):
         model = hybrid_static.fit_mixture(train, lambda_r=lam)
-        return {"lambda": float(lam),
-                "train_rmse": hybrid_static.rmse(model, train),
-                "val_rmse": hybrid_static.rmse(model, val),
-                "theta_star": hybrid_static.effective_parameter(model.weights, thetas),
-                "weights": model.weights,
-                "theta_samples": thetas,
-                "model": model}
+        return _row(lam, model, train, val,
+                    theta_star=hybrid_static.effective_parameter(model.weights, thetas),
+                    weights=model.weights, theta_samples=thetas, model=model)
 
     return _map_grid(one, list(lambda_grid))
 

@@ -128,7 +128,11 @@ def cholesky_with_jitter(M, overwrite: bool = False) -> tuple[np.ndarray, float]
     """
     M, asymmetry = _symmetric(M)
     dim = M.shape[0]
-    base = JITTER_INIT * max(np.trace(M) / dim, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # a finite diagonal can sum past the largest double
+        mean = np.trace(M) / dim
+        if not np.isfinite(mean):
+            mean = np.sum(M.diagonal() / dim)
+    base = JITTER_INIT * max(mean, np.finfo(float).tiny)
     # the buffer holds M or, when M is not F-contiguous, M' (the same values
     # when M is exactly symmetric); dpotrf factors M's lower triangle
     S = M if M.flags.f_contiguous else M.T

@@ -195,19 +195,21 @@ class TestCliRuns:
         assert set(listed) == written - {"manifest.json"}
 
     def test_control_trajectory_files(self, tmp_path):
-        # each run's pair of CSVs holds its own row's trajectories, although
-        # the truth text is formatted once per initial state
+        # one truth file per initial state, which its rows share, and one
+        # model file per row
         grid = (1e-2, 1.0)
         assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "0.01,1",
                         "--out", str(tmp_path)]) == 0
         rows = experiments.run_control(n=30, m=5, lambda_grid=grid)
-        written = sorted(p.name for p in (tmp_path / "trajectories").iterdir())
-        assert len(written) == 2 * len(rows)
+        states = {row["x0_index"]: row["trajectory_truth"] for row in rows}
+        trajectories = tmp_path / "trajectories"
+        assert len(list(trajectories.iterdir())) == len(states) + len(rows)
+        for k, truth in states.items():
+            assert (trajectories / f"truth_x{k}.csv").read_bytes() == \
+                cli.trajectory_csv(truth).encode()
         for i, row in enumerate(rows):
-            for kind in ("truth", "model"):
-                path = tmp_path / "trajectories" / f"run{i:03d}_x{row['x0_index']}_{kind}.csv"
-                assert path.read_bytes() == cli.trajectory_csv(
-                    row[f"trajectory_{kind}"]).encode()
+            assert (trajectories / f"run{i:03d}_x{row['x0_index']}_model.csv").read_bytes() == \
+                cli.trajectory_csv(row["trajectory_model"]).encode()
 
     def test_exit_code_2_on_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -74,6 +74,15 @@ class TestSolveSpd:
         assert jitter == base * 10.0 ** (MAX_JITTER_RETRIES - 1)
         np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(2), rtol=1e-15, atol=0)
 
+    def test_diagonal_summing_past_the_largest_double(self):
+        # the trace overflows although M is finite: no RuntimeWarning, and the
+        # jitter base is the mean of the diagonal
+        assert cholesky_with_jitter(np.diag([1e308, 1e308]))[1] == 0.0
+        M = np.diag([1e308, 1e308, -1e290])
+        L, jitter = cholesky_with_jitter(M)
+        assert jitter == JITTER_INIT * np.sum(np.diag(M) / 3)
+        np.testing.assert_allclose(L @ L.T, M + jitter * np.eye(3), rtol=1e-15, atol=0)
+
     def test_needing_more_than_the_last_step_raises(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky_with_jitter(np.diag([1.0, -1e-7]))
