@@ -142,15 +142,25 @@ def trajectory_csv(traj) -> str:
 
 
 class RunOutput:
-    """Every file one run writes, under one directory. Each write records the
-    file's name, so the manifest lists exactly what the run wrote."""
+    """Every file one run writes, under one directory, each write recording the
+    file's name for the manifest. A failed mkdir or open is a ConfigError."""
 
     def __init__(self, root: Path):
         self.root, self.written = root, []
+        self.mkdir("")
+
+    def mkdir(self, name: str) -> None:
+        try:
+            (self.root / name).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {self.root / name}: {e}") from e
 
     def _open(self, name: str):
         self.written.append(name)
-        return (self.root / name).open("w", newline="")
+        try:
+            return (self.root / name).open("w", newline="")
+        except OSError as e:
+            raise ConfigError(f"cannot write {self.root / name}: {e}") from e
 
     def text(self, name: str, text: str) -> None:
         with self._open(name) as fh:
@@ -188,10 +198,6 @@ VLE_DATA = {"vle-data": ("data",), "setting1": ("train", "val"), "setting2": ("t
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
-    try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"cannot create output directory {config.output_dir}: {e}") from e
     out = RunOutput(config.output_dir)
     seeds = experiments.seeds(config.experiment, config.seed)
     sweep = {"n": config.n, "seed": config.seed, "lambda_grid": config.lambda_grid}
@@ -231,7 +237,7 @@ def run(config: ExperimentConfig) -> int:
         rows = experiments.run_control(m=config.m, **sweep)
         out.json("comparison.json", [{k: v for k, v in row.items()
                                       if not k.startswith("trajectory")} for row in rows])
-        (out.root / "trajectories").mkdir(exist_ok=True)
+        out.mkdir("trajectories")
         # the rows of one initial state share its truth trajectory
         for k, traj in {row["x0_index"]: row["trajectory_truth"] for row in rows}.items():
             out.text(f"trajectories/truth_x{k}.csv", trajectory_csv(traj))

@@ -45,7 +45,10 @@ def clf_value(basis: MonomialBasis, x):
 def clf_rates_fields(basis: MonomialBasis, x1: float, x2: float) -> tuple[float, float]:
     """Lie derivatives of V along the CSTR's drift and input channel at one
     state of floats. Raises NonFinite where grad V is not finite."""
-    g1, g2 = basis.sq_norm_gradient_at(x1, x2)
+    d1, d2 = basis.sq_norm_gradient_coeffs
+    g1, g2 = polyval(d1, x1, x2), polyval(d2, x1, x2)
+    if not (math.isfinite(g1) and math.isfinite(g2)):
+        raise NonFinite(f"grad ||psi||^2 is not finite at x=({x1}, {x2})")
     (f01, f02), (f11, f12) = cstr_fields(x1, x2)
     return g1 * f01 + g2 * f02, g1 * f11 + g2 * f12
 

@@ -38,8 +38,10 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        if d.get("family", "gaussian") != "gaussian":
-            raise ValueError(f"unsupported kernel family {d['family']!r}")
+        if not isinstance(d, dict) or d.get("family", "gaussian") != "gaussian":
+            raise ValueError(f"need a gaussian kernel object, got {d!r}")
+        if isinstance(d["gamma"], bool) or not isinstance(d["gamma"], (int, float)):
+            raise ValueError(f"kernel gamma must be a number, got {d['gamma']!r}")
         return cls(gamma=float(d["gamma"]))
 
 

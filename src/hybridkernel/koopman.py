@@ -6,16 +6,16 @@ parameterized drifts, affine closures, and the bilinear lifted model.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import dropwhile
 from typing import Callable
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import simplex_qp
-from .errors import DimensionMismatch, DomainError, MalformedModel, NonFinite
+from .errors import DimensionMismatch, DomainError, MalformedModel
 from .linalg import solve_least_squares, solve_spd
 
 STATE_BOX = 0.25  # X = [-1/4, 1/4]^2
@@ -48,8 +48,8 @@ class MonomialBasis:
         """
         x = np.asarray(x, dtype=float)
         x1, x2 = x[..., 0], x[..., 1]
-        powers = [x1, x1 * x1][:self.q] + [np.power(x1, k) for k in range(3, self.q + 1)]
-        return np.stack(powers + [x2] + [p * x2 for p in powers[:-1]], axis=-1)
+        x1k = [1.0, x1, x1 * x1] + [np.power(x1, k) for k in range(3, self.q + 1)]
+        return np.stack([x1k[i] * x2 if j else x1k[i] for i, j in self.exponents], axis=-1)
 
     def jacobian(self, x) -> np.ndarray:
         """Partial derivatives of psi at states of shape (..., 2), as (..., N, 2).
@@ -65,26 +65,6 @@ class MonomialBasis:
             J[..., row, 1] = pw(x1, i) * j * pw(x2, j - 1) if j >= 1 else 0.0
         return J
 
-    def sq_norm_gradient_at(self, x1: float, x2: float) -> tuple[float, float]:
-        """grad ||psi||^2 = 2 Dpsi' psi at one state, on Python floats. Raises
-        NonFinite where the powers of x1 overflow or the gradient is not finite."""
-        # ||psi||^2 = sum_{i<=q} x1^2i + x2^2 sum_{i<q} x1^2i: hi and lo sum
-        # i x1^(2i-1) over i <= q and i < q, w sums x1^2i over i < q
-        hi = lo = w = 0.0
-        prev = 1.0
-        try:
-            for i in range(1, self.q + 1):
-                power = x1 ** i
-                lo, hi = hi, hi + i * prev * power
-                w += prev * prev
-                prev = power
-        except OverflowError as e:
-            raise NonFinite(f"powers of x1 overflow at x=({x1}, {x2})") from e
-        g1, g2 = 2.0 * (hi + x2 * x2 * lo), 2.0 * x2 * w
-        if not (math.isfinite(g1) and math.isfinite(g2)):
-            raise NonFinite(f"grad ||psi||^2 is not finite at x=({x1}, {x2})")
-        return g1, g2
-
     def quadratic_coeffs(self, M, v=None) -> tuple:
         """psi(x)' M psi(x) + v' psi(x) as a polynomial for polyval: of degree
         2q in x1 and 2 in x2, as (c0, c1, c2) per power of x1, highest first,
@@ -95,6 +75,15 @@ class MonomialBasis:
         if v is not None:
             np.add.at(C, (f, e), np.asarray(v, dtype=float))
         return tuple(map(tuple, C[:, ::-1].T.tolist()))
+
+    @cached_property
+    def sq_norm_gradient_coeffs(self) -> tuple:
+        """dV/dx1 and dV/dx2 of V = ||psi||^2 as polyval polynomials, from
+        quadratic_coeffs(I) by the power rule, leading zero rows dropped."""
+        C = self.quadratic_coeffs(np.eye(self.N))
+        d1 = [tuple(p * c for c in row) for p, row in zip(range(2 * self.q, 0, -1), C)]
+        d2 = [(c1, 2.0 * c2, 0.0) for _, c1, c2 in C]
+        return tuple(tuple(dropwhile(lambda row: not any(row), d)) for d in (d1, d2))
 
 
 def polyval(coeffs, x1, x2):

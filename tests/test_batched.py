@@ -225,6 +225,16 @@ def test_model_polynomials_give_float_bits_on_coordinate_arrays(q, X, seed):
         zip(kp.polyval(a, X[:, 0], X[:, 1]).tolist(), kp.polyval(b, X[:, 0], X[:, 1]).tolist()))
 
 
+@SETTINGS
+@given(orders, state_arrays())
+def test_gradient_polynomials_give_float_bits_on_coordinate_arrays(q, X):
+    # the truth rates read grad V from the same Horner's rule as the model's
+    # rates, so a batched closed loop gets their per-state bits too
+    for coeffs in kp.MonomialBasis(q=q).sq_norm_gradient_coeffs:
+        batched = kp.polyval(coeffs, X[:, 0], X[:, 1])
+        assert_bit_equal(batched, [kp.polyval(coeffs, *x) for x in map(tuple, X.tolist())])
+
+
 def test_model_polynomials_give_float_bits_on_random_states():
     # 20 000 states meet the inputs on which a BLAS dot product and a
     # per-state sum round apart; Horner's rule must not
@@ -279,8 +289,9 @@ def test_float_loop_matches_array_loop(cstr_controllers, kind, x0, steps):
 @pytest.mark.parametrize("kind", ["truth", "model"])
 @pytest.mark.parametrize("x0, error", [((1e200, 0.0), NonFinite), ((-1.5, 0.0), DomainError)])
 def test_float_loop_raises_as_array_loop(cstr_controllers, kind, x0, error):
-    # Python floats raise OverflowError and ZeroDivisionError where numpy
-    # returns inf; the loop turns them into the array loop's errors
+    # Python floats raise ZeroDivisionError where numpy returns inf, and the
+    # rates of V overflow to inf or NaN; the loop turns both into the array
+    # loop's errors
     new_ctrl, old_ctrl = cstr_controllers[kind]
     with np.errstate(all="ignore"):
         with pytest.raises(HybridKernelError) as old:

@@ -141,12 +141,16 @@ class TestCliRuns:
                                   "--out", tmp / "out"]),
         ("vle-data", lambda tmp: ["--out", _file(tmp / "f", b"")]),
         ("vle-data", lambda tmp: ["--out", _file(tmp / "f", b"") / "out"]),
+        ("vle-data", lambda tmp: ["--out", _dir(tmp / "out" / "data.csv").parent]),
+        ("control", lambda tmp: ["--out", _file(_dir(tmp / "out") / "trajectories", b"").parent,
+                                 "--n", "20", "--m", "3", "--lambda", "1"]),
     ], ids=["config-missing", "config-directory", "config-undecodable", "out-file",
-            "out-under-file"])
+            "out-under-file", "data-file-is-directory", "trajectories-is-file"])
     def test_exit_code_2_on_unusable_path(self, tmp_path, capsys, experiment, path_args):
         args = [experiment, "--n", "5", *map(str, path_args(tmp_path))]
         assert run_cli(args) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not list(tmp_path.rglob("manifest.json"))
 
     def test_exit_code_2_on_empty_out_flag(self, tmp_path, monkeypatch, capsys):
@@ -401,10 +405,16 @@ class TestMalformedModelJson:
         (lambda t: _edited(t, coeffs=[np.inf, -0.3]), MalformedModel),
         (lambda t: _edited(t, anchors=[[0.1], [-np.inf]]), MalformedModel),
         (lambda t: _edited(t, weights=[1.0, -0.5, 0.2]), DimensionMismatch),
+        (lambda t: json.dumps({**json.loads(t), "kernel": None}), MalformedModel),
+        (lambda t: _edited(t, kernel="gaussian"), MalformedModel),
+        (lambda t: _edited(t, kernel=[1]), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": True}), MalformedModel),
+        (lambda t: _edited(t, kernel={"family": "gaussian", "gamma": "2"}), MalformedModel),
     ], ids=["not-json", "missing-block", "ragged", "gamma-0", "gamma-negative",
             "family-laplacian", "coeffs-per-anchor", "gamma-infinity", "gamma-1e400",
             "gamma-nan", "weights-nan", "coeffs-infinity", "anchors-infinity",
-            "weights-per-feature-column"])
+            "weights-per-feature-column", "kernel-null", "kernel-string", "kernel-list",
+            "gamma-true", "gamma-string"])
     def test_hybrid_model(self, edit, error):
         features = thermo_vle.margules_features
         HybridModel.from_json(_hybrid_model_json(), features)  # the unedited one loads
@@ -437,6 +447,11 @@ def _raise(error):
 
 def _file(path, data: bytes):
     path.write_bytes(data)
+    return path
+
+
+def _dir(path):
+    path.mkdir(parents=True)
     return path
 
 

@@ -62,14 +62,14 @@ class TestClfRates:
                 assert abs(dvdt - (a + b * u)) < 1e-5
 
     def test_field_rates_overflow_is_non_finite(self):
-        # the Python-float powers of x1 in grad V overflow at |x1| = 1e200
+        # grad V's polynomials overflow to inf or NaN at |x1| = 1e200
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
             ctl.clf_rates_fields(BASIS3, 1e200, 0.0)
 
     @pytest.mark.parametrize("x", [(1e100, 0.0), (-1e100, 0.0), (0.0, 1e200)])
     def test_field_rates_float_overflow_is_non_finite(self, x):
-        # x1^3 is finite at |x1| = 1e100 but the products of powers in grad V
-        # overflow to inf without an OverflowError; so does x2 * x2 at 1e200
+        # x1^3 is finite at |x1| = 1e100 but Horner's rule in grad V's
+        # polynomials overflows to inf or NaN; so does x2 * x2 at 1e200
         with pytest.raises(NonFinite):
             ctl.clf_rates_fields(BASIS3, *x)
 
