@@ -16,7 +16,10 @@
 # bound (a share of the parent's median): "worse than bound" when the change's
 # median is worse than the parent's by more than the bound; else "unresolved"
 # when the parent's interquartile range is wider than the bound and not every
-# change run beats every parent run; else "within bound". Then it prints each
+# change run beats every parent run; else "within bound". Next to it a gain
+# verdict: "gain shown" when the change is better in at least nine tenths of
+# the pairs and its median is better than the parent's by more than the
+# parent's interquartile range, else "gain not shown". Then it prints each
 # side's count of correct runs and its attempted and failed samples. A run
 # that exits nonzero or prints no result counts as not correct, and its pair
 # is not counted. Uses the Python standard library only.
@@ -116,12 +119,14 @@ for metric in json.load(open(benchmark_path))["end_to_end"]:
         verdict = "unresolved"
     else:
         verdict = "within bound"
+    gain = ("gain shown" if 10 * better >= 9 * len(seeds)
+            and (pm - cm if lower else cm - pm) > p3 - p1 else "gain not shown")
     print(f"{name:12s} parent {pm!r} [{p1!r} - {p3!r}]")
     print(f"{'':12s} change {cm!r} [{c1!r} - {c3!r}]  {metric['unit']}, "
           f"{metric['better']} is better")
     print(f"{'':12s} change better in {better} of {len(seeds)} pairs ({ties} ties, "
           f"{len(seeds) - len(both)} without a value); median change {rel:+.2%}")
-    print(f"{'':12s} {verdict} (bound {metric['bound']:g} of the parent's median)")
+    print(f"{'':12s} {verdict} (bound {metric['bound']:g} of the parent's median); {gain}")
 for side in ("parent", "change"):
     docs = list(runs[side].values())
     done = [d for d in docs if d is not None]

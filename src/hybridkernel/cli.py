@@ -83,12 +83,13 @@ def _parse_lambda_grid(text: str) -> tuple:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment; unknown keys are rejected."""
+    """Flat key=value file; '#' starts a comment; unknown and repeated keys
+    are rejected."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,7 +100,9 @@ def read_config_file(path) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = val, lineno
     return values
 
 

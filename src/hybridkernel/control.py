@@ -53,18 +53,13 @@ def clf_rates_fields(basis: MonomialBasis, x1: float, x2: float) -> tuple[float,
     return g1 * f01 + g2 * f02, g1 * f11 + g2 * f12
 
 
-def clf_rates_model(model: KoopmanHybridModel, x1: float, x2: float) -> tuple[float, float]:
-    """Lie derivatives of V computed on the bilinear lifted model at z = psi(x),
-    from the model's polynomials in (x1, x2)."""
-    a, b = model.clf_rate_coeffs
-    return polyval(a, x1, x2), polyval(b, x1, x2)
-
-
 def lin_sontag(a: float, b: float) -> float:
     """Bounded-control universal CLF formula for |u| <= 1, clamped to [-1, 1];
     raises NonFinite where b ** 4 overflows (|b| above about 1e77) or the
     formula gives NaN (a NaN rate, or a = -inf)."""
     if abs(b) < B_DEADBAND:
+        if math.isnan(a):
+            raise NonFinite(f"Lin-Sontag drift rate is NaN at b={b!r}")
         return 0.0
     try:
         u = -(a + math.sqrt(a * a + b ** 4)) / (b * (1.0 + math.sqrt(1.0 + b * b)))
@@ -72,18 +67,18 @@ def lin_sontag(a: float, b: float) -> float:
         raise NonFinite(f"Lin-Sontag formula overflows at b={b!r}") from e
     if math.isnan(u):
         raise NonFinite(f"Lin-Sontag formula is NaN at a={a!r}, b={b!r}")
-    return float(min(max(u, -1.0), 1.0))
+    return -1.0 if u < -1.0 else 1.0 if u > 1.0 else float(u)
 
 
-def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
+def simulate(fields: Callable, controller: Callable, x0, dt: float,
              horizon: float) -> Trajectory:
-    """Classical RK4 with zero-order-hold control over each step; the horizon
-    must be a whole number of steps (to 1e-9 relative).
+    """Classical RK4 of xdot = f0(x) + u f1(x) with u held over each step; the
+    horizon must be a whole number of steps (to 1e-9 relative).
 
-    The state is carried as two Python floats: controller(x1, x2) gives u,
-    and dynamics(x1, x2, u) the velocity as a pair of floats. x0 must have
-    shape (2,), else DimensionMismatch. A state that overflows or turns NaN
-    raises NonFinite.
+    The state is carried as two Python floats: controller(x1, x2) gives u and
+    fields(x1, x2), called once per stage, ((f0_1, f0_2), (f1_1, f1_2)), as
+    koopman.cstr_fields does. x0 must have shape (2,), else DimensionMismatch.
+    A state that overflows or turns NaN raises NonFinite.
     """
     if not 0 < dt <= horizon < math.inf:
         raise DomainError(f"need 0 < dt <= horizon < inf, got dt={dt}, horizon={horizon}")
@@ -98,10 +93,14 @@ def simulate(dynamics: Callable, controller: Callable, x0, dt: float,
     states, controls = [(x1, x2)], []
     for step in range(steps):
         u = float(controller(x1, x2))
-        a1, a2 = dynamics(x1, x2, u)
-        b1, b2 = dynamics(x1 + half * a1, x2 + half * a2, u)
-        c1, c2 = dynamics(x1 + half * b1, x2 + half * b2, u)
-        d1, d2 = dynamics(x1 + dt * c1, x2 + dt * c2, u)
+        (p1, p2), (q1, q2) = fields(x1, x2)
+        a1, a2 = p1 + u * q1, p2 + u * q2
+        (p1, p2), (q1, q2) = fields(x1 + half * a1, x2 + half * a2)
+        b1, b2 = p1 + u * q1, p2 + u * q2
+        (p1, p2), (q1, q2) = fields(x1 + half * b1, x2 + half * b2)
+        c1, c2 = p1 + u * q1, p2 + u * q2
+        (p1, p2), (q1, q2) = fields(x1 + dt * c1, x2 + dt * c2)
+        d1, d2 = p1 + u * q1, p2 + u * q2
         x1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         x2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         if not (math.isfinite(x1) and math.isfinite(x2)):
@@ -121,13 +120,13 @@ def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:
 
 def make_truth_controller(basis: MonomialBasis) -> Callable:
     def controller(x1, x2):
-        a, b = clf_rates_fields(basis, x1, x2)
-        return lin_sontag(a, b)
+        return lin_sontag(*clf_rates_fields(basis, x1, x2))
     return controller
 
 
 def make_model_controller(model: KoopmanHybridModel) -> Callable:
+    a, b = model.clf_rate_coeffs  # bound once, read per step
+
     def controller(x1, x2):
-        a, b = clf_rates_model(model, x1, x2)
-        return lin_sontag(a, b)
+        return lin_sontag(polyval(a, x1, x2), polyval(b, x1, x2))
     return controller

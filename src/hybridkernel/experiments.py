@@ -224,7 +224,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
 
     # the ground-truth loop does not depend on lambda_R
     truth_ctrl = control.make_truth_controller(basis)
-    truths = [control.simulate(koopman.cstr_plant, truth_ctrl, x0, DEFAULT_DT, horizon)
+    truths = [control.simulate(koopman.cstr_fields, truth_ctrl, x0, DEFAULT_DT, horizon)
               for x0 in x0s]
     truth_monotone = [v_monotone(t) for t in truths]
 
@@ -232,7 +232,7 @@ def run_control(seed: int = 0, n: int = 200, m: int = 25,
     for fit in fits:
         model_ctrl = control.make_model_controller(fit["model"])
         for i, (x0, t_truth) in enumerate(zip(x0s, truths)):
-            t_model = control.simulate(koopman.cstr_plant, model_ctrl, x0, DEFAULT_DT,
+            t_model = control.simulate(koopman.cstr_fields, model_ctrl, x0, DEFAULT_DT,
                                        horizon)
             rows.append({
                 "lambda_R": fit["lambda_R"],

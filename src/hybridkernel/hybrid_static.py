@@ -134,8 +134,9 @@ class Design:
     (anchors = X), the cross-Gram against the training inputs on any other
     set. factor is the low-rank factor of G (linalg.low_rank_psd_factor),
     from which the reference fit solves every lambda; a design on another set
-    has none. DtD and Dty are D'D and D'y of D = [F, G]; only the subspace
-    fit reads them. The arrays are read, never written, so pool threads share a
+    has none. DtD and Dty are D'D and D'y of D = [F, G] (numpy's D.T @ D is a
+    symmetric rank-k update: exactly symmetric); only the subspace fit reads
+    them. The arrays are read, never written, so pool threads share a
     design: the subspace fit factors a joint matrix it builds, not these.
     """
 
@@ -172,7 +173,6 @@ def _design(features, kernel, inputs, anchors, K, y, factor, joint) -> Design:
     if joint:
         D = np.hstack([F, K])
         DtD, Dty = D.T @ D, D.T @ y
-        DtD = 0.5 * (DtD + DtD.T)
     return Design(features=features, kernel=kernel, inputs=inputs, anchors=anchors,
                   F=F, K=K, y=y, factor=factor, DtD=DtD, Dty=Dty)
 
@@ -189,7 +189,7 @@ def design(data: Dataset, features: Callable, kernel: KernelSpec,
 
 def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
     """D'D + blockdiag(lambda_theta I, lambda_r G); exactly symmetric, since
-    D'D is symmetrized when the design is built."""
+    the design's D'D and G are."""
     if design.DtD is None:
         raise DomainError("subspace fits need a training design built with joint=True")
     p, dim = design.F.shape[1], design.DtD.shape[0]

@@ -158,13 +158,6 @@ def cstr_f1(x) -> np.ndarray:
     return _on_states(x, 1)
 
 
-def cstr_plant(x1: float, x2: float, u: float) -> tuple[float, float]:
-    """The true plant f0_true(x) + u f1(x) at one state of floats; the
-    closed-loop dynamics that control.simulate integrates."""
-    (a1, a2), (b1, b2) = cstr_fields(x1, x2)
-    return a1 + u * b1, a2 + u * b2
-
-
 def cstr_f0_family(x, thetas) -> np.ndarray:
     """Polynomial drift family f0(x | theta) of every row of an (m, 2) array of
     thetas in [0, 1]^2, at states of shape (..., 2), as an (..., m, 2) array."""

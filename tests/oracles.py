@@ -4,7 +4,10 @@ The per-point Koopman functions are the scalar paths that the batched code
 in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
 property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
-is the path that ``control.simulate`` on Python floats replaced. Likewise
+is the path that ``control.simulate`` on Python floats replaced: ``simulate``
+calls a plant dynamics(x, u), where ``control.simulate`` calls the field pair
+``koopman.cstr_fields`` once per RK4 stage and forms f0 + u f1 itself, and
+``plant`` is that sum on arrays. Likewise
 the full-matrix SPD factor and the factor of ``linalg``'s private copy, both
 from ``np.linalg.cholesky`` (the same ``dpotrf`` as the ctypes bridge), with
 solves through scipy's ``cho_solve`` (``copy_cholesky_with_jitter`` and
@@ -41,7 +44,9 @@ as the point type that ``find_azeotrope`` and ``load_vle_csv`` return.
 ``MonomialBasis.eval_at``, ``jacobian_at`` and ``KoopmanHybridModel.rhs`` once
 the controllers took V's rates from the gradient of V and from the model's
 polynomials; ``clf_rates_fields`` and
-``clf_rates_model`` are the numpy rates those replaced. ``WilsonParams``,
+``clf_rates_model`` are the numpy rates those replaced (the package's
+``clf_rates_model`` on floats went too: the model controller reads
+``KoopmanHybridModel.clf_rate_coeffs`` through ``koopman.polyval``). ``WilsonParams``,
 ``wilson_lambdas``, ``wilson_gex`` and ``wilson_gex_from_lambdas`` are the
 scalar Wilson model, one parameter pair at one point, and ``cstr_f0_member``
 the CSTR drift family at one parameter pair: the per-sample paths that the

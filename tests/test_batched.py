@@ -38,6 +38,12 @@ def unit_thetas(max_m=6):
                          elements=st.floats(min_value=0.0, max_value=1.0, width=64)))
 
 
+def float_plant(x1, x2, u):
+    """f0 + u f1 from the float fields, as control.simulate forms it per stage."""
+    (p1, p2), (q1, q2) = kp.cstr_fields(x1, x2)
+    return p1 + u * q1, p2 + u * q2
+
+
 def assert_bit_equal(new, old):
     new, old = np.asarray(new), np.asarray(old)
     assert new.shape == old.shape
@@ -73,13 +79,13 @@ def test_clf_value_of_a_batch_matches_single_states(q, X):
 def test_fields_match_single_states(X, u):
     for field in (kp.cstr_f0_true, kp.cstr_f1, lambda x: kp.cstr_f0_family(x, [(0.3, 0.8)])):
         assert_bit_equal(field(X), np.stack([field(x) for x in X]))
-    # the float fields and plant that the closed loop runs on
+    # the float fields, and the plant f0 + u f1 that the closed loop forms of them
     points = X.tolist()
     fields = [kp.cstr_fields(*x) for x in points]
     assert all(type(v) is float for f in fields for pair in f for v in pair)
     assert_bit_equal(np.array([f0 for f0, _ in fields]), kp.cstr_f0_true(X))
     assert_bit_equal(np.array([f1 for _, f1 in fields]), kp.cstr_f1(X))
-    assert_bit_equal(np.array([kp.cstr_plant(*x, u) for x in points]), oracles.plant(X, u))
+    assert_bit_equal(np.array([float_plant(*x, u) for x in points]), oracles.plant(X, u))
 
 
 @SETTINGS
@@ -206,7 +212,8 @@ def test_rates_match_numpy_rates_on_the_state_box(q):
         old = oracles.clf_rates_fields(basis, kp.cstr_f0_true, kp.cstr_f1, x)
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
         assert all(type(r) is float for r in new)
-        new, old = control.clf_rates_model(model, *point), oracles.clf_rates_model(model, x)
+        new = tuple(kp.polyval(c, *point) for c in model.clf_rate_coeffs)
+        old = oracles.clf_rates_model(model, x)
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
         assert all(type(r) is float for r in new)
 
@@ -221,7 +228,7 @@ def test_model_polynomials_give_float_bits_on_coordinate_arrays(q, X, seed):
         batched = kp.polyval(coeffs, X[:, 0], X[:, 1])
         assert_bit_equal(batched, [kp.polyval(coeffs, *x) for x in map(tuple, X.tolist())])
     a, b = model.clf_rate_coeffs
-    assert [control.clf_rates_model(model, *x) for x in X.tolist()] == list(
+    assert [(kp.polyval(a, *x), kp.polyval(b, *x)) for x in X.tolist()] == list(
         zip(kp.polyval(a, X[:, 0], X[:, 1]).tolist(), kp.polyval(b, X[:, 0], X[:, 1]).tolist()))
 
 
@@ -261,7 +268,7 @@ def cstr_controllers():
 def on_arrays(controller):
     """A float controller and the float plant as the array loop calls them: on
     (2,) state arrays, whose coordinates they get as Python floats."""
-    return (lambda x: controller(*x.tolist())), (lambda x, u: kp.cstr_plant(*x.tolist(), u))
+    return (lambda x: controller(*x.tolist())), (lambda x, u: float_plant(*x.tolist(), u))
 
 
 @pytest.mark.parametrize("kind", ["truth", "model"])
@@ -270,7 +277,7 @@ def on_arrays(controller):
 def test_float_loop_matches_array_loop(cstr_controllers, kind, x0, steps):
     new_ctrl, old_ctrl = cstr_controllers[kind]
     dt = 0.01
-    traj = control.simulate(kp.cstr_plant, new_ctrl, x0, dt, steps * dt)
+    traj = control.simulate(kp.cstr_fields, new_ctrl, x0, dt, steps * dt)
     # the same callables in the loop on numpy states: the same bits
     ctrl_on_arrays, plant_on_arrays = on_arrays(new_ctrl)
     times, states, controls = oracles.simulate(plant_on_arrays, ctrl_on_arrays, x0, dt,
@@ -297,7 +304,7 @@ def test_float_loop_raises_as_array_loop(cstr_controllers, kind, x0, error):
         with pytest.raises(HybridKernelError) as old:
             oracles.simulate(oracles.plant, old_ctrl, x0, 0.01, 1.0)
         with pytest.raises(HybridKernelError) as new:
-            control.simulate(kp.cstr_plant, new_ctrl, x0, 0.01, 1.0)
+            control.simulate(kp.cstr_fields, new_ctrl, x0, 0.01, 1.0)
     assert type(old.value) is error
     assert type(new.value) is error
 
@@ -306,7 +313,7 @@ def test_simulate_matches_list_based_loop():
     # the float loop on the float plant against the array loop on the array
     # plant, both under the truth controller: the same bits
     ctrl = control.make_truth_controller(kp.MonomialBasis(q=3))
-    traj = control.simulate(kp.cstr_plant, ctrl, [0.2, -0.15], 0.01, 2.0)
+    traj = control.simulate(kp.cstr_fields, ctrl, [0.2, -0.15], 0.01, 2.0)
     ctrl_on_arrays, _ = on_arrays(ctrl)
     times, states, controls = oracles.simulate(oracles.plant, ctrl_on_arrays, [0.2, -0.15],
                                                0.01, 2.0)

@@ -108,14 +108,17 @@ class TestCliRuns:
         assert "did not converge" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
-    @pytest.mark.parametrize("name, replacement, message", [
-        ("cstr_plant", lambda x1, x2, u: (math.inf, 0.0), "state became non-finite"),
-        ("cstr_fields", lambda x1, x2: _raise(DomainError("drift undefined")),
-         "drift undefined"),
+    @pytest.mark.parametrize("replacement, message", [
+        (lambda x1, x2: ((math.inf, 0.0), (0.0, 0.0)), "state became non-finite"),
+        (lambda x1, x2: _raise(DomainError("drift undefined")), "drift undefined"),
     ], ids=["non-finite-velocity", "domain-error"])
-    def test_exit_code_3_on_closed_loop_failure(self, tmp_path, capsys, monkeypatch, name,
+    def test_exit_code_3_on_closed_loop_failure(self, tmp_path, capsys, monkeypatch,
                                                 replacement, message):
-        monkeypatch.setattr(koopman, name, replacement)
+        # the fields fail on the closed loop's floats only: on arrays the
+        # Koopman fit runs as usual, so the failure comes from simulate
+        fields = koopman.cstr_fields
+        monkeypatch.setattr(koopman, "cstr_fields", lambda x1, x2: (
+            replacement(x1, x2) if type(x1) is float else fields(x1, x2)))
         assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "1",
                         "--out", str(tmp_path)]) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
@@ -220,6 +223,16 @@ class TestCliRuns:
         cfg.write_text("mystery=1\n")
         assert run_cli(["setting1", "--config", str(cfg)]) == 2
         assert "mystery" in capsys.readouterr().err
+
+    def test_exit_code_2_on_repeated_config_key(self, tmp_path, capsys):
+        # a repeated key is an error, not a silent override of the first
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=1\n# a comment\nn=12\nseed = 2\n")
+        assert run_cli(["setting1", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{cfg}:4: key 'seed' repeats line 1" in err
+        assert not (tmp_path / "out").exists()
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

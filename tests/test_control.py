@@ -11,8 +11,12 @@ from oracles import clf_value_closed_form
 BASIS3 = kp.MonomialBasis(q=3)
 
 
-def zero_field(x1, x2, u):
-    return 0.0, 0.0
+def zero_field(x1, x2):
+    return (0.0, 0.0), (0.0, 0.0)
+
+
+def linear_decay(x1, x2):
+    return (-x1, -x2), (0.0, 0.0)
 
 
 class TestClfValue:
@@ -51,12 +55,12 @@ class TestClfRates:
         # a + b u equals dV/dt along the constant-u flow, checked for u = 0, 1
         rng = np.random.default_rng(1)
         h = 1e-4
-        backward = lambda x1, x2, u: tuple(-v for v in kp.cstr_plant(x1, x2, u))
+        backward = lambda x1, x2: tuple((-v1, -v2) for v1, v2 in kp.cstr_fields(x1, x2))
         for _ in range(10):
             x0 = rng.uniform(-0.2, 0.2, size=2)
             a, b = ctl.clf_rates_fields(BASIS3, *x0.tolist())
             for u in (0.0, 1.0):
-                fwd = ctl.simulate(kp.cstr_plant, lambda x1, x2: u, x0, h, h).states[-1]
+                fwd = ctl.simulate(kp.cstr_fields, lambda x1, x2: u, x0, h, h).states[-1]
                 bwd = ctl.simulate(backward, lambda x1, x2: u, x0, h, h).states[-1]
                 dvdt = (ctl.clf_value(BASIS3, fwd) - ctl.clf_value(BASIS3, bwd)) / (2 * h)
                 assert abs(dvdt - (a + b * u)) < 1e-5
@@ -80,7 +84,7 @@ class TestClfRates:
         worst = 0.0
         for x in kp.sample_states(30, seed=2).tolist():
             at, bt = ctl.clf_rates_fields(BASIS3, *x)
-            am, bm = ctl.clf_rates_model(model, *x)
+            am, bm = (kp.polyval(c, *x) for c in model.clf_rate_coeffs)
             worst = max(worst, abs(at - am), abs(bt - bm))
         assert worst < 0.05
 
@@ -129,7 +133,8 @@ class TestLinSontag:
 
 
     @pytest.mark.parametrize("a, b", [(float("nan"), 0.5), (float("-inf"), 0.5),
-                                      (0.5, float("nan"))])
+                                      (0.5, float("nan")), (float("nan"), 0.0),
+                                      (float("nan"), 1e-13)])
     def test_nan_is_non_finite(self, a, b):
         with pytest.raises(NonFinite):
             ctl.lin_sontag(a, b)
@@ -147,7 +152,7 @@ class TestSimulate:
         np.testing.assert_array_equal(traj.controls, np.full(10, 0.7))
 
     def test_exponential_decay(self):
-        traj = ctl.simulate(lambda x1, x2, u: (-x1, -x2), lambda x1, x2: 0.0,
+        traj = ctl.simulate(linear_decay, lambda x1, x2: 0.0,
                             np.array([1.0, 1.0]), 0.01, 1.0)
         np.testing.assert_allclose(traj.states[-1], np.exp(-1.0) * np.ones(2),
                                    atol=1e-8)
@@ -157,7 +162,7 @@ class TestSimulate:
         exact = np.exp(-1.0) * np.ones(2)
         errs = []
         for dt in (0.1, 0.05):
-            traj = ctl.simulate(lambda x1, x2, u: (-x1, -x2), lambda x1, x2: 0.0,
+            traj = ctl.simulate(linear_decay, lambda x1, x2: 0.0,
                                 np.ones(2), dt, 1.0)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
@@ -183,8 +188,8 @@ class TestSimulate:
 
     def test_nonfinite_escape_detected(self):
         with pytest.raises(NonFinite):
-            ctl.simulate(lambda x1, x2, u: (100.0 * x1, 100.0 * x2), lambda x1, x2: 0.0,
-                         np.ones(2), 0.5, 50.0)
+            ctl.simulate(lambda x1, x2: ((100.0 * x1, 100.0 * x2), (0.0, 0.0)),
+                         lambda x1, x2: 0.0, np.ones(2), 0.5, 50.0)
 
     @pytest.mark.parametrize("x0", [np.ones(3), np.ones(1), np.ones((1, 2)), 0.5, []])
     def test_rejects_a_state_not_of_shape_2(self, x0):
@@ -194,7 +199,7 @@ class TestSimulate:
     def test_lyapunov_decrease_under_truth_controller(self):
         controller = ctl.make_truth_controller(BASIS3)
         for x0 in kp.sample_states(3, seed=6):
-            traj = ctl.simulate(kp.cstr_plant, controller, x0, 0.01, 10.0)
+            traj = ctl.simulate(kp.cstr_fields, controller, x0, 0.01, 10.0)
             v = np.array([ctl.clf_value(BASIS3, x) for x in traj.states])
             assert np.all(np.diff(v) <= 1e-6)
             assert np.linalg.norm(traj.states[-1]) < np.linalg.norm(x0)

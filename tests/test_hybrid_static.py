@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkernel import hybrid_static as hs
 from hybridkernel.errors import DimensionMismatch, DomainError
@@ -143,6 +145,19 @@ class TestSubspace:
             fixed = fit_ref(data, lambda x, t=theta_hat: fmap(x) @ t, lr)
             val = oracles.objective(design, theta_hat, fixed.coeffs, penalty, lr)
             assert opt <= val + 1e-8
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from([100, 257, 500])),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=3))
+    def test_joint_design_normal_matrix_is_exactly_symmetric(self, n, seed, p):
+        # the design does not symmetrize D'D: numpy's D.T @ D (a symmetric
+        # rank-k update whose triangle is copied) must already be symmetric
+        rng = np.random.default_rng(seed)
+        data = Dataset(inputs=rng.uniform(0.0, 1.0, size=n), targets=rng.standard_normal(n))
+        fmap = lambda x: np.stack([np.asarray(x) ** k for k in range(1, p + 1)], axis=-1)
+        DtD = hs.design(data, fmap, KX, joint=True).DtD
+        assert DtD.shape == (n + p, n + p)
+        assert DtD.tobytes() == np.ascontiguousarray(DtD.T).tobytes()
 
     def test_joint_matrix_is_factored_in_its_own_memory(self):
         # one (n + 2)^2 buffer: building the joint matrix and factoring a
