@@ -30,6 +30,7 @@ fi
 CALLS=(
     "setting1-n2000 setting1 --n 2000 --seed 0"
     "setting2-n2000 setting2 --n 2000 --seed 0"
+    "setting1-n2000-dense setting1 --n 2000 --lambda 1e-12"
     "setting1-s0 setting1 --n 50 --seed 0"
     "setting1-s1 setting1 --n 50 --seed 1"
     "setting2-s0 setting2 --n 50 --seed 0"
@@ -41,6 +42,7 @@ CALLS=(
     "koopman koopman"
     "koopman-s1 koopman --seed 1"
     "control control --n 200 --m 25 --lambda 0.0001,0.1,100"
+    "control-paper control --n 200 --m 25"
 )
 
 WORK="$(mktemp -d)"

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, experiments, thermo_vle
-from .errors import ConfigError, HybridKernelError
+from .errors import ConfigError, GridMismatch, HybridKernelError
 
 EXPERIMENTS = ("vle-data", "setting1", "setting2", "setting3", "koopman", "control")
 CONFIG_KEYS = ("experiment", "seed", "lambda", "m", "n", "out")
@@ -136,11 +136,23 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
-def trajectory_csv(traj) -> str:
+class TimeColumn:
+    """A time grid and its CSV cells, formatted once and shared by the files of
+    every trajectory on that grid."""
+
+    def __init__(self, times):
+        self.times = np.asarray(times, dtype=float)
+        self.cells = list(map(repr, self.times.tolist()))
+
+
+def trajectory_csv(traj, column: TimeColumn) -> str:
     """A trajectory's CSV text in RunOutput.csv's format, built with one join:
-    rows t,x1,x2,u, u empty where the trajectory has no control."""
-    columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
-    rows = zip_longest(*(map(repr, c) for c in columns), fillvalue="")
+    rows t,x1,x2,u, u empty where the trajectory has no control. The t cells
+    are column's; GridMismatch unless traj's times are column's bit for bit."""
+    if traj.times.tobytes() != column.times.tobytes():
+        raise GridMismatch("trajectory is not on the shared time grid of its run")
+    columns = [*traj.states[:, :2].T.tolist(), traj.controls.tolist()]
+    rows = zip_longest(column.cells, *(map(repr, c) for c in columns), fillvalue="")
     return "\r\n".join(["t,x1,x2,u", *map(",".join, rows), ""])
 
 
@@ -241,12 +253,14 @@ def run(config: ExperimentConfig) -> int:
         out.json("comparison.json", [{k: v for k, v in row.items()
                                       if not k.startswith("trajectory")} for row in rows])
         out.mkdir("trajectories")
+        # every trajectory of the run is on one time grid: its cells are formatted once
+        column = TimeColumn(rows[0]["trajectory_truth"].times)
         # the rows of one initial state share its truth trajectory
         for k, traj in {row["x0_index"]: row["trajectory_truth"] for row in rows}.items():
-            out.text(f"trajectories/truth_x{k}.csv", trajectory_csv(traj))
+            out.text(f"trajectories/truth_x{k}.csv", trajectory_csv(traj, column))
         for i, row in enumerate(rows):
             out.text(f"trajectories/run{i:03d}_x{row['x0_index']}_model.csv",
-                     trajectory_csv(row["trajectory_model"]))
+                     trajectory_csv(row["trajectory_model"], column))
 
     out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
                                "numpy_lapack": LAPACK_BUILD,

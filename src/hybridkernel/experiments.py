@@ -33,6 +33,8 @@ def worker_count() -> int:
 
 
 def _map_grid(fn, grid):
+    """fn over the grid on the lambda pool: the static sweeps' fits, whose
+    n x n solves and Gram products release the GIL."""
     workers = worker_count()
     if workers == 1 or len(grid) == 1:
         return [fn(g) for g in grid]
@@ -181,7 +183,11 @@ def build_hybrid_model(b, R, thetas, basis: koopman.MonomialBasis,
 def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 lambda_grid=DEFAULT_LAMBDA_R_GRID) -> list[dict]:
     """Hybrid generator identification sweep over lambda_R; each row carries its
-    bilinear model under "model", built from closures fit once per sweep."""
+    bilinear model under "model", built from closures fit once per sweep.
+
+    The grid is fit in a plain loop in the calling thread: each fit is one
+    N x N solve and one m x m QP that hold the GIL, so the lambda pool would
+    add thread start-up and save nothing."""
     run_seeds = seeds("koopman", seed)
     basis = koopman.MonomialBasis(q=DEFAULT_Q)
     thetas = sample_thetas(m, run_seeds["theta_seed"])
@@ -200,7 +206,7 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
                 "frob_R": float(np.linalg.norm(R, "fro")),
                 "model": build_hybrid_model(b, R, thetas, basis, closures)}
 
-    return _map_grid(one, list(lambda_grid))
+    return [one(lam) for lam in lambda_grid]
 
 
 def run_control(seed: int = 0, n: int = 200, m: int = 25,

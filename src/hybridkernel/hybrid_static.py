@@ -257,7 +257,9 @@ def fit_mixture(design: Design, lambda_r: float) -> HybridModel:
     AFy = solve_shifted(design.K, design.factor, lambda_r,
                         np.column_stack([design.F, design.y]))
     AF, Ay = AFy[:, :-1], AFy[:, -1]
-    sol = simplex_qp.solve(lambda_r * (design.F.T @ AF), -2.0 * lambda_r * (design.F.T @ Ay))
+    # l_r scales F'Ay before the exact factor -2: -2 l_r alone is -inf above
+    # about 9e307
+    sol = simplex_qp.solve(lambda_r * (design.F.T @ AF), -2.0 * (lambda_r * (design.F.T @ Ay)))
     return design.model(sol.b, Ay - AF @ sol.b)
 
 

@@ -186,8 +186,7 @@ class GeneratorDesign:
     and psidot[i] = Dpsi(x_i) xdot_i is (n, N). Of the (n, N) blocks
     Z_j = G[:, j] (j < m) and Z_m = psidot the fit reads only the inner
     products ZtZ[j, k] = <Z_j, Z_k>, PtZ = Psi'[Z_0, ..., Z_m] (N x (m + 1) N)
-    and PtP = Psi'Psi. The arrays are read, never written, so pool threads
-    share it.
+    and PtP = Psi'Psi. The arrays are read, never written.
     """
 
     basis: MonomialBasis

@@ -16,7 +16,8 @@ solves through scipy's ``cho_solve`` (``copy_cholesky_with_jitter`` and
 term at each step of a plain bisection (``bisect_window``, which evaluates
 every midpoint), the symmetrized Gram matrix, the cross-Gram
 matrix and least pairwise distance from scipy's ``cdist`` and ``pdist``, and
-the csv.writer trajectory file are the paths ``linalg``, ``thermo_vle``,
+the csv.writer trajectory file (``save_csv``) and the trajectory text that
+formats its own time column (``trajectory_csv``) are the paths ``linalg``, ``thermo_vle``,
 ``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
 ``fit_reference_krr`` (a dense Cholesky of G + lam I per lambda) and
 ``joint_matrix`` (with its n x n lambda_r G temporary) are the paths the
@@ -58,6 +59,7 @@ numpy reports its buffers to ``tracemalloc``.
 import csv
 import tracemalloc
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -774,6 +776,14 @@ def save_csv(traj, path) -> None:
             u = traj.controls[i] if i < traj.controls.size else ""
             writer.writerow([repr(float(t)), repr(float(traj.states[i, 0])),
                              repr(float(traj.states[i, 1])), repr(float(u)) if u != "" else ""])
+
+
+def trajectory_csv(traj) -> str:
+    """A trajectory's CSV text with every column, its time column included,
+    repr'd for this one file."""
+    columns = [traj.times.tolist(), *traj.states[:, :2].T.tolist(), traj.controls.tolist()]
+    rows = zip_longest(*(map(repr, c) for c in columns), fillvalue="")
+    return "\r\n".join(["t,x1,x2,u", *map(",".join, rows), ""])
 
 
 def peak_traced_bytes(fn, *args) -> int:

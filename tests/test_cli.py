@@ -11,7 +11,8 @@ import pytest
 import oracles
 from hybridkernel import cli, control, experiments, koopman, simplex_qp, thermo_vle
 from hybridkernel.hybrid_static import HybridModel
-from hybridkernel.errors import ConfigError, DimensionMismatch, DomainError, MalformedModel
+from hybridkernel.errors import (ConfigError, DimensionMismatch, DomainError, GridMismatch,
+                                 MalformedModel)
 from hybridkernel.kernels import KernelSpec
 
 
@@ -85,6 +86,14 @@ class TestCliRuns:
         # would scale its rounding by 1/lambda; pytest turns the RuntimeWarning
         # an overflow gives into an error
         assert run_cli(list(call) + ["--out", str(tmp_path)]) == 0
+        (row,) = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(cell)) for cell in row.split(",")[:3])
+
+    def test_huge_lambda_writes_finite_rmses(self, tmp_path):
+        # -2 lambda_r alone is -inf above about 9e307: the mixture QP's linear
+        # term scales F'Ay by lambda_r first
+        assert run_cli(["setting3", "--n", "12", "--m", "3", "--lambda", "1e308",
+                        "--out", str(tmp_path)]) == 0
         (row,) = (tmp_path / "summary.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(cell)) for cell in row.split(",")[:3])
 
@@ -203,7 +212,8 @@ class TestCliRuns:
 
     def test_control_trajectory_files(self, tmp_path):
         # one truth file per initial state, which its rows share, and one
-        # model file per row
+        # model file per row; each file holds the text of its trajectory with
+        # the time column formatted for it alone
         grid = (1e-2, 1.0)
         assert run_cli(["control", "--n", "30", "--m", "5", "--lambda", "0.01,1",
                         "--out", str(tmp_path)]) == 0
@@ -213,10 +223,30 @@ class TestCliRuns:
         assert len(list(trajectories.iterdir())) == len(states) + len(rows)
         for k, truth in states.items():
             assert (trajectories / f"truth_x{k}.csv").read_bytes() == \
-                cli.trajectory_csv(truth).encode()
+                cli.trajectory_csv(truth, cli.TimeColumn(truth.times)).encode()
         for i, row in enumerate(rows):
+            model = row["trajectory_model"]
             assert (trajectories / f"run{i:03d}_x{row['x0_index']}_model.csv").read_bytes() == \
-                cli.trajectory_csv(row["trajectory_model"]).encode()
+                cli.trajectory_csv(model, cli.TimeColumn(model.times)).encode()
+
+    def test_exit_code_3_on_trajectory_off_the_shared_grid(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # the files share the first trajectory's time cells; a trajectory on
+        # another grid is an error, not a file with the wrong times
+        run_control = experiments.run_control
+
+        def shifted_last(**kwargs):
+            rows = run_control(**kwargs)
+            traj = rows[-1]["trajectory_model"]
+            rows[-1]["trajectory_model"] = control.Trajectory(
+                times=traj.times + 1.0, states=traj.states, controls=traj.controls)
+            return rows
+
+        monkeypatch.setattr(experiments, "run_control", shifted_last)
+        assert run_cli(["control", "--n", "30", "--m", "3", "--lambda", "1",
+                        "--out", str(tmp_path)]) == 3
+        assert "not on the shared time grid" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_exit_code_2_on_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -472,3 +502,19 @@ def _namespace(config=None, seed=None, out=None, lambda_grid=None, m=None, n=Non
     import argparse
     return argparse.Namespace(config=config, seed=seed, out=out,
                               lambda_grid=lambda_grid, m=m, n=n)
+
+
+class TestTrajectoryCsv:
+    TIMES = np.arange(11) * 0.01
+
+    @pytest.mark.parametrize("times", [
+        np.arange(11) * 0.02,                              # another step
+        np.arange(12) * 0.01,                              # one step more
+        np.nextafter(np.arange(11) * 0.01, 1.0),           # one ulp later
+        np.concatenate([[-0.0], np.arange(1, 11) * 0.01]),  # equal, but repr differs
+    ])
+    def test_trajectory_on_another_grid_raises(self, times):
+        traj = control.Trajectory(times=times, states=np.zeros((times.size, 2)),
+                                  controls=np.zeros(times.size - 1))
+        with pytest.raises(GridMismatch):
+            cli.trajectory_csv(traj, cli.TimeColumn(self.TIMES))

@@ -226,7 +226,9 @@ class TestCompareTrajectories:
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "traj.csv"
-        cli.RunOutput(tmp_path).text("traj.csv", cli.trajectory_csv(self.make()))
+        traj = self.make()
+        cli.RunOutput(tmp_path).text("traj.csv",
+                                     cli.trajectory_csv(traj, cli.TimeColumn(traj.times)))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2,u"
         assert len(lines) == 6

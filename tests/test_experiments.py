@@ -1,7 +1,8 @@
-"""The size of the lambda pool, and that its threads leave shared designs
-as they were."""
+"""The size of the lambda pool, that its threads leave shared designs as
+they were, and that the Koopman sweeps fit in the calling thread."""
 
 import os
+import threading
 
 import pytest
 
@@ -52,3 +53,39 @@ def test_lambda_pool_leaves_the_shared_designs_bit_identical(monkeypatch):
     assert len(built) == 4 and any(design.DtD is not None for design, _ in built)
     for design, before in built:
         assert array_bytes(design) == before
+
+
+class PoolStarted(Exception):
+    pass
+
+
+def no_thread(*args, **kwargs):
+    raise PoolStarted("a thread was started")
+
+
+def test_koopman_and_control_sweeps_start_no_thread(monkeypatch):
+    # each Koopman fit is one N x N solve and one m x m QP that hold the GIL:
+    # the grid is fit in the calling thread, even where the pool has workers
+    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    grid = (1e-2, 1.0, 1e2)
+    assert len(experiments.run_koopman(n=30, m=5, lambda_grid=grid)) == 3
+    assert len(experiments.run_control(n=30, m=5, lambda_grid=grid, n_states=1,
+                                       horizon=0.1)) == 3
+    # the static sweeps keep the pool
+    with pytest.raises(PoolStarted):
+        experiments.run_setting1(n=12, lambda_grid=grid)
+
+
+def test_koopman_rows_equal_one_lambda_fits_bit_for_bit():
+    grid = (1e-4, 1e-1, 1e2)
+    rows = experiments.run_koopman(n=30, m=5, lambda_grid=grid)
+    assert [row["lambda_R"] for row in rows] == list(grid)
+    for lam, row in zip(grid, rows):
+        (alone,) = experiments.run_koopman(n=30, m=5, lambda_grid=(lam,))
+        for key in ("lambda_R", "train_rmse", "val_rmse", "frob_R"):
+            assert row[key].hex() == alone[key].hex()
+        for block in ("weights", "residual", "closure_A", "input_beta", "input_gamma"):
+            assert getattr(row["model"], block).tobytes() == \
+                getattr(alone["model"], block).tobytes()

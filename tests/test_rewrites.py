@@ -488,10 +488,27 @@ def test_save_csv_matches_csv_writer(states_and_controls, one_per_step):
                               controls=controls[:-1] if one_per_step else controls)
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        cli.RunOutput(Path(tmp)).text("new.csv", cli.trajectory_csv(traj))
+        cli.RunOutput(Path(tmp)).text("new.csv",
+                                      cli.trajectory_csv(traj, cli.TimeColumn(traj.times)))
         oracles.save_csv(traj, old)
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()
+
+
+@SETTINGS
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(st.tuples(
+    arrays(np.float64, (n, 2), elements=values), arrays(np.float64, (n,), elements=values)),
+    min_size=1, max_size=3)), st.floats(1e-3, 10.0), st.booleans())
+def test_shared_time_column_matches_per_file_formatting(trajectories, dt, one_per_step):
+    # the trajectories of one grid, written with one shared time column, give
+    # the text of a file that formats its own time column
+    n = trajectories[0][0].shape[0]
+    column = cli.TimeColumn(np.arange(n) * dt)
+    for states, controls in trajectories:
+        traj = control.Trajectory(times=np.arange(n) * dt, states=states,
+                                  controls=controls[:-1] if one_per_step else controls)
+        assert cli.trajectory_csv(traj, column).encode() == \
+            oracles.trajectory_csv(traj).encode()
 
 
 def point_set(n: int, d: int, seed: int) -> np.ndarray:
