@@ -42,6 +42,7 @@ CALLS=(
     "koopman koopman"
     "koopman-s1 koopman --seed 1"
     "control control --n 200 --m 25 --lambda 0.0001,0.1,100"
+    "control-s1 control --n 200 --m 25 --lambda 0.0001,0.1,100 --seed 1"
     "control-paper control --n 200 --m 25"
 )
 

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, GridMismatch, NonFinite
-from .koopman import KoopmanHybridModel, MonomialBasis, cstr_fields, polyval
+from .koopman import KoopmanHybridModel, MonomialBasis, polyval
 
 B_DEADBAND = 1e-12
 
@@ -42,14 +42,15 @@ def clf_value(basis: MonomialBasis, x):
     return float(v) if v.ndim == 0 else v
 
 
-def clf_rates_fields(basis: MonomialBasis, x1: float, x2: float) -> tuple[float, float]:
+def clf_rates_fields(basis: MonomialBasis, x1: float, x2: float, f) -> tuple[float, float]:
     """Lie derivatives of V along the CSTR's drift and input channel at one
-    state of floats. Raises NonFinite where grad V is not finite."""
+    state of floats, given the fields f = koopman.cstr_fields(x1, x2). Raises
+    NonFinite where grad V is not finite."""
     d1, d2 = basis.sq_norm_gradient_coeffs
     g1, g2 = polyval(d1, x1, x2), polyval(d2, x1, x2)
     if not (math.isfinite(g1) and math.isfinite(g2)):
         raise NonFinite(f"grad ||psi||^2 is not finite at x=({x1}, {x2})")
-    (f01, f02), (f11, f12) = cstr_fields(x1, x2)
+    f01, f02, f11, f12 = f
     return g1 * f01 + g2 * f02, g1 * f11 + g2 * f12
 
 
@@ -75,10 +76,10 @@ def simulate(fields: Callable, controller: Callable, x0, dt: float,
     """Classical RK4 of xdot = f0(x) + u f1(x) with u held over each step; the
     horizon must be a whole number of steps (to 1e-9 relative).
 
-    The state is carried as two Python floats: controller(x1, x2) gives u and
-    fields(x1, x2), called once per stage, ((f0_1, f0_2), (f1_1, f1_2)), as
-    koopman.cstr_fields does. x0 must have shape (2,), else DimensionMismatch.
-    A state that overflows or turns NaN raises NonFinite.
+    The state is carried as two Python floats. fields(x1, x2), called once per
+    stage, gives (f0_1, f0_2, f1_1, f1_2) as koopman.cstr_fields does; u is
+    controller(x1, x2, f), f the step's stage-1 fields. x0 must have shape (2,),
+    else DimensionMismatch. A state that overflows or turns NaN raises NonFinite.
     """
     if not 0 < dt <= horizon < math.inf:
         raise DomainError(f"need 0 < dt <= horizon < inf, got dt={dt}, horizon={horizon}")
@@ -90,24 +91,25 @@ def simulate(fields: Callable, controller: Callable, x0, dt: float,
         raise DimensionMismatch(f"need a state of shape (2,), got {x0.shape}")
     x1, x2 = x0.tolist()
     half, sixth = 0.5 * dt, dt / 6.0
-    states, controls = [(x1, x2)], []
+    xs1, xs2, controls = [x1], [x2], []
     for step in range(steps):
-        u = float(controller(x1, x2))
-        (p1, p2), (q1, q2) = fields(x1, x2)
+        f = p1, p2, q1, q2 = fields(x1, x2)
+        u = float(controller(x1, x2, f))
         a1, a2 = p1 + u * q1, p2 + u * q2
-        (p1, p2), (q1, q2) = fields(x1 + half * a1, x2 + half * a2)
+        p1, p2, q1, q2 = fields(x1 + half * a1, x2 + half * a2)
         b1, b2 = p1 + u * q1, p2 + u * q2
-        (p1, p2), (q1, q2) = fields(x1 + half * b1, x2 + half * b2)
+        p1, p2, q1, q2 = fields(x1 + half * b1, x2 + half * b2)
         c1, c2 = p1 + u * q1, p2 + u * q2
-        (p1, p2), (q1, q2) = fields(x1 + dt * c1, x2 + dt * c2)
+        p1, p2, q1, q2 = fields(x1 + dt * c1, x2 + dt * c2)
         d1, d2 = p1 + u * q1, p2 + u * q2
         x1 += sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         x2 += sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         if not (math.isfinite(x1) and math.isfinite(x2)):
             raise NonFinite(f"state became non-finite at step {step}")
         controls.append(u)
-        states.append((x1, x2))
-    return Trajectory(times=np.arange(steps + 1) * dt, states=np.array(states),
+        xs1.append(x1)
+        xs2.append(x2)
+    return Trajectory(times=np.arange(steps + 1) * dt, states=np.column_stack((xs1, xs2)),
                       controls=np.array(controls))
 
 
@@ -119,14 +121,21 @@ def compare_trajectories(t1: Trajectory, t2: Trajectory) -> float:
 
 
 def make_truth_controller(basis: MonomialBasis) -> Callable:
-    def controller(x1, x2):
-        return lin_sontag(*clf_rates_fields(basis, x1, x2))
+    """simulate's ground-truth CLF controller: V's rates from grad V and f."""
+    def controller(x1, x2, f):
+        return lin_sontag(*clf_rates_fields(basis, x1, x2, f))
     return controller
 
 
 def make_model_controller(model: KoopmanHybridModel) -> Callable:
-    a, b = model.clf_rate_coeffs  # bound once, read per step
+    """simulate's CLF controller from the model's rates (f is ignored): one Horner
+    loop of polyval's operations over both polynomials, so polyval's bits."""
+    rows = tuple(ra + rb for ra, rb in zip(*model.clf_rate_coeffs))
 
-    def controller(x1, x2):
-        return lin_sontag(polyval(a, x1, x2), polyval(b, x1, x2))
+    def controller(x1, x2, f):
+        a = b = 0.0
+        for a0, a1, a2, b0, b1, b2 in rows:
+            a = a * x1 + (a0 + x2 * (a1 + x2 * a2))
+            b = b * x1 + (b0 + x2 * (b1 + x2 * b2))
+        return lin_sontag(a, b)
     return controller

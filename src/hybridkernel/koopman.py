@@ -126,7 +126,7 @@ class DriftSample:
 def cstr_fields(x1, x2) -> tuple:
     """The CSTR's drift f0_true (fractional kinetics, steady state at the
     origin) and known input channel f1 (throughput convection) at x = (x1, x2),
-    as ((f0_1, f0_2), (f1_1, f1_2)). One formula with + - * / only, so a state
+    flat: (f0_1, f0_2, f1_1, f1_2). One formula with + - * / only, so a state
     of floats and coordinate arrays get the same bits per state. On floats it
     raises DomainError at 3 + 2 x1 = 0; on arrays cstr_f0_true and cstr_f1 do.
     """
@@ -135,16 +135,16 @@ def cstr_fields(x1, x2) -> tuple:
     except ZeroDivisionError as e:
         raise DomainError("drift undefined at 3 + 2 x1 = 0") from e
     f1_1 = (3.0 - x1) / 4.0
-    return (f1_1 - rate, -3.0 * (1.0 + x2) / 4.0 + rate), (f1_1, -(1.0 + x2) / 4.0)
+    return f1_1 - rate, -3.0 * (1.0 + x2) / 4.0 + rate, f1_1, -(1.0 + x2) / 4.0
 
 
 def _on_states(x, k: int) -> np.ndarray:
-    """Field k of cstr_fields at states of shape (..., 2), as an (..., 2) array."""
+    """Field k (0: f0, 1: f1) at states of shape (..., 2), as an (..., 2) array."""
     x = np.asarray(x, dtype=float)
     if np.count_nonzero(3.0 + 2.0 * x[..., 0] == 0.0):
         raise DomainError("drift undefined at 3 + 2 x1 = 0")
     out = np.empty(x.shape)
-    out[..., 0], out[..., 1] = cstr_fields(x[..., 0], x[..., 1])[k]
+    out[..., 0], out[..., 1] = cstr_fields(x[..., 0], x[..., 1])[2 * k:2 * k + 2]
     return out
 
 

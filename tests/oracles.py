@@ -5,9 +5,11 @@ in ``hybridkernel.koopman`` and ``hybridkernel.control`` replaced; the
 property tests check the batched results against them bit for bit. The
 closed loop on numpy arrays (``simulate``, ``plant`` and the two controllers)
 is the path that ``control.simulate`` on Python floats replaced: ``simulate``
-calls a plant dynamics(x, u), where ``control.simulate`` calls the field pair
-``koopman.cstr_fields`` once per RK4 stage and forms f0 + u f1 itself, and
-``plant`` is that sum on arrays. Likewise
+calls a plant dynamics(x, u) and a controller(x), where ``control.simulate``
+calls ``koopman.cstr_fields`` (the flat (f0_1, f0_2, f1_1, f1_2)) once per RK4
+stage, forms f0 + u f1 itself and hands the controller the step's stage-1
+fields as controller(x1, x2, f); ``plant`` is that sum on arrays, and the two
+controllers here evaluate their own fields. Likewise
 the full-matrix SPD factor and the factor of ``linalg``'s private copy, both
 from ``np.linalg.cholesky`` (the same ``dpotrf`` as the ctypes bridge), with
 solves through scipy's ``cho_solve`` (``copy_cholesky_with_jitter`` and

@@ -264,8 +264,8 @@ def test_criterion_12_numerical_hygiene(criterion, tmp_path):
 
     # RK4 order: halving dt cuts the error by about 16x on a linear system
     exact = np.exp(-1.0) * np.ones(2)
-    errs = [np.linalg.norm(control.simulate(lambda x1, x2: ((-x1, -x2), (0.0, 0.0)),
-                                            lambda x1, x2: 0.0, np.ones(2), dt,
+    errs = [np.linalg.norm(control.simulate(lambda x1, x2: (-x1, -x2, 0.0, 0.0),
+                                            lambda x1, x2, f: 0.0, np.ones(2), dt,
                                             1.0).states[-1] - exact)
             for dt in (0.1, 0.05)]
     ratio = errs[0] / errs[1]

@@ -10,6 +10,9 @@ than the numpy rates in ``oracles``; they, and closed loops run with them,
 match those to 1e-12 absolute.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,10 @@ SETTINGS = settings(max_examples=40, deadline=None)
 coords = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, width=64)
 orders = st.integers(min_value=1, max_value=5)
 box_coords = st.floats(min_value=-kp.STATE_BOX, max_value=kp.STATE_BOX, width=64)
+# coordinates up to 1e150 in size, subnormals, signed zeros and non-finite ones
+wide_coords = (st.floats(min_value=-1e150, max_value=1e150, width=64)
+               | st.floats(min_value=-1e-306, max_value=1e-306, width=64)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]))
 
 
 def state_arrays(min_n=1, max_n=40):
@@ -40,7 +47,7 @@ def unit_thetas(max_m=6):
 
 def float_plant(x1, x2, u):
     """f0 + u f1 from the float fields, as control.simulate forms it per stage."""
-    (p1, p2), (q1, q2) = kp.cstr_fields(x1, x2)
+    p1, p2, q1, q2 = kp.cstr_fields(x1, x2)
     return p1 + u * q1, p2 + u * q2
 
 
@@ -82,9 +89,9 @@ def test_fields_match_single_states(X, u):
     # the float fields, and the plant f0 + u f1 that the closed loop forms of them
     points = X.tolist()
     fields = [kp.cstr_fields(*x) for x in points]
-    assert all(type(v) is float for f in fields for pair in f for v in pair)
-    assert_bit_equal(np.array([f0 for f0, _ in fields]), kp.cstr_f0_true(X))
-    assert_bit_equal(np.array([f1 for _, f1 in fields]), kp.cstr_f1(X))
+    assert all(len(f) == 4 and all(type(v) is float for v in f) for f in fields)
+    assert_bit_equal(np.array([f[:2] for f in fields]), kp.cstr_f0_true(X))
+    assert_bit_equal(np.array([f[2:] for f in fields]), kp.cstr_f1(X))
     assert_bit_equal(np.array([float_plant(*x, u) for x in points]), oracles.plant(X, u))
 
 
@@ -208,7 +215,7 @@ def test_rates_match_numpy_rates_on_the_state_box(q):
     X[:4] = [[0.0, 0.0], [kp.STATE_BOX, kp.STATE_BOX], [-kp.STATE_BOX, 0.0],
              [0.0, -kp.STATE_BOX]]
     for x, point in zip(X, X.tolist()):
-        new = control.clf_rates_fields(basis, *point)
+        new = control.clf_rates_fields(basis, *point, kp.cstr_fields(*point))
         old = oracles.clf_rates_fields(basis, kp.cstr_f0_true, kp.cstr_f1, x)
         assert np.max(np.abs(np.subtract(new, old))) <= 1e-12
         assert all(type(r) is float for r in new)
@@ -242,6 +249,19 @@ def test_gradient_polynomials_give_float_bits_on_coordinate_arrays(q, X):
         assert_bit_equal(batched, [kp.polyval(coeffs, *x) for x in map(tuple, X.tolist())])
 
 
+@SETTINGS
+@given(orders, st.integers(min_value=0, max_value=2 ** 32 - 1), wide_coords, wide_coords)
+def test_model_controller_rates_are_polyval_bits(q, seed, x1, x2):
+    # the model controller reads its two rate polynomials in one Horner loop;
+    # each rate keeps polyval's bits, signed zeros and NaN included
+    model = random_model(q, seed)
+    a, b = model.clf_rate_coeffs
+    with mock.patch.object(control, "lin_sontag", lambda ra, rb: (ra, rb)):
+        rates = control.make_model_controller(model)(x1, x2, None)
+    assert all(type(r) is float for r in rates)
+    assert_bit_equal(rates, (kp.polyval(a, x1, x2), kp.polyval(b, x1, x2)))
+
+
 def test_model_polynomials_give_float_bits_on_random_states():
     # 20 000 states meet the inputs on which a BLAS dot product and a
     # per-state sum round apart; Horner's rule must not
@@ -267,8 +287,11 @@ def cstr_controllers():
 
 def on_arrays(controller):
     """A float controller and the float plant as the array loop calls them: on
-    (2,) state arrays, whose coordinates they get as Python floats."""
-    return (lambda x: controller(*x.tolist())), (lambda x, u: float_plant(*x.tolist(), u))
+    (2,) state arrays, whose coordinates they get as Python floats; the
+    controller gets the float fields at the state, as control.simulate passes
+    them."""
+    return ((lambda x: controller(*x.tolist(), kp.cstr_fields(*x.tolist()))),
+            (lambda x, u: float_plant(*x.tolist(), u)))
 
 
 @pytest.mark.parametrize("kind", ["truth", "model"])

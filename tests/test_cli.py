@@ -118,7 +118,7 @@ class TestCliRuns:
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("replacement, message", [
-        (lambda x1, x2: ((math.inf, 0.0), (0.0, 0.0)), "state became non-finite"),
+        (lambda x1, x2: (math.inf, 0.0, 0.0, 0.0), "state became non-finite"),
         (lambda x1, x2: _raise(DomainError("drift undefined")), "drift undefined"),
     ], ids=["non-finite-velocity", "domain-error"])
     def test_exit_code_3_on_closed_loop_failure(self, tmp_path, capsys, monkeypatch,

@@ -12,11 +12,11 @@ BASIS3 = kp.MonomialBasis(q=3)
 
 
 def zero_field(x1, x2):
-    return (0.0, 0.0), (0.0, 0.0)
+    return 0.0, 0.0, 0.0, 0.0
 
 
 def linear_decay(x1, x2):
-    return (-x1, -x2), (0.0, 0.0)
+    return -x1, -x2, 0.0, 0.0
 
 
 class TestClfValue:
@@ -48,34 +48,34 @@ class TestClfValue:
 
 class TestClfRates:
     def test_zero_at_origin(self):
-        a, b = ctl.clf_rates_fields(BASIS3, 0.0, 0.0)
+        a, b = ctl.clf_rates_fields(BASIS3, 0.0, 0.0, kp.cstr_fields(0.0, 0.0))
         assert a == 0.0 and b == 0.0
 
     def test_matches_finite_difference_dvdt(self):
         # a + b u equals dV/dt along the constant-u flow, checked for u = 0, 1
         rng = np.random.default_rng(1)
         h = 1e-4
-        backward = lambda x1, x2: tuple((-v1, -v2) for v1, v2 in kp.cstr_fields(x1, x2))
+        backward = lambda x1, x2: tuple(-v for v in kp.cstr_fields(x1, x2))
         for _ in range(10):
             x0 = rng.uniform(-0.2, 0.2, size=2)
-            a, b = ctl.clf_rates_fields(BASIS3, *x0.tolist())
+            a, b = ctl.clf_rates_fields(BASIS3, *x0.tolist(), kp.cstr_fields(*x0.tolist()))
             for u in (0.0, 1.0):
-                fwd = ctl.simulate(kp.cstr_fields, lambda x1, x2: u, x0, h, h).states[-1]
-                bwd = ctl.simulate(backward, lambda x1, x2: u, x0, h, h).states[-1]
+                fwd = ctl.simulate(kp.cstr_fields, lambda x1, x2, f: u, x0, h, h).states[-1]
+                bwd = ctl.simulate(backward, lambda x1, x2, f: u, x0, h, h).states[-1]
                 dvdt = (ctl.clf_value(BASIS3, fwd) - ctl.clf_value(BASIS3, bwd)) / (2 * h)
                 assert abs(dvdt - (a + b * u)) < 1e-5
 
     def test_field_rates_overflow_is_non_finite(self):
         # grad V's polynomials overflow to inf or NaN at |x1| = 1e200
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
-            ctl.clf_rates_fields(BASIS3, 1e200, 0.0)
+            ctl.clf_rates_fields(BASIS3, 1e200, 0.0, kp.cstr_fields(1e200, 0.0))
 
     @pytest.mark.parametrize("x", [(1e100, 0.0), (-1e100, 0.0), (0.0, 1e200)])
     def test_field_rates_float_overflow_is_non_finite(self, x):
         # x1^3 is finite at |x1| = 1e100 but Horner's rule in grad V's
         # polynomials overflows to inf or NaN; so does x2 * x2 at 1e200
         with pytest.raises(NonFinite):
-            ctl.clf_rates_fields(BASIS3, *x)
+            ctl.clf_rates_fields(BASIS3, *x, kp.cstr_fields(*x))
 
     def test_model_rates_close_to_truth(self):
         # diagnostic: hybrid-model Lie derivatives track the ground truth on X
@@ -83,7 +83,7 @@ class TestClfRates:
         model = row["model"]
         worst = 0.0
         for x in kp.sample_states(30, seed=2).tolist():
-            at, bt = ctl.clf_rates_fields(BASIS3, *x)
+            at, bt = ctl.clf_rates_fields(BASIS3, *x, kp.cstr_fields(*x))
             am, bm = (kp.polyval(c, *x) for c in model.clf_rate_coeffs)
             worst = max(worst, abs(at - am), abs(bt - bm))
         assert worst < 0.05
@@ -145,14 +145,14 @@ class TestLinSontag:
 
 class TestSimulate:
     def test_constant_trajectory_for_zero_field(self):
-        traj = ctl.simulate(zero_field, lambda x1, x2: 0.7,
+        traj = ctl.simulate(zero_field, lambda x1, x2, f: 0.7,
                             np.array([0.1, -0.2]), 0.1, 1.0)
         np.testing.assert_allclose(traj.states, np.tile([0.1, -0.2], (11, 1)),
                                    atol=1e-15)
         np.testing.assert_array_equal(traj.controls, np.full(10, 0.7))
 
     def test_exponential_decay(self):
-        traj = ctl.simulate(linear_decay, lambda x1, x2: 0.0,
+        traj = ctl.simulate(linear_decay, lambda x1, x2, f: 0.0,
                             np.array([1.0, 1.0]), 0.01, 1.0)
         np.testing.assert_allclose(traj.states[-1], np.exp(-1.0) * np.ones(2),
                                    atol=1e-8)
@@ -162,7 +162,7 @@ class TestSimulate:
         exact = np.exp(-1.0) * np.ones(2)
         errs = []
         for dt in (0.1, 0.05):
-            traj = ctl.simulate(linear_decay, lambda x1, x2: 0.0,
+            traj = ctl.simulate(linear_decay, lambda x1, x2, f: 0.0,
                                 np.ones(2), dt, 1.0)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         ratio = errs[0] / errs[1]
@@ -171,30 +171,47 @@ class TestSimulate:
     @pytest.mark.parametrize("dt, horizon", [(0.3, 1.0), (0.01, 10.005), (0.1, 1.0 + 1e-6)])
     def test_rejects_horizon_not_whole_steps(self, dt, horizon):
         with pytest.raises(DomainError):
-            ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
+            ctl.simulate(zero_field, lambda x1, x2, f: 0.0, np.ones(2), dt, horizon)
 
     @pytest.mark.parametrize("dt, horizon", [(0.0, 1.0), (-0.1, 1.0), (float("nan"), 1.0),
                                              (0.1, float("nan")), (0.1, float("inf")),
                                              (0.5, 0.2)])
     def test_rejects_bad_step_or_horizon(self, dt, horizon):
         with pytest.raises(DomainError):
-            ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
+            ctl.simulate(zero_field, lambda x1, x2, f: 0.0, np.ones(2), dt, horizon)
 
     @pytest.mark.parametrize("dt, horizon, steps", [(0.01, 10.0, 1000), (0.1, 0.3, 3)])
     def test_whole_steps_up_to_rounding(self, dt, horizon, steps):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
-        traj = ctl.simulate(zero_field, lambda x1, x2: 0.0, np.ones(2), dt, horizon)
+        traj = ctl.simulate(zero_field, lambda x1, x2, f: 0.0, np.ones(2), dt, horizon)
         assert traj.controls.size == steps and traj.times.size == steps + 1
 
     def test_nonfinite_escape_detected(self):
         with pytest.raises(NonFinite):
-            ctl.simulate(lambda x1, x2: ((100.0 * x1, 100.0 * x2), (0.0, 0.0)),
-                         lambda x1, x2: 0.0, np.ones(2), 0.5, 50.0)
+            ctl.simulate(lambda x1, x2: (100.0 * x1, 100.0 * x2, 0.0, 0.0),
+                         lambda x1, x2, f: 0.0, np.ones(2), 0.5, 50.0)
 
     @pytest.mark.parametrize("x0", [np.ones(3), np.ones(1), np.ones((1, 2)), 0.5, []])
     def test_rejects_a_state_not_of_shape_2(self, x0):
         with pytest.raises(DimensionMismatch):
-            ctl.simulate(zero_field, lambda x1, x2: 0.0, x0, 0.1, 1.0)
+            ctl.simulate(zero_field, lambda x1, x2, f: 0.0, x0, 0.1, 1.0)
+
+    def test_truth_loop_calls_the_plant_four_times_per_step(self, monkeypatch):
+        # simulate hands the step's stage-1 fields to the controller, so the
+        # truth controller's rates evaluate the plant no second time; every
+        # binding of cstr_fields is counted
+        calls, fields = [], kp.cstr_fields
+
+        def counted(x1, x2):
+            calls.append((x1, x2))
+            return fields(x1, x2)
+
+        monkeypatch.setattr(kp, "cstr_fields", counted)
+        monkeypatch.setattr(ctl, "cstr_fields", counted, raising=False)
+        traj = ctl.simulate(kp.cstr_fields, ctl.make_truth_controller(BASIS3),
+                            np.array([0.2, -0.15]), 0.01, 1.0)
+        assert traj.controls.size == 100
+        assert len(calls) == 4 * 100
 
     def test_lyapunov_decrease_under_truth_controller(self):
         controller = ctl.make_truth_controller(BASIS3)

@@ -64,12 +64,12 @@ class TestCstrFields:
     def test_drift_steady_state_at_origin(self):
         np.testing.assert_allclose(kp.cstr_f0_true(np.zeros(2)), [0.0, 0.0],
                                    atol=1e-15)
-        assert kp.cstr_fields(0.0, 0.0)[0] == (0.0, 0.0)
+        assert kp.cstr_fields(0.0, 0.0)[:2] == (0.0, 0.0)
 
     def test_input_channel_at_origin(self):
         np.testing.assert_allclose(kp.cstr_f1(np.zeros(2)), [0.75, -0.25],
                                    atol=1e-15)
-        assert kp.cstr_fields(0.0, 0.0)[1] == (0.75, -0.25)
+        assert kp.cstr_fields(0.0, 0.0)[2:] == (0.75, -0.25)
 
     def test_family_at_zero_parameter(self):
         x = np.array([0.2, -0.1])
