@@ -51,6 +51,8 @@ class ExperimentConfig:
                                 else experiments.DEFAULT_LAMBDA_GRID)
         if self.n < 1 or self.m < 1:
             raise ConfigError("n and m must be >= 1")
+        if max(self.n, self.m) > np.iinfo(np.intp).max:
+            raise ConfigError(f"n and m must be at most {np.iinfo(np.intp).max}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not all(math.isfinite(l) and l > 0 for l in self.lambda_grid):
@@ -144,16 +146,14 @@ class TimeColumn:
         self.times = np.asarray(times, dtype=float)
         self.cells = list(map(repr, self.times.tolist()))
 
-
-def trajectory_csv(traj, column: TimeColumn) -> str:
-    """A trajectory's CSV text in RunOutput.csv's format, built with one join:
-    rows t,x1,x2,u, u empty where the trajectory has no control. The t cells
-    are column's; GridMismatch unless traj's times are column's bit for bit."""
-    if traj.times.tobytes() != column.times.tobytes():
-        raise GridMismatch("trajectory is not on the shared time grid of its run")
-    columns = [*traj.states[:, :2].T.tolist(), traj.controls.tolist()]
-    rows = zip_longest(column.cells, *(map(repr, c) for c in columns), fillvalue="")
-    return "\r\n".join(["t,x1,x2,u", *map(",".join, rows), ""])
+    def rows(self, traj):
+        """traj's CSV rows t,x1,x2,u of str cells, u empty where traj has no
+        control; the t cells are this column's. Raises GridMismatch when called
+        unless traj's times are this column's bit for bit."""
+        if traj.times.tobytes() != self.times.tobytes():
+            raise GridMismatch("trajectory is not on the shared time grid of its run")
+        columns = [*traj.states[:, :2].T.tolist(), traj.controls.tolist()]
+        return zip_longest(self.cells, *(map(repr, c) for c in columns), fillvalue="")
 
 
 class RunOutput:
@@ -177,21 +177,17 @@ class RunOutput:
         except OSError as e:
             raise ConfigError(f"cannot write {self.root / name}: {e}") from e
 
-    def text(self, name: str, text: str) -> None:
-        with self._open(name) as fh:
-            fh.write(text)
-
     def json(self, name: str, doc) -> None:
         """doc is a JSON text (a model's to_json) or an object to dump with indent 2."""
         with self._open(name) as fh:
             fh.write((doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n")
 
     def csv(self, name: str, columns, rows) -> None:
-        """A header and one line per row of str cells, CRLF-ended: what
+        """One text of a header and a line per row of str cells, CRLF-ended: what
         csv.writer writes for cells without commas, quotes or line breaks."""
+        text = "\r\n".join([",".join(columns), *map(",".join, rows), ""])
         with self._open(name) as fh:
-            fh.write(",".join(columns) + "\r\n")
-            fh.writelines(",".join(row) + "\r\n" for row in rows)
+            fh.write(text)
 
     def table(self, name: str, rows: list[dict], columns: tuple) -> None:
         self.csv(name, columns, ([_cell(row[c]) for c in columns] for row in rows))
@@ -208,6 +204,7 @@ class RunOutput:
 
 
 RMSE_COLUMNS = ("lambda", "train_rmse", "val_rmse")
+TRAJECTORY_COLUMNS = ("t", "x1", "x2", "u")
 VLE_DATA = {"vle-data": ("data",), "setting1": ("train", "val"), "setting2": ("train", "val")}
 
 
@@ -257,10 +254,10 @@ def run(config: ExperimentConfig) -> int:
         column = TimeColumn(rows[0]["trajectory_truth"].times)
         # the rows of one initial state share its truth trajectory
         for k, traj in {row["x0_index"]: row["trajectory_truth"] for row in rows}.items():
-            out.text(f"trajectories/truth_x{k}.csv", trajectory_csv(traj, column))
+            out.csv(f"trajectories/truth_x{k}.csv", TRAJECTORY_COLUMNS, column.rows(traj))
         for i, row in enumerate(rows):
-            out.text(f"trajectories/run{i:03d}_x{row['x0_index']}_model.csv",
-                     trajectory_csv(row["trajectory_model"], column))
+            out.csv(f"trajectories/run{i:03d}_x{row['x0_index']}_model.csv",
+                    TRAJECTORY_COLUMNS, column.rows(row["trajectory_model"]))
 
     out.json("manifest.json", {"version": __version__, "numpy_version": np.__version__,
                                "numpy_lapack": LAPACK_BUILD,

@@ -232,7 +232,7 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     G + lam I is solved densely by solve_spd instead.
     """
     if not (np.isfinite(lam) and lam > 0):
-        raise DomainError(f"shift must be finite and positive, got {lam}")
+        raise DomainError(f"lambda must be finite and positive, got {lam}")
     G = _as_2d(G)
     b = np.asarray(rhs, dtype=float)
     _check_finite(b, "rhs")

@@ -189,6 +189,22 @@ class TestCliRuns:
         assert "config error: seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("call, via_config", [
+        (("setting1", "n"), False), (("vle-data", "n"), False), (("koopman", "n"), False),
+        (("setting3", "m"), False), (("control", "m"), False), (("setting1", "n"), True),
+    ], ids=["setting1-n", "vle-data-n", "koopman-n", "setting3-m", "control-m",
+            "setting1-n-config"])
+    def test_exit_code_2_on_size_beyond_the_index_range(self, tmp_path, capsys, call,
+                                                        via_config):
+        # numpy rejects such a size before it allocates; the config rejects it
+        # before the run starts
+        (experiment, key), size = call, "99999999999999999999"
+        cfg = _file(tmp_path / "c.cfg", f"{key}={size}\n".encode())
+        args = ["--config", str(cfg)] if via_config else [f"--{key}", size]
+        assert run_cli([experiment, *args, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: n and m must be at most" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", ["nan", "inf", "1,nan"])
     def test_exit_code_2_on_non_finite_lambda(self, tmp_path, capsys, grid):
         assert run_cli(["setting1", "--n", "12", "--lambda", grid,
@@ -223,11 +239,10 @@ class TestCliRuns:
         assert len(list(trajectories.iterdir())) == len(states) + len(rows)
         for k, truth in states.items():
             assert (trajectories / f"truth_x{k}.csv").read_bytes() == \
-                cli.trajectory_csv(truth, cli.TimeColumn(truth.times)).encode()
+                oracles.trajectory_csv(truth).encode()
         for i, row in enumerate(rows):
-            model = row["trajectory_model"]
             assert (trajectories / f"run{i:03d}_x{row['x0_index']}_model.csv").read_bytes() == \
-                cli.trajectory_csv(model, cli.TimeColumn(model.times)).encode()
+                oracles.trajectory_csv(row["trajectory_model"]).encode()
 
     def test_exit_code_3_on_trajectory_off_the_shared_grid(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -517,4 +532,14 @@ class TestTrajectoryCsv:
         traj = control.Trajectory(times=times, states=np.zeros((times.size, 2)),
                                   controls=np.zeros(times.size - 1))
         with pytest.raises(GridMismatch):
-            cli.trajectory_csv(traj, cli.TimeColumn(self.TIMES))
+            cli.TimeColumn(self.TIMES).rows(traj)
+
+    def test_off_grid_trajectory_leaves_no_file(self, tmp_path):
+        # the grid check runs when the rows are asked for, before the file opens
+        traj = control.Trajectory(times=self.TIMES * 2, states=np.zeros((11, 2)),
+                                  controls=np.zeros(10))
+        out = cli.RunOutput(tmp_path)
+        with pytest.raises(GridMismatch):
+            out.csv("traj.csv", cli.TRAJECTORY_COLUMNS, cli.TimeColumn(self.TIMES).rows(traj))
+        assert out.written == []
+        assert list(tmp_path.iterdir()) == []

@@ -244,8 +244,8 @@ class TestCompareTrajectories:
     def test_csv_export(self, tmp_path):
         path = tmp_path / "traj.csv"
         traj = self.make()
-        cli.RunOutput(tmp_path).text("traj.csv",
-                                     cli.trajectory_csv(traj, cli.TimeColumn(traj.times)))
+        cli.RunOutput(tmp_path).csv("traj.csv", cli.TRAJECTORY_COLUMNS,
+                                    cli.TimeColumn(traj.times).rows(traj))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,x1,x2,u"
         assert len(lines) == 6

@@ -21,6 +21,7 @@ oracle, and at n = 2000 to 1e-11 relative of an exact solve from a full
 eigendecomposition.
 """
 
+import csv
 import ctypes
 import json
 import math
@@ -488,8 +489,8 @@ def test_save_csv_matches_csv_writer(states_and_controls, one_per_step):
                               controls=controls[:-1] if one_per_step else controls)
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        cli.RunOutput(Path(tmp)).text("new.csv",
-                                      cli.trajectory_csv(traj, cli.TimeColumn(traj.times)))
+        cli.RunOutput(Path(tmp)).csv("new.csv", cli.TRAJECTORY_COLUMNS,
+                                     cli.TimeColumn(traj.times).rows(traj))
         oracles.save_csv(traj, old)
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()
@@ -504,11 +505,31 @@ def test_shared_time_column_matches_per_file_formatting(trajectories, dt, one_pe
     # the text of a file that formats its own time column
     n = trajectories[0][0].shape[0]
     column = cli.TimeColumn(np.arange(n) * dt)
-    for states, controls in trajectories:
-        traj = control.Trajectory(times=np.arange(n) * dt, states=states,
-                                  controls=controls[:-1] if one_per_step else controls)
-        assert cli.trajectory_csv(traj, column).encode() == \
-            oracles.trajectory_csv(traj).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = cli.RunOutput(Path(tmp))
+        for i, (states, controls) in enumerate(trajectories):
+            traj = control.Trajectory(times=np.arange(n) * dt, states=states,
+                                      controls=controls[:-1] if one_per_step else controls)
+            out.csv(f"{i}.csv", cli.TRAJECTORY_COLUMNS, column.rows(traj))
+            assert (Path(tmp) / f"{i}.csv").read_bytes() == oracles.trajectory_csv(traj).encode()
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.lists(st.floats(width=64), min_size=k, max_size=k), max_size=30))))
+def test_table_csv_matches_csv_writer(width_and_table):
+    # a table of k columns and 0 to 30 rows of repr'd float cells, written as
+    # one text and row by row by csv.writer
+    k, table = width_and_table
+    columns = [f"c{j}" for j in range(k)]
+    cells = [list(map(repr, row)) for row in table]
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.RunOutput(Path(tmp)).csv("new.csv", columns, cells)
+        with open(os.path.join(tmp, "old.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(cells)
+        assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "old.csv").read_bytes()
 
 
 def point_set(n: int, d: int, seed: int) -> np.ndarray:
