@@ -35,6 +35,7 @@ CALLS=(
     "setting1-s1 setting1 --n 50 --seed 1"
     "setting2-s0 setting2 --n 50 --seed 0"
     "setting2-s1 setting2 --n 50 --seed 1"
+    "setting2-n35-s2 setting2 --n 35 --seed 2"
     "setting3 setting3 --m 25"
     "setting3-m100-s1 setting3 --m 100 --seed 1"
     "setting3-m50-s2 setting3 --m 50 --seed 2"

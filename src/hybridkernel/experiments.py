@@ -6,6 +6,7 @@ the closed-loop control comparison. All functions are pure given their seeds.
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 
@@ -129,22 +130,35 @@ def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
 def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> dict:
     """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data.
 
-    Each "margules" row carries its fitted model under "model".
+    Each "margules" row carries its fitted model under "model". The pool
+    fits the whole grid first, in joint-matrix buffers this thread allocates
+    (one per fit that runs at once); the validation designs, whose n x n
+    cross-Gram would coexist with the solves, are built after the fits.
     """
     ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
                                      KernelSpec(gamma=DEFAULT_GAMMA_X))
-    ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_train = ref_train.with_features(thermo_vle.margules_features, joint=True)
+    grid = list(lambda_grid)
+    buffers = queue.SimpleQueue()
+    for _ in range(min(worker_count(), len(grid))):
+        buffers.put(np.empty_like(sub_train.DtD))
+
+    def fit(lam):
+        buf = buffers.get()
+        try:
+            return (hybrid_static.fit_reference_krr(ref_train, lam),
+                    hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
+                                               lambda_r=lam, out=buf))
+        finally:
+            buffers.put(buf)
+
+    fits = _map_grid(fit, grid)
+    del buffers  # freed before the cross-Gram is allocated
+    ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_val = ref_val.with_features(thermo_vle.margules_features)
-
-    def one(lam):
-        ref = hybrid_static.fit_reference_krr(ref_train, lam)
-        sub = hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
-                                         lambda_r=lam)
-        return (_row(lam, ref, ref_train, ref_val),
-                _row(lam, sub, sub_train, sub_val, theta_star=sub.weights, model=sub))
-
-    rows = _map_grid(one, list(lambda_grid))
+    rows = [(_row(lam, ref, ref_train, ref_val),
+             _row(lam, sub, sub_train, sub_val, theta_star=sub.weights, model=sub))
+            for lam, (ref, sub) in zip(grid, fits)]
     return {"reference": [r[0] for r in rows], "margules": [r[1] for r in rows]}
 
 

@@ -12,8 +12,8 @@ feature map Phi and in how the weights w are fit:
 A ``Design`` holds the lambda-independent blocks of one dataset, the
 low-rank factor of the training Gram matrix among them. Drivers build it once
 per sweep, before the lambda pool starts, and the pool threads only read it;
-each fit then does only the lambda-dependent solve, and ``rmse`` evaluates
-the design. ``HybridModel.predict`` is the only place that evaluates the
+each fit then does only the lambda-dependent solve (the subspace fit's in a
+buffer the driver may pass), and ``rmse`` evaluates the design. ``HybridModel.predict`` is the only place that evaluates the
 features at new points.
 """
 
@@ -137,7 +137,8 @@ class Design:
     has none. DtD and Dty are D'D and D'y of D = [F, G] (numpy's D.T @ D is a
     symmetric rank-k update: exactly symmetric); only the subspace fit reads
     them. The arrays are read, never written, so pool threads share a
-    design: the subspace fit factors a joint matrix it builds, not these.
+    design: the subspace fit factors its joint matrix in a buffer of its own
+    or in the `out` its caller passes, never in these.
     """
 
     features: Callable
@@ -187,13 +188,18 @@ def design(data: Dataset, features: Callable, kernel: KernelSpec,
                    low_rank_psd_factor(G), joint)
 
 
-def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
-    """D'D + blockdiag(lambda_theta I, lambda_r G); exactly symmetric, since
-    the design's D'D and G are."""
+def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float,
+                  out: np.ndarray = None) -> np.ndarray:
+    """D'D + blockdiag(lambda_theta I, lambda_r G) in every entry of `out` (or
+    a new array); exactly symmetric, since the design's D'D and G are."""
     if design.DtD is None:
         raise DomainError("subspace fits need a training design built with joint=True")
     p, dim = design.F.shape[1], design.DtD.shape[0]
-    M = np.empty_like(design.DtD)
+    M = np.empty_like(design.DtD) if out is None else out
+    if not (isinstance(M, np.ndarray) and M.shape == (dim, dim) and M.dtype == np.float64
+            and M.flags.c_contiguous and M.flags.writeable):
+        raise DimensionMismatch(f"out must be a writeable C-contiguous float64 ({dim}, {dim}) "
+                                "array")
     M[:p] = design.DtD[:p]
     M[p:, :p] = design.DtD[p:, :p]
     M.flat[:p * (dim + 1):dim + 1] += lambda_theta
@@ -221,18 +227,22 @@ def fit_reference_krr(design: Design, lam: float) -> HybridModel:
                                          design.y - design.F @ w))
 
 
-def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> HybridModel:
+def fit_subspace(design: Design, lambda_theta: float, lambda_r: float,
+                 out: np.ndarray = None) -> HybridModel:
     """Joint fit of linear parameters theta and the kernel residual.
 
     Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
-    jittered SPD path, which factors the joint matrix in its own memory.
+    jittered SPD path, which factors the joint matrix in its own memory: a
+    new array, or `out`, a buffer a sweep reuses across fits (DimensionMismatch
+    unless it is a writeable C-contiguous float64 array of that shape).
     """
     if not (np.isfinite(lambda_theta) and lambda_theta > 0
             and np.isfinite(lambda_r) and lambda_r > 0):
         raise DomainError("regularization weights must be finite and positive, got "
                           f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
     p = design.F.shape[1]
-    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r), design.Dty, overwrite=True)
+    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r, out), design.Dty,
+                    overwrite=True)
     return design.model(sol[:p], sol[p:])
 
 

@@ -171,11 +171,16 @@ def solve_spd(M, rhs, overwrite: bool = False) -> np.ndarray:
     _check_finite(B, "rhs")
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
-    L, _ = cholesky_with_jitter(M, overwrite)
+    X = _solve_factored(cholesky_with_jitter(M, overwrite)[0], B)
+    return X[:, 0] if was_1d else X
+
+
+def _solve_factored(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L L' X = B for a Fortran-ordered lower factor L and a 2-D B."""
     X = np.array(B, order="F")  # dpotrs overwrites its right-hand side with X
     n, k = (ctypes.byref(ctypes.c_int64(d)) for d in B.shape)
     _lapack_info(_dpotrs, "dpotrs", b"L", n, k, L.ctypes.data, n, X.ctypes.data, n)
-    return X[:, 0] if was_1d else X
+    return X
 
 
 class LowRankFactor(NamedTuple):
@@ -229,7 +234,8 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     MAX_REFINEMENT_STEPS steps. Each step multiplies the error by a matrix of
     norm at most tail/lam, plus the factor's rounding (of order n eps max(mu))
     over lam; when the two reach lam/10 refinement need not contract, and
-    G + lam I is solved densely by solve_spd instead.
+    G + lam I is factored densely instead; NotPositiveDefinite if that needs
+    jitter, which would solve another lam.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise DomainError(f"lambda must be finite and positive, got {lam}")
@@ -242,7 +248,11 @@ def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
     if factor.tail + b.shape[0] * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10:
         M = G.copy()
         M.flat[::M.shape[0] + 1] += lam
-        return solve_spd(M, b, overwrite=True)
+        L, jitter = cholesky_with_jitter(M, overwrite=True)
+        if jitter:
+            raise NotPositiveDefinite(f"G + lambda I needs Cholesky jitter at lambda={lam}")
+        x = _solve_factored(L, _as_2d(b))
+        return x[:, 0] if b.ndim == 1 else x
     W = factor.W
     # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam); past
     # lam = 1e150, lam (mu + lam) would overflow, and mu/lam is divided first

@@ -146,6 +146,16 @@ class TestCliRuns:
         assert err.count("\n") == 1
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_exit_code_3_when_lambda_is_below_rounding(self, tmp_path, capsys):
+        # G + 1e-300 I rounds to G, whose Cholesky needs jitter: a jittered
+        # factor would report lambda = 1e-300 for the RMSEs of lambda = 1e-12
+        assert run_cli(["setting1", "--n", "50", "--lambda", "1e-300",
+                        "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "lambda=1e-300" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "manifest.json").exists()
+
     @pytest.mark.parametrize("experiment, path_args", [
         ("setting1", lambda tmp: ["--config", tmp / "missing.cfg", "--out", tmp / "out"]),
         ("setting1", lambda tmp: ["--config", tmp, "--out", tmp / "out"]),

@@ -1,11 +1,13 @@
 """The size of the lambda pool, that its threads leave shared designs as
-they were, and that the Koopman sweeps fit in the calling thread."""
+they were, the memory the setting (ii) sweep holds at once, and that the
+Koopman sweeps fit in the calling thread."""
 
 import os
 import threading
 
 import pytest
 
+import oracles
 from hybridkernel import experiments, hybrid_static
 
 
@@ -53,6 +55,16 @@ def test_lambda_pool_leaves_the_shared_designs_bit_identical(monkeypatch):
     assert len(built) == 4 and any(design.DtD is not None for design, _ in built)
     for design, before in built:
         assert array_bytes(design) == before
+
+
+def test_setting2_holds_one_joint_buffer_per_worker_and_no_cross_gram_meanwhile(monkeypatch):
+    # two (n + 2)^2 buffers reused over the grid, and the validation
+    # cross-Gram built only after the fits: fresh joint matrices per fit,
+    # beside the cross-Gram, held about 5.15 such units at once
+    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
+    n = 1000
+    peak = oracles.peak_traced_bytes(experiments.run_setting2, n)
+    assert peak < 4.5 * (n + 2) ** 2 * 8
 
 
 class PoolStarted(Exception):

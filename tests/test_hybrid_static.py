@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridkernel import experiments, linalg, thermo_vle
 from hybridkernel import hybrid_static as hs
 from hybridkernel.errors import DimensionMismatch, DomainError
 from hybridkernel.hybrid_static import Dataset
@@ -168,6 +169,49 @@ class TestSubspace:
                            KX, joint=True)
         peak = oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0)
         assert peak < 1.5 * 8 * (n + 2) ** 2
+
+    def test_fits_through_one_reused_buffer_equal_fresh_fits_bit_for_bit(self, monkeypatch):
+        # the setting2 --n 35 --seed 2 grid mixes jittered (J) and plain (.)
+        # solves, so the buffer also starts from a jittered factor
+        train = hs.design(experiments.gex_dataset(35, 2), experiments.gex_reference,
+                          KernelSpec(gamma=experiments.DEFAULT_GAMMA_X))
+        design = train.with_features(thermo_vle.margules_features, joint=True)
+        jitters, cholesky = [], linalg.cholesky_with_jitter
+
+        def recording(*args, **kwargs):
+            L, jitter = cholesky(*args, **kwargs)
+            jitters.append(jitter)
+            return L, jitter
+
+        monkeypatch.setattr(linalg, "cholesky_with_jitter", recording)
+        buf = np.full_like(design.DtD, np.nan)
+        for lam in experiments.DEFAULT_LAMBDA_GRID:
+            reused = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam, out=buf)
+            fresh = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam)
+            assert reused.weights.tobytes() == fresh.weights.tobytes()
+            assert reused.coeffs.tobytes() == fresh.coeffs.tobytes()
+        assert "".join("J" if j else "." for j in jitters[::2]) == "JJJJ.J..J.JJJ"
+        assert jitters[::2] == jitters[1::2]
+
+    @pytest.mark.parametrize("out", [
+        np.empty((36, 36)), np.empty((37, 38)), np.empty((37, 37), dtype=np.float32),
+        np.empty((37, 37)).astype(">f8"), np.empty((37, 74))[:, ::2], np.empty((37, 37)).T[:0],
+        np.zeros((37, 37)).tolist()], ids=["small", "not-square", "float32", "big-endian",
+                                           "strided", "empty", "list"])
+    def test_buffer_of_another_layout_raises(self, out):
+        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
+                           KX, joint=True)
+        with pytest.raises(DimensionMismatch):
+            hs.fit_subspace(design, 1e-3, 1.0, out=out)
+
+    def test_read_only_buffer_raises_and_is_not_written(self):
+        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
+                           KX, joint=True)
+        out = np.zeros((37, 37))
+        out.flags.writeable = False
+        with pytest.raises(DimensionMismatch):
+            hs.fit_subspace(design, 1e-3, 1.0, out=out)
+        assert not out.any()
 
     def test_objective_matches_solution(self):
         data = toy_dataset(15, seed=4)
