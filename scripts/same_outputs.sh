@@ -31,6 +31,7 @@ CALLS=(
     "setting1-n2000 setting1 --n 2000 --seed 0"
     "setting2-n2000 setting2 --n 2000 --seed 0"
     "setting1-n2000-dense setting1 --n 2000 --lambda 1e-12"
+    "setting1-n2000-mixed setting1 --n 2000 --lambda 1e-12,1e-3,100"
     "setting1-s0 setting1 --n 50 --seed 0"
     "setting1-s1 setting1 --n 50 --seed 1"
     "setting2-s0 setting2 --n 50 --seed 0"

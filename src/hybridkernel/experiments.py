@@ -33,16 +33,6 @@ def worker_count() -> int:
     return min(4, cpus or 1)
 
 
-def _map_grid(fn, grid):
-    """fn over the grid on the lambda pool: the static sweeps' fits, whose
-    n x n solves and Gram products release the GIL."""
-    workers = worker_count()
-    if workers == 1 or len(grid) == 1:
-        return [fn(g) for g in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, grid))
-
-
 @lru_cache(maxsize=None)
 def _vle_point(x: float) -> tuple[float, float]:
     """bubble_point's (T, y) at x; the datasets, the features and the CLI's
@@ -111,11 +101,11 @@ def seeds(experiment: str, seed: int) -> dict:
     return out
 
 
-def _row(lam, fitted, train, val, **extra) -> dict:
-    """One static sweep row: lambda, the fit's training and validation RMSE,
-    then the setting's extra entries."""
-    return {"lambda": float(lam), "train_rmse": hybrid_static.rmse(fitted, train),
-            "val_rmse": hybrid_static.rmse(fitted, val), **extra}
+def _rows(grid, models, train, val) -> list[dict]:
+    """A static sweep's rows: each lambda with its model's training and
+    validation RMSE, each design scored in one rmse call."""
+    return [{"lambda": float(lam), "train_rmse": t, "val_rmse": v} for lam, t, v
+            in zip(grid, hybrid_static.rmse(models, train), hybrid_static.rmse(models, val))]
 
 
 def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> list[dict]:
@@ -123,43 +113,44 @@ def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
     train = hybrid_static.design(xy_dataset(n, seed), relative_volatility_reference,
                                  KernelSpec(gamma=DEFAULT_GAMMA_X))
     val = train.at(xy_dataset(n, seeds("setting1", seed)["validation_seed"]))
-    return _map_grid(lambda lam: _row(lam, hybrid_static.fit_reference_krr(train, lam),
-                                      train, val), list(lambda_grid))
+    return _rows(lambda_grid, hybrid_static.fit_reference_krr(train, lambda_grid), train, val)
 
 
 def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> dict:
     """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data.
 
-    Each "margules" row carries its fitted model under "model". The pool
-    fits the whole grid first, in joint-matrix buffers this thread allocates
-    (one per fit that runs at once); the validation designs, whose n x n
-    cross-Gram would coexist with the solves, are built after the fits.
+    Each "margules" row carries its fitted model under "model". The reference
+    grid is one fit call; then the lambda pool fits the subspace grid in
+    joint-matrix buffers this thread allocates, one per worker. The validation
+    designs, whose n x n cross-Gram would coexist with the solves, come after.
     """
     ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
                                      KernelSpec(gamma=DEFAULT_GAMMA_X))
     sub_train = ref_train.with_features(thermo_vle.margules_features, joint=True)
-    grid = list(lambda_grid)
-    buffers = queue.SimpleQueue()
-    for _ in range(min(worker_count(), len(grid))):
+    refs = hybrid_static.fit_reference_krr(ref_train, lambda_grid)
+    workers, buffers = min(worker_count(), len(lambda_grid)), queue.SimpleQueue()
+    for _ in range(workers):
         buffers.put(np.empty_like(sub_train.DtD))
 
     def fit(lam):
         buf = buffers.get()
         try:
-            return (hybrid_static.fit_reference_krr(ref_train, lam),
-                    hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
-                                               lambda_r=lam, out=buf))
+            return hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
+                                              lambda_r=lam, out=buf)
         finally:
             buffers.put(buf)
 
-    fits = _map_grid(fit, grid)
+    if workers == 1:
+        subs = [fit(lam) for lam in lambda_grid]
+    else:  # the (n + 2)^2 factorizations release the GIL
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            subs = list(pool.map(fit, lambda_grid))
     del buffers  # freed before the cross-Gram is allocated
     ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_val = ref_val.with_features(thermo_vle.margules_features)
-    rows = [(_row(lam, ref, ref_train, ref_val),
-             _row(lam, sub, sub_train, sub_val, theta_star=sub.weights, model=sub))
-            for lam, (ref, sub) in zip(grid, fits)]
-    return {"reference": [r[0] for r in rows], "margules": [r[1] for r in rows]}
+    return {"reference": _rows(lambda_grid, refs, ref_train, ref_val),
+            "margules": [{**row, "theta_star": sub.weights, "model": sub} for row, sub
+                         in zip(_rows(lambda_grid, subs, sub_train, sub_val), subs)]}
 
 
 def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
@@ -170,14 +161,10 @@ def run_setting3(n: int = 50, seed: int = 0, m: int = 25,
     train = hybrid_static.design(gex_dataset(n, seed), partial(wilson_family, thetas=thetas),
                                  KernelSpec(gamma=DEFAULT_GAMMA_X))
     val = train.at(gex_dataset(n, run_seeds["validation_seed"]))
-
-    def one(lam):
-        model = hybrid_static.fit_mixture(train, lambda_r=lam)
-        return _row(lam, model, train, val,
-                    theta_star=hybrid_static.effective_parameter(model.weights, thetas),
-                    weights=model.weights, theta_samples=thetas, model=model)
-
-    return _map_grid(one, list(lambda_grid))
+    models = hybrid_static.fit_mixture(train, lambda_grid)
+    return [{**row, "theta_star": hybrid_static.effective_parameter(model.weights, thetas),
+             "weights": model.weights, "theta_samples": thetas, "model": model}
+            for row, model in zip(_rows(lambda_grid, models, train, val), models)]
 
 
 def fit_closures(thetas, basis: koopman.MonomialBasis) -> tuple:

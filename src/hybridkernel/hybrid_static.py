@@ -11,10 +11,9 @@ feature map Phi and in how the weights w are fit:
 
 A ``Design`` holds the lambda-independent blocks of one dataset, the
 low-rank factor of the training Gram matrix among them. Drivers build it once
-per sweep, before the lambda pool starts, and the pool threads only read it;
-each fit then does only the lambda-dependent solve (the subspace fit's in a
-buffer the driver may pass), and ``rmse`` evaluates the design. ``HybridModel.predict`` is the only place that evaluates the
-features at new points.
+per sweep; each fit then does only the lambda-dependent solves, and ``rmse``
+scores a sweep's models on the design. ``HybridModel.predict`` is the only
+place that evaluates the features at new points.
 """
 
 from __future__ import annotations
@@ -133,12 +132,11 @@ class Design:
     F = Phi(X) and K = k(X, anchors): the Gram matrix G on the training set
     (anchors = X), the cross-Gram against the training inputs on any other
     set. factor is the low-rank factor of G (linalg.low_rank_psd_factor),
-    from which the reference fit solves every lambda; a design on another set
-    has none. DtD and Dty are D'D and D'y of D = [F, G] (numpy's D.T @ D is a
-    symmetric rank-k update: exactly symmetric); only the subspace fit reads
-    them. The arrays are read, never written, so pool threads share a
-    design: the subspace fit factors its joint matrix in a buffer of its own
-    or in the `out` its caller passes, never in these.
+    from which the reference and mixture fits solve their whole grid; a design
+    on another set has none. DtD and Dty are D'D and D'y of D = [F, G]
+    (numpy's D.T @ D is a symmetric rank-k update: exactly symmetric), read
+    only by the subspace fit, whose pool threads share a design: each factors
+    its joint matrix in a buffer of its own or in the `out` passed, never here.
     """
 
     features: Callable
@@ -209,22 +207,16 @@ def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float,
     return M
 
 
-def fit_reference_krr(design: Design, lam: float) -> HybridModel:
-    """Closed-form ridge fit of the residual around the fixed feature columns,
-    each with weight 1: c = (G + lam I)^-1 (y - F 1).
-
-    The solve starts from the design's low-rank factor G ~ W diag(mu) W',
-    c = P r with P = W diag(1/(mu + lam)) W' + (I - W W')/lam, and refines
-    c += P (r - G c - lam c) against the exact G (linalg.solve_shifted). When
-    the factor's remainder trace is at least lam/10, refinement need not
-    converge and G + lam I is factored densely, as for lam = 1e-12 at
-    n = 2000 (remainder trace 3e-11).
-    """
+def fit_reference_krr(design: Design, lams) -> list[HybridModel]:
+    """Closed-form ridge fits of the residual around the fixed feature columns,
+    each with weight 1: c = (G + lam I)^-1 (y - F 1), one model per lam of the
+    grid, every lam a shift of one linalg.solve_shifted call from the design's
+    Gram factor."""
     if design.factor is None:
         raise DomainError("reference fits need a training design")
     w = np.ones(design.F.shape[1])
-    return design.model(w, solve_shifted(design.K, design.factor, lam,
-                                         design.y - design.F @ w))
+    return [design.model(w, c) for c in solve_shifted(design.K, design.factor, lams,
+                                                      design.y - design.F @ w)]
 
 
 def fit_subspace(design: Design, lambda_theta: float, lambda_r: float,
@@ -246,34 +238,37 @@ def fit_subspace(design: Design, lambda_theta: float, lambda_r: float,
     return design.model(sol[:p], sol[p:])
 
 
-def fit_mixture(design: Design, lambda_r: float) -> HybridModel:
-    """Simplex-constrained fit of mixture weights b plus kernel residual c.
+def fit_mixture(design: Design, lambdas) -> list[HybridModel]:
+    """Simplex-constrained fits of mixture weights b plus kernel residual c,
+    one model per lambda_r of the grid `lambdas`.
 
     Minimizes ||F b + G c - y||^2 + l_r c'G c with b on the simplex, where
     the columns of F are the family members. With A = (G + l_r I)^-1,
     c = A (y - F b) minimizes over c for any b, and leaves l_r (y - F b)'
     A (y - F b): the partial-spline elimination (Wahba 1990, "Spline Models
     for Observational Data"). So b solves the simplex QP S = l_r F'AF,
-    s = -2 l_r F'Ay, where A [F, y] is one shifted solve from the design's
-    Gram factor. Raises NotConverged if the QP's active-set method reaches
-    its step cap.
+    s = -2 l_r F'Ay; A [F, y] of every l_r is one shifted solve from the
+    design's Gram factor. NotConverged if a QP reaches its step cap.
     """
     if design.factor is None:
         raise DomainError("mixture fits need a training design")
-    AFy = solve_shifted(design.K, design.factor, lambda_r,
-                        np.column_stack([design.F, design.y]))
-    AF, Ay = AFy[:, :-1], AFy[:, -1]
-    # l_r scales F'Ay before the exact factor -2: -2 l_r alone is -inf above
-    # about 9e307
-    sol = simplex_qp.solve(lambda_r * (design.F.T @ AF), -2.0 * (lambda_r * (design.F.T @ Ay)))
-    return design.model(sol.b, Ay - AF @ sol.b)
+    AFys = solve_shifted(design.K, design.factor, lambdas, np.column_stack([design.F, design.y]))
+    models = []
+    for lambda_r, AFy in zip(np.asarray(lambdas, dtype=float), AFys):
+        AF, Ay = AFy[:, :-1], AFy[:, -1]
+        # l_r scales F'Ay before the exact factor -2: -2 l_r alone is -inf past 9e307
+        sol = simplex_qp.solve(lambda_r * (design.F.T @ AF), -2.0 * (lambda_r * (design.F.T @ Ay)))
+        models.append(design.model(sol.b, Ay - AF @ sol.b))
+    return models
 
 
-def rmse(model: HybridModel, design: Design) -> float:
-    """RMS error of the model on the design's dataset, from its F and K blocks;
-    the model must be fit on this design's feature map, anchors and kernel."""
-    if not (model.features is design.features and model.anchors is design.anchors
-            and model.kernel == design.kernel):
-        raise DomainError("model was not fit on this design's features, anchors and kernel")
-    pred = design.F @ model.weights + design.K @ model.coeffs
-    return float(np.sqrt(np.mean((pred - design.y) ** 2)))
+def rmse(models: list[HybridModel], design: Design) -> list[float]:
+    """RMS error of each model on the design's dataset, from one product of its
+    F and K blocks with the models' stacked weights and coefficients (a row
+    each); every model must be fit on this design's features, anchors and kernel."""
+    if not models or not all(m.features is design.features and m.anchors is design.anchors
+                             and m.kernel == design.kernel for m in models):
+        raise DomainError("models were not fit on this design's features, anchors and kernel")
+    pred = (np.stack([m.weights for m in models]) @ design.F.T
+            + np.stack([m.coeffs for m in models]) @ design.K.T)
+    return np.sqrt(np.mean((pred - design.y) ** 2, axis=1)).tolist()

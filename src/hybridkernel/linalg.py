@@ -32,6 +32,9 @@ SYMMETRY_TILE = 128  # the symmetry check compares 128 x 128 tiles, not whole ma
 # refinement usually stops after two steps, once the correction has reached
 # rounding level and no longer halves.
 MAX_REFINEMENT_STEPS = 16
+# Shifts refine in groups of at most max(n, REFINE_BLOCK / n) columns: a step
+# streams G once per group, and at small n larger groups fall out of cache.
+REFINE_BLOCK = 2 ** 14
 
 def _lapack(name: str, *argtypes):
     """numpy's LAPACK routine `name` (looked up through numpy's linalg extension,
@@ -165,14 +168,12 @@ def solve_spd(M, rhs, overwrite: bool = False) -> np.ndarray:
     built M for this one call.
     """
     M = _as_2d(M)
-    rhs_arr = np.asarray(rhs, dtype=float)
-    was_1d = rhs_arr.ndim == 1
-    B = _as_2d(rhs_arr)
+    b = np.asarray(rhs, dtype=float)
+    B = _as_2d(b)
     _check_finite(B, "rhs")
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
-    X = _solve_factored(cholesky_with_jitter(M, overwrite)[0], B)
-    return X[:, 0] if was_1d else X
+    return _solve_factored(cholesky_with_jitter(M, overwrite)[0], B).reshape(b.shape)
 
 
 def _solve_factored(L: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -223,66 +224,84 @@ def low_rank_psd_factor(G) -> LowRankFactor:
     return LowRankFactor(W=W, mu=s * s, tail=float(remainder.sum()))
 
 
-def solve_shifted(G, factor: LowRankFactor, lam: float, rhs) -> np.ndarray:
-    """Solve (G + lam I) x = rhs, for lam > 0, from the low-rank factor of G;
-    rhs is (n,) or (n, k), and x has its shape.
+def solve_shifted(G, factor: LowRankFactor, lams, rhs) -> np.ndarray:
+    """Solve (G + lam I) x = rhs for each shift lam > 0 of the 1-D grid lams,
+    from the low-rank factor of G; rhs is (n,) or (n, k), and the solutions
+    come stacked as (L,) + rhs.shape.
 
     P = W diag(1/(mu + lam)) W' + (I - W W')/lam inverts W diag(mu) W' + lam I
     exactly. x = P rhs is refined against the exact G, x += P (rhs - G x -
-    lam x), column by column until the column's correction no longer halves
-    (it is then rounding noise, and is not applied), or for
-    MAX_REFINEMENT_STEPS steps. Each step multiplies the error by a matrix of
-    norm at most tail/lam, plus the factor's rounding (of order n eps max(mu))
-    over lam; when the two reach lam/10 refinement need not contract, and
-    G + lam I is factored densely instead; NotPositiveDefinite if that needs
-    jitter, which would solve another lam.
+    lam x), one product by G per step for a group of shifts, until a column's
+    correction no longer halves (it is then rounding noise, and is not
+    applied) or for MAX_REFINEMENT_STEPS steps. A step multiplies the error by
+    a matrix of norm at most tail/lam, plus the factor's rounding (n eps
+    max(mu)) over lam; where the two reach lam/10, G + lam I is factored
+    densely instead, NotPositiveDefinite if that needs jitter.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise DomainError(f"lambda must be finite and positive, got {lam}")
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not lams.size or not np.all(np.isfinite(lams) & (lams > 0)):
+        raise DomainError(f"lambda must be a 1-D grid of finite positive values, got {lams}")
     G = _as_2d(G)
     b = np.asarray(rhs, dtype=float)
     _check_finite(b, "rhs")
     if b.ndim not in (1, 2) or b.shape[0] != G.shape[0] or factor.W.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"rhs {b.shape} for matrix {G.shape} and factor "
-                                f"{factor.W.shape}")
-    if factor.tail + b.shape[0] * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10:
+        raise DimensionMismatch(f"rhs {b.shape} for matrix {G.shape} and factor {factor.W.shape}")
+    B = b.reshape(b.shape[0], -1)
+    X = np.empty((lams.size,) + B.shape)
+    dense = lams / 10 <= factor.tail + len(B) * np.finfo(float).eps * factor.mu.max(initial=0.0)
+    for i in np.flatnonzero(dense):
         M = G.copy()
-        M.flat[::M.shape[0] + 1] += lam
+        M.flat[::M.shape[0] + 1] += lams[i]
         L, jitter = cholesky_with_jitter(M, overwrite=True)
         if jitter:
-            raise NotPositiveDefinite(f"G + lambda I needs Cholesky jitter at lambda={lam}")
-        x = _solve_factored(L, _as_2d(b))
-        return x[:, 0] if b.ndim == 1 else x
-    W = factor.W
+            raise NotPositiveDefinite(f"G + lambda I needs Cholesky jitter at lambda={lams[i]}")
+        X[i] = _solve_factored(L, B)
+        del M, L  # freed before the next shift's copy of G
+    refined, n, k = np.flatnonzero(~dense), max(len(B), 1), max(B.shape[1], 1)
+    group = max(1, max(n, REFINE_BLOCK // n) // k)  # shifts per refinement group
+    for i in range(0, refined.size, group):
+        X[refined[i:i + group]] = _refine(G, factor, lams[refined[i:i + group]], B)
+    return X.reshape(lams.shape + b.shape)
+
+
+def _refine(G: np.ndarray, factor: LowRankFactor, lams: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The (L, n, k) refined solutions of solve_shifted, the n x Lk columns side
+    by side in each product; a column leaves the products once it stops."""
+    (n, k), W = B.shape, factor.W
     # P = I/lam - W diag(shrink) W', shrink = 1/lam - 1/(mu + lam); past
     # lam = 1e150, lam (mu + lam) would overflow, and mu/lam is divided first
-    shrink = (factor.mu / (lam * (factor.mu + lam)) if lam < 1e150
-              else factor.mu / lam / (factor.mu + lam))
-    if b.ndim == 2:
-        shrink = shrink[:, None]
-
-    def apply_p(v):
-        return v / lam - W @ (shrink * (W.T @ v))
-
-    x = apply_p(b)
-    size = np.full(b.shape[1:], np.inf)  # a column that has stopped has size 0
-    for _ in range(MAX_REFINEMENT_STEPS):
-        dx = apply_p(b - G @ x - lam * x)
-        # per column, the norm the contraction bound holds in
-        new = np.linalg.norm(dx, axis=0) if b.ndim == 2 else np.linalg.norm(dx)
+    shrink = np.repeat(np.stack([factor.mu / (lam * (factor.mu + lam)) if lam < 1e150 else
+                                 factor.mu / lam / (factor.mu + lam) for lam in lams], axis=1),
+                       k, axis=1)
+    shift, rhs = np.repeat(lams, k), np.tile(B, lams.size)
+    X, on = np.empty_like(rhs), np.arange(rhs.shape[1])  # `on`: the columns still refining
+    Xon, dX, size = np.zeros_like(rhs), rhs.copy(), np.full(on.size, np.inf)
+    for _ in range(MAX_REFINEMENT_STEPS + 1):  # x = P rhs, then the steps
+        WtR = W.T @ dX  # dX holds the residual rhs - G x - lam x; P of it goes in its place
+        WtR *= shrink
+        dX /= shift
+        dX -= W @ WtR
+        new = np.linalg.norm(dX, axis=0)  # per column, as the contraction bound holds
         halves = new < size / 2
-        if not halves.any():
+        if not halves.all():  # a column whose correction no longer halves stops
+            X[:, on[~halves]] = Xon[:, ~halves]
+            on, Xon, dX, new = on[halves], Xon[:, halves], dX[:, halves], new[halves]
+            shift, rhs, shrink = shift[halves], rhs[:, halves], shrink[:, halves]
+        Xon += dX
+        size = new
+        if not on.size:
             break
-        x += np.where(halves, dx, 0.0)
-        size = np.where(halves, new, 0.0)
-    return x
+        dX = G @ Xon
+        np.subtract(rhs, dX, out=dX)
+        dX -= shift * Xon
+    X[:, on] = Xon
+    return X.reshape(n, lams.size, k).transpose(1, 0, 2)
 
 
 def solve_least_squares(A, B) -> np.ndarray:
     """Minimize ||A X - B||_F via normal equations with the jittered SPD solve."""
     A = _as_2d(A)
     B_arr = np.asarray(B, dtype=float)
-    was_1d = B_arr.ndim == 1
     B2 = _as_2d(B_arr)
     _check_finite(A, "A")
     _check_finite(B2, "B")
@@ -290,5 +309,4 @@ def solve_least_squares(A, B) -> np.ndarray:
         raise DimensionMismatch(f"A is {A.shape}: fewer rows than columns")
     if B2.shape[0] != A.shape[0]:
         raise DimensionMismatch(f"B has {B2.shape[0]} rows, A has {A.shape[0]}")
-    X = solve_spd(A.T @ A, A.T @ B2)
-    return X[:, 0] if was_1d else X
+    return solve_spd(A.T @ A, A.T @ B2).reshape((-1,) + B_arr.shape[1:])

@@ -23,7 +23,11 @@ formats its own time column (``trajectory_csv``) are the paths ``linalg``, ``the
 ``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
 ``fit_reference_krr`` (a dense Cholesky of G + lam I per lambda) and
 ``joint_matrix`` (with its n x n lambda_r G temporary) are the paths the
-low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced. ``fista_solve``
+low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced.
+``solve_shifted`` (one shift per call, a 1-D right-hand side refined with
+matrix-vector products) and ``rmse`` (one model, two matrix-vector products)
+are the per-lambda paths that the grid solve ``linalg.solve_shifted`` and the
+stacked ``hybrid_static.rmse`` replaced. ``fista_solve``
 (accelerated projected gradient, stopped at a KKT tolerance) is the simplex
 QP solve that the exact active-set method in ``simplex_qp.solve`` replaced;
 the tests hold the exact solve to an objective no higher than FISTA's.
@@ -500,6 +504,48 @@ def fit_reference_krr(design: Design, lam: float):
     M = design.K.copy()
     M.flat[::M.shape[0] + 1] += lam
     return design.model(w, linalg.solve_spd(M, design.y - design.F @ w))
+
+
+def solve_shifted(G, factor: linalg.LowRankFactor, lam: float, rhs) -> np.ndarray:
+    """(G + lam I)^-1 rhs for one shift lam; rhs is (n,) or (n, k), and the
+    solution has its shape: refined per column from the factor, or from a
+    dense factorization of G + lam I where the factor's tail and rounding
+    reach lam/10."""
+    G, b = np.asarray(G, dtype=float), np.asarray(rhs, dtype=float)
+    if factor.tail + b.shape[0] * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10:
+        M = G.copy()
+        M.flat[::M.shape[0] + 1] += lam
+        L, jitter = linalg.cholesky_with_jitter(M, overwrite=True)
+        if jitter:
+            raise NotPositiveDefinite(f"G + lambda I needs Cholesky jitter at lambda={lam}")
+        x = linalg._solve_factored(L, _as_2d(b))
+        return x[:, 0] if b.ndim == 1 else x
+    W = factor.W
+    shrink = (factor.mu / (lam * (factor.mu + lam)) if lam < 1e150
+              else factor.mu / lam / (factor.mu + lam))
+    if b.ndim == 2:
+        shrink = shrink[:, None]
+
+    def apply_p(v):
+        return v / lam - W @ (shrink * (W.T @ v))
+
+    x = apply_p(b)
+    size = np.full(b.shape[1:], np.inf)
+    for _ in range(linalg.MAX_REFINEMENT_STEPS):
+        dx = apply_p(b - G @ x - lam * x)
+        new = np.linalg.norm(dx, axis=0) if b.ndim == 2 else np.linalg.norm(dx)
+        halves = new < size / 2
+        if not halves.any():
+            break
+        x += np.where(halves, dx, 0.0)
+        size = np.where(halves, new, 0.0)
+    return x
+
+
+def rmse(model, design: Design) -> float:
+    """RMS error of one model on the design's dataset, from F w + K c."""
+    pred = design.F @ model.weights + design.K @ model.coeffs
+    return float(np.sqrt(np.mean((pred - design.y) ** 2)))
 
 
 def joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:

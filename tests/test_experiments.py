@@ -1,6 +1,7 @@
 """The size of the lambda pool, that its threads leave shared designs as
-they were, the memory the setting (ii) sweep holds at once, and that the
-Koopman sweeps fit in the calling thread."""
+they were, the memory the setting (ii) sweep holds at once, that only
+setting (ii)'s subspace fits start threads, and that each static sweep makes
+one fit call per family and one rmse call per design."""
 
 import os
 import threading
@@ -77,7 +78,9 @@ def no_thread(*args, **kwargs):
 
 def test_koopman_and_control_sweeps_start_no_thread(monkeypatch):
     # each Koopman fit is one N x N solve and one m x m QP that hold the GIL:
-    # the grid is fit in the calling thread, even where the pool has workers
+    # the grid is fit in the calling thread, even where the pool has workers.
+    # setting1 and setting3 fit their whole grid in one call; only setting2's
+    # subspace fits keep the pool
     monkeypatch.setattr(experiments, "worker_count", lambda: 2)
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_thread)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
@@ -85,9 +88,47 @@ def test_koopman_and_control_sweeps_start_no_thread(monkeypatch):
     assert len(experiments.run_koopman(n=30, m=5, lambda_grid=grid)) == 3
     assert len(experiments.run_control(n=30, m=5, lambda_grid=grid, n_states=1,
                                        horizon=0.1)) == 3
-    # the static sweeps keep the pool
+    assert len(experiments.run_setting1(n=12, lambda_grid=grid)) == 3
+    assert len(experiments.run_setting3(n=12, m=5, lambda_grid=grid)) == 3
     with pytest.raises(PoolStarted):
-        experiments.run_setting1(n=12, lambda_grid=grid)
+        experiments.run_setting2(n=12, lambda_grid=grid)
+
+
+STATIC_FITS = ("fit_reference_krr", "fit_subspace", "fit_mixture", "rmse")
+
+
+@pytest.mark.parametrize("run, expected", [
+    (lambda grid: experiments.run_setting1(n=20, lambda_grid=grid),
+     {"fit_reference_krr": 1, "rmse": 2}),
+    (lambda grid: experiments.run_setting2(n=20, lambda_grid=grid),
+     {"fit_reference_krr": 1, "fit_subspace": 4, "rmse": 4}),
+    (lambda grid: experiments.run_setting3(n=20, m=5, lambda_grid=grid),
+     {"fit_mixture": 1, "rmse": 2}),
+], ids=["setting1", "setting2", "setting3"])
+def test_static_sweep_fits_each_family_once_and_scores_each_design_once(monkeypatch, run,
+                                                                        expected):
+    # the grid is an array axis: one fit call per family that solves every
+    # lambda, and one rmse call per design that scores every model (the
+    # subspace fits, which the pool runs, are still one call per lambda)
+    grid = (1e-3, 1e-1, 1.0, 1e2)
+    calls = {name: [] for name in STATIC_FITS}
+    for name in STATIC_FITS:
+        def record(*args, _fit=getattr(hybrid_static, name), _calls=calls[name], **kwargs):
+            result = _fit(*args, **kwargs)
+            _calls.append((args, result))
+            return result
+        monkeypatch.setattr(hybrid_static, name, record)
+    out = run(grid)
+    assert {name: len(made) for name, made in calls.items() if made} == expected
+    for (models, design), scores in calls["rmse"]:
+        assert len(models) == len(scores) == len(grid)
+    designs = [id(design) for (_, design), _ in calls["rmse"]]
+    assert len(set(designs)) == len(designs)
+    for name in ("fit_reference_krr", "fit_mixture"):
+        for (_, lams), models in calls[name]:
+            assert list(lams) == list(grid) and len(models) == len(grid)
+    rows = out["margules"] + out["reference"] if isinstance(out, dict) else out
+    assert [row["lambda"] for row in rows] == list(grid) * (len(rows) // len(grid))
 
 
 def test_koopman_rows_equal_one_lambda_fits_bit_for_bit():

@@ -54,7 +54,8 @@ class TestDataset:
 
 
 def fit_ref(data, reference, lam):
-    return hs.fit_reference_krr(hs.design(data, reference, KX), lam)
+    (model,) = hs.fit_reference_krr(hs.design(data, reference, KX), [lam])
+    return model
 
 
 class TestReferenceKrr:
@@ -76,9 +77,24 @@ class TestReferenceKrr:
     def test_small_lambda_beats_large_lambda(self):
         train = hs.design(toy_dataset(30, seed=0), lambda x: 0.0 * np.asarray(x), KX)
         val = train.at(toy_dataset(30, seed=1))
-        small = hs.fit_reference_krr(train, 1e-3)
-        large = hs.fit_reference_krr(train, 1e2)
-        assert hs.rmse(small, val) < hs.rmse(large, val)
+        small, large = hs.fit_reference_krr(train, [1e-3, 1e2])
+        small_rmse, large_rmse = hs.rmse([small, large], val)
+        assert small_rmse < large_rmse
+
+    def test_grid_gives_one_model_per_lambda_in_grid_order(self):
+        # one fit call per grid; each model is that lambda's own fit, within
+        # the shifted solve's bound of 2 cond_2(G + lam I) eps (test_linalg)
+        design = hs.design(toy_dataset(30, seed=0), lambda x: 0.0 * np.asarray(x), KX)
+        grid = [1e2, 1e-3, 1.0, 1e-3]
+        models = hs.fit_reference_krr(design, grid)
+        assert len(models) == len(grid)
+        eigenvalues = np.linalg.eigvalsh(design.K)
+        for lam, model in zip(grid, models):
+            (alone,) = hs.fit_reference_krr(design, [lam])
+            cond = (eigenvalues.max() + lam) / (max(eigenvalues.min(), 0.0) + lam)
+            gap = np.linalg.norm(model.coeffs - alone.coeffs)
+            assert gap <= 2 * cond * np.finfo(float).eps * np.linalg.norm(alone.coeffs)
+            assert model.weights.tolist() == [1.0]
 
     def test_pinning_limit(self):
         # lambda = 1e6 pins the model to the reference on a 101-point grid
@@ -231,7 +247,8 @@ class TestSubspace:
 
 def fit_mix(data, family, thetas, lambda_r):
     """Mixture fit of an array family: family(x, thetas) is (n, m)."""
-    return hs.fit_mixture(hs.design(data, lambda x: family(x, thetas), KX), lambda_r)
+    (model,) = hs.fit_mixture(hs.design(data, lambda x: family(x, thetas), KX), [lambda_r])
+    return model
 
 
 class TestMixture:
@@ -260,7 +277,7 @@ class TestMixture:
                                     + np.multiply.outer(x ** 2, thetas[:, 1]))
         thetas = np.random.default_rng(10).uniform(0, 1, size=(6, 2))
         design = hs.design(data, lambda x: family(x, thetas), KX)
-        mix = hs.fit_mixture(design, lambda_r=0.5)
+        (mix,) = hs.fit_mixture(design, [0.5])
         assert np.all(mix.weights >= -1e-12)
         assert abs(mix.weights.sum() - 1.0) <= 1e-10
         # the full QP over [b; c], reduced by the oracles' dense Schur step
@@ -312,8 +329,10 @@ class TestRegularizationWeights:
 
     @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
     def test_reference_krr(self, lam):
-        with pytest.raises(DomainError):
-            hs.fit_reference_krr(self.design, lam)
+        # anywhere in the grid, also after a good weight
+        for lams in ([lam], [1.0, lam]):
+            with pytest.raises(DomainError):
+                hs.fit_reference_krr(self.design, lams)
 
     @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
     @pytest.mark.parametrize("name", ["lambda_theta", "lambda_r"])
@@ -324,18 +343,20 @@ class TestRegularizationWeights:
 
     @pytest.mark.parametrize("name, lam", [("lambda_r", lam) for lam in NON_FINITE + (0.0,)])
     def test_mixture(self, name, lam):
-        with pytest.raises(DomainError):
-            hs.fit_mixture(self.design, **{name: lam})
+        # the grid holds lambda_r (`name` keeps the ids parallel to test_subspace's)
+        for lams in ([lam], [1.0, lam]):
+            with pytest.raises(DomainError):
+                hs.fit_mixture(self.design, lams)
 
     def test_mixture_fit_needs_a_training_design(self):
         with pytest.raises(DomainError):
-            hs.fit_mixture(self.design.at(toy_dataset(10, seed=17)), 1.0)
+            hs.fit_mixture(self.design.at(toy_dataset(10, seed=17)), [1.0])
 
     def test_reference_fit_needs_a_training_design(self):
         val = self.design.at(toy_dataset(10, seed=17))
         assert val.factor is None
         with pytest.raises(DomainError):
-            hs.fit_reference_krr(val, 1.0)
+            hs.fit_reference_krr(val, [1.0])
 
 
 class TestRmse:
@@ -343,30 +364,51 @@ class TestRmse:
         data = toy_dataset()
         ref = lambda x: np.sin(2 * np.pi * np.asarray(x))
         design = hs.design(data, ref, KX)
-        assert hs.rmse(hs.fit_reference_krr(design, 1.0), design) == pytest.approx(
-            0.0, abs=1e-10)
+        assert hs.rmse(hs.fit_reference_krr(design, [1.0]), design) == pytest.approx(
+            [0.0], abs=1e-10)
 
     def test_constant_zero_model(self):
         data = Dataset(inputs=np.array([0.2, 0.8]), targets=np.array([1.0, -1.0]))
         design = hs.design(data, lambda x: 0.0 * np.asarray(x), KX)
         model = design.model(np.ones(1), np.zeros(2))
-        assert hs.rmse(model, design) == pytest.approx(1.0, abs=1e-12)
+        assert hs.rmse([model], design) == pytest.approx([1.0], abs=1e-12)
 
     def test_matches_recomputation_from_predict(self):
-        # rmse reads the design's blocks; predict evaluates the model afresh
+        # rmse reads the design's blocks, every model in one product; predict
+        # evaluates each model afresh
         train, val = toy_dataset(20, seed=13), toy_dataset(20, seed=14)
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
         design = hs.design(train, fmap, KX, joint=True)
-        model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=0.1)
+        models = [hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=lam)
+                  for lam in (1e-3, 0.1, 10.0)]
         for data, d in ((train, design), (val, design.at(val))):
-            pred = model.predict(data.inputs.ravel())
-            manual = np.sqrt(np.mean((pred - data.targets) ** 2))
-            assert hs.rmse(model, d) == pytest.approx(manual, abs=1e-14)
+            scores = hs.rmse(models, d)
+            assert len(scores) == len(models) and all(type(s) is float for s in scores)
+            for model, score in zip(models, scores):
+                pred = model.predict(data.inputs.ravel())
+                manual = np.sqrt(np.mean((pred - data.targets) ** 2))
+                assert score == pytest.approx(manual, abs=1e-14)
 
     def test_rejects_model_from_another_design(self):
         data = toy_dataset(12, seed=15)
         design = hs.design(data, lambda x: np.asarray(x), KX)
         other = design.with_features(lambda x: 2.0 * np.asarray(x))
-        model = hs.fit_reference_krr(design, 1.0)
+        models = hs.fit_reference_krr(design, [1.0])
         with pytest.raises(DomainError):
-            hs.rmse(model, other)
+            hs.rmse(models, other)
+
+    def test_rejects_an_empty_list(self):
+        design = hs.design(toy_dataset(12, seed=15), lambda x: np.asarray(x), KX)
+        with pytest.raises(DomainError):
+            hs.rmse([], design)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_a_list_with_one_model_of_another_design(self, position):
+        data = toy_dataset(12, seed=15)
+        design = hs.design(data, lambda x: np.asarray(x), KX)
+        # the same features and kernel, anchored at another dataset
+        stranger = hs.design(toy_dataset(12, seed=16), design.features, KX)
+        models = hs.fit_reference_krr(design, [0.1, 1.0])
+        models.insert(position, hs.fit_reference_krr(stranger, [1.0])[0])
+        with pytest.raises(DomainError):
+            hs.rmse(models, design)

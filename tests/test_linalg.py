@@ -136,6 +136,24 @@ def gram_1d(n: int, seed: int) -> np.ndarray:
     return gram(KernelSpec(gamma=100.0), x)
 
 
+def solve_one(G, factor, lam, rhs):
+    """solve_shifted on a grid of one shift."""
+    X = solve_shifted(G, factor, [lam], rhs)
+    assert X.shape == (1,) + np.shape(rhs)
+    return X[0]
+
+
+def is_dense(factor: LowRankFactor, n: int, lam: float) -> bool:
+    """Whether solve_shifted factors G + lam I densely instead of refining."""
+    return factor.tail + n * np.finfo(float).eps * factor.mu.max(initial=0.0) >= lam / 10
+
+
+def condition(G, lam: float) -> float:
+    """cond_2(G + lam I) of a PSD G."""
+    e = np.linalg.eigvalsh(G)
+    return (e.max() + lam) / (max(e.min(), 0.0) + lam)
+
+
 class TestShiftedSolve:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(20, 120), st.floats(1e-3, 1.0), st.floats(1e-3, 5e-2),
@@ -153,7 +171,7 @@ class TestShiftedSolve:
         crude = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
         assume(crude.tail < lam / 10)
         b = np.random.default_rng(seed).standard_normal(n)
-        x = solve_shifted(G, crude, lam, b)
+        x = solve_one(G, crude, lam, b)
         x_dense = solve_spd(G + lam * np.eye(n), b)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
@@ -174,11 +192,106 @@ class TestShiftedSolve:
             B[:, 0::2] = W[:, keep] @ rng.standard_normal((np.count_nonzero(keep), (k + 1) // 2))
             B[:, 1::2] = W[:, ~keep] @ rng.standard_normal((np.count_nonzero(~keep), k // 2))
         B *= 10.0 ** rng.uniform(-8, 8, size=k)
-        X = solve_shifted(G, factor, lam, B)
+        X = solve_one(G, factor, lam, B)
         assert X.shape == (n, k)
         for j in range(k):
-            x = solve_shifted(G, factor, lam, B[:, j])
+            x = solve_one(G, factor, lam, B[:, j])
             assert np.linalg.norm(X[:, j] - x) <= 1e-12 * np.linalg.norm(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(20, 120), st.lists(st.floats(-3.0, 2.0), min_size=1, max_size=13),
+           st.sampled_from([0.0, 1e-2, 5e-2]), st.sampled_from([None, 1, 3, 150]),
+           st.integers(0, 2 ** 31 - 1))
+    def test_grid_of_refined_shifts_is_within_the_conditioning_bound(self, n, exponents,
+                                                                    dropped, k, seed):
+        # a grid refines its shifts together, so G, W and W' multiply more
+        # columns at once and round differently from one call per shift
+        # (GEMM against GEMV). Both results are refined solutions whose
+        # normwise backward error is at most eps, so each is within
+        # cond_2(G + lam I) eps of the exact solution (Higham 2002, "Accuracy
+        # and Stability of Numerical Algorithms", Theorem 7.2), and the two are
+        # within twice that of each other; draws up to n = 120 reached 0.54 of
+        # one cond eps. Columns of scales 1e-8 to 1e8 each keep their own
+        # bound, against a call per shift and against the per-shift oracle.
+        # With 150 columns the shifts refine in groups of 1 to 5
+        lams = 10.0 ** np.array(exponents)
+        G = gram_1d(n, seed)
+        W, mu, tail = low_rank_psd_factor(G)
+        keep = mu >= dropped * lams.min()
+        factor = LowRankFactor(W[:, keep], mu[keep], tail + mu[~keep].sum())
+        assume(not any(is_dense(factor, n, lam) for lam in lams))
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal(n if k is None else (n, k))
+        B *= 10.0 ** rng.uniform(-8, 8, size=B.shape[1:])
+        X = solve_shifted(G, factor, lams, B)
+        assert X.shape == (lams.size,) + B.shape
+        for lam, x_grid in zip(lams, X):
+            bound = 2 * condition(G, lam) * np.finfo(float).eps
+            for x in (solve_one(G, factor, lam, B), oracles.solve_shifted(G, factor, lam, B)):
+                gap = np.linalg.norm((x_grid - x).reshape(n, -1), axis=0)
+                assert np.all(gap <= bound * np.linalg.norm(x.reshape(n, -1), axis=0))
+
+    @pytest.mark.parametrize("rhs_shape", [(400,), (400, 3)], ids=["1-D", "2-D"])
+    def test_grid_of_dense_shifts_gives_the_bits_of_one_call_per_shift(self, rhs_shape):
+        # every shift of the grid takes the dense path, where a grid solves one
+        # shift at a time exactly as a call per shift does
+        n = 400
+        G = gram_1d(n, seed=4)
+        factor = low_rank_psd_factor(G)
+        lams = np.geomspace(1e-12, 5e-11, 6)[::-1]
+        assert all(is_dense(factor, n, lam) for lam in lams)
+        B = np.random.default_rng(4).standard_normal(rhs_shape)
+        X = solve_shifted(G, factor, lams, B)
+        assert X.shape == (lams.size,) + B.shape
+        for lam, x in zip(lams, X):
+            assert x.tobytes() == solve_one(G, factor, lam, B).tobytes()
+            assert x.tobytes() == oracles.solve_shifted(G, factor, lam, B).tobytes()
+            assert x.tobytes() == solve_spd(G + lam * np.eye(n), B).tobytes()
+
+    def test_grid_that_mixes_dense_and_refined_shifts(self):
+        # the two paths fill the rows of their own shifts, in the grid's order,
+        # whichever path a shift takes and wherever it stands in the grid
+        n = 400
+        G = gram_1d(n, seed=4)
+        factor = low_rank_psd_factor(G)
+        lams = np.array([1.0, 1e-12, 1e-3, 100.0, 3e-11, 1e-12])
+        dense = [is_dense(factor, n, lam) for lam in lams]
+        assert dense == [False, True, False, False, True, True]
+        B = np.random.default_rng(5).standard_normal((n, 2))
+        X = solve_shifted(G, factor, lams, B)
+        for lam, x, on_dense_path in zip(lams, X, dense):
+            x_one = solve_one(G, factor, lam, B)
+            if on_dense_path:
+                assert x.tobytes() == x_one.tobytes()
+            else:
+                gap = np.linalg.norm(x - x_one, axis=0)
+                bound = 2 * condition(G, lam) * np.finfo(float).eps
+                assert np.all(gap <= bound * np.linalg.norm(x_one, axis=0))
+
+    def test_shifts_refine_in_groups_of_bounded_columns(self, monkeypatch):
+        # at n = 50, groups hold at most REFINE_BLOCK / n = 327 columns: three
+        # shifts of 101 columns each, so 13 shifts make five groups, and each
+        # shift's solution is the one its own call gives, within the bound
+        n, k = 50, 101
+        G = gram_1d(n, seed=6)
+        factor = low_rank_psd_factor(G)
+        lams = np.logspace(-3, 2, 13)
+        assert not any(is_dense(factor, n, lam) for lam in lams)
+        groups, refine = [], linalg._refine
+
+        def recording(G, factor, lams, B):
+            groups.append(lams.tolist())
+            return refine(G, factor, lams, B)
+
+        monkeypatch.setattr(linalg, "_refine", recording)
+        B = np.random.default_rng(6).standard_normal((n, k))
+        X = solve_shifted(G, factor, lams, B)
+        assert groups[:5] == [lams[i:i + 3].tolist() for i in range(0, 13, 3)]
+        for lam, x in zip(lams, X):
+            x_one = solve_one(G, factor, lam, B)
+            gap = np.linalg.norm(x - x_one, axis=0)
+            bound = 2 * condition(G, lam) * np.finfo(float).eps
+            assert np.all(gap <= bound * np.linalg.norm(x_one, axis=0))
 
     def test_truncated_factor_with_a_large_tail_solves_densely(self):
         # the draw named above: the dropped eigenvalues sum to just over lam / 10
@@ -190,7 +303,7 @@ class TestShiftedSolve:
         assert crude.tail >= lam / 10
         b = np.random.default_rng(seed).standard_normal(n)
         x_dense = solve_spd(G + lam * np.eye(n), b)
-        x = solve_shifted(G, crude, lam, b)
+        x = solve_one(G, crude, lam, b)
         assert np.linalg.norm(x - x_dense) <= 1e-11 * np.linalg.norm(x_dense)
 
     @pytest.mark.parametrize("lam", [1e200, 1e300])
@@ -201,7 +314,7 @@ class TestShiftedSolve:
         factor = low_rank_psd_factor(G)
         B = np.random.default_rng(3).standard_normal((30, 3))
         for rhs in (B[:, 0], B):
-            x = solve_shifted(G, factor, lam, rhs)
+            x = solve_one(G, factor, lam, rhs)
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, rhs / lam, rtol=1e-14)
 
@@ -214,7 +327,7 @@ class TestShiftedSolve:
         assert factor.tail < lam / 10
         b = np.random.default_rng(3).standard_normal(n)
         M = G + lam * np.eye(n)
-        np.testing.assert_array_equal(solve_shifted(G, factor, lam, b), solve_spd(M, b))
+        np.testing.assert_array_equal(solve_one(G, factor, lam, b), solve_spd(M, b))
 
     def test_dense_fallback_factors_in_one_n_by_n_buffer(self):
         # the shifted copy of G is factored in place: a private copy of it
@@ -222,9 +335,20 @@ class TestShiftedSolve:
         n, lam = 400, 1e-12
         G = gram_1d(n, seed=4)
         factor = low_rank_psd_factor(G)
-        assert factor.tail + n * np.finfo(float).eps * factor.mu.max() >= lam / 10
+        assert is_dense(factor, n, lam)
         b = np.random.default_rng(4).standard_normal(n)
-        assert oracles.peak_traced_bytes(solve_shifted, G, factor, lam, b) < 1.5 * 8 * n * n
+        assert oracles.peak_traced_bytes(solve_shifted, G, factor, [lam], b) < 1.5 * 8 * n * n
+
+    @pytest.mark.parametrize("lams", [np.geomspace(1e-12, 5e-11, 13), np.logspace(-12, 2, 13)],
+                             ids=["13-dense-shifts", "13-mixed-shifts"])
+    def test_dense_fallback_on_a_grid_holds_one_n_by_n_buffer(self, lams):
+        # each dense shift's buffer is freed before the next shift copies G
+        n = 400
+        G = gram_1d(n, seed=4)
+        factor = low_rank_psd_factor(G)
+        assert sum(is_dense(factor, n, lam) for lam in lams) >= 2
+        b = np.random.default_rng(4).standard_normal(n)
+        assert oracles.peak_traced_bytes(solve_shifted, G, factor, lams, b) < 1.5 * 8 * n * n
 
     def test_full_rank_factor_is_exact(self):
         M = np.diag([4.0, 2.0, 1.0])
@@ -232,7 +356,7 @@ class TestShiftedSolve:
         # the pivots are square roots, so the remainder is zero up to rounding
         assert abs(factor.tail) <= 1e-15
         np.testing.assert_allclose(sorted(factor.mu), [1.0, 2.0, 4.0], rtol=1e-15)
-        np.testing.assert_allclose(solve_shifted(M, factor, 1.0, np.array([5.0, 3.0, 2.0])),
+        np.testing.assert_allclose(solve_one(M, factor, 1.0, np.array([5.0, 3.0, 2.0])),
                                    [1.0, 1.0, 1.0], rtol=1e-15)
 
     def test_rejects_an_indefinite_matrix(self):
@@ -241,15 +365,24 @@ class TestShiftedSolve:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_rejects_a_bad_shift(self, lam):
+        # anywhere in the grid, also after a good shift
+        G = gram_1d(5, seed=1)
+        for lams in ([lam], [1.0, lam]):
+            with pytest.raises(DomainError):
+                solve_shifted(G, low_rank_psd_factor(G), lams, np.ones(5))
+
+    @pytest.mark.parametrize("lams", [[], np.ones((2, 2)), np.ones((1, 1)), 1.0],
+                             ids=["empty", "2-D", "1-by-1", "scalar"])
+    def test_rejects_a_grid_that_is_not_one_dimensional_or_is_empty(self, lams):
         G = gram_1d(5, seed=1)
         with pytest.raises(DomainError):
-            solve_shifted(G, low_rank_psd_factor(G), lam, np.ones(5))
+            solve_shifted(G, low_rank_psd_factor(G), lams, np.ones(5))
 
     def test_rejects_mismatched_rhs(self):
         G = gram_1d(5, seed=2)
         for rhs in (np.ones(4), np.ones((4, 2)), np.ones((5, 2, 2))):
             with pytest.raises(DimensionMismatch):
-                solve_shifted(G, low_rank_psd_factor(G), 1.0, rhs)
+                solve_shifted(G, low_rank_psd_factor(G), [1.0], rhs)
 
 
 class TestLeastSquares:

@@ -38,16 +38,19 @@ def absolute(new, old) -> float:
 
 
 def static_fit_pairs(dataset, features, fit, seed, joint=False):
-    """(model, model on permuted rows, permutation) for every lambda of the grid."""
+    """(model, model on permuted rows, permutation) for every lambda of the
+    grid; fit(design, grid) returns one model per lambda."""
     data = dataset(N, seed)
     perm = permutation(data.size, seed)
     designs = [hs.design(d, features, KERNEL, joint=joint) for d in (data, permuted(data, perm))]
-    return [(fit(designs[0], lam), fit(designs[1], lam), perm)
-            for lam in experiments.DEFAULT_LAMBDA_GRID]
+    fits = [fit(design, experiments.DEFAULT_LAMBDA_GRID) for design in designs]
+    assert all(len(models) == len(experiments.DEFAULT_LAMBDA_GRID) for models in fits)
+    return [(old, new, perm) for old, new in zip(*fits)]
 
 
-def subspace_fit(design, lam):
-    return hs.fit_subspace(design, lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=lam)
+def subspace_fit(design, grid):
+    return [hs.fit_subspace(design, lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=lam)
+            for lam in grid]
 
 
 def margules_fit_pairs(seed):
@@ -81,7 +84,7 @@ def test_setting3_mixture(seed):
     thetas = experiments.sample_thetas(25, experiments.seeds("setting3", seed)["theta_seed"])
     pairs = static_fit_pairs(experiments.gex_dataset,
                              lambda x: experiments.wilson_family(x, thetas),
-                             lambda d, lam: hs.fit_mixture(d, lambda_r=lam), seed)
+                             hs.fit_mixture, seed)
     for old, new, perm in pairs:
         assert absolute(new.weights, old.weights) <= TOL
         assert absolute(hs.effective_parameter(new.weights, thetas),

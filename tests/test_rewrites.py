@@ -608,18 +608,48 @@ def test_low_rank_factor_matches_scipy_dpstrf(n, d, gamma, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_reference_krr_matches_dense_solve(n, d, gamma, lam, seed):
     train, val = reference_design(n, d, gamma, seed)
-    new, old = (fit(train, lam) for fit in (hybrid_static.fit_reference_krr,
-                                           oracles.fit_reference_krr))
+    (new,) = hybrid_static.fit_reference_krr(train, [lam])
+    old = oracles.fit_reference_krr(train, lam)
     for design in (train, val):
-        expected = hybrid_static.rmse(old, design)
-        assert hybrid_static.rmse(new, design) == pytest.approx(expected, rel=1e-10)
+        (expected,) = hybrid_static.rmse([old], design)
+        assert hybrid_static.rmse([new], design) == pytest.approx([expected], rel=1e-10)
+
+
+@SETTINGS
+@given(st.integers(5, 300), dims, st.floats(10.0, 1e3),
+       st.lists(st.floats(-3.0, 2.0), min_size=1, max_size=13), st.integers(0, 2 ** 32 - 1))
+def test_rmse_of_a_model_list_matches_one_product_per_model(n, d, gamma, exponents, seed):
+    # one F W + K C product for every model against two matrix-vector
+    # products per model: only the order of the sums changes
+    train, val = reference_design(n, d, gamma, seed)
+    models = hybrid_static.fit_reference_krr(train, 10.0 ** np.array(exponents))
+    for design in (train, val):
+        for got, model in zip(hybrid_static.rmse(models, design), models):
+            assert got == pytest.approx(oracles.rmse(model, design), rel=1e-12, abs=1e-300)
+
+
+def test_rmse_of_a_near_interpolating_fit_is_within_the_evaluation_bound():
+    # at lam = 1e-12 the coefficients are of order 1e7 and F w + K c cancels
+    # to the targets' last digits, so the order of the sums moves the RMSE
+    # far above 1e-12 relative; each evaluation is still within
+    # n eps rms(|F||w| + |K||c|) of the exact one (Higham 2002, "Accuracy and
+    # Stability of Numerical Algorithms", section 3.5)
+    train, val = reference_design(300, 1, 100.0, seed=3)
+    grid = [1e-12, 1e-3, 100.0]
+    models = hybrid_static.fit_reference_krr(train, grid)
+    for design in (train, val):
+        for got, model in zip(hybrid_static.rmse(models, design), models):
+            scale = (np.abs(design.F) @ np.abs(model.weights)
+                     + np.abs(design.K) @ np.abs(model.coeffs))
+            bound = 300 * np.finfo(float).eps * np.sqrt(np.mean(scale ** 2))
+            assert abs(got - oracles.rmse(model, design)) <= 2 * bound
 
 
 def test_tiny_lambda_takes_the_dense_path():
     train, _ = reference_design(300, 1, 100.0, seed=3)
     lam = 1e-12
     assert train.factor.tail >= lam / 10  # the dense path's condition
-    new = hybrid_static.fit_reference_krr(train, lam)
+    (new,) = hybrid_static.fit_reference_krr(train, [lam])
     assert np.array_equal(new.coeffs, oracles.fit_reference_krr(train, lam).coeffs)
 
 
@@ -632,9 +662,11 @@ def test_reference_krr_at_n2000_matches_an_eigendecomposition(dataset, reference
     val = train.at(dataset(2000, 1))
     e, V = np.linalg.eigh(train.K)
     Vr = V.T @ (train.y - train.F[:, 0])
-    for lam in experiments.DEFAULT_LAMBDA_GRID:
-        exact = train.model(np.ones(1), V @ (Vr / (np.maximum(e, 0.0) + lam)))
-        model = hybrid_static.fit_reference_krr(train, lam)
-        for design in (train, val):
-            expected = hybrid_static.rmse(exact, design)
-            assert hybrid_static.rmse(model, design) == pytest.approx(expected, rel=1e-11)
+    # the whole grid in one fit call, as run_setting1 and run_setting2 fit it
+    grid = experiments.DEFAULT_LAMBDA_GRID
+    exact = [train.model(np.ones(1), V @ (Vr / (np.maximum(e, 0.0) + lam))) for lam in grid]
+    models = hybrid_static.fit_reference_krr(train, grid)
+    for design in (train, val):
+        for got, expected in zip(hybrid_static.rmse(models, design),
+                                 hybrid_static.rmse(exact, design)):
+            assert got == pytest.approx(expected, rel=1e-11)

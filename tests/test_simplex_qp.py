@@ -262,17 +262,20 @@ class TestAgainstDenseSchur:
     of the paper's static and Koopman sweeps."""
 
     def test_static_paper_mixtures(self):
-        # seeds 0-3 x m = 25, 50, 100 x the 13 lambda of each setting3 sweep
+        # seeds 0-3 x m = 25, 50, 100, one fit call per setting3 sweep that
+        # fits its 13 lambda
         fits = _recorded(hybrid_static, "fit_mixture", lambda: [
             experiments.run_setting3(n=50, seed=seed, m=m)
             for seed in range(4) for m in (25, 50, 100)])
-        assert len(fits) == 4 * 3 * 13
-        for (design,), kwargs, model in fits:
-            lam, zero = kwargs["lambda_r"], np.zeros((design.F.shape[1],) * 2)
-            b, c, _ = solve_full(oracles.mixture_problem(design, lam))
-            oracle = oracles.objective(design, b, c, zero, lam)
-            assert (oracles.objective(design, model.weights, model.coeffs, zero, lam)
-                    <= oracle + 1e-12 * max(1.0, abs(oracle)))
+        assert len(fits) == 4 * 3
+        for (design, grid), _, models in fits:
+            assert len(grid) == len(models) == 13
+            zero = np.zeros((design.F.shape[1],) * 2)
+            for lam, model in zip(grid, models):
+                b, c, _ = solve_full(oracles.mixture_problem(design, lam))
+                oracle = oracles.objective(design, b, c, zero, lam)
+                assert (oracles.objective(design, model.weights, model.coeffs, zero, lam)
+                        <= oracle + 1e-12 * max(1.0, abs(oracle)))
 
     def test_koopman_sweep_fits(self):
         # seeds 0-1 x the 7 lambda_R of each koopman sweep
