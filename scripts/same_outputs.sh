@@ -41,6 +41,7 @@ CALLS=(
     "setting3-m100-s1 setting3 --m 100 --seed 1"
     "setting3-m50-s2 setting3 --m 50 --seed 2"
     "vle-data vle-data"
+    "vle-data-n2000 vle-data --n 2000"
     "koopman koopman"
     "koopman-s1 koopman --seed 1"
     "control control --n 200 --m 25 --lambda 0.0001,0.1,100"

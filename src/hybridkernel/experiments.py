@@ -34,18 +34,23 @@ def worker_count() -> int:
 
 
 @lru_cache(maxsize=None)
-def _vle_point(x: float) -> tuple[float, float]:
-    """bubble_point's (T, y) at x; the datasets, the features and the CLI's
-    data files share this cache, so a sweep solves each composition once."""
-    return thermo_vle.bubble_point(x)
+def _vle_rows(xs: tuple[float, ...]) -> np.ndarray:
+    """bubble_point's (T, y) at each composition of xs, as rows: one root search
+    over xs's distinct compositions, then one bubble_point call for each. The
+    datasets, the features and the CLI's data files share this cache, so a
+    sweep solves each composition array once."""
+    points = dict.fromkeys(xs)
+    for x, root in zip(points, thermo_vle.bubble_roots(list(points)).tolist()):
+        points[x] = thermo_vle.bubble_point(x, root)
+    return np.array([points[x] for x in xs]).reshape(-1, 2)
 
 
 def vle_table(x) -> tuple[np.ndarray, np.ndarray]:
     """The bubble temperatures (degC) and vapor fractions at the compositions
-    x, as two arrays of x's shape, read from _vle_point's cache."""
+    x, as two arrays of x's shape, read from _vle_rows's cache."""
     xs = np.asarray(x, dtype=float)
-    table = np.array([_vle_point(xi) for xi in xs.ravel().tolist()]).reshape(-1, 2)
-    return tuple(table.T.copy().reshape(2, *xs.shape))
+    rows = _vle_rows(tuple(xs.ravel().tolist()))
+    return tuple(rows.T.copy().reshape(2, *xs.shape))
 
 
 def xy_dataset(n: int, seed: int) -> Dataset:

@@ -102,8 +102,10 @@ def solve(S, s) -> QpSolution:
 
     S must be finite, m x m for the m entries of s, and symmetric to
     SYMMETRY_RTOL * max(|S|, 1); it is symmetrized. NotPsd if S has an
-    eigenvalue below -1e-8 max(|S|, 1); NotConverged if the active-set method
-    takes more than MAX_STEPS_PER_WEIGHT steps per weight.
+    eigenvalue below -tau, tau = 1e-8 max(|S|, 1): S + tau I then has no
+    Cholesky factor (up to the factorization's rounding at the threshold);
+    NotConverged if the active-set method takes more than
+    MAX_STEPS_PER_WEIGHT steps per weight.
     """
     S = np.asarray(S, dtype=float)
     s = np.asarray(s, dtype=float).ravel()
@@ -114,8 +116,10 @@ def solve(S, s) -> QpSolution:
     if _max_asymmetry(S) > SYMMETRY_RTOL * max(S.max(), -S.min(), 1.0):
         raise NotSymmetric("S must be symmetric")
     S = 0.5 * (S + S.T)
-    if np.linalg.eigvalsh(S)[0] < -1e-8 * max(abs(S).max(), 1.0):
-        raise NotPsd("S has a significantly negative eigenvalue")
+    try:
+        np.linalg.cholesky(S + 1e-8 * max(abs(S).max(), 1.0) * np.eye(s.size))
+    except np.linalg.LinAlgError:
+        raise NotPsd("S has a significantly negative eigenvalue") from None
     b, steps = _active_set(S, s)
     return QpSolution(b=b, objective=float(b @ S @ b + s @ b),
                       kkt_residual=kkt_residual(S, s, b), iterations=steps)

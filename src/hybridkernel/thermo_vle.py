@@ -78,12 +78,14 @@ def uniquac_gamma(x1: float, T: float) -> tuple[float, float]:
         raise DomainError(f"x1 = {x1} outside [0, 1]")
     if T <= 0:
         raise DomainError("temperature must be positive (Kelvin)")
-    return _uniquac_gamma_at(_uniquac_composition_terms(x1), T)
+    g1, g2 = _uniquac_gamma_at(_uniquac_composition_terms(x1), T)
+    return float(g1), float(g2)
 
 
-def _uniquac_composition_terms(x1: float) -> tuple:
-    """The T-independent part of uniquac_gamma: the area fractions (th1, th2)
-    and the combinatorial part of each ln gamma."""
+def _uniquac_composition_terms(x1) -> tuple:
+    """The T-independent part of uniquac_gamma at a liquid fraction x1 or an
+    array of them: the area fractions (th1, th2) and the combinatorial part of
+    each ln gamma."""
     p = ETHANOL_TOLUENE_UNIQUAC
     x2 = 1.0 - x1
     sr = x1 * p.r1 + x2 * p.r2
@@ -97,56 +99,85 @@ def _uniquac_composition_terms(x1: float) -> tuple:
     phi2_th = (p.r2 * sq) / (p.q2 * sr)
     comb1 = np.log(phi1_x) + 1.0 - phi1_x - 5.0 * p.q1 * (np.log(phi1_th) + 1.0 - phi1_th)
     comb2 = np.log(phi2_x) + 1.0 - phi2_x - 5.0 * p.q2 * (np.log(phi2_th) + 1.0 - phi2_th)
-    return th1, th2, float(comb1), float(comb2)
+    return th1, th2, comb1, comb2
 
 
-def _uniquac_gamma_at(terms: tuple, T: float) -> tuple[float, float]:
-    """uniquac_gamma from the composition terms and T in Kelvin: numpy's exp and
-    log (math's differ in the last bit), the rest on Python floats (same rounding)."""
+def _uniquac_gamma_at(terms: tuple, T):
+    """uniquac_gamma from the composition terms and T in Kelvin, a float or an
+    array of T's shape: numpy's exp and log (math's differ in the last bit)
+    and IEEE arithmetic, so an array gives each element's scalar bits."""
     p = ETHANOL_TOLUENE_UNIQUAC
     th1, th2, comb1, comb2 = terms
-    tau12 = float(np.exp(-p.a12 / T))
-    tau21 = float(np.exp(-p.a21 / T))
+    tau12 = np.exp(-p.a12 / T)
+    tau21 = np.exp(-p.a21 / T)
     d1 = th1 + th2 * tau21
     d2 = th1 * tau12 + th2
-    ln_g1 = comb1 + p.q1 * (1.0 - float(np.log(d1)) - th1 / d1 - th2 * tau12 / d2)
-    ln_g2 = comb2 + p.q2 * (1.0 - float(np.log(d2)) - th1 * tau21 / d1 - th2 / d2)
-    return float(np.exp(ln_g1)), float(np.exp(ln_g2))
+    ln_g1 = comb1 + p.q1 * (1.0 - np.log(d1) - th1 / d1 - th2 * tau12 / d2)
+    ln_g2 = comb2 + p.q2 * (1.0 - np.log(d2) - th1 * tau21 / d1 - th2 / d2)
+    return np.exp(ln_g1), np.exp(ln_g2)
 
 
-def bubble_point(x1: float) -> tuple[float, float]:
+def bubble_point(x1: float, root: float | None = None) -> tuple[float, float]:
     """Bubble temperature (degC) and vapor fraction y1 at 1 atm from modified
     Raoult's law.
 
     The temperature is the bisection of the fixed window T_WINDOW_C to
-    |dT| < 1e-8 degC, bit for bit: a regula falsi search locates the root
-    first, and the bisection is then replayed, evaluating only the midpoints
-    that lie within 1e-10 degC of that root (see _bubble_temperature).
+    |dT| < 1e-8 degC, bit for bit. It is replayed from x1's root, as
+    bubble_roots locates it: only the midpoints that lie within 1e-10 degC of
+    the root are evaluated (see _bubble_temperature). A caller that solves
+    many compositions passes each one's root from one bubble_roots call;
+    without a root, the search runs on x1 alone.
     """
     if not (0.0 <= x1 <= 1.0):
         raise DomainError(f"x1 = {x1} outside [0, 1]")
+    if root is None:
+        (root,) = bubble_roots([x1]).tolist()
     terms = _uniquac_composition_terms(x1)
-    T_c = _bubble_temperature(lambda T: _pressure_excess(x1, terms, T))
+    T_c = _bubble_temperature(lambda T: _pressure_excess(x1, terms, T), root)
     g1, _ = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c) / ATM_MMHG
     return T_c, float(min(max(y1, 0.0), 1.0))
 
 
-def _pressure_excess(x1: float, terms: tuple, T_c: float) -> float:
+def _pressure_excess(x1, terms: tuple, T_c):
     """Bubble pressure minus 1 atm (mmHg) at liquid fraction x1 and T_c degC,
-    from x1's composition terms."""
+    from x1's composition terms: floats, or arrays of one shape whose every
+    element has the bits of its float call."""
     g1, g2 = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
-    return (x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c)
-            + (1.0 - x1) * g2 * antoine_psat(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
+    return (x1 * g1 * _antoine_psat_each(ETHANOL_ANTOINE, T_c)
+            + (1.0 - x1) * g2 * _antoine_psat_each(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
 
 
-def _bubble_temperature(pressure_excess) -> float:
+def _antoine_psat_each(c: AntoineConstants, T):
+    """antoine_psat at a T or at every T of an array, with its bits: np.float_power
+    is libm's pow per element, like Python's ``**`` on floats."""
+    denom = np.asarray(T + c.C)
+    bad = denom[denom <= 0]
+    if bad.size:
+        raise DomainError(f"Antoine denominator T + C = {bad[0]} <= 0")
+    return np.float_power(10.0, c.A - c.B / denom)
+
+
+def bubble_roots(x1) -> np.ndarray:
+    """The bubble temperature (degC) of each liquid fraction in the 1-D x1, to
+    a computed-sign bracket narrower than 1e-11 degC: one Illinois search over
+    all of them (see _illinois_roots). NaN where the search fails; the
+    bisection then decides by itself."""
+    x1 = np.asarray(x1, dtype=float)
+    bad = x1[~((0.0 <= x1) & (x1 <= 1.0))]
+    if bad.size:
+        raise DomainError(f"x1 = {bad[0]} outside [0, 1]")
+    terms = _uniquac_composition_terms(x1)
+    return _illinois_roots(
+        lambda T, i: _pressure_excess(x1[i], tuple(t[i] for t in terms), T), x1.size)
+
+
+def _bubble_temperature(pressure_excess, root: float) -> float:
     """The bisection of T_WINDOW_C to |dT| < 1e-8 degC on pressure_excess, bit
-    for bit, with the midpoints far from a located root decided unevaluated."""
+    for bit, with the midpoints far from the located root decided unevaluated.
+    A NaN root evaluates the window ends, raises NoBracket unless they differ
+    in sign, and evaluates every midpoint: the plain bisection."""
     lo, hi = T_WINDOW_C
-    f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
-    if f_lo * f_hi > 0:
-        raise NoBracket(f"pressure equation does not change sign on {T_WINDOW_C}")
     # Why a skipped midpoint goes where the bisection would send it: on the
     # window the computed pressure excess increases in T, with a slope of at
     # least 5.5 mmHg/K (its least value, at x1 = 0 and T = 60 degC). The root
@@ -154,13 +185,18 @@ def _bubble_temperature(pressure_excess) -> float:
     # an excess of exactly 0, so a midpoint more than 1e-10 below (above) the
     # root has an excess below -5e-10 (above 5e-10) mmHg, far beyond its
     # rounding error of about 1e-12 mmHg. Only midpoints inside that band are
-    # evaluated. The root is trusted only if the search converged, f(60) < 0
-    # and every value it met is finite; otherwise it is NaN, every comparison
-    # with it is false, and every midpoint is evaluated, as in the plain
-    # bisection.
-    root = math.nan
-    if f_lo < 0 and math.isfinite(f_lo) and math.isfinite(f_hi):
-        root = _illinois_root(pressure_excess, lo, f_lo, hi, f_hi)
+    # evaluated. A located root implies f(lo) < 0 <= f(hi), both finite, so
+    # the window ends are not evaluated and -1 stands in for f(lo): the
+    # bisection reads only f_lo's sign, through f_mid * f_lo, and a computed
+    # excess is 0 or at least 2**-44 mmHg in size, so no such product
+    # underflows. A NaN root fails every comparison, so every midpoint is
+    # evaluated.
+    if math.isnan(root):
+        f_lo, f_hi = pressure_excess(lo), pressure_excess(hi)
+        if f_lo * f_hi > 0:
+            raise NoBracket(f"pressure equation does not change sign on {T_WINDOW_C}")
+    else:
+        f_lo = -1.0
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if mid < root - 1e-10:
@@ -176,34 +212,47 @@ def _bubble_temperature(pressure_excess) -> float:
     return 0.5 * (lo + hi)
 
 
-def _illinois_root(f, a: float, fa: float, b: float, fb: float) -> float:
-    """Root of f in [a, b], given f(a) < 0 <= f(b), by Illinois regula falsi
-    (Dowell & Jarratt 1971): the midpoint of a computed-sign bracket narrower
-    than 1e-11 or a point where f is 0; NaN if 100 steps do not get there or
-    a value of f is not finite."""
-    side = 0
+def _illinois_roots(excess, n: int) -> np.ndarray:
+    """Roots in T_WINDOW_C of n functions at once, by Illinois regula falsi
+    (Dowell & Jarratt 1971) with an active mask. excess(T, i) evaluates the
+    functions of the indices i at the temperatures T, two arrays of one length.
+
+    Each root is the midpoint of a computed-sign bracket narrower than 1e-11,
+    or a point where its function is 0. It is NaN unless f(lo) < 0 <= f(hi),
+    both finite, and NaN if 100 steps do not get there or a value of f is not
+    finite.
+    """
+    lo, hi = T_WINDOW_C
+    i = np.arange(n)
+    # rows: a, b, f(a), f(b), and the side of the last step (-1 low, 1 high)
+    state = np.stack([np.full(n, lo), np.full(n, hi), excess(np.full(n, lo), i),
+                      excess(np.full(n, hi), i), np.zeros(n)])
+    roots = np.full(n, np.nan)
+    fa, fb = state[2], state[3]
+    active = (fa < 0) & (0 <= fb) & np.isfinite(fa) & np.isfinite(fb)
     for _ in range(100):
-        if b - a < 1e-11:
-            return 0.5 * (a + b)
+        a, b = state[0], state[1]
+        narrow = b - a < 1e-11
+        roots[i[active & narrow]] = 0.5 * (a + b)[active & narrow]
+        active &= ~narrow
+        state, i = state[:, active], i[active]
+        if not i.size:
+            break
+        a, b, fa, fb, side = state
         # at least 5e-12 inside the bracket, so a last step next to an end
         # closes it instead of moving that end by a rounding error
-        c = min(max(b - fb * (b - a) / (fb - fa), a + 5e-12), b - 5e-12)
-        fc = f(c)
-        if not math.isfinite(fc):
-            return math.nan
-        if fc == 0:
-            return c
-        if fc < 0:
-            a, fa = c, fc
-            if side < 0:
-                fb *= 0.5
-            side = -1
-        else:
-            b, fb = c, fc
-            if side > 0:
-                fa *= 0.5
-            side = 1
-    return math.nan
+        with np.errstate(all="ignore"):  # huge values: a NaN c, whose f(c) is rejected
+            c = np.minimum(np.maximum(b - fb * (b - a) / (fb - fa), a + 5e-12), b - 5e-12)
+        fc = excess(c, i)
+        low, zero = fc < 0, fc == 0
+        fb = np.where(low & (side < 0), 0.5 * fb, fb)
+        fa = np.where(~low & (side > 0), 0.5 * fa, fa)
+        state = np.stack([np.where(low, c, a), np.where(low, b, c),
+                          np.where(low, fc, fa), np.where(low, fb, fc),
+                          np.where(low, -1.0, 1.0)])
+        roots[i[zero]] = c[zero]
+        active = np.isfinite(fc) & ~zero
+    return roots
 
 
 def vle_compositions(n: int, seed: int = 0) -> np.ndarray:
@@ -222,11 +271,10 @@ def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
     Under modified Raoult's law with ideal vapor this equals
     x ln(x gamma1) + (1-x) ln((1-x) gamma2), i.e. the excess part plus the
     ideal-mixing term; it vanishes at both composition endpoints. The vapor
-    pressures are antoine_psat's, one call per temperature.
+    pressures have antoine_psat's bits, one array call per component.
     """
     x, y, T = (np.asarray(v, dtype=float) for v in (x, y, T))
-    p1, p2 = (np.array([antoine_psat(c, t) for t in T.ravel().tolist()]).reshape(T.shape)
-              for c in (antoine1, antoine2))
+    p1, p2 = (_antoine_psat_each(c, T) for c in (antoine1, antoine2))
     with np.errstate(over="ignore"):  # a y of huge magnitude gives +-inf, rejected below
         r1, r2 = P * y / p1, P * (1.0 - y) / p2  # with P > 0: > 0 iff 0 < y < 1, short of underflow
     if not np.all((0.0 < x) & (x < 1.0) & (r1 > 0.0) & (r2 > 0.0)):

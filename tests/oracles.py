@@ -47,6 +47,9 @@ moved here from ``thermo_vle`` for the same reason; its ``brentq`` kept
 ``VlePoint`` is the per-point Gibbs conversion that the array
 ``thermo_vle.excess_gibbs_from_txy`` replaced; ``VlePoint`` moved here with it,
 as the point type that ``find_azeotrope`` and ``load_vle_csv`` return.
+``illinois_root`` is the regula falsi on one function that the array search
+``thermo_vle._illinois_roots`` replaced, and ``pressure_excess`` the per-step
+pressure excess of ``bubble_point``, against which the array excess is held.
 ``psi_at``, ``jacobian_at`` and ``lifted_rhs`` moved here from
 ``MonomialBasis.eval_at``, ``jacobian_at`` and ``KoopmanHybridModel.rhs`` once
 the controllers took V's rates from the gradient of V and from the model's
@@ -63,6 +66,7 @@ numpy reports its buffers to ``tracemalloc``.
 """
 
 import csv
+import math
 import tracemalloc
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -680,17 +684,21 @@ def bubble_point(x1: float, P: float = ATM_MMHG,
         raise DomainError(f"x1 = {x1} outside [0, 1]")
     if P <= 0:
         raise DomainError("pressure must be positive")
-    x2 = 1.0 - x1
-
-    def pressure_excess(T_c: float) -> float:
-        g1, g2 = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
-        return (x1 * g1 * antoine_psat(antoine1, T_c)
-                + x2 * g2 * antoine_psat(antoine2, T_c) - P)
-
-    T_c = bisect_window(pressure_excess)
+    T_c = bisect_window(lambda T: pressure_excess(x1, T, P, params, antoine1, antoine2))
     g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
     return T_c, float(np.clip(y1, 0.0, 1.0))
+
+
+def pressure_excess(x1: float, T_c: float, P: float = ATM_MMHG,
+                    params: UniquacParams = ETHANOL_TOLUENE_UNIQUAC,
+                    antoine1: AntoineConstants = ETHANOL_ANTOINE,
+                    antoine2: AntoineConstants = TOLUENE_ANTOINE) -> float:
+    """Bubble pressure minus P at x1 and T_c degC, from the full uniquac_gamma
+    and Python's ``**`` in antoine_psat."""
+    g1, g2 = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
+    return (x1 * g1 * antoine_psat(antoine1, T_c)
+            + (1.0 - x1) * g2 * antoine_psat(antoine2, T_c) - P)
 
 
 def bisect_window(pressure_excess) -> float:
@@ -707,6 +715,34 @@ def bisect_window(pressure_excess) -> float:
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def illinois_root(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f in [a, b], given f(a) < 0 <= f(b), by Illinois regula falsi
+    (Dowell & Jarratt 1971): the midpoint of a computed-sign bracket narrower
+    than 1e-11 or a point where f is 0; NaN if 100 steps do not get there or
+    a value of f is not finite."""
+    side = 0
+    for _ in range(100):
+        if b - a < 1e-11:
+            return 0.5 * (a + b)
+        c = min(max(b - fb * (b - a) / (fb - fa), a + 5e-12), b - 5e-12)
+        fc = f(c)
+        if not math.isfinite(fc):
+            return math.nan
+        if fc == 0:
+            return c
+        if fc < 0:
+            a, fa = c, fc
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return math.nan
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ class TestExperiments:
         solve = thermo_vle.bubble_point
         monkeypatch.setattr(thermo_vle, "bubble_point",
                             lambda x, *a, **kw: calls.append(x) or solve(x, *a, **kw))
-        experiments._vle_point.cache_clear()
+        experiments._vle_rows.cache_clear()
         run = getattr(experiments, f"run_{setting}")
         extra = {"m": 3} if setting == "setting3" else {}
         run(n=15, seed=4, lambda_grid=(0.1, 1.0), **extra)

@@ -304,6 +304,37 @@ def recorded(f):
     return g, calls
 
 
+def elementwise(*fs):
+    """The scalar functions fs as the array search's excess(T, i): fs[k] at
+    each temperature of problem k; one function serves every problem."""
+    return lambda T, i: np.array([fs[k % len(fs)](t) for k, t in zip(i.tolist(), T.tolist())])
+
+
+def search_one(f) -> float:
+    """The array search's root of the one function f."""
+    (root,) = thermo_vle._illinois_roots(elementwise(f), 1).tolist()
+    return root
+
+
+x_unit = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), unit)
+
+
+@SETTINGS
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=x_unit),
+    arrays(np.float64, n, elements=st.floats(*thermo_vle.T_WINDOW_C)))))
+@example((np.array([0.0, 1.0, 5e-324]), np.array([60.0, 115.0, 87.5])))
+def test_array_pressure_excess_matches_the_scalar_one(case):
+    # the array search meets each value the scalar search would, bit for bit,
+    # and those are the per-step oracle's (Python's ** for Antoine's 10^x)
+    x1, T = case
+    new = thermo_vle._pressure_excess(x1, thermo_vle._uniquac_composition_terms(x1), T)
+    scalar = [thermo_vle._pressure_excess(a, thermo_vle._uniquac_composition_terms(a), t)
+              for a, t in zip(x1.tolist(), T.tolist())]
+    old = [oracles.pressure_excess(a, t) for a, t in zip(x1.tolist(), T.tolist())]
+    assert new.tobytes() == np.array(scalar).tobytes() == np.array(old).tobytes()
+
+
 @pytest.mark.parametrize("f", [
     lambda T: math.nan if T == 115.0 else T - 80.0,
     lambda T: math.inf if T == 115.0 else T - 80.0,
@@ -313,21 +344,36 @@ def recorded(f):
     lambda T: 0.0 if T == 60.0 else T - 80.0,  # zero at the low end
 ])
 def test_window_ends_that_fail_the_guard_give_the_plain_bisection(f):
+    searched, search_calls = recorded(f)
+    root = search_one(searched)
+    assert math.isnan(root) and search_calls == [60.0, 115.0]
     new, new_calls = recorded(f)
     old, old_calls = recorded(f)
-    assert thermo_vle._bubble_temperature(new) == oracles.bisect_window(old)
+    assert thermo_vle._bubble_temperature(new, root) == oracles.bisect_window(old)
     assert new_calls == old_calls
 
 
 def test_root_search_ends_on_a_bracket_narrower_than_1e_11():
-    for x1 in np.linspace(0.0, 1.0, 101):
-        excess = pressure_excess(float(x1))
-        f, calls = recorded(excess)
-        root = thermo_vle._illinois_root(f, 60.0, f(60.0), 115.0, f(115.0))
-        values = [(T, excess(T)) for T in calls]
+    # 101 compositions in one search; each root is the scalar search's
+    x1 = np.linspace(0.0, 1.0, 101)
+    terms = thermo_vle._uniquac_composition_terms(x1)
+    seen = []
+
+    def excess(T, i):
+        f = thermo_vle._pressure_excess(x1[i], tuple(t[i] for t in terms), T)
+        seen.extend(zip(i.tolist(), T.tolist(), f.tolist()))
+        return f
+
+    roots = thermo_vle._illinois_roots(excess, x1.size)
+    assert roots.tobytes() == thermo_vle.bubble_roots(x1).tobytes()
+    for k, root in enumerate(roots.tolist()):
+        scalar = pressure_excess(x1[k].item())
+        assert root == oracles.illinois_root(scalar, 60.0, scalar(60.0), 115.0, scalar(115.0))
+        values = [(T, v) for j, T, v in seen if j == k]
+        assert all(v == scalar(T) for T, v in values)
         a = max(T for T, v in values if v < 0)
         b = min(T for T, v in values if v >= 0)
-        assert a <= root <= b and (b - a < 1e-11 or excess(root) == 0), x1
+        assert a <= root <= b and (b - a < 1e-11 or scalar(root) == 0), k
 
 
 def stalls(T):
@@ -341,24 +387,58 @@ def stalls(T):
     lambda T: -math.inf if 79.0 < T < 81.0 else T - 80.0,
 ])
 def test_failed_root_search_gives_the_plain_bisection(f):
-    assert thermo_vle._bubble_temperature(f) == oracles.bisect_window(f)
+    root = search_one(f)
+    assert math.isnan(root)
+    assert thermo_vle._bubble_temperature(f, root) == oracles.bisect_window(f)
 
 
 def test_root_search_gives_up_after_100_steps_or_a_nonfinite_value():
-    f, calls = recorded(stalls)
-    assert math.isnan(thermo_vle._illinois_root(f, 60.0, -1.0, 115.0, 1e12))
-    assert len(calls) == 100
+    for search in (search_one, lambda f: oracles.illinois_root(f, 60.0, -1.0, 115.0, 1e12)):
+        f, calls = recorded(stalls)
+        assert math.isnan(search(f))
+        assert len([T for T in calls if T not in (60.0, 115.0)]) == 100
     f, calls = recorded(lambda T: math.nan if 79.0 < T < 81.0 else T - 80.0)
-    assert math.isnan(thermo_vle._illinois_root(f, 60.0, -20.0, 115.0, 35.0))
-    assert calls == [80.0]
+    assert math.isnan(search_one(f))
+    assert calls == [60.0, 115.0, 80.0]
+
+
+def test_root_search_solves_each_problem_as_alone():
+    # converging, stalling, non-finite and guard-failing problems in one
+    # search: each keeps the one-function oracle's root
+    fs = [stalls, lambda T: T - 80.0, lambda T: math.nan if 79.0 < T < 81.0 else T - 80.0,
+          lambda T: (T - 97.3) ** 3, lambda T: -1.0, lambda T: math.exp(T - 100.0) - 1.0,
+          lambda T: math.inf if T == 115.0 else T - 80.0, lambda T: 0.0 if T > 70.0 else -1.0]
+    expected = [oracles.illinois_root(f, 60.0, f(60.0), 115.0, f(115.0))
+                if f(60.0) < 0 <= f(115.0) and math.isfinite(f(60.0) + f(115.0)) else math.nan
+                for f in fs]
+    for reps in (1, 3):
+        roots = thermo_vle._illinois_roots(elementwise(*fs), reps * len(fs))
+        np.testing.assert_array_equal(roots, expected * reps)
+
+
+def test_vle_table_makes_a_few_scalar_pressure_evaluations_per_composition(monkeypatch):
+    # the plain bisection makes 35 per composition, the scalar search about 11;
+    # the array search's calls, on arrays of temperatures, are not counted
+    calls = [0]
+    excess = thermo_vle._pressure_excess
+
+    def counted(x1, terms, T_c):
+        calls[0] += np.ndim(T_c) == 0
+        return excess(x1, terms, T_c)
+
+    monkeypatch.setattr(thermo_vle, "_pressure_excess", counted)
+    experiments._vle_rows.cache_clear()
+    experiments.vle_table(thermo_vle.vle_compositions(2000, 0))
+    assert calls[0] <= 0.1 * 2000
 
 
 def test_bubble_point_errors_are_unchanged(monkeypatch):
     for x1 in (-0.1, 1.1, math.nan):
         assert outcome(thermo_vle.bubble_point, x1) is DomainError
         assert outcome(oracles.bubble_point, x1) is DomainError
+        assert outcome(thermo_vle.bubble_roots, [0.5, x1]) is DomainError
     for f in (lambda T: T + 1.0, lambda T: -1.0):
-        assert outcome(thermo_vle._bubble_temperature, f) is NoBracket
+        assert outcome(thermo_vle._bubble_temperature, f, search_one(f)) is NoBracket
         assert outcome(oracles.bisect_window, f) is NoBracket
     monkeypatch.setattr(thermo_vle, "ATM_MMHG", 1e6)  # no bubble point below 115 degC
     assert outcome(thermo_vle.bubble_point, 0.5) is NoBracket

@@ -114,6 +114,24 @@ class TestProblemValidation:
         with pytest.raises(NotPsd, match="negative eigenvalue"):
             solve(np.diag([1.0, -1.0]), np.zeros(2))
 
+    @pytest.mark.parametrize("m", [2, 25, 100])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_psd_threshold_holds_outside_a_1e_6_band(self, m, scale, seed):
+        # S = Q diag(lam) Q' with one eigenvalue at -tau (1 -+ 1e-6), tau =
+        # 1e-8 max(|S|, 1): the Cholesky of S + tau I decides it as the
+        # eigenvalue test would. Its rounding moved the decision by at most
+        # 1.3e-8 tau over these cases, so the band leaves a margin of about 100
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        lam = np.concatenate([[0.0], rng.uniform(0.0, scale, m - 1)])
+        tau = 1e-8 * max(abs((Q * lam) @ Q.T).max(), 1.0)
+        for rel, raises in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+            lam[0] = -tau * rel
+            S = (Q * lam) @ Q.T
+            with pytest.raises(NotPsd) if raises else contextlib.nullcontext():
+                solve(0.5 * (S + S.T), np.zeros(m))
+
     def test_objective_convention(self):
         # f(b) = b'Sb + s'b with no 1/2 factor
         sol = solve(2.0 * np.eye(2), np.array([-1.0, -1.0]))

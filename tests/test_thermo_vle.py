@@ -106,8 +106,8 @@ class TestDatasetGeneration:
     def test_determinism(self):
         runs = []
         for _ in range(2):
-            # clear the per-composition cache, so that each call solves the points
-            experiments._vle_point.cache_clear()
+            # clear the bubble-point cache, so that each call solves the points
+            experiments._vle_rows.cache_clear()
             runs.append(np.stack(experiments.vle_table(tv.vle_compositions(10, 3))))
         assert runs[0].tobytes() == runs[1].tobytes()
 
@@ -200,6 +200,16 @@ class TestExcessGibbsTarget:
         # y = 5e-324 lies inside (0, 1), but P y / Psat1 underflows to 0
         with pytest.raises(DomainError):
             tv.excess_gibbs_from_txy(0.5, 5e-324, 60.0, P=100.0)
+
+    @pytest.mark.parametrize("antoine", [(tv.ETHANOL_ANTOINE, tv.TOLUENE_ANTOINE),
+                                         (tv.TOLUENE_ANTOINE, tv.ETHANOL_ANTOINE)])
+    def test_antoine_denominator_at_zero_is_rejected(self, antoine):
+        # at T = -C of toluene, ethanol's T + C is 6.997 and toluene's is 0
+        T = np.array([[90.0, -tv.TOLUENE_ANTOINE.C]])
+        with pytest.raises(DomainError, match=r"T \+ C = 0\.0 <= 0"):
+            tv.excess_gibbs_from_txy(0.5, 0.5, T, tv.ATM_MMHG, *antoine)
+        with pytest.raises(DomainError, match=r"T \+ C = 0\.0 <= 0"):
+            tv.antoine_psat(tv.TOLUENE_ANTOINE, -tv.TOLUENE_ANTOINE.C)
 
     def test_shapes(self):
         assert type(tv.excess_gibbs_from_txy(0.3, 0.5, 90.0)) is float
