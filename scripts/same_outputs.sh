@@ -37,6 +37,7 @@ CALLS=(
     "setting2-s0 setting2 --n 50 --seed 0"
     "setting2-s1 setting2 --n 50 --seed 1"
     "setting2-n35-s2 setting2 --n 35 --seed 2"
+    "setting2-huge-lambda setting2 --n 50 --lambda 1e-12,1e308"
     "setting3 setting3 --m 25"
     "setting3-m100-s1 setting3 --m 100 --seed 1"
     "setting3-m50-s2 setting3 --m 50 --seed 2"

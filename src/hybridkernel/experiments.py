@@ -126,16 +126,18 @@ def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
 
     Each "margules" row carries its fitted model under "model". The reference
     grid is one fit call; then the lambda pool fits the subspace grid in
-    joint-matrix buffers this thread allocates, one per worker. The validation
-    designs, whose n x n cross-Gram would coexist with the solves, come after.
+    joint buffers built before it starts, one per worker: each holds the
+    sweep's D'D in the triangle its factorizations never touch. The
+    validation designs, whose n x n cross-Gram would coexist with the
+    solves, come after.
     """
     ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
                                      KernelSpec(gamma=DEFAULT_GAMMA_X))
-    sub_train = ref_train.with_features(thermo_vle.margules_features, joint=True)
+    sub_train = ref_train.with_features(thermo_vle.margules_features)
     refs = hybrid_static.fit_reference_krr(ref_train, lambda_grid)
     workers, buffers = min(worker_count(), len(lambda_grid)), queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(np.empty_like(sub_train.DtD))
+    for buf in hybrid_static.joint_buffers(sub_train, workers):
+        buffers.put(buf)
 
     def fit(lam):
         buf = buffers.get()
@@ -150,7 +152,7 @@ def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
     else:  # the (n + 2)^2 factorizations release the GIL
         with ThreadPoolExecutor(max_workers=workers) as pool:
             subs = list(pool.map(fit, lambda_grid))
-    del buffers  # freed before the cross-Gram is allocated
+    del buffers, buf  # freed before the cross-Gram is allocated
     ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_val = ref_val.with_features(thermo_vle.margules_features)
     return {"reference": _rows(lambda_grid, refs, ref_train, ref_val),

@@ -12,22 +12,25 @@ feature map Phi and in how the weights w are fit:
 A ``Design`` holds the lambda-independent blocks of one dataset, the
 low-rank factor of the training Gram matrix among them. Drivers build it once
 per sweep; each fit then does only the lambda-dependent solves, and ``rmse``
-scores a sweep's models on the design. ``HybridModel.predict`` is the only
-place that evaluates the features at new points.
+scores a sweep's models on the design. The subspace fit solves in a
+``JointBuffer``, which a sweep builds once per concurrent fit.
+``HybridModel.predict`` is the only place that evaluates the features at new
+points.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel
 from .kernels import KernelSpec, _as_points, cross_gram, gram, sq_distances
-from .linalg import LowRankFactor, low_rank_psd_factor, solve_shifted, solve_spd
+from .linalg import LowRankFactor, _tile_pairs, low_rank_psd_factor, solve_shifted, solve_spd
 
 DUPLICATE_TOL = 1e-9
 
@@ -133,10 +136,9 @@ class Design:
     (anchors = X), the cross-Gram against the training inputs on any other
     set. factor is the low-rank factor of G (linalg.low_rank_psd_factor),
     from which the reference and mixture fits solve their whole grid; a design
-    on another set has none. DtD and Dty are D'D and D'y of D = [F, G]
-    (numpy's D.T @ D is a symmetric rank-k update: exactly symmetric), read
-    only by the subspace fit, whose pool threads share a design: each factors
-    its joint matrix in a buffer of its own or in the `out` passed, never here.
+    on another set has none. The subspace fit's D'D lives in its joint
+    buffers, not here: a design holds no (n + p)^2 array besides K, and the
+    pool threads that share it never write it.
     """
 
     features: Callable
@@ -147,64 +149,82 @@ class Design:
     K: np.ndarray
     y: np.ndarray
     factor: LowRankFactor = None
-    DtD: np.ndarray = None
-    Dty: np.ndarray = None
 
     def at(self, data: Dataset) -> "Design":
         """The same model space on another dataset, e.g. for validation RMSE."""
         return _design(self.features, self.kernel, data.inputs, self.anchors,
                        cross_gram(self.kernel, data.inputs, self.anchors),
-                       data.targets, None, joint=False)
+                       data.targets, None)
 
-    def with_features(self, features: Callable, joint: bool = False) -> "Design":
+    def with_features(self, features: Callable) -> "Design":
         """This design's data and kernel block under another feature map."""
         return _design(features, self.kernel, self.inputs, self.anchors, self.K,
-                       self.y, self.factor, joint)
+                       self.y, self.factor)
 
     def model(self, weights, coeffs) -> HybridModel:
         return HybridModel(features=self.features, weights=weights,
                            anchors=self.anchors, coeffs=coeffs, kernel=self.kernel)
 
 
-def _design(features, kernel, inputs, anchors, K, y, factor, joint) -> Design:
-    F = feature_columns(features, inputs)
-    DtD = Dty = None
-    if joint:
-        D = np.hstack([F, K])
-        DtD, Dty = D.T @ D, D.T @ y
+def _design(features, kernel, inputs, anchors, K, y, factor) -> Design:
     return Design(features=features, kernel=kernel, inputs=inputs, anchors=anchors,
-                  F=F, K=K, y=y, factor=factor, DtD=DtD, Dty=Dty)
+                  F=feature_columns(features, inputs), K=K, y=y, factor=factor)
 
 
-def design(data: Dataset, features: Callable, kernel: KernelSpec,
-           joint: bool = False) -> Design:
+def design(data: Dataset, features: Callable, kernel: KernelSpec) -> Design:
     """Training design: feature columns, Gram matrix and its low-rank factor
-    of `data`; with joint=True also the normal blocks the subspace fit
-    solves."""
+    of `data`."""
     G = gram(kernel, data.inputs)
     return _design(features, kernel, data.inputs, data.inputs, G, data.targets,
-                   low_rank_psd_factor(G), joint)
+                   low_rank_psd_factor(G))
 
 
-def _joint_matrix(design: Design, lambda_theta: float, lambda_r: float,
-                  out: np.ndarray = None) -> np.ndarray:
-    """D'D + blockdiag(lambda_theta I, lambda_r G) in every entry of `out` (or
-    a new array); exactly symmetric, since the design's D'D and G are."""
-    if design.DtD is None:
-        raise DomainError("subspace fits need a training design built with joint=True")
-    p, dim = design.F.shape[1], design.DtD.shape[0]
-    M = np.empty_like(design.DtD) if out is None else out
-    if not (isinstance(M, np.ndarray) and M.shape == (dim, dim) and M.dtype == np.float64
-            and M.flags.c_contiguous and M.flags.writeable):
-        raise DimensionMismatch(f"out must be a writeable C-contiguous float64 ({dim}, {dim}) "
-                                "array")
-    M[:p] = design.DtD[:p]
-    M[p:, :p] = design.DtD[p:, :p]
-    M.flat[:p * (dim + 1):dim + 1] += lambda_theta
-    # lambda_r G goes straight into its block: no n x n temporary
-    np.multiply(lambda_r, design.K, out=M[p:, p:])
-    M[p:, p:] += design.DtD[p:, p:]
-    return M
+class JointBuffer(NamedTuple):
+    """The memory one subspace fit solves in, on a training design.
+
+    M is a C-ordered (n + p)^2 array whose strict lower triangle holds D'D of
+    D = [F, G]. Its Fortran view M' is what dpotrf('L') factors: the fit
+    writes the joint matrix into M's upper triangle, the one dpotrf reads and
+    overwrites, and leaves the strict lower one alone. DtD_diagonal is D'D's
+    diagonal, which each factorization overwrites in M, and Dty is D'y; the
+    buffers of one sweep share these two, and each has an M of its own.
+    """
+
+    design: Design
+    M: np.ndarray
+    DtD_diagonal: np.ndarray
+    Dty: np.ndarray
+
+
+def joint_buffers(design: Design, count: int) -> list[JointBuffer]:
+    """`count` joint buffers for subspace fits on `design`, one per fit that
+    runs at the same time. D'D is numpy's D.T @ D, a symmetric rank-k update
+    whose triangle is copied, so its strict lower triangle equals the upper
+    one; it goes straight into the first buffer, and the others copy it."""
+    if count < 1:
+        raise DomainError(f"a sweep needs at least one joint buffer, got {count}")
+    D = np.hstack([design.F, design.K])
+    M = np.empty((D.shape[1], D.shape[1]))
+    np.matmul(D.T, D, out=M)
+    first = JointBuffer(design, M, M.diagonal().copy(), D.T @ design.y)
+    del D  # freed before the copies are allocated
+    return [first] + [first._replace(M=M.copy()) for _ in range(count - 1)]
+
+
+def _joint_triangle(A: np.ndarray, K: np.ndarray, p: int, lambda_r: float) -> None:
+    """Write the strict lower triangle of A = M', the Fortran view of a joint
+    buffer, from D'D in A's strict upper triangle: D'D itself in the first p
+    columns, fl(fl(lambda_r G) + D'D) in the kernel block, tile by tile
+    without an n x n temporary. On a diagonal tile A is read and written
+    only below the diagonal: the other entries hold a failed factor's values."""
+    for i in range(p):
+        A[i + 1:, i] = A[i, i + 1:]
+    # the kernel block's tile below the diagonal gets the mirror of the tile
+    # above it plus lambda_r G': entry (j, i) is M's (i, j), D'D + lambda_r G
+    for (up, low, diagonal), (g, _, _) in zip(_tile_pairs(A[p:, p:]), _tile_pairs(K)):
+        where = np.tri(*low.shape, -1, dtype=bool) if diagonal else True
+        np.copyto(low, up.T, where=where)
+        np.add(low, np.multiply(lambda_r, g.T), out=low, where=where)
 
 
 def fit_reference_krr(design: Design, lams) -> list[HybridModel]:
@@ -220,21 +240,31 @@ def fit_reference_krr(design: Design, lams) -> list[HybridModel]:
 
 
 def fit_subspace(design: Design, lambda_theta: float, lambda_r: float,
-                 out: np.ndarray = None) -> HybridModel:
+                 out: JointBuffer = None) -> HybridModel:
     """Joint fit of linear parameters theta and the kernel residual.
 
     Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
-    jittered SPD path, which factors the joint matrix in its own memory: a
-    new array, or `out`, a buffer a sweep reuses across fits (DimensionMismatch
-    unless it is a writeable C-contiguous float64 array of that shape).
+    jittered SPD path, in a joint buffer: `out`, which a sweep reuses across
+    fits (DomainError unless joint_buffers built it on this design), or a new
+    one. The joint matrix goes into the triangle dpotrf factors, with the
+    floating-point operations of D'D + blockdiag(...) on the full matrix, and
+    a jittered attempt rewrites it from the buffer's D'D.
     """
     if not (np.isfinite(lambda_theta) and lambda_theta > 0
             and np.isfinite(lambda_r) and lambda_r > 0):
         raise DomainError("regularization weights must be finite and positive, got "
                           f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
-    p = design.F.shape[1]
-    sol = solve_spd(_joint_matrix(design, lambda_theta, lambda_r, out), design.Dty,
-                    overwrite=True)
+    buf = joint_buffers(design, 1)[0] if out is None else out
+    if buf.design is not design:
+        raise DomainError("the joint buffer was built for another design")
+    p, K = design.F.shape[1], design.K
+    diagonal = buf.DtD_diagonal.copy()
+    diagonal[:p] += lambda_theta
+    diagonal[p:] += lambda_r * K.diagonal()
+    refill = partial(_joint_triangle, K=K, p=p, lambda_r=lambda_r)
+    refill(buf.M.T)
+    buf.M.flat[::buf.M.shape[0] + 1] = diagonal
+    sol = solve_spd(buf.M, buf.Dty, overwrite=True, refill=refill)
     return design.model(sol[:p], sol[p:])
 
 

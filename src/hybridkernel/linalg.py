@@ -104,12 +104,17 @@ def _mirror(A: np.ndarray) -> None:
         np.copyto(low, up.T, where=np.tri(*low.shape, -1, dtype=bool) if diagonal else True)
 
 
-def _symmetric(M) -> tuple[np.ndarray, float]:
-    """M as a finite square float array that is symmetric to tolerance, and
-    its max |M - M'|."""
+def _square(M) -> np.ndarray:
     M = _as_2d(M)
     if M.shape[1] != M.shape[0]:
         raise DimensionMismatch(f"matrix is {M.shape}, not square")
+    return M
+
+
+def _symmetric(M) -> tuple[np.ndarray, float]:
+    """M as a finite square float array that is symmetric to tolerance, and
+    its max |M - M'|."""
+    M = _square(M)
     hi, lo = M.max(), M.min()
     _check_finite(np.array([hi, lo]), "matrix")  # NaN and +-Inf show up in max and min
     asymmetry = _max_asymmetry(M)
@@ -118,54 +123,72 @@ def _symmetric(M) -> tuple[np.ndarray, float]:
     return M, asymmetry
 
 
-def cholesky_with_jitter(M, overwrite: bool = False) -> tuple[np.ndarray, float]:
+def _lower_finite(A: np.ndarray) -> bool:
+    """Whether A's lower triangle, diagonal included, is finite, tile by tile."""
+    return all(np.isfinite(low[np.tri(*low.shape, dtype=bool)] if diagonal else low).all()
+               for _, low, diagonal in _tile_pairs(A))
+
+
+def cholesky_with_jitter(M, overwrite: bool = False, refill=None) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M, escalating a diagonal jitter on failure.
 
     Returns (L, jitter_used). Raises NotPositiveDefinite once the jitter
     budget (1e-7 * trace/dim) is exhausted. LAPACK factors one n x n
-    Fortran-ordered buffer in place. With overwrite=False it is a private
-    copy and M is never written. With overwrite=True it is M's own memory
-    when M is a writeable C- or F-contiguous float64 array (L then shares
-    M's memory, and M's values are lost, also on error); otherwise a private
-    copy.
+    Fortran-ordered buffer A in place: M, M' or a copy. With overwrite=False
+    it is a private copy and M is never written. With overwrite=True it is
+    M's own memory when M is a writeable C- or F-contiguous float64 array (L
+    then shares M's memory, and M's values are lost, also on error);
+    otherwise a private copy. dpotrf('L') reads and writes only A's lower
+    triangle: a failed attempt restores its strict part from the strict
+    upper triangle and its diagonal from a saved copy plus the next jitter,
+    and the factor's strict upper triangle is set to 0.
+
+    refill serves a caller that keeps other data in A's strict upper
+    triangle. M is then not checked for symmetry, only A's lower triangle
+    for finiteness; a failed attempt calls refill(A), which rewrites A's
+    strict lower triangle, in place of the restore; and the factor's strict
+    upper triangle keeps the caller's data.
     """
-    M, asymmetry = _symmetric(M)
+    M, asymmetry = _symmetric(M) if refill is None else (_square(M), 0.0)
     dim = M.shape[0]
+    # the buffer holds M or, when M is not F-contiguous, M' (the same values
+    # when M is exactly symmetric); dpotrf factors M's lower triangle
+    S = M if M.flags.f_contiguous else M.T
+    A = S if overwrite and S.flags.f_contiguous and S.flags.writeable else np.array(S, order="F")
+    if refill is not None and not _lower_finite(A):
+        raise DimensionMismatch("matrix contains NaN/Inf entries")
+    if asymmetry:  # within tolerance: mirror M's lower triangle onto the other
+        _mirror(A.T if S is M else A)
     with np.errstate(over="ignore"):  # a finite diagonal can sum past the largest double
         mean = np.trace(M) / dim
         if not np.isfinite(mean):
             mean = np.sum(M.diagonal() / dim)
     base = JITTER_INIT * max(mean, np.finfo(float).tiny)
-    # the buffer holds M or, when M is not F-contiguous, M' (the same values
-    # when M is exactly symmetric); dpotrf factors M's lower triangle
-    S = M if M.flags.f_contiguous else M.T
-    A = S if overwrite and S.flags.f_contiguous and S.flags.writeable else np.array(S, order="F")
-    if asymmetry:  # within tolerance: mirror M's lower triangle onto the other
-        _mirror(A.T if S is M else A)
     diagonal, jitter = A.diagonal().copy(), 0.0
     a = A.ctypes.data
     n, n1 = (ctypes.byref(ctypes.c_int64(d)) for d in (dim, dim - 1))
     zero = ctypes.byref(ctypes.c_double(0.0))
     for attempt in range(MAX_JITTER_RETRIES + 1):
         if jitter:  # dpotrf('L') never writes the strict upper triangle: restore from it
-            _mirror(A)
+            (_mirror if refill is None else refill)(A)
             A.flat[::dim + 1] = diagonal + jitter
         if _lapack_info(_dpotrf, "dpotrf", b"L", n, a, n) == 0:
-            # the strict upper triangle of A is that of A[:-1, 1:], which
-            # dlaset sets to 0
-            _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n, 1)
+            if refill is None:
+                # the strict upper triangle of A is that of A[:-1, 1:], which
+                # dlaset sets to 0
+                _dlaset(b"U", n1, n1, zero, zero, a + A.itemsize * dim, n, 1)
             return A, jitter
         jitter = base * 10.0**attempt
     raise NotPositiveDefinite("Cholesky failed after jitter escalation")
 
 
-def solve_spd(M, rhs, overwrite: bool = False) -> np.ndarray:
+def solve_spd(M, rhs, overwrite: bool = False, refill=None) -> np.ndarray:
     """Solve M X = rhs for symmetric (near-)positive-definite M.
 
     Output shape matches rhs (a 1-D rhs yields a 1-D solution). M is
-    factored by cholesky_with_jitter with the same `overwrite`: False never
-    writes M; True lets the factorization use M's memory, for a caller that
-    built M for this one call.
+    factored by cholesky_with_jitter with the same `overwrite` and `refill`:
+    overwrite=False never writes M; True lets the factorization use M's
+    memory, for a caller that built M for this one call.
     """
     M = _as_2d(M)
     b = np.asarray(rhs, dtype=float)
@@ -173,7 +196,7 @@ def solve_spd(M, rhs, overwrite: bool = False) -> np.ndarray:
     _check_finite(B, "rhs")
     if B.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs has {B.shape[0]} rows, matrix has dimension {M.shape[0]}")
-    return _solve_factored(cholesky_with_jitter(M, overwrite)[0], B).reshape(b.shape)
+    return _solve_factored(cholesky_with_jitter(M, overwrite, refill)[0], B).reshape(b.shape)
 
 
 def _solve_factored(L: np.ndarray, B: np.ndarray) -> np.ndarray:

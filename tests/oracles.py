@@ -22,8 +22,9 @@ the csv.writer trajectory file (``save_csv``) and the trajectory text that
 formats its own time column (``trajectory_csv``) are the paths ``linalg``, ``thermo_vle``,
 ``kernels``, ``hybrid_static.Dataset`` and the CLI's output layer replaced.
 ``fit_reference_krr`` (a dense Cholesky of G + lam I per lambda) and
-``joint_matrix`` (with its n x n lambda_r G temporary) are the paths the
-low-rank shifted solve and ``hybrid_static._joint_matrix`` replaced.
+``joint_matrix`` and ``fit_subspace`` (the full joint matrix, with its
+separate D'D and n x n lambda_r G temporary) are the paths the low-rank
+shifted solve and the joint buffers' triangle of ``hybrid_static`` replaced.
 ``solve_shifted`` (one shift per call, a 1-D right-hand side refined with
 matrix-vector products) and ``rmse`` (one model, two matrix-vector products)
 are the per-lambda paths that the grid solve ``linalg.solve_shifted`` and the
@@ -553,12 +554,23 @@ def rmse(model, design: Design) -> float:
 
 
 def joint_matrix(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
-    """D'D + blockdiag(lambda_theta I, lambda_r G) from a copy of D'D."""
+    """D'D + blockdiag(lambda_theta I, lambda_r G) as a full matrix, from
+    numpy's D.T @ D of D = [F, G]."""
     p = design.F.shape[1]
-    M = design.DtD.copy()
+    D = np.hstack([design.F, design.K])
+    M = D.T @ D
     M[np.arange(p), np.arange(p)] += lambda_theta
     M[p:, p:] += lambda_r * design.K
     return M
+
+
+def fit_subspace(design: Design, lambda_theta: float, lambda_r: float) -> np.ndarray:
+    """[theta; c] of the joint fit from the full joint matrix: factored by
+    linalg.cholesky_with_jitter in its own memory, then solved by dpotrs."""
+    D = np.hstack([design.F, design.K])
+    L, _ = linalg.cholesky_with_jitter(joint_matrix(design, lambda_theta, lambda_r),
+                                       overwrite=True)
+    return linalg._solve_factored(L, (D.T @ design.y)[:, None])[:, 0]
 
 
 def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:

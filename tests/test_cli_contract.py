@@ -10,16 +10,27 @@ must exit 0, 2 or 3 without raising:
 
 The grid: every subcommand at n = 1, 2 and 3 with m = 1; at n = 6 and m = 2
 with each of the grids of one λ at 5e-324, 1e-300, 1e-30 and 1e308; and at
-n = 4 with the seeds 2**64 - 1 and 10**23.
+n = 4 with the seeds 2**64 - 1 and 10**23. Hypothesis then draws calls
+through the same checks: a subcommand, n ≤ 8 and m ≤ 4, a grid of 1 to 3 λ
+log-uniform over [5e-324, 1e308] and a seed below 2**64, given as flags or,
+at times, as a --config file.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkernel import cli
+
+MAX_DRAWN_CALLS = 25  # the drawn calls take about 1 s of the module's time
 
 GRID = (
     [(exp, "--n", str(n), "--m", "1") for exp in cli.EXPERIMENTS for n in (1, 2, 3)]
@@ -56,13 +67,14 @@ def numbers(path):
     return leaves(json.loads(path.read_text()))
 
 
-@pytest.mark.parametrize("argv", GRID, ids=[" ".join(a) for a in GRID])
-def test_every_call_keeps_the_exit_code_contract(argv, tmp_path, capsys):
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
+def keeps_the_exit_code_contract(argv, out: Path) -> None:
+    """Run cli.main(argv) into `out` with every warning an error, and check
+    the exit status against what the call wrote."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error")
         status = cli.main([*argv, "--out", str(out)])
-    err = capsys.readouterr().err.splitlines()
+    err = stderr.getvalue().splitlines()
     assert status in (0, 2, 3), err
     if status == 2:
         assert len(err) == 1 and err[0].startswith("config error: "), err
@@ -76,3 +88,37 @@ def test_every_call_keeps_the_exit_code_contract(argv, tmp_path, capsys):
         assert json.loads((out / "manifest.json").read_text())["files"] == written
         for name in written + ["manifest.json"]:
             assert all(math.isfinite(v) for v in numbers(out / name)), name
+
+
+@pytest.mark.parametrize("argv", GRID, ids=[" ".join(a) for a in GRID])
+def test_every_call_keeps_the_exit_code_contract(argv, tmp_path):
+    keeps_the_exit_code_contract(argv, tmp_path / "out")
+
+
+# log10 of 5e-324, the least positive double, and of 1e308
+LOG_LAMBDA = (math.log10(5e-324), 308.0)
+
+
+@st.composite
+def calls(draw):
+    """A drawn call: (subcommand, {config key: value}, through a config file)."""
+    values = {"n": draw(st.integers(1, 8)), "m": draw(st.integers(1, 4)),
+              "seed": draw(st.integers(0, 2 ** 64 - 1)),
+              "lambda": ",".join(repr(max(10.0 ** e, 5e-324)) for e in
+                                 draw(st.lists(st.floats(*LOG_LAMBDA), min_size=1, max_size=3)))}
+    return draw(st.sampled_from(cli.EXPERIMENTS)), values, draw(st.booleans())
+
+
+@settings(max_examples=MAX_DRAWN_CALLS, deadline=None)
+@given(calls())
+def test_drawn_calls_keep_the_exit_code_contract(call):
+    experiment, values, config = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("".join(f"{key}={value}\n" for key, value in values.items()))
+            argv = [experiment, "--config", str(path)]
+        else:
+            argv = [experiment, *(arg for key, value in values.items()
+                                  for arg in (f"--{key}", str(value)))]
+        keeps_the_exit_code_contract(argv, Path(tmp) / "out")

@@ -1,11 +1,13 @@
 """The size of the lambda pool, that its threads leave shared designs as
-they were, the memory the setting (ii) sweep holds at once, that only
-setting (ii)'s subspace fits start threads, and that each static sweep makes
-one fit call per family and one rmse call per design."""
+they were, the memory the setting (ii) sweep holds at once, that its rows do
+not depend on the number of workers, that only setting (ii)'s subspace fits
+start threads, and that each static sweep makes one fit call per family and
+one rmse call per design."""
 
 import os
 import threading
 
+import numpy as np
 import pytest
 
 import oracles
@@ -31,11 +33,11 @@ def test_worker_count_without_affinity_counts_cores(monkeypatch, cores, workers)
 
 
 def array_bytes(design) -> dict:
-    """The bytes of each array a design holds: F, K, y, DtD, Dty and its factor's."""
-    arrays = {name: getattr(design, name) for name in ("F", "K", "y", "DtD", "Dty")}
+    """The bytes of each array a design holds: F, K, y and its factor's."""
+    arrays = {name: getattr(design, name) for name in ("F", "K", "y")}
     if design.factor is not None:
         arrays.update(factor_W=design.factor.W, factor_mu=design.factor.mu)
-    return {name: a.tobytes() for name, a in arrays.items() if a is not None}
+    return {name: a.tobytes() for name, a in arrays.items()}
 
 
 def test_lambda_pool_leaves_the_shared_designs_bit_identical(monkeypatch):
@@ -53,19 +55,37 @@ def test_lambda_pool_leaves_the_shared_designs_bit_identical(monkeypatch):
     monkeypatch.setattr(hybrid_static, "_design", recording)
     monkeypatch.setattr(experiments, "worker_count", lambda: 2)
     experiments.run_setting2(n=50)
-    assert len(built) == 4 and any(design.DtD is not None for design, _ in built)
+    assert len(built) == 4
     for design, before in built:
         assert array_bytes(design) == before
 
 
 def test_setting2_holds_one_joint_buffer_per_worker_and_no_cross_gram_meanwhile(monkeypatch):
-    # two (n + 2)^2 buffers reused over the grid, and the validation
-    # cross-Gram built only after the fits: fresh joint matrices per fit,
-    # beside the cross-Gram, held about 5.15 such units at once
+    # G and two (n + 2)^2 buffers that keep D'D in the triangle dpotrf never
+    # touches, and the validation cross-Gram built only after the fits: a
+    # separate D'D beside them held about 4.1 such units at once, and fresh
+    # joint matrices per fit beside the cross-Gram about 5.15
     monkeypatch.setattr(experiments, "worker_count", lambda: 2)
     n = 1000
     peak = oracles.peak_traced_bytes(experiments.run_setting2, n)
-    assert peak < 4.5 * (n + 2) ** 2 * 8
+    assert peak < 3.5 * (n + 2) ** 2 * 8
+
+
+def setting2_bytes(out: dict) -> list:
+    """Every number of run_setting2's rows as bytes, fitted models included."""
+    return [(family, key, np.asarray(value).tobytes()) if key != "model" else
+            (family, key, value.weights.tobytes(), value.coeffs.tobytes())
+            for family, rows in out.items() for row in rows for key, value in row.items()]
+
+
+def test_setting2_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    # each pool worker reuses one buffer, which carries D'D from fit to fit:
+    # no fit may see the triangle another fit wrote, whichever worker runs it
+    rows = {}
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+        rows[workers] = setting2_bytes(experiments.run_setting2(n=35, seed=2))
+    assert rows[2] == rows[1] and rows[4] == rows[1]
 
 
 class PoolStarted(Exception):

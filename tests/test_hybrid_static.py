@@ -17,6 +17,13 @@ import oracles
 KX = KernelSpec(gamma=100.0)
 
 
+def setting2_design(n, seed):
+    """run_setting2's subspace training design."""
+    train = hs.design(experiments.gex_dataset(n, seed), experiments.gex_reference,
+                      KernelSpec(gamma=experiments.DEFAULT_GAMMA_X))
+    return train.with_features(thermo_vle.margules_features)
+
+
 def toy_dataset(n=12, seed=0, fn=np.sin):
     rng = np.random.default_rng(seed)
     x = np.sort(rng.uniform(0.0, 1.0, size=n))
@@ -130,7 +137,7 @@ class TestSubspace:
     def test_zero_targets(self):
         x = np.linspace(0.05, 0.95, 10)
         data = Dataset(inputs=x, targets=np.zeros(10))
-        design = hs.design(data, lambda x: np.stack([x, x ** 2], axis=-1), KX, joint=True)
+        design = hs.design(data, lambda x: np.stack([x, x ** 2], axis=-1), KX)
         model = hs.fit_subspace(design, lambda_theta=1e-6, lambda_r=1.0)
         np.testing.assert_allclose(model.weights, 0.0, atol=1e-10)
         np.testing.assert_allclose(model.coeffs, 0.0, atol=1e-10)
@@ -142,7 +149,7 @@ class TestSubspace:
         y = np.array([1.0, 2.0, 6.0])
         data = Dataset(inputs=x, targets=y)
         const = lambda x: np.ones(np.shape(np.asarray(x)) + (1,))
-        model = hs.fit_subspace(hs.design(data, const, KX, joint=True),
+        model = hs.fit_subspace(hs.design(data, const, KX),
                                 lambda_theta=1e-10, lambda_r=1e10)
         assert model.weights[0] == pytest.approx(y.mean(), rel=1e-4)
 
@@ -151,7 +158,7 @@ class TestSubspace:
         data = toy_dataset(20, seed=2)
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
         lt, lr = 1e-4, 0.1
-        design = hs.design(data, fmap, KX, joint=True)
+        design = hs.design(data, fmap, KX)
         model = hs.fit_subspace(design, lambda_theta=lt, lambda_r=lr)
         penalty = lt * np.eye(2)
         opt = oracles.objective(design, model.weights, model.coeffs, penalty, lr)
@@ -167,31 +174,34 @@ class TestSubspace:
     @given(st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from([100, 257, 500])),
            st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=3))
     def test_joint_design_normal_matrix_is_exactly_symmetric(self, n, seed, p):
-        # the design does not symmetrize D'D: numpy's D.T @ D (a symmetric
-        # rank-k update whose triangle is copied) must already be symmetric
+        # a joint buffer keeps D'D's strict lower triangle, and the fit reads
+        # it for the upper one: numpy's D.T @ D (a symmetric rank-k update
+        # whose triangle is copied) must already be symmetric
         rng = np.random.default_rng(seed)
         data = Dataset(inputs=rng.uniform(0.0, 1.0, size=n), targets=rng.standard_normal(n))
         fmap = lambda x: np.stack([np.asarray(x) ** k for k in range(1, p + 1)], axis=-1)
-        DtD = hs.design(data, fmap, KX, joint=True).DtD
-        assert DtD.shape == (n + p, n + p)
-        assert DtD.tobytes() == np.ascontiguousarray(DtD.T).tobytes()
+        (buf,) = hs.joint_buffers(hs.design(data, fmap, KX), 1)
+        assert buf.M.shape == (n + p, n + p)
+        assert buf.M.tobytes() == np.ascontiguousarray(buf.M.T).tobytes()
+        assert buf.DtD_diagonal.tobytes() == buf.M.diagonal().tobytes()
 
     def test_joint_matrix_is_factored_in_its_own_memory(self):
-        # one (n + 2)^2 buffer: building the joint matrix and factoring a
-        # private copy of it held two
+        # through a sweep's buffer a fit allocates no (n + 2)^2 array: the
+        # joint matrix goes into the buffer's free triangle and is factored
+        # there. Without one, the fit builds a buffer beside D = [F, G]
         n = 400
         design = hs.design(toy_dataset(n, seed=6),
                            lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1),
-                           KX, joint=True)
-        peak = oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0)
-        assert peak < 1.5 * 8 * (n + 2) ** 2
+                           KX)
+        unit = 8 * (n + 2) ** 2
+        (buf,) = hs.joint_buffers(design, 1)
+        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0, buf) < 0.5 * unit
+        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0) < 2.5 * unit
 
     def test_fits_through_one_reused_buffer_equal_fresh_fits_bit_for_bit(self, monkeypatch):
         # the setting2 --n 35 --seed 2 grid mixes jittered (J) and plain (.)
         # solves, so the buffer also starts from a jittered factor
-        train = hs.design(experiments.gex_dataset(35, 2), experiments.gex_reference,
-                          KernelSpec(gamma=experiments.DEFAULT_GAMMA_X))
-        design = train.with_features(thermo_vle.margules_features, joint=True)
+        design = setting2_design(35, 2)
         jitters, cholesky = [], linalg.cholesky_with_jitter
 
         def recording(*args, **kwargs):
@@ -200,7 +210,8 @@ class TestSubspace:
             return L, jitter
 
         monkeypatch.setattr(linalg, "cholesky_with_jitter", recording)
-        buf = np.full_like(design.DtD, np.nan)
+        (buf,) = hs.joint_buffers(design, 1)
+        buf.M[np.triu_indices(len(buf.M))] = np.nan  # the triangle the fits write
         for lam in experiments.DEFAULT_LAMBDA_GRID:
             reused = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam, out=buf)
             fresh = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam)
@@ -209,30 +220,91 @@ class TestSubspace:
         assert "".join("J" if j else "." for j in jitters[::2]) == "JJJJ.J..J.JJJ"
         assert jitters[::2] == jitters[1::2]
 
-    @pytest.mark.parametrize("out", [
-        np.empty((36, 36)), np.empty((37, 38)), np.empty((37, 37), dtype=np.float32),
-        np.empty((37, 37)).astype(">f8"), np.empty((37, 74))[:, ::2], np.empty((37, 37)).T[:0],
-        np.zeros((37, 37)).tolist()], ids=["small", "not-square", "float32", "big-endian",
-                                           "strided", "empty", "list"])
-    def test_buffer_of_another_layout_raises(self, out):
-        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
-                           KX, joint=True)
-        with pytest.raises(DimensionMismatch):
-            hs.fit_subspace(design, 1e-3, 1.0, out=out)
+    def test_every_attempt_factors_the_full_joint_matrix_and_keeps_dtd(self, monkeypatch):
+        # dpotrf factors the buffer's upper triangle (the lower one of its
+        # Fortran view): on every attempt, jittered or not, it must hold the
+        # full joint matrix's bits, jitter on the diagonal only. D'D's
+        # triangle and saved diagonal stay as they were built
+        design, lambda_theta = setting2_design(35, 2), experiments.DEFAULT_LAMBDA_THETA
+        (buf,) = hs.joint_buffers(design, 1)
+        dtd = np.tril(buf.M, -1).tobytes(), buf.DtD_diagonal.tobytes()
+        factored, lapack_info = [], linalg._lapack_info
 
-    def test_read_only_buffer_raises_and_is_not_written(self):
+        def spy(routine, name, *args):
+            if name == "dpotrf":
+                factored.append(np.triu(buf.M))
+            return lapack_info(routine, name, *args)
+
+        monkeypatch.setattr(linalg, "_lapack_info", spy)
+        attempts = []
+        for lam in experiments.DEFAULT_LAMBDA_GRID:
+            factored.clear()
+            hs.fit_subspace(design, lambda_theta, lam, out=buf)
+            M = oracles.joint_matrix(design, lambda_theta, lam)
+            base = linalg.JITTER_INIT * (np.trace(M) / len(M))
+            for attempt, got in enumerate(factored):
+                expected = M.copy()
+                if attempt:
+                    expected.flat[::len(M) + 1] += base * 10.0 ** (attempt - 1)
+                assert got.tobytes() == np.triu(expected).tobytes()
+            assert (np.tril(buf.M, -1).tobytes(), buf.DtD_diagonal.tobytes()) == dtd
+            attempts.append(len(factored))
+        assert "".join("J" if a > 1 else "." for a in attempts) == "JJJJ.J..J.JJJ"
+
+    @pytest.mark.parametrize("lambda_r", [1e-12, 1e308, 1.7e308])
+    def test_extreme_lambda_r_equals_the_full_matrix_path(self, lambda_r):
+        # from 1e308 on, the joint matrix's trace overflows and the jitter
+        # base comes from its fallback, the mean of the diagonal
+        design, lambda_theta = setting2_design(50, 0), experiments.DEFAULT_LAMBDA_THETA
+        with np.errstate(over="ignore"):
+            trace = np.trace(oracles.joint_matrix(design, lambda_theta, lambda_r))
+        assert np.isfinite(trace) == (lambda_r < 1e308)
+        model = hs.fit_subspace(design, lambda_theta, lambda_r)
+        expected = oracles.fit_subspace(design, lambda_theta, lambda_r)
+        assert model.weights.tobytes() == expected[:2].tobytes()
+        assert model.coeffs.tobytes() == expected[2:].tobytes()
+
+    def test_features_whose_normal_block_overflows_raise(self):
+        # F'F is inf: the triangle dpotrf would read is not finite
+        huge = lambda x: 1e200 * np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)
+        design = hs.design(toy_dataset(20, seed=9), huge, KX)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DimensionMismatch):
+            hs.fit_subspace(design, 1e-3, 1.0)
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_joint_buffers_are_separate_copies_of_one_dtd(self, count):
         design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
-                           KX, joint=True)
-        out = np.zeros((37, 37))
-        out.flags.writeable = False
-        with pytest.raises(DimensionMismatch):
-            hs.fit_subspace(design, 1e-3, 1.0, out=out)
-        assert not out.any()
+                           KX)
+        bufs = hs.joint_buffers(design, count)
+        assert len(bufs) == count
+        for buf in bufs:
+            M = buf.M
+            assert buf.design is design and M.shape == (37, 37) and M.dtype == np.float64
+            assert M.flags.c_contiguous and M.flags.writeable
+            assert M.tobytes() == bufs[0].M.tobytes()
+        assert not any(np.shares_memory(a.M, b.M) for i, a in enumerate(bufs)
+                       for b in bufs[i + 1:])
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_joint_buffers_need_a_positive_count(self, count):
+        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
+                           KX)
+        with pytest.raises(DomainError):
+            hs.joint_buffers(design, count)
+
+    def test_buffer_of_another_design_raises_and_is_not_written(self):
+        data, fmap = toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1)
+        design, other = hs.design(data, fmap, KX), hs.design(data, fmap, KX)
+        (buf,) = hs.joint_buffers(other, 1)
+        before = buf.M.tobytes()
+        with pytest.raises(DomainError):
+            hs.fit_subspace(design, 1e-3, 1.0, out=buf)
+        assert buf.M.tobytes() == before
 
     def test_objective_matches_solution(self):
         data = toy_dataset(15, seed=4)
         fmap = lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)
-        design = hs.design(data, fmap, KX, joint=True)
+        design = hs.design(data, fmap, KX)
         model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=1.0)
         # perturbing the solution can only increase the objective
         penalty = 1e-3 * np.eye(2)
@@ -325,7 +397,7 @@ class TestRegularizationWeights:
     def setup_method(self):
         data = toy_dataset(10, seed=16)
         self.fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
-        self.design = hs.design(data, self.fmap, KX, joint=True)
+        self.design = hs.design(data, self.fmap, KX)
 
     @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
     def test_reference_krr(self, lam):
@@ -378,7 +450,7 @@ class TestRmse:
         # evaluates each model afresh
         train, val = toy_dataset(20, seed=13), toy_dataset(20, seed=14)
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
-        design = hs.design(train, fmap, KX, joint=True)
+        design = hs.design(train, fmap, KX)
         models = [hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=lam)
                   for lam in (1e-3, 0.1, 10.0)]
         for data, d in ((train, design), (val, design.at(val))):

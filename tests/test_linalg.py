@@ -109,6 +109,61 @@ class TestSolveSpd:
         assert x.shape == (2,)
 
 
+def keeping(M, other):
+    """M's lower triangle in a Fortran array whose strict upper triangle holds
+    `other`, and a refill that restores the strict lower one from a copy of
+    M's, recording the array it was handed."""
+    A = np.asfortranarray(np.tril(M) + np.triu(other, 1))
+    lower, handed = np.tril(M, -1), []
+
+    def refill(B):
+        handed.append(B)
+        np.copyto(B, lower, where=np.tri(len(B), k=-1, dtype=bool))
+
+    return A, refill, handed
+
+
+class TestRefill:
+    """cholesky_with_jitter(..., refill=f), for a caller that keeps its own
+    data in the strict upper triangle of the buffer dpotrf factors."""
+
+    @pytest.mark.parametrize("M", [np.outer(np.ones(4), np.ones(4)), np.diag([1.0, -1e-8]),
+                                   np.diag([4.0, 2.0, 1.0]) + 0.5],
+                             ids=["rank-one", "last-step", "no-jitter"])
+    def test_factors_as_the_mirror_restore_and_keeps_the_other_triangle(self, M):
+        A, refill, handed = keeping(M, np.full(M.shape, np.nan))
+        L, jitter = cholesky_with_jitter(A, overwrite=True, refill=refill)
+        expected_L, expected_jitter = cholesky_with_jitter(M)
+        assert L is A and jitter == expected_jitter
+        assert np.tril(L).tobytes() == expected_L.tobytes()
+        assert np.isnan(L[np.triu_indices(len(M), 1)]).all()
+        base = JITTER_INIT * (np.trace(M) / len(M))
+        steps = round(np.log10(jitter / base)) + 1 if jitter else 0  # failed attempts
+        assert len(handed) == steps and all(B is A for B in handed)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_checks_only_the_factored_triangle(self, n, bad):
+        M = np.eye(n) * n + 0.5
+        i, j = sorted(np.random.default_rng(n).integers(0, n, 2))
+        A, refill, _ = keeping(M, np.full((n, n), bad))  # not symmetric, not finite
+        cholesky_with_jitter(A, overwrite=True, refill=refill)
+        for entry in ((j, i), (j, j)):
+            A, refill, _ = keeping(M, M)
+            A[entry] = bad
+            before = A.copy(order="F")
+            with pytest.raises(DimensionMismatch):
+                cholesky_with_jitter(A, overwrite=True, refill=refill)
+            assert np.array_equal(A, before, equal_nan=True)
+
+    def test_solve_spd_passes_refill_on(self):
+        M = np.outer(np.ones(4), np.ones(4)) + np.diag([0.0, 0.0, 0.0, 1e-30])
+        A, refill, handed = keeping(M, np.full(M.shape, np.nan))
+        b = np.arange(4.0)
+        x = solve_spd(A, b, overwrite=True, refill=refill)
+        assert handed and x.tobytes() == solve_spd(M, b).tobytes()
+
+
 class TestLapackBridge:
     @pytest.mark.parametrize("name", ["_dpotrf", "_dlaset", "_dpotrs", "_dpstrf"])
     def test_routines_release_the_gil(self, name):

@@ -37,12 +37,12 @@ def absolute(new, old) -> float:
     return float(np.max(np.abs(new - old)))
 
 
-def static_fit_pairs(dataset, features, fit, seed, joint=False):
+def static_fit_pairs(dataset, features, fit, seed):
     """(model, model on permuted rows, permutation) for every lambda of the
     grid; fit(design, grid) returns one model per lambda."""
     data = dataset(N, seed)
     perm = permutation(data.size, seed)
-    designs = [hs.design(d, features, KERNEL, joint=joint) for d in (data, permuted(data, perm))]
+    designs = [hs.design(d, features, KERNEL) for d in (data, permuted(data, perm))]
     fits = [fit(design, experiments.DEFAULT_LAMBDA_GRID) for design in designs]
     assert all(len(models) == len(experiments.DEFAULT_LAMBDA_GRID) for models in fits)
     return [(old, new, perm) for old, new in zip(*fits)]
@@ -55,7 +55,7 @@ def subspace_fit(design, grid):
 
 def margules_fit_pairs(seed):
     return static_fit_pairs(experiments.gex_dataset, thermo_vle.margules_features,
-                            subspace_fit, seed, joint=True)
+                            subspace_fit, seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
