@@ -5,16 +5,13 @@ the closed-loop control comparison. All functions are pure given their seeds.
 
 from __future__ import annotations
 
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache, partial
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import control, hybrid_static, koopman, thermo_vle
-from .hybrid_static import Dataset
+from .hybrid_static import Dataset, worker_count  # noqa: F401  (the benchmark reads it here)
 from .kernels import KernelSpec
 
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-3, 2, 13))
@@ -24,13 +21,6 @@ DEFAULT_LAMBDA_THETA = 1e-6
 DEFAULT_LAMBDA_B = 1e-8
 DEFAULT_Q = 3
 DEFAULT_DT = 0.01
-
-
-def worker_count() -> int:
-    """Threads of the lambda pool: min(4, usable CPUs). A function only because
-    the benchmark (perfbench/sweep.py and its layer test) calls it."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(4, cpus or 1)
 
 
 @lru_cache(maxsize=None)
@@ -124,35 +114,16 @@ def run_setting1(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) ->
 def run_setting2(n: int = 50, seed: int = 0, lambda_grid=DEFAULT_LAMBDA_GRID) -> dict:
     """Reference hybrid vs Margules-subspace hybrid on Gibbs-energy data.
 
-    Each "margules" row carries its fitted model under "model". The reference
-    grid is one fit call; then the lambda pool fits the subspace grid in
-    joint buffers built before it starts, one per worker: each holds the
-    sweep's D'D in the triangle its factorizations never touch. The
-    validation designs, whose n x n cross-Gram would coexist with the
-    solves, come after.
+    Each "margules" row carries its fitted model under "model". Each family's
+    grid is one fit call. The validation designs come after the fits, so that
+    their n x n cross-Gram does not coexist with the subspace fit's joint
+    buffers, which are freed when it returns.
     """
     ref_train = hybrid_static.design(gex_dataset(n, seed), gex_reference,
                                      KernelSpec(gamma=DEFAULT_GAMMA_X))
     sub_train = ref_train.with_features(thermo_vle.margules_features)
     refs = hybrid_static.fit_reference_krr(ref_train, lambda_grid)
-    workers, buffers = min(worker_count(), len(lambda_grid)), queue.SimpleQueue()
-    for buf in hybrid_static.joint_buffers(sub_train, workers):
-        buffers.put(buf)
-
-    def fit(lam):
-        buf = buffers.get()
-        try:
-            return hybrid_static.fit_subspace(sub_train, lambda_theta=DEFAULT_LAMBDA_THETA,
-                                              lambda_r=lam, out=buf)
-        finally:
-            buffers.put(buf)
-
-    if workers == 1:
-        subs = [fit(lam) for lam in lambda_grid]
-    else:  # the (n + 2)^2 factorizations release the GIL
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            subs = list(pool.map(fit, lambda_grid))
-    del buffers, buf  # freed before the cross-Gram is allocated
+    subs = hybrid_static.fit_subspace(sub_train, DEFAULT_LAMBDA_THETA, lambda_grid)
     ref_val = ref_train.at(gex_dataset(n, seeds("setting2", seed)["validation_seed"]))
     sub_val = ref_val.with_features(thermo_vle.margules_features)
     return {"reference": _rows(lambda_grid, refs, ref_train, ref_val),
@@ -194,7 +165,7 @@ def run_koopman(n: int = 200, seed: int = 0, m: int = 25,
     bilinear model under "model", built from closures fit once per sweep.
 
     The grid is fit in a plain loop in the calling thread: each fit is one
-    N x N solve and one m x m QP that hold the GIL, so the lambda pool would
+    N x N solve and one m x m QP that hold the GIL, so a thread pool would
     add thread start-up and save nothing."""
     run_seeds = seeds("koopman", seed)
     basis = koopman.MonomialBasis(q=DEFAULT_Q)

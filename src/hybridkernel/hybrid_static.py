@@ -11,9 +11,10 @@ feature map Phi and in how the weights w are fit:
 
 A ``Design`` holds the lambda-independent blocks of one dataset, the
 low-rank factor of the training Gram matrix among them. Drivers build it once
-per sweep; each fit then does only the lambda-dependent solves, and ``rmse``
-scores a sweep's models on the design. The subspace fit solves in a
-``JointBuffer``, which a sweep builds once per concurrent fit.
+per sweep; each fit takes the whole lambda grid and does only the
+lambda-dependent solves, and ``rmse`` scores a sweep's models on the design.
+The subspace fit runs its grid on a pool of ``worker_count()`` threads, each
+factoring in a joint buffer of its own that lives only as long as the call.
 ``HybridModel.predict`` is the only place that evaluates the features at new
 points.
 """
@@ -21,16 +22,19 @@ points.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import simplex_qp
 from .errors import DimensionMismatch, DomainError, MalformedModel
 from .kernels import KernelSpec, _as_points, cross_gram, gram, sq_distances
-from .linalg import LowRankFactor, _tile_pairs, low_rank_psd_factor, solve_shifted, solve_spd
+from .linalg import (LowRankFactor, _tile_pairs, low_rank_psd_factor, positive_grid,
+                     solve_shifted, solve_spd)
 
 DUPLICATE_TOL = 1e-9
 
@@ -179,36 +183,10 @@ def design(data: Dataset, features: Callable, kernel: KernelSpec) -> Design:
                    low_rank_psd_factor(G))
 
 
-class JointBuffer(NamedTuple):
-    """The memory one subspace fit solves in, on a training design.
-
-    M is a C-ordered (n + p)^2 array whose strict lower triangle holds D'D of
-    D = [F, G]. Its Fortran view M' is what dpotrf('L') factors: the fit
-    writes the joint matrix into M's upper triangle, the one dpotrf reads and
-    overwrites, and leaves the strict lower one alone. DtD_diagonal is D'D's
-    diagonal, which each factorization overwrites in M, and Dty is D'y; the
-    buffers of one sweep share these two, and each has an M of its own.
-    """
-
-    design: Design
-    M: np.ndarray
-    DtD_diagonal: np.ndarray
-    Dty: np.ndarray
-
-
-def joint_buffers(design: Design, count: int) -> list[JointBuffer]:
-    """`count` joint buffers for subspace fits on `design`, one per fit that
-    runs at the same time. D'D is numpy's D.T @ D, a symmetric rank-k update
-    whose triangle is copied, so its strict lower triangle equals the upper
-    one; it goes straight into the first buffer, and the others copy it."""
-    if count < 1:
-        raise DomainError(f"a sweep needs at least one joint buffer, got {count}")
-    D = np.hstack([design.F, design.K])
-    M = np.empty((D.shape[1], D.shape[1]))
-    np.matmul(D.T, D, out=M)
-    first = JointBuffer(design, M, M.diagonal().copy(), D.T @ design.y)
-    del D  # freed before the copies are allocated
-    return [first] + [first._replace(M=M.copy()) for _ in range(count - 1)]
+def worker_count() -> int:
+    """Threads of fit_subspace's lambda pool: min(4, usable CPUs)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(4, cpus or 1)
 
 
 def _joint_triangle(A: np.ndarray, K: np.ndarray, p: int, lambda_r: float) -> None:
@@ -239,33 +217,52 @@ def fit_reference_krr(design: Design, lams) -> list[HybridModel]:
                                                       design.y - design.F @ w)]
 
 
-def fit_subspace(design: Design, lambda_theta: float, lambda_r: float,
-                 out: JointBuffer = None) -> HybridModel:
-    """Joint fit of linear parameters theta and the kernel residual.
+def fit_subspace(design: Design, lambda_theta: float, lambdas) -> list[HybridModel]:
+    """Joint fits of linear parameters theta and the kernel residual, one
+    model per lambda_r of the grid `lambdas`.
 
-    Solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y with the
-    jittered SPD path, in a joint buffer: `out`, which a sweep reuses across
-    fits (DomainError unless joint_buffers built it on this design), or a new
-    one. The joint matrix goes into the triangle dpotrf factors, with the
-    floating-point operations of D'D + blockdiag(...) on the full matrix, and
-    a jittered attempt rewrites it from the buffer's D'D.
+    Each solves (D'D + blockdiag(l_theta I, l_r G)) [theta; c] = D'y, with
+    D = [F, G], by the jittered SPD path. A pool of min(worker_count(),
+    len(lambdas)) threads fits the grid, thread k the lambdas[k::workers],
+    each in a C-ordered (n + p)^2 joint buffer M of its own whose strict
+    lower triangle holds D'D (numpy's D.T @ D, a symmetric rank-k update
+    whose triangle is copied, so exactly symmetric). dpotrf('L') factors M's
+    Fortran view M', so a fit writes the joint matrix into M's upper
+    triangle and diagonal, with the floating-point operations of D'D +
+    blockdiag(...) on the full matrix, and a jittered attempt rewrites it
+    from D'D and its saved diagonal.
     """
-    if not (np.isfinite(lambda_theta) and lambda_theta > 0
-            and np.isfinite(lambda_r) and lambda_r > 0):
-        raise DomainError("regularization weights must be finite and positive, got "
-                          f"lambda_theta={lambda_theta}, lambda_r={lambda_r}")
-    buf = joint_buffers(design, 1)[0] if out is None else out
-    if buf.design is not design:
-        raise DomainError("the joint buffer was built for another design")
+    if design.factor is None:
+        raise DomainError("subspace fits need a training design")
+    lams = positive_grid(lambdas)
+    if not (np.isfinite(lambda_theta) and lambda_theta > 0):
+        raise DomainError(f"lambda_theta must be finite and positive, got {lambda_theta}")
     p, K = design.F.shape[1], design.K
-    diagonal = buf.DtD_diagonal.copy()
-    diagonal[:p] += lambda_theta
-    diagonal[p:] += lambda_r * K.diagonal()
-    refill = partial(_joint_triangle, K=K, p=p, lambda_r=lambda_r)
-    refill(buf.M.T)
-    buf.M.flat[::buf.M.shape[0] + 1] = diagonal
-    sol = solve_spd(buf.M, buf.Dty, overwrite=True, refill=refill)
-    return design.model(sol[:p], sol[p:])
+    D = np.hstack([design.F, K])
+    first = np.empty((D.shape[1], D.shape[1]))
+    np.matmul(D.T, D, out=first)
+    DtD_diagonal, Dty = first.diagonal().copy(), D.T @ design.y
+    del D  # freed before the copies are allocated
+    workers = min(worker_count(), lams.size)
+    buffers = [first] + [first.copy() for _ in range(workers - 1)]
+
+    def fit(M, lambda_r):
+        diagonal = DtD_diagonal.copy()
+        diagonal[:p] += lambda_theta
+        diagonal[p:] += lambda_r * K.diagonal()
+        refill = partial(_joint_triangle, K=K, p=p, lambda_r=lambda_r)
+        refill(M.T)
+        M.flat[::M.shape[0] + 1] = diagonal
+        sol = solve_spd(M, Dty, overwrite=True, refill=refill)
+        return design.model(sol[:p], sol[p:])
+
+    models = [None] * lams.size
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # dpotrf releases the GIL
+        slices = pool.map(lambda k: [fit(buffers[k], lam) for lam in lams[k::workers]],
+                          range(workers))
+        for k, fits in enumerate(slices):
+            models[k::workers] = fits
+    return models
 
 
 def fit_mixture(design: Design, lambdas) -> list[HybridModel]:

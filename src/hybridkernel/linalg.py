@@ -247,6 +247,15 @@ def low_rank_psd_factor(G) -> LowRankFactor:
     return LowRankFactor(W=W, mu=s * s, tail=float(remainder.sum()))
 
 
+def positive_grid(lams) -> np.ndarray:
+    """A regularization grid as a 1-D float array; DomainError unless it holds
+    at least one value and every value is finite and positive."""
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 1 or not lams.size or not np.all(np.isfinite(lams) & (lams > 0)):
+        raise DomainError(f"lambda must be a 1-D grid of finite positive values, got {lams}")
+    return lams
+
+
 def solve_shifted(G, factor: LowRankFactor, lams, rhs) -> np.ndarray:
     """Solve (G + lam I) x = rhs for each shift lam > 0 of the 1-D grid lams,
     from the low-rank factor of G; rhs is (n,) or (n, k), and the solutions
@@ -261,9 +270,7 @@ def solve_shifted(G, factor: LowRankFactor, lams, rhs) -> np.ndarray:
     max(mu)) over lam; where the two reach lam/10, G + lam I is factored
     densely instead, NotPositiveDefinite if that needs jitter.
     """
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim != 1 or not lams.size or not np.all(np.isfinite(lams) & (lams > 0)):
-        raise DomainError(f"lambda must be a 1-D grid of finite positive values, got {lams}")
+    lams = positive_grid(lams)
     G = _as_2d(G)
     b = np.asarray(rhs, dtype=float)
     _check_finite(b, "rhs")

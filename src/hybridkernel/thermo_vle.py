@@ -60,12 +60,15 @@ ETHANOL_MOLAR_VOLUME = 58.7  # mL/mol
 TOLUENE_MOLAR_VOLUME = 106.8  # mL/mol
 
 
-def antoine_psat(c: AntoineConstants, T: float) -> float:
-    """Saturated vapor pressure in mmHg at T degrees Celsius."""
-    denom = T + c.C
-    if denom <= 0:
-        raise DomainError(f"Antoine denominator T + C = {denom} <= 0")
-    return 10.0 ** (c.A - c.B / denom)
+def antoine_psat(c: AntoineConstants, T):
+    """Saturated vapor pressure in mmHg at T degrees Celsius, a float or an
+    array of T's shape. np.float_power is libm's pow per element, like
+    Python's ``**`` on floats."""
+    denom = np.asarray(T + c.C)
+    bad = denom[denom <= 0]
+    if bad.size:
+        raise DomainError(f"Antoine denominator T + C = {bad[0]} <= 0")
+    return np.float_power(10.0, c.A - c.B / denom)
 
 
 def uniquac_gamma(x1: float, T: float) -> tuple[float, float]:
@@ -144,18 +147,8 @@ def _pressure_excess(x1, terms: tuple, T_c):
     from x1's composition terms: floats, or arrays of one shape whose every
     element has the bits of its float call."""
     g1, g2 = _uniquac_gamma_at(terms, T_c + CELSIUS_TO_KELVIN)
-    return (x1 * g1 * _antoine_psat_each(ETHANOL_ANTOINE, T_c)
-            + (1.0 - x1) * g2 * _antoine_psat_each(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
-
-
-def _antoine_psat_each(c: AntoineConstants, T):
-    """antoine_psat at a T or at every T of an array, with its bits: np.float_power
-    is libm's pow per element, like Python's ``**`` on floats."""
-    denom = np.asarray(T + c.C)
-    bad = denom[denom <= 0]
-    if bad.size:
-        raise DomainError(f"Antoine denominator T + C = {bad[0]} <= 0")
-    return np.float_power(10.0, c.A - c.B / denom)
+    return (x1 * g1 * antoine_psat(ETHANOL_ANTOINE, T_c)
+            + (1.0 - x1) * g2 * antoine_psat(TOLUENE_ANTOINE, T_c) - ATM_MMHG)
 
 
 def bubble_roots(x1) -> np.ndarray:
@@ -271,10 +264,10 @@ def excess_gibbs_from_txy(x, y, T, P: float = ATM_MMHG,
     Under modified Raoult's law with ideal vapor this equals
     x ln(x gamma1) + (1-x) ln((1-x) gamma2), i.e. the excess part plus the
     ideal-mixing term; it vanishes at both composition endpoints. The vapor
-    pressures have antoine_psat's bits, one array call per component.
+    pressures come from one antoine_psat call per component.
     """
     x, y, T = (np.asarray(v, dtype=float) for v in (x, y, T))
-    p1, p2 = (_antoine_psat_each(c, T) for c in (antoine1, antoine2))
+    p1, p2 = (antoine_psat(c, T) for c in (antoine1, antoine2))
     with np.errstate(over="ignore"):  # a y of huge magnitude gives +-inf, rejected below
         r1, r2 = P * y / p1, P * (1.0 - y) / p2  # with P > 0: > 0 iff 0 < y < 1, short of underflow
     if not np.all((0.0 < x) & (x < 1.0) & (r1 > 0.0) & (r2 > 0.0)):

@@ -51,6 +51,8 @@ as the point type that ``find_azeotrope`` and ``load_vle_csv`` return.
 ``illinois_root`` is the regula falsi on one function that the array search
 ``thermo_vle._illinois_roots`` replaced, and ``pressure_excess`` the per-step
 pressure excess of ``bubble_point``, against which the array excess is held.
+The oracles' vapor pressures come from ``antoine_psat``, Python's ``**`` on
+floats, which ``thermo_vle.antoine_psat``'s ``np.float_power`` replaced.
 ``psi_at``, ``jacobian_at`` and ``lifted_rhs`` moved here from
 ``MonomialBasis.eval_at``, ``jacobian_at`` and ``KoopmanHybridModel.rhs`` once
 the controllers took V's rates from the gradient of V and from the model's
@@ -90,7 +92,7 @@ from hybridkernel.linalg import _as_2d, _check_finite, solve_least_squares
 from hybridkernel.thermo_vle import (ATM_MMHG, CELSIUS_TO_KELVIN, ETHANOL_ANTOINE,
                                      ETHANOL_MOLAR_VOLUME, ETHANOL_TOLUENE_UNIQUAC, R_CAL,
                                      T_WINDOW_C, TOLUENE_ANTOINE, TOLUENE_MOLAR_VOLUME,
-                                     AntoineConstants, UniquacParams, antoine_psat)
+                                     AntoineConstants, UniquacParams)
 
 
 def kron(A, B) -> np.ndarray:
@@ -700,6 +702,14 @@ def bubble_point(x1: float, P: float = ATM_MMHG,
     g1, _ = uniquac_gamma(params, x1, T_c + CELSIUS_TO_KELVIN)
     y1 = x1 * g1 * antoine_psat(antoine1, T_c) / P
     return T_c, float(np.clip(y1, 0.0, 1.0))
+
+
+def antoine_psat(c: AntoineConstants, T: float) -> float:
+    """Saturated vapor pressure in mmHg at T degC, by Python's ``**``."""
+    denom = T + c.C
+    if denom <= 0:
+        raise DomainError(f"Antoine denominator T + C = {denom} <= 0")
+    return 10.0 ** (c.A - c.B / denom)
 
 
 def pressure_excess(x1: float, T_c: float, P: float = ATM_MMHG,

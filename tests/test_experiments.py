@@ -22,14 +22,14 @@ from hybridkernel import experiments, hybrid_static
 def test_worker_count_counts_usable_cpus(monkeypatch, usable, cores, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: usable, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert experiments.worker_count() == workers
+    assert hybrid_static.worker_count() == workers
 
 
 @pytest.mark.parametrize("cores, workers", [(2, 2), (64, 4), (None, 1)])
 def test_worker_count_without_affinity_counts_cores(monkeypatch, cores, workers):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert experiments.worker_count() == workers
+    assert hybrid_static.worker_count() == workers
 
 
 def array_bytes(design) -> dict:
@@ -53,7 +53,7 @@ def test_lambda_pool_leaves_the_shared_designs_bit_identical(monkeypatch):
         return design
 
     monkeypatch.setattr(hybrid_static, "_design", recording)
-    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
+    monkeypatch.setattr(hybrid_static, "worker_count", lambda: 2)
     experiments.run_setting2(n=50)
     assert len(built) == 4
     for design, before in built:
@@ -65,7 +65,7 @@ def test_setting2_holds_one_joint_buffer_per_worker_and_no_cross_gram_meanwhile(
     # touches, and the validation cross-Gram built only after the fits: a
     # separate D'D beside them held about 4.1 such units at once, and fresh
     # joint matrices per fit beside the cross-Gram about 5.15
-    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
+    monkeypatch.setattr(hybrid_static, "worker_count", lambda: 2)
     n = 1000
     peak = oracles.peak_traced_bytes(experiments.run_setting2, n)
     assert peak < 3.5 * (n + 2) ** 2 * 8
@@ -83,7 +83,7 @@ def test_setting2_rows_do_not_depend_on_the_worker_count(monkeypatch):
     # no fit may see the triangle another fit wrote, whichever worker runs it
     rows = {}
     for workers in (1, 2, 4):
-        monkeypatch.setattr(experiments, "worker_count", lambda: workers)
+        monkeypatch.setattr(hybrid_static, "worker_count", lambda: workers)
         rows[workers] = setting2_bytes(experiments.run_setting2(n=35, seed=2))
     assert rows[2] == rows[1] and rows[4] == rows[1]
 
@@ -101,8 +101,8 @@ def test_koopman_and_control_sweeps_start_no_thread(monkeypatch):
     # the grid is fit in the calling thread, even where the pool has workers.
     # setting1 and setting3 fit their whole grid in one call; only setting2's
     # subspace fits keep the pool
-    monkeypatch.setattr(experiments, "worker_count", lambda: 2)
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(hybrid_static, "worker_count", lambda: 2)
+    monkeypatch.setattr(hybrid_static, "ThreadPoolExecutor", no_thread)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     grid = (1e-2, 1.0, 1e2)
     assert len(experiments.run_koopman(n=30, m=5, lambda_grid=grid)) == 3
@@ -121,15 +121,14 @@ STATIC_FITS = ("fit_reference_krr", "fit_subspace", "fit_mixture", "rmse")
     (lambda grid: experiments.run_setting1(n=20, lambda_grid=grid),
      {"fit_reference_krr": 1, "rmse": 2}),
     (lambda grid: experiments.run_setting2(n=20, lambda_grid=grid),
-     {"fit_reference_krr": 1, "fit_subspace": 4, "rmse": 4}),
+     {"fit_reference_krr": 1, "fit_subspace": 1, "rmse": 4}),
     (lambda grid: experiments.run_setting3(n=20, m=5, lambda_grid=grid),
      {"fit_mixture": 1, "rmse": 2}),
 ], ids=["setting1", "setting2", "setting3"])
 def test_static_sweep_fits_each_family_once_and_scores_each_design_once(monkeypatch, run,
                                                                         expected):
     # the grid is an array axis: one fit call per family that solves every
-    # lambda, and one rmse call per design that scores every model (the
-    # subspace fits, which the pool runs, are still one call per lambda)
+    # lambda, and one rmse call per design that scores every model
     grid = (1e-3, 1e-1, 1.0, 1e2)
     calls = {name: [] for name in STATIC_FITS}
     for name in STATIC_FITS:
@@ -144,9 +143,9 @@ def test_static_sweep_fits_each_family_once_and_scores_each_design_once(monkeypa
         assert len(models) == len(scores) == len(grid)
     designs = [id(design) for (_, design), _ in calls["rmse"]]
     assert len(set(designs)) == len(designs)
-    for name in ("fit_reference_krr", "fit_mixture"):
-        for (_, lams), models in calls[name]:
-            assert list(lams) == list(grid) and len(models) == len(grid)
+    for name in ("fit_reference_krr", "fit_subspace", "fit_mixture"):
+        for args, models in calls[name]:  # the grid is each fit's last argument
+            assert list(args[-1]) == list(grid) and len(models) == len(grid)
     rows = out["margules"] + out["reference"] if isinstance(out, dict) else out
     assert [row["lambda"] for row in rows] == list(grid) * (len(rows) // len(grid))
 

@@ -1,6 +1,7 @@
 """Static hybrid fits: reference KRR, subspace joint fit, simplex mixture."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestSubspace:
         x = np.linspace(0.05, 0.95, 10)
         data = Dataset(inputs=x, targets=np.zeros(10))
         design = hs.design(data, lambda x: np.stack([x, x ** 2], axis=-1), KX)
-        model = hs.fit_subspace(design, lambda_theta=1e-6, lambda_r=1.0)
+        (model,) = hs.fit_subspace(design, 1e-6, [1.0])
         np.testing.assert_allclose(model.weights, 0.0, atol=1e-10)
         np.testing.assert_allclose(model.coeffs, 0.0, atol=1e-10)
 
@@ -149,8 +150,7 @@ class TestSubspace:
         y = np.array([1.0, 2.0, 6.0])
         data = Dataset(inputs=x, targets=y)
         const = lambda x: np.ones(np.shape(np.asarray(x)) + (1,))
-        model = hs.fit_subspace(hs.design(data, const, KX),
-                                lambda_theta=1e-10, lambda_r=1e10)
+        (model,) = hs.fit_subspace(hs.design(data, const, KX), 1e-10, [1e10])
         assert model.weights[0] == pytest.approx(y.mean(), rel=1e-4)
 
     def test_joint_fit_dominance(self):
@@ -159,7 +159,7 @@ class TestSubspace:
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
         lt, lr = 1e-4, 0.1
         design = hs.design(data, fmap, KX)
-        model = hs.fit_subspace(design, lambda_theta=lt, lambda_r=lr)
+        (model,) = hs.fit_subspace(design, lt, [lr])
         penalty = lt * np.eye(2)
         opt = oracles.objective(design, model.weights, model.coeffs, penalty, lr)
         rng = np.random.default_rng(3)
@@ -176,79 +176,126 @@ class TestSubspace:
     def test_joint_design_normal_matrix_is_exactly_symmetric(self, n, seed, p):
         # a joint buffer keeps D'D's strict lower triangle, and the fit reads
         # it for the upper one: numpy's D.T @ D (a symmetric rank-k update
-        # whose triangle is copied) must already be symmetric
+        # whose triangle is copied), as fit_subspace forms it, must already
+        # be symmetric
         rng = np.random.default_rng(seed)
         data = Dataset(inputs=rng.uniform(0.0, 1.0, size=n), targets=rng.standard_normal(n))
         fmap = lambda x: np.stack([np.asarray(x) ** k for k in range(1, p + 1)], axis=-1)
-        (buf,) = hs.joint_buffers(hs.design(data, fmap, KX), 1)
-        assert buf.M.shape == (n + p, n + p)
-        assert buf.M.tobytes() == np.ascontiguousarray(buf.M.T).tobytes()
-        assert buf.DtD_diagonal.tobytes() == buf.M.diagonal().tobytes()
+        design = hs.design(data, fmap, KX)
+        D = np.hstack([design.F, design.K])
+        M = np.empty((n + p, n + p))
+        np.matmul(D.T, D, out=M)
+        assert M.tobytes() == np.ascontiguousarray(M.T).tobytes()
 
-    def test_joint_matrix_is_factored_in_its_own_memory(self):
-        # through a sweep's buffer a fit allocates no (n + 2)^2 array: the
-        # joint matrix goes into the buffer's free triangle and is factored
-        # there. Without one, the fit builds a buffer beside D = [F, G]
+    def test_joint_matrix_is_factored_in_its_own_memory(self, monkeypatch):
+        # one worker's buffer serves the whole grid: the joint matrix of each
+        # lambda goes into the buffer's free triangle and is factored there,
+        # so no solve allocates an (n + 2)^2 array, and the grid holds no
+        # more at once than one fit: the buffer beside D = [F, G]
         n = 400
         design = hs.design(toy_dataset(n, seed=6),
                            lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1),
                            KX)
         unit = 8 * (n + 2) ** 2
-        (buf,) = hs.joint_buffers(design, 1)
-        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0, buf) < 0.5 * unit
-        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, 1.0) < 2.5 * unit
+        solve_extra, solve_spd = [], hs.solve_spd
 
-    def test_fits_through_one_reused_buffer_equal_fresh_fits_bit_for_bit(self, monkeypatch):
+        def measured(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            try:
+                return solve_spd(*args, **kwargs)
+            finally:
+                solve_extra.append(tracemalloc.get_traced_memory()[1] - before)
+
+        monkeypatch.setattr(hs, "solve_spd", measured)
+        monkeypatch.setattr(hs, "worker_count", lambda: 1)
+        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, [1.0]) < 2.5 * unit
+        grid = (1e-3, 0.1, 1.0, 10.0)
+        assert oracles.peak_traced_bytes(hs.fit_subspace, design, 1e-3, grid) < 2.5 * unit
+        assert len(solve_extra) == 5 and max(solve_extra) < 0.5 * unit
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_grid_fit_equals_the_full_matrix_path_per_lambda(self, monkeypatch, workers):
         # the setting2 --n 35 --seed 2 grid mixes jittered (J) and plain (.)
-        # solves, so the buffer also starts from a jittered factor
-        design = setting2_design(35, 2)
-        jitters, cholesky = [], linalg.cholesky_with_jitter
+        # solves, so a worker's buffer also starts a fit from a jittered
+        # factor, and each worker count deals the lambdas out differently
+        design, lambda_theta = setting2_design(35, 2), experiments.DEFAULT_LAMBDA_THETA
+        grid = experiments.DEFAULT_LAMBDA_GRID
+        expected = [oracles.fit_subspace(design, lambda_theta, lam) for lam in grid]
+        jittered, cholesky = {}, linalg.cholesky_with_jitter
 
-        def recording(*args, **kwargs):
-            L, jitter = cholesky(*args, **kwargs)
-            jitters.append(jitter)
+        def recording(M, overwrite=False, refill=None):
+            L, jitter = cholesky(M, overwrite, refill)
+            jittered[refill.keywords["lambda_r"]] = bool(jitter)
             return L, jitter
 
         monkeypatch.setattr(linalg, "cholesky_with_jitter", recording)
-        (buf,) = hs.joint_buffers(design, 1)
-        buf.M[np.triu_indices(len(buf.M))] = np.nan  # the triangle the fits write
-        for lam in experiments.DEFAULT_LAMBDA_GRID:
-            reused = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam, out=buf)
-            fresh = hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, lam)
-            assert reused.weights.tobytes() == fresh.weights.tobytes()
-            assert reused.coeffs.tobytes() == fresh.coeffs.tobytes()
-        assert "".join("J" if j else "." for j in jitters[::2]) == "JJJJ.J..J.JJJ"
-        assert jitters[::2] == jitters[1::2]
+        monkeypatch.setattr(hs, "worker_count", lambda: workers)
+        models = hs.fit_subspace(design, lambda_theta, grid)
+        assert len(models) == len(grid)
+        for model, sol in zip(models, expected):
+            assert model.weights.tobytes() == sol[:2].tobytes()
+            assert model.coeffs.tobytes() == sol[2:].tobytes()
+        assert "".join("J" if jittered[lam] else "." for lam in grid) == "JJJJ.J..J.JJJ"
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_pool_workers_solve_in_separate_buffers(self, monkeypatch, workers):
+        # one C-ordered (n + p)^2 buffer per worker, none sharing memory with
+        # another, and no more workers than lambdas
+        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
+                           KX)
+        buffers, solve_spd = {}, hs.solve_spd
+
+        def recording(M, *args, **kwargs):
+            buffers[id(M)] = M
+            return solve_spd(M, *args, **kwargs)
+
+        monkeypatch.setattr(hs, "solve_spd", recording)
+        monkeypatch.setattr(hs, "worker_count", lambda: workers)
+        assert len(hs.fit_subspace(design, 1e-3, (1e-2, 0.1, 1.0))) == 3
+        bufs = list(buffers.values())
+        assert len(bufs) == min(workers, 3)
+        for M in bufs:
+            assert M.shape == (37, 37) and M.dtype == np.float64 and M.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
 
     def test_every_attempt_factors_the_full_joint_matrix_and_keeps_dtd(self, monkeypatch):
         # dpotrf factors the buffer's upper triangle (the lower one of its
         # Fortran view): on every attempt, jittered or not, it must hold the
         # full joint matrix's bits, jitter on the diagonal only. D'D's
-        # triangle and saved diagonal stay as they were built
+        # triangle stays as it was built, from fit to fit of the one buffer
         design, lambda_theta = setting2_design(35, 2), experiments.DEFAULT_LAMBDA_THETA
-        (buf,) = hs.joint_buffers(design, 1)
-        dtd = np.tril(buf.M, -1).tobytes(), buf.DtD_diagonal.tobytes()
-        factored, lapack_info = [], linalg._lapack_info
+        grid = experiments.DEFAULT_LAMBDA_GRID
+        factored, lapack_info, triangle = {}, linalg._lapack_info, hs._joint_triangle
+        written = []  # (lambda_r, A) of each triangle write; A = M' of the buffer M
+
+        def refill(A, **kwargs):
+            written.append((kwargs["lambda_r"], A))
+            triangle(A, **kwargs)
 
         def spy(routine, name, *args):
             if name == "dpotrf":
-                factored.append(np.triu(buf.M))
+                lambda_r, A = written[-1]
+                factored.setdefault(lambda_r, []).append(np.triu(A.T))
             return lapack_info(routine, name, *args)
 
+        monkeypatch.setattr(hs, "_joint_triangle", refill)
         monkeypatch.setattr(linalg, "_lapack_info", spy)
+        monkeypatch.setattr(hs, "worker_count", lambda: 1)
+        hs.fit_subspace(design, lambda_theta, grid)
+        D = np.hstack([design.F, design.K])
+        assert all(A.ctypes.data == written[0][1].ctypes.data for _, A in written)
+        assert np.tril(written[0][1].T, -1).tobytes() == np.tril(D.T @ D, -1).tobytes()
         attempts = []
-        for lam in experiments.DEFAULT_LAMBDA_GRID:
-            factored.clear()
-            hs.fit_subspace(design, lambda_theta, lam, out=buf)
+        for lam in grid:
             M = oracles.joint_matrix(design, lambda_theta, lam)
             base = linalg.JITTER_INIT * (np.trace(M) / len(M))
-            for attempt, got in enumerate(factored):
+            for attempt, got in enumerate(factored[lam]):
                 expected = M.copy()
                 if attempt:
                     expected.flat[::len(M) + 1] += base * 10.0 ** (attempt - 1)
                 assert got.tobytes() == np.triu(expected).tobytes()
-            assert (np.tril(buf.M, -1).tobytes(), buf.DtD_diagonal.tobytes()) == dtd
-            attempts.append(len(factored))
+            attempts.append(len(factored[lam]))
         assert "".join("J" if a > 1 else "." for a in attempts) == "JJJJ.J..J.JJJ"
 
     @pytest.mark.parametrize("lambda_r", [1e-12, 1e308, 1.7e308])
@@ -259,7 +306,7 @@ class TestSubspace:
         with np.errstate(over="ignore"):
             trace = np.trace(oracles.joint_matrix(design, lambda_theta, lambda_r))
         assert np.isfinite(trace) == (lambda_r < 1e308)
-        model = hs.fit_subspace(design, lambda_theta, lambda_r)
+        (model,) = hs.fit_subspace(design, lambda_theta, [lambda_r])
         expected = oracles.fit_subspace(design, lambda_theta, lambda_r)
         assert model.weights.tobytes() == expected[:2].tobytes()
         assert model.coeffs.tobytes() == expected[2:].tobytes()
@@ -269,43 +316,13 @@ class TestSubspace:
         huge = lambda x: 1e200 * np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)
         design = hs.design(toy_dataset(20, seed=9), huge, KX)
         with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(DimensionMismatch):
-            hs.fit_subspace(design, 1e-3, 1.0)
-
-    @pytest.mark.parametrize("count", [1, 2, 4])
-    def test_joint_buffers_are_separate_copies_of_one_dtd(self, count):
-        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
-                           KX)
-        bufs = hs.joint_buffers(design, count)
-        assert len(bufs) == count
-        for buf in bufs:
-            M = buf.M
-            assert buf.design is design and M.shape == (37, 37) and M.dtype == np.float64
-            assert M.flags.c_contiguous and M.flags.writeable
-            assert M.tobytes() == bufs[0].M.tobytes()
-        assert not any(np.shares_memory(a.M, b.M) for i, a in enumerate(bufs)
-                       for b in bufs[i + 1:])
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_joint_buffers_need_a_positive_count(self, count):
-        design = hs.design(toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1),
-                           KX)
-        with pytest.raises(DomainError):
-            hs.joint_buffers(design, count)
-
-    def test_buffer_of_another_design_raises_and_is_not_written(self):
-        data, fmap = toy_dataset(35, seed=8), lambda x: np.stack([x, 1 - x], axis=-1)
-        design, other = hs.design(data, fmap, KX), hs.design(data, fmap, KX)
-        (buf,) = hs.joint_buffers(other, 1)
-        before = buf.M.tobytes()
-        with pytest.raises(DomainError):
-            hs.fit_subspace(design, 1e-3, 1.0, out=buf)
-        assert buf.M.tobytes() == before
+            hs.fit_subspace(design, 1e-3, [1.0])
 
     def test_objective_matches_solution(self):
         data = toy_dataset(15, seed=4)
         fmap = lambda x: np.stack([np.asarray(x), 1 - np.asarray(x)], axis=-1)
         design = hs.design(data, fmap, KX)
-        model = hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=1.0)
+        (model,) = hs.fit_subspace(design, 1e-3, [1.0])
         # perturbing the solution can only increase the objective
         penalty = 1e-3 * np.eye(2)
         base = oracles.objective(design, model.weights, model.coeffs, penalty, 1.0)
@@ -409,9 +426,12 @@ class TestRegularizationWeights:
     @pytest.mark.parametrize("lam", NON_FINITE + (0.0,))
     @pytest.mark.parametrize("name", ["lambda_theta", "lambda_r"])
     def test_subspace(self, name, lam):
-        weights = {"lambda_theta": 1e-6, "lambda_r": 1.0, name: lam}
-        with pytest.raises(DomainError):
-            hs.fit_subspace(self.design, **weights)
+        # lambda_r anywhere in the grid, also after a good weight
+        calls = ([(lam, [1.0])] if name == "lambda_theta"
+                 else [(1e-6, [lam]), (1e-6, [1.0, lam])])
+        for lambda_theta, lams in calls:
+            with pytest.raises(DomainError):
+                hs.fit_subspace(self.design, lambda_theta, lams)
 
     @pytest.mark.parametrize("name, lam", [("lambda_r", lam) for lam in NON_FINITE + (0.0,)])
     def test_mixture(self, name, lam):
@@ -423,6 +443,14 @@ class TestRegularizationWeights:
     def test_mixture_fit_needs_a_training_design(self):
         with pytest.raises(DomainError):
             hs.fit_mixture(self.design.at(toy_dataset(10, seed=17)), [1.0])
+
+    @pytest.mark.parametrize("n_val", [15, 10])
+    def test_subspace_fit_needs_a_training_design(self, n_val):
+        # a validation design of another size made numpy raise, and one of
+        # the same size failed the factorization
+        val = self.design.at(toy_dataset(n_val, seed=17))
+        with pytest.raises(DomainError, match="subspace fits need a training design"):
+            hs.fit_subspace(val, 1e-6, [1.0])
 
     def test_reference_fit_needs_a_training_design(self):
         val = self.design.at(toy_dataset(10, seed=17))
@@ -451,8 +479,7 @@ class TestRmse:
         train, val = toy_dataset(20, seed=13), toy_dataset(20, seed=14)
         fmap = lambda x: np.stack([np.asarray(x), np.asarray(x) ** 2], axis=-1)
         design = hs.design(train, fmap, KX)
-        models = [hs.fit_subspace(design, lambda_theta=1e-3, lambda_r=lam)
-                  for lam in (1e-3, 0.1, 10.0)]
+        models = hs.fit_subspace(design, 1e-3, (1e-3, 0.1, 10.0))
         for data, d in ((train, design), (val, design.at(val))):
             scores = hs.rmse(models, d)
             assert len(scores) == len(models) and all(type(s) is float for s in scores)

@@ -49,8 +49,7 @@ def static_fit_pairs(dataset, features, fit, seed):
 
 
 def subspace_fit(design, grid):
-    return [hs.fit_subspace(design, lambda_theta=experiments.DEFAULT_LAMBDA_THETA, lambda_r=lam)
-            for lam in grid]
+    return hs.fit_subspace(design, experiments.DEFAULT_LAMBDA_THETA, grid)
 
 
 def margules_fit_pairs(seed):

@@ -644,27 +644,33 @@ dims = st.sampled_from([1, 2])
        st.integers(1, 4), st.floats(1e-4, 1e2), st.integers(0, 2 ** 32 - 1))
 def test_joint_matrix_matches_copy_and_add(n, d, p, lambda_r, seed):
     # the joint buffer's factored triangle, written tile by tile over a
-    # triangle that starts as NaN, holds the full joint matrix's bits when
-    # dpotrf first reads it, and the fit equals the full-matrix path's
+    # triangle that starts as NaN at every write, holds the full joint
+    # matrix's bits when dpotrf first reads it, and the fit equals the
+    # full-matrix path's
     X = point_set(n, d, seed)
     data = hybrid_static.Dataset(inputs=X, targets=np.cos(X.sum(axis=1)))
     features = lambda x: np.stack([coordinate(x) ** k for k in range(p)], axis=-1)
     design = hybrid_static.design(data, features, kernels.KernelSpec(gamma=50.0))
     lambda_theta = 10.0 ** np.random.default_rng(seed).uniform(-8, 2)
-    (buf,) = hybrid_static.joint_buffers(design, 1)
-    buf.M[np.triu_indices(n + p)] = np.nan
-    factored, lapack_info = [], linalg._lapack_info
+    factored, written = [], []
+    lapack_info, triangle = linalg._lapack_info, hybrid_static._joint_triangle
+
+    def nan_then_write(A, **kwargs):  # A = M', the Fortran view of the buffer M
+        A[np.tril_indices(n + p)] = np.nan
+        written.append(A)
+        triangle(A, **kwargs)
 
     def spy(routine, name, *args):
         if name == "dpotrf":
-            factored.append(np.triu(buf.M))
+            factored.append(np.triu(written[-1].T))
         return lapack_info(routine, name, *args)
 
-    linalg._lapack_info = spy
+    linalg._lapack_info, hybrid_static._joint_triangle = spy, nan_then_write
     try:
-        new = outcome(hybrid_static.fit_subspace, design, lambda_theta, lambda_r, buf)
+        new = outcome(lambda *args: hybrid_static.fit_subspace(*args)[0],
+                      design, lambda_theta, [lambda_r])
     finally:
-        linalg._lapack_info = lapack_info
+        linalg._lapack_info, hybrid_static._joint_triangle = lapack_info, triangle
     M = oracles.joint_matrix(design, lambda_theta, lambda_r)
     assert factored[0].tobytes() == np.triu(M).tobytes()
     old = outcome(oracles.fit_subspace, design, lambda_theta, lambda_r)

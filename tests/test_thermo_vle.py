@@ -38,6 +38,16 @@ class TestAntoine:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             tv.antoine_psat(tv.ETHANOL_ANTOINE, -300.0)
+        with pytest.raises(DomainError):
+            tv.antoine_psat(tv.ETHANOL_ANTOINE, np.array([80.0, -300.0]))
+
+    def test_floats_and_arrays_have_the_bits_of_pythons_power(self):
+        Ts = np.linspace(-50.0, 300.0, 101).reshape(1, -1)
+        for c in (tv.ETHANOL_ANTOINE, tv.TOLUENE_ANTOINE):
+            scalar = [oracles.antoine_psat(c, T) for T in Ts.ravel().tolist()]
+            assert [float(tv.antoine_psat(c, T)) for T in Ts.ravel().tolist()] == scalar
+            p = tv.antoine_psat(c, Ts)
+            assert p.shape == Ts.shape and p.ravel().tolist() == scalar
 
 
 class TestUniquacGamma:
